@@ -146,12 +146,35 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _recovery_summary(outcomes, max_rounds: int) -> dict:
+    """Deterministic decode statistics: no timings, so reruns compare byte for byte."""
+    rounds_histogram = [0] * (max((o.rounds for o in outcomes), default=0) + 1)
+    insertions_per_round: list[int] = []
+    for outcome in outcomes:
+        rounds_histogram[outcome.rounds] += 1
+        for r, count in enumerate(outcome.inserted):
+            if r == len(insertions_per_round):
+                insertions_per_round.append(0)
+            insertions_per_round[r] += count
+    return {
+        "n_sequences": len(outcomes),
+        "max_rounds": max_rounds,
+        "rounds_histogram": rounds_histogram,
+        "truncated": sum(o.truncated for o in outcomes),
+        "insertions_per_round": insertions_per_round,
+    }
+
+
 def cmd_recover(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     samples = read_samples(args.data)
-    hypotheses = []
+    max_len = model.config.max_len
     for i, sample in enumerate(samples):
-        outcome = model.recover(sample.incomplete, max_rounds=args.max_rounds)
+        n = len(sample.incomplete.activities)
+        if n > max_len:
+            raise ConfigError(f"sample {i}: {n} activities exceed max_len={max_len}")
+    outcomes = model.recover_batch([s.incomplete for s in samples], max_rounds=args.max_rounds)
+    for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         try:
             align_subsequence(sample.incomplete.labels(), outcome.sequence.labels())
         except AlignmentError as exc:
@@ -161,8 +184,10 @@ def cmd_recover(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        hypotheses.append(outcome.sequence)
+    hypotheses = [o.sequence for o in outcomes]
     write_sequences(args.out, hypotheses)
+    max_rounds = model.config.max_rounds if args.max_rounds is None else args.max_rounds
+    _write_json(str(args.out) + ".summary.json", _recovery_summary(outcomes, max_rounds))
     print(f"recover: wrote {len(hypotheses)} hypotheses to {args.out}")
     return 0
 

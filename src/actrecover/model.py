@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
+RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
 
 
 class CapacityError(RuntimeError):
@@ -189,15 +190,14 @@ class DecoderState:
 
     tokens: list[int]
     covariates: CovariateBundle
-    round: int = 0
 
     @classmethod
-    def from_sequence(cls, seq: DaySequence, round: int = 0) -> "DecoderState":
+    def from_sequence(cls, seq: DaySequence) -> "DecoderState":
         try:
             tokens = [LABEL_TO_ID[a.label] for a in seq.activities]
         except KeyError as exc:
             raise VocabularyError(f"unknown activity label {exc.args[0]!r}") from exc
-        return cls(tokens=tokens, covariates=CovariateBundle.from_sequence(seq), round=round)
+        return cls(tokens=tokens, covariates=CovariateBundle.from_sequence(seq))
 
     @property
     def n_slots(self) -> int:
@@ -230,6 +230,7 @@ class RecoveryOutcome:
     sequence: DaySequence
     rounds: int
     truncated: bool
+    inserted: tuple[int, ...] = ()  # activities inserted in each round, one entry per round
 
 
 def insertion_targets(
@@ -445,11 +446,9 @@ class InsertionModel:
 
     def decoder_forward(self, state: DecoderState) -> SlotDistribution:
         """Distributions over what to insert into each of the n+1 slots."""
-        logits, info = self.forward([state])
-        raw = logits.data[0, : state.n_slots]
-        z = raw - raw.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return SlotDistribution(probs=e / e.sum(axis=-1, keepdims=True))
+        with T.no_grad():
+            logits, _ = self.forward([state])
+        return SlotDistribution(probs=_slot_probs(logits.data[0, : state.n_slots]))
 
     def selection_weights(self, state: DecoderState) -> SelectionWeights:
         if not self.config.use_vsn:
@@ -555,36 +554,82 @@ class InsertionModel:
         Inserted activities carry no timing/mode/distance information; the
         input tokens appear in the output as a subsequence, in order.
         """
+        return self.recover_batch([incomplete], max_rounds=max_rounds)[0]
+
+    def recover_batch(
+        self, incompletes: Sequence[DaySequence], max_rounds: int | None = None
+    ) -> list[RecoveryOutcome]:
+        """Decode many sequences at once; each outcome equals a lone ``recover``.
+
+        Every round groups the still-active sequences by current length and
+        scores each group with one gradient-free forward of at most
+        ``RECOVER_ROWS`` rows. Equal lengths need no padding, so every row
+        sees the arithmetic of a batch-1 forward. Per sequence, a round
+        inserts the argmax of every non-stop slot; a sequence leaves when all
+        its slots stop, when it runs out of rounds, or when an insertion
+        would pass ``max_len`` (it is then truncated to the leftmost picks
+        that fit).
+        """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds
-        acts = [replace(a) for a in incomplete.activities]
-        truncated = False
-        rounds = 0
-        while rounds < limit:
-            current = replace(incomplete, activities=acts)
-            state = DecoderState.from_sequence(current, round=rounds)
-            choices = self.decoder_forward(state).argmax()
-            picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
-            if not picks:
-                break
-            rounds += 1
-            budget = cfg.max_len - len(acts)
-            if len(picks) > budget:
-                truncated = True
-                picks = picks[:budget]
-            insert_at = {s: c for s, c in picks}
-            new_acts: list[Activity] = []
-            for s in range(len(acts) + 1):
-                if s in insert_at:
-                    new_acts.append(Activity(label=ID_TO_LABEL[insert_at[s]], observed=False))
-                if s < len(acts):
-                    new_acts.append(acts[s])
-            acts = new_acts
-            if truncated:
-                break
-        return RecoveryOutcome(
-            sequence=replace(incomplete, activities=acts), rounds=rounds, truncated=truncated
-        )
+        acts = [[replace(a) for a in seq.activities] for seq in incompletes]
+        truncated = [False] * len(acts)
+        inserted: list[list[int]] = [[] for _ in acts]  # one count per round taken
+        active = list(range(len(acts))) if limit > 0 else []
+        while active:
+            groups: dict[int, list[int]] = {}
+            for i in active:
+                groups.setdefault(len(acts[i]), []).append(i)
+            still_active = []
+            for length, members in sorted(groups.items()):
+                for start in range(0, len(members), RECOVER_ROWS):
+                    rows = members[start : start + RECOVER_ROWS]
+                    states = [
+                        DecoderState.from_sequence(replace(incompletes[i], activities=acts[i]))
+                        for i in rows
+                    ]
+                    with T.no_grad():
+                        logits, _ = self.forward(states)
+                    for i, choices in zip(rows, _slot_probs(logits.data).argmax(axis=-1)):
+                        picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
+                        if not picks:
+                            continue
+                        budget = cfg.max_len - length
+                        if len(picks) > budget:
+                            truncated[i] = True
+                            picks = picks[:budget]
+                        acts[i] = _insert(acts[i], dict(picks))
+                        inserted[i].append(len(picks))
+                        if not truncated[i] and len(inserted[i]) < limit:
+                            still_active.append(i)
+            active = sorted(still_active)
+        return [
+            RecoveryOutcome(
+                sequence=replace(seq, activities=acts[i]),
+                rounds=len(inserted[i]),
+                truncated=truncated[i],
+                inserted=tuple(inserted[i]),
+            )
+            for i, seq in enumerate(incompletes)
+        ]
+
+
+def _slot_probs(raw: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of slot logits, stabilized by max subtraction."""
+    z = raw - raw.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _insert(acts: list[Activity], insert_at: dict[int, int]) -> list[Activity]:
+    """``acts`` with an unobserved activity of label id ``insert_at[s]`` in each slot ``s``."""
+    out: list[Activity] = []
+    for s in range(len(acts) + 1):
+        if s in insert_at:
+            out.append(Activity(label=ID_TO_LABEL[insert_at[s]], observed=False))
+        if s < len(acts):
+            out.append(acts[s])
+    return out
 
 
 # -- checkpoints --------------------------------------------------------------

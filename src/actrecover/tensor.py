@@ -8,12 +8,13 @@ deliberately small: exactly what gated residual blocks, variable selection,
 multi-head attention and the slot insertion head need.
 
 Gradient buffers on :class:`Parameter` persist across graphs and accumulate;
-callers zero them between optimization steps.
+callers zero them between optimization steps. Inside a :class:`no_grad`
+block nothing is recorded, which is how inference runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "set_finite_checks",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -58,6 +60,28 @@ def set_finite_checks(enabled: bool) -> None:
     """Globally verify that every forward result is finite (slow; for tests)."""
     global _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
+
+
+_GRAD_ENABLED = True
+
+
+class no_grad:
+    """Context manager: operations inside it record no graph.
+
+    Results carry no parents, no backward closure and ``requires_grad``
+    False, so a forward pass costs only its arithmetic. The previous mode is
+    restored on exit, also when the block raises, so blocks nest.
+    """
+
+    def __enter__(self) -> "no_grad":
+        global _GRAD_ENABLED
+        self._previous = _GRAD_ENABLED
+        _GRAD_ENABLED = False
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._previous
 
 
 class Tensor:
@@ -178,7 +202,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -421,10 +445,3 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     )
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
-
-def parameters_of(items: Iterable) -> list[Parameter]:
-    """Flatten ``.parameters()`` of each item into one list."""
-    out: list[Parameter] = []
-    for item in items:
-        out.extend(item.parameters())
-    return out

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from actrecover.cli import main
-from actrecover.data import read_samples, read_sequences, write_samples
+from actrecover.data import RecoverySample, read_samples, read_sequences, write_samples
 from actrecover.generator import default_config, generate_population, make_samples
 from actrecover.model import load_checkpoint
+
+from helpers import random_sequence
 
 
 def run(*argv) -> int:
@@ -148,6 +151,46 @@ class TestRecover:
         samples = read_samples(small_run["data"])
         for sample, hypothesis in zip(samples, read_sequences(hyp)):
             align_subsequence(sample.incomplete.labels(), hypothesis.labels())
+
+
+    def test_over_length_input_exits_2_naming_the_sample(self, small_run, tmp_path, capsys):
+        samples = read_samples(small_run["data"])[:3]
+        long_day = random_sequence(np.random.default_rng(40), n=40)
+        samples[1] = RecoverySample(complete=long_day, incomplete=long_day, removed_positions=[])
+        data = tmp_path / "long.jsonl"
+        write_samples(data, samples)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", small_run["ckpt"], "--data", data, "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "recover: sample 1: 40 activities exceed max_len=32"
+        assert "Traceback" not in err and not hyp.exists()
+
+    def test_writes_deterministic_summary(self, small_run, tmp_path):
+        summaries = []
+        for name in ("a", "b"):
+            hyp = tmp_path / f"{name}.jsonl"
+            assert run("recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp) == 0
+            summaries.append((tmp_path / f"{name}.jsonl.summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        summary = json.loads(summaries[0])
+        samples = read_samples(small_run["data"])
+        hypotheses = read_sequences(tmp_path / "a.jsonl")
+        assert summary["n_sequences"] == len(samples) == sum(summary["rounds_histogram"])
+        assert summary["max_rounds"] == load_checkpoint(small_run["ckpt"])[0].config.max_rounds
+        assert sum(summary["insertions_per_round"]) == sum(
+            len(h) - len(s.incomplete) for h, s in zip(hypotheses, samples)
+        )
+        assert 0 <= summary["truncated"] <= len(samples)
+
+    def test_zero_rounds_summary(self, small_run, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
+        assert run(
+            "recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"],
+            "--out", hyp, "--max-rounds", 0,
+        ) == 0
+        summary = json.loads((tmp_path / "hyp.jsonl.summary.json").read_text())
+        assert summary["rounds_histogram"] == [len(read_samples(small_run["data"]))]
+        assert summary["insertions_per_round"] == [] and summary["truncated"] == 0
 
 
 class TestEvalAndCompare:

@@ -176,6 +176,41 @@ class TestEmbed:
             T.embed(table, 3)
 
 
+class TestNoGrad:
+    def _recorded(self, x: Parameter) -> Tensor:
+        return T.tsum(T.layer_norm(T.matmul(x, x), x[0], x[1]))
+
+    def test_results_record_nothing(self):
+        x = Parameter("x", np.random.default_rng(0).normal(size=(3, 3)))
+        with T.no_grad():
+            out = self._recorded(x)
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        np.testing.assert_array_equal(out.data, self._recorded(x).data)
+
+    def test_mode_restored_after_nesting(self):
+        x = Parameter("x", np.ones((2, 2)))
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.add(x, 1.0).requires_grad
+            assert not T.add(x, 1.0).requires_grad
+        assert T.add(x, 1.0).requires_grad
+
+    def test_mode_restored_after_exception(self):
+        x = Parameter("x", np.ones((2, 2)))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        out = T.add(x, 1.0)
+        assert out.requires_grad and out._parents
+
+    def test_gradcheck_passes_after_leaving(self):
+        x = Parameter("x", np.random.default_rng(1).normal(size=(3, 3)))
+        with T.no_grad():
+            self._recorded(x)
+        assert grad_check(lambda: self._recorded(x), [x]).max_rel_error < 1e-6
+
+
 class TestMatmulAlgebra:
     def test_associativity_on_random_squares(self):
         rng = np.random.default_rng(31)
