@@ -166,6 +166,8 @@ def _recovery_summary(outcomes, max_rounds: int) -> dict:
 
 
 def cmd_recover(args) -> int:
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise ConfigError("--max-rounds must be >= 0")
     model, _ = load_checkpoint(args.checkpoint)
     samples = read_samples(args.data)
     max_len = model.config.max_len

@@ -32,7 +32,6 @@ from .activities import (
     ID_TO_LABEL,
     LABEL_TO_ID,
     MISSING_CODE,
-    N_ACTIVITIES,
     N_CONTENT_CLASSES,
     N_MODES,
     N_STATIC_LEVELS,
@@ -56,7 +55,6 @@ __all__ = [
     "VocabularyError",
     "CompatibilityError",
     "ModelConfig",
-    "CovariateBundle",
     "DecoderState",
     "SlotDistribution",
     "SelectionWeights",
@@ -68,6 +66,7 @@ __all__ = [
     "parameter_checksum",
 ]
 
+CHECKPOINT_FORMAT = 2  # the manifest ``format`` that checkpoints and ``.state`` files carry
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
 
@@ -95,9 +94,6 @@ class ModelConfig:
     use_vsn: bool = True
     max_rounds: int = 8
     max_len: int = 32
-    n_static: int = 4
-    n_known: int = 2
-    n_unknown: int = 4
 
     def __post_init__(self) -> None:
         if min(self.d_m, self.n_heads, self.d_attn, self.d_val, self.n_layers) < 1:
@@ -108,8 +104,6 @@ class ModelConfig:
             raise ValueError(f"dropout out of [0, 1): {self.dropout}")
         if self.max_rounds < 0 or self.max_len < 1:
             raise ValueError("max_rounds must be >= 0 and max_len >= 1")
-        if self.n_static + self.n_known + self.n_unknown != 10:
-            raise ValueError("covariate counts must total the ten-covariate schema")
 
     def to_dict(self) -> dict:
         return {
@@ -122,9 +116,6 @@ class ModelConfig:
             "use_vsn": self.use_vsn,
             "max_rounds": self.max_rounds,
             "max_len": self.max_len,
-            "n_static": self.n_static,
-            "n_known": self.n_known,
-            "n_unknown": self.n_unknown,
         }
 
     @classmethod
@@ -133,71 +124,51 @@ class ModelConfig:
 
 
 @dataclass
-class CovariateBundle:
-    """Model-ready covariates for one partial sequence.
+class DecoderState:
+    """One partial day encoded for the network; sentinels are implied at the ends.
 
-    Per-token unknown covariates carry the missing sentinel wherever
-    ``observed`` is false, which is how decoder insertions stay free of
-    leaked timing/mode/distance information.
+    Per-activity arrays have one entry per activity. Timing, mode and
+    distance of an unobserved activity are never stored: its codes hold the
+    missing sentinel and its distance is 0, which is how decoder insertions
+    stay free of leaked covariates. So an activity is observed exactly when
+    its ``arr`` is not the missing sentinel.
     """
 
-    static: tuple[int, int, int, int]
-    weekday: int
-    holiday: int
-    arr: list[int]
-    dep: list[int]
-    mode: list[int]
-    dist: list[float]
-    observed: list[bool]
-
-    @classmethod
-    def from_sequence(cls, seq: DaySequence) -> "CovariateBundle":
-        bundle = cls(
-            static=tuple(seq.static),
-            weekday=seq.weekday,
-            holiday=seq.holiday,
-            arr=[a.arr if a.observed else MISSING_CODE for a in seq.activities],
-            dep=[a.dep if a.observed else MISSING_CODE for a in seq.activities],
-            mode=[a.mode if a.observed else MISSING_CODE for a in seq.activities],
-            dist=[a.dist if a.observed else 0.0 for a in seq.activities],
-            observed=[a.observed for a in seq.activities],
-        )
-        bundle.validate()
-        return bundle
-
-    def validate(self) -> None:
-        if not 1 <= self.weekday <= 7:
-            raise VocabularyError(f"weekday code out of 1..7: {self.weekday}")
-        if self.holiday not in (0, 1):
-            raise VocabularyError(f"holiday flag must be 0/1: {self.holiday}")
-        if len(self.static) != 4 or any(not 1 <= c <= N_STATIC_LEVELS for c in self.static):
-            raise VocabularyError(f"static codes must be four values in 1..{N_STATIC_LEVELS}")
-        for arr, dep, mode, dist, obs in zip(self.arr, self.dep, self.mode, self.dist, self.observed):
-            if obs:
-                if not (1 <= arr <= N_TIME_BINS and 1 <= dep <= N_TIME_BINS):
-                    raise VocabularyError(f"time bins out of 1..{N_TIME_BINS}: {arr}, {dep}")
-                if not 1 <= mode <= N_MODES:
-                    raise VocabularyError(f"mode code out of 1..{N_MODES}: {mode}")
-            elif arr != MISSING_CODE or dep != MISSING_CODE or mode != MISSING_CODE:
-                raise VocabularyError("unobserved tokens must carry the missing sentinel")
-            if dist < 0:
-                raise VocabularyError(f"negative trip distance {dist}")
-
-
-@dataclass
-class DecoderState:
-    """A partial label sequence (sentinels implied at the ends) plus covariates."""
-
-    tokens: list[int]
-    covariates: CovariateBundle
+    tokens: np.ndarray  # (n,) activity ids
+    arr: np.ndarray  # (n,) arrival bins 1..96, or MISSING_CODE
+    dep: np.ndarray  # (n,) departure bins 1..96, or MISSING_CODE
+    mode: np.ndarray  # (n,) travel modes 1..6, or MISSING_CODE
+    dist: np.ndarray  # (n,) trip distances, 0 where unobserved
+    weekday: int  # 1..7
+    holiday: int  # 0 or 1
+    static: tuple[int, int, int, int]  # 1..N_STATIC_LEVELS each
 
     @classmethod
     def from_sequence(cls, seq: DaySequence) -> "DecoderState":
+        """Validate ``seq`` once and encode it; raises ``VocabularyError``."""
         try:
-            tokens = [LABEL_TO_ID[a.label] for a in seq.activities]
-        except KeyError as exc:
-            raise VocabularyError(f"unknown activity label {exc.args[0]!r}") from exc
-        return cls(tokens=tokens, covariates=CovariateBundle.from_sequence(seq))
+            seq.validate()
+        except ValueError as exc:
+            raise VocabularyError(str(exc)) from exc
+        blank = (MISSING_CODE, MISSING_CODE, MISSING_CODE)
+        codes = np.array(
+            [
+                (LABEL_TO_ID[a.label],) + ((a.arr, a.dep, a.mode) if a.observed else blank)
+                for a in seq.activities
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        dist = np.array([a.dist if a.observed else 0.0 for a in seq.activities], dtype=np.float64)
+        return cls(
+            tokens=codes[:, 0],
+            arr=codes[:, 1],
+            dep=codes[:, 2],
+            mode=codes[:, 3],
+            dist=dist,
+            weekday=seq.weekday,
+            holiday=seq.holiday,
+            static=tuple(seq.static),
+        )
 
     @property
     def n_slots(self) -> int:
@@ -345,53 +316,40 @@ class InsertionModel:
     # -- forward -------------------------------------------------------------
 
     def _batch_arrays(self, states: Sequence[DecoderState]) -> dict:
-        for st in states:
-            if len(st.tokens) > self.config.max_len:
-                raise CapacityError(
-                    f"state of {len(st.tokens)} tokens exceeds max_len={self.config.max_len}"
-                )
-            bad = [t for t in st.tokens if not 0 <= t < N_ACTIVITIES]
-            if bad:
-                raise VocabularyError(f"token ids out of activity range: {bad}")
+        """Pad and collate encoded states into (B, T) arrays, sentinels included."""
+        lengths = np.array([len(st.tokens) for st in states])
+        longest = int(lengths.max())
+        if longest > self.config.max_len:
+            raise CapacityError(f"state of {longest} tokens exceeds max_len={self.config.max_len}")
         b = len(states)
-        t_pad = max(len(st.tokens) for st in states) + 2
-        tok = np.full((b, t_pad), PAD_ID, dtype=np.int64)
-        valid = np.zeros((b, t_pad), dtype=bool)
-        arr = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
-        dep = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
-        mode = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
-        dist = np.zeros((b, t_pad))
+        t_pad = longest + 2
+        cols = np.arange(t_pad)
+        inner = (cols >= 1) & (cols <= lengths[:, None])  # the activity positions
+        valid = cols <= lengths[:, None] + 1
+
+        def collate(field: str, fill, dtype) -> np.ndarray:
+            out = np.full((b, t_pad), fill, dtype=dtype)
+            out[inner] = np.concatenate([getattr(st, field) for st in states])
+            return out
+
+        tok = collate("tokens", PAD_ID, np.int64)
+        tok[:, 0] = BOS_ID
+        tok[np.arange(b), lengths + 1] = EOS_ID
+        arr = collate("arr", MISSING_CODE, np.int64)
         dist_missing = np.ones((b, t_pad))
-        weekday = np.zeros((b, t_pad), dtype=np.int64)
-        holiday = np.zeros((b, t_pad), dtype=np.int64)
-        static = np.zeros((b, 4), dtype=np.int64)
-        for i, st in enumerate(states):
-            cb = st.covariates
-            cb.validate()
-            n = len(st.tokens)
-            if len(cb.observed) != n:
-                raise VocabularyError(f"covariate rows ({len(cb.observed)}) != tokens ({n})")
-            tok[i, 0] = BOS_ID
-            tok[i, 1 : n + 1] = st.tokens
-            tok[i, n + 1] = EOS_ID
-            valid[i, : n + 2] = True
-            weekday[i, :] = cb.weekday - 1
-            holiday[i, :] = cb.holiday
-            static[i, :] = [c - 1 for c in cb.static]
-            for j in range(n):
-                if cb.observed[j]:
-                    arr[i, j + 1] = cb.arr[j]
-                    dep[i, j + 1] = cb.dep[j]
-                    mode[i, j + 1] = cb.mode[j]
-                    dist[i, j + 1] = cb.dist[j]
-                    dist_missing[i, j + 1] = 0.0
-        slot_valid = valid[:, :-1] & valid[:, 1:]
-        n_slots = np.array([len(st.tokens) + 1 for st in states])
+        dist_missing[inner] = arr[inner] == MISSING_CODE
+        weekday = np.array([st.weekday - 1 for st in states], dtype=np.int64)
+        holiday = np.array([st.holiday for st in states], dtype=np.int64)
         return {
-            "tok": tok, "valid": valid, "arr": arr, "dep": dep, "mode": mode,
-            "dist": dist, "dist_missing": dist_missing, "weekday": weekday,
-            "holiday": holiday, "static": static, "slot_valid": slot_valid,
-            "n_slots": n_slots, "t_pad": t_pad,
+            "tok": tok, "valid": valid, "arr": arr,
+            "dep": collate("dep", MISSING_CODE, np.int64),
+            "mode": collate("mode", MISSING_CODE, np.int64),
+            "dist": collate("dist", 0.0, np.float64), "dist_missing": dist_missing,
+            "weekday": np.repeat(weekday[:, None], t_pad, axis=1),
+            "holiday": np.repeat(holiday[:, None], t_pad, axis=1),
+            "static": np.array([st.static for st in states], dtype=np.int64) - 1,
+            "slot_valid": valid[:, :-1] & valid[:, 1:],
+            "n_slots": lengths + 1, "t_pad": t_pad,
         }
 
     def _static_context(self, static_idx: np.ndarray, train: bool, rng):
@@ -456,46 +414,6 @@ class InsertionModel:
         _, info = self.forward([state])
         return SelectionWeights(weights=info["selection"][0, : len(state.tokens) + 2])
 
-    def encode_position_covariates(
-        self, bundle: CovariateBundle, token_id: int, position: int
-    ) -> list[np.ndarray]:
-        """Per-stream encodings for one position (inspection helper).
-
-        Mirrors the batched path: token embedding plus position code first;
-        unknown covariate streams fall back to their learned missing rows
-        when the position is unobserved or a sentinel. The token-only flavor
-        produces only the token stream.
-        """
-        bundle.validate()
-        if not (0 <= token_id < N_ACTIVITIES or token_id in (BOS_ID, EOS_ID)):
-            raise VocabularyError(f"token id {token_id} out of vocabulary")
-        d = self.config.d_m
-        pos = sinusoidal_positions(position + 1, d)[position]
-        token_stream = self.tok_emb.data[token_id] + pos
-        if not self.config.use_vsn:
-            return [token_stream]
-        inside = token_id < N_ACTIVITIES
-        j = position - 1  # position 0 is the begin sentinel
-        observed = inside and 0 <= j < len(bundle.observed) and bundle.observed[j]
-        if observed:
-            arr_c, dep_c, mode_c = bundle.arr[j], bundle.dep[j], bundle.mode[j]
-            dist_v, flag = bundle.dist[j], 0.0
-        else:
-            arr_c = dep_c = mode_c = MISSING_CODE
-            dist_v, flag = 0.0, 1.0
-        dist_stream = (
-            self.dist_lin.w.data[0] * dist_v + self.dist_lin.b.data + flag * self.dist_missing.data
-        )
-        return [
-            token_stream,
-            self.arr_emb.data[arr_c],
-            self.dep_emb.data[dep_c],
-            self.mode_emb.data[mode_c],
-            dist_stream,
-            self.weekday_emb.data[bundle.weekday - 1],
-            self.holiday_emb.data[bundle.holiday],
-        ]
-
     def static_context(self, static_codes: Sequence[int]) -> np.ndarray:
         """The context vector a person's four static codes produce."""
         if len(static_codes) != 4 or any(not 1 <= c <= N_STATIC_LEVELS for c in static_codes):
@@ -535,16 +453,6 @@ class InsertionModel:
     def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], train: bool = False, rng=None):
         """Cross-entropy of one state's slot distributions against its targets."""
         return self.batch_loss([state], [targets], train=train, rng=rng)
-
-    def per_sample_losses(self, states, targets_list) -> np.ndarray:
-        """Per-sample mean-over-slots cross-entropy (no gradients)."""
-        logits, info = self.forward(states)
-        target, weight = self._target_arrays(info, targets_list)
-        z = logits.data - logits.data.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        per_slot = -(logp * target).sum(axis=-1)  # (B, S)
-        weighted = per_slot * weight[:, :, 0] * len(states)  # undo the batch mean
-        return weighted.sum(axis=-1)
 
     # -- decoding ------------------------------------------------------------
 
@@ -660,7 +568,7 @@ def _read_container(path) -> tuple[dict, bytes]:
 def save_checkpoint(model: InsertionModel, path, extra: dict | None = None) -> None:
     """Write the model as a JSON manifest plus a little-endian float32 blob."""
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "kind": "model",
         "config": model.config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
@@ -675,7 +583,15 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
     manifest, blob = _read_container(path)
     if manifest.get("kind") != "model":
         raise CompatibilityError(f"{path}: container holds {manifest.get('kind')!r}, not a model")
-    config = ModelConfig.from_dict(manifest["config"])
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise CompatibilityError(
+            f"{path}: checkpoint format {manifest.get('format')!r} is not supported "
+            f"(this version reads format {CHECKPOINT_FORMAT} only)"
+        )
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise CompatibilityError(f"{path}: invalid checkpoint config: {exc}") from exc
     if expected_config is not None and config != expected_config:
         diffs = [
             f"{key}={manifest['config'][key]!r} (expected {value!r})"

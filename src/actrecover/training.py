@@ -18,6 +18,7 @@ import numpy as np
 from .data import Activity, RecoverySample, align_subsequence
 from .generator import ConfigError
 from .model import (
+    CHECKPOINT_FORMAT,
     DecoderState,
     InsertionModel,
     ModelConfig,
@@ -178,7 +179,7 @@ def save_train_state(path, model: InsertionModel, adam: Adam, step: int) -> None
     """Full-precision training state: parameters plus Adam moments."""
     names = [p.name for p in model.parameters()]
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "kind": "train_state",
         "config": model.config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
@@ -197,6 +198,11 @@ def load_train_state(path, model: InsertionModel, adam: Adam) -> int:
     manifest, blob = _read_container(path)
     if manifest.get("kind") != "train_state":
         raise ConfigError(f"{path}: not a training-state container")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(
+            f"{path}: training-state format {manifest.get('format')!r} is not supported "
+            f"(this version reads format {CHECKPOINT_FORMAT} only)"
+        )
     if manifest["config"] != model.config.to_dict():
         raise ConfigError(f"{path}: training state was saved for a different model config")
     params = model.parameters()

@@ -8,7 +8,7 @@ import pytest
 from actrecover.cli import main
 from actrecover.data import RecoverySample, read_samples, read_sequences, write_samples
 from actrecover.generator import default_config, generate_population, make_samples
-from actrecover.model import load_checkpoint
+from actrecover.model import _read_container, _write_container, load_checkpoint
 
 from helpers import random_sequence
 
@@ -112,6 +112,13 @@ class TestTrain:
         assert report["steps"] == 6  # resumed from 2 of 6 total steps
         assert len(report["losses"]) == 4
 
+    def test_retired_config_key_exits_2(self, small_run, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_static": 4}))
+        argv = ["train", "--data", small_run["data"], "--out", tmp_path / "m.ckpt", "--config", cfg_path]
+        assert run(*argv) == 2
+        assert "unknown config key 'n_static'" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -163,6 +170,24 @@ class TestRecover:
         assert run("recover", "--checkpoint", small_run["ckpt"], "--data", data, "--out", hyp) == 2
         err = capsys.readouterr().err
         assert err.strip() == "recover: sample 1: 40 activities exceed max_len=32"
+        assert "Traceback" not in err and not hyp.exists()
+
+    def test_negative_max_rounds_exits_2(self, small_run, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        argv = ["--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp]
+        assert run("recover", *argv, "--max-rounds", -3) == 2
+        assert capsys.readouterr().err.strip() == "recover: --max-rounds must be >= 0"
+        assert not hyp.exists()
+
+    def test_checkpoint_with_unknown_config_key_exits_2(self, small_run, tmp_path, capsys):
+        manifest, blob = _read_container(small_run["ckpt"])
+        manifest["config"]["n_static"] = 4
+        ckpt = tmp_path / "old.ckpt"
+        _write_container(ckpt, manifest, blob)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert "invalid checkpoint config" in err and "n_static" in err
         assert "Traceback" not in err and not hyp.exists()
 
     def test_writes_deterministic_summary(self, small_run, tmp_path):

@@ -6,25 +6,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actrecover.data import Activity, align_subsequence
+from actrecover.data import Activity, DaySequence, align_subsequence
 from actrecover.gradcheck import grad_check
+from actrecover.layers import sinusoidal_positions
 from actrecover.model import (
     CapacityError,
     CompatibilityError,
-    CovariateBundle,
     DecoderState,
     InsertionModel,
     ModelConfig,
     N_COVARIATE_STREAMS,
     NO_INSERT_ID,
     VocabularyError,
+    _read_container,
+    _write_container,
     insertion_targets,
     load_checkpoint,
     parameter_checksum,
     save_checkpoint,
 )
-from actrecover.activities import LABEL_TO_ID, N_CONTENT_CLASSES
+from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES, PAD_ID
 
 from helpers import random_sequence, tiny_config
 
@@ -85,33 +89,115 @@ class TestDecoderForward:
         np.testing.assert_allclose(alone.data[0, :n_slots], padded.data[0, :n_slots], atol=1e-9)
 
 
+def _vsn_streams(model, state) -> np.ndarray:
+    """The (T, streams, d) tensor ``forward`` hands to the variable selection network."""
+    seen = {}
+    vsn = model.vsn
+
+    def record(streams, context, train, rng):
+        seen["streams"] = streams.data[0]
+        return vsn(streams, context, train, rng)
+
+    model.vsn = record
+    model.forward([state])
+    return seen["streams"]
+
+
+class TestCollate:
+    def test_two_rows_of_mixed_lengths(self):
+        model = InsertionModel(tiny_config(), seed=0)
+        short = DaySequence(
+            person_id=0, date=0, weekday=2, holiday=0, static=(3, 1, 4, 2),
+            activities=[Activity("HomeActivity", arr=1, dep=30, mode=6, dist=0.0, observed=True)],
+        )
+        long = DaySequence(
+            person_id=1, date=0, weekday=7, holiday=1, static=(5, 5, 1, 1),
+            activities=[
+                Activity("HomeActivity", arr=1, dep=20, mode=6, dist=0.0, observed=True),
+                Activity("WorkForPay"),
+                Activity("EatOut", arr=40, dep=44, mode=2, dist=3.5, observed=True),
+            ],
+        )
+        a = model._batch_arrays([DecoderState.from_sequence(short), DecoderState.from_sequence(long)])
+        B, E, P, M = BOS_ID, EOS_ID, PAD_ID, MISSING_CODE  # HomeActivity 7, WorkForPay 8, EatOut 6
+        assert a["t_pad"] == 5
+        np.testing.assert_array_equal(a["tok"], [[B, 7, E, P, P], [B, 7, 8, 6, E]])
+        np.testing.assert_array_equal(a["valid"], [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+        np.testing.assert_array_equal(a["arr"], [[M, 1, M, M, M], [M, 1, M, 40, M]])
+        np.testing.assert_array_equal(a["dep"], [[M, 30, M, M, M], [M, 20, M, 44, M]])
+        np.testing.assert_array_equal(a["mode"], [[M, 6, M, M, M], [M, 6, M, 2, M]])
+        np.testing.assert_array_equal(a["dist"], [[0, 0, 0, 0, 0], [0, 0, 0, 3.5, 0]])
+        np.testing.assert_array_equal(a["dist_missing"], [[1, 0, 1, 1, 1], [1, 0, 1, 0, 1]])
+        np.testing.assert_array_equal(a["weekday"], [[1] * 5, [6] * 5])
+        np.testing.assert_array_equal(a["holiday"], [[0] * 5, [1] * 5])
+        np.testing.assert_array_equal(a["static"], [[2, 0, 3, 1], [4, 4, 0, 0]])
+        np.testing.assert_array_equal(a["slot_valid"], [[1, 1, 0, 0], [1, 1, 1, 1]])
+        np.testing.assert_array_equal(a["n_slots"], [2, 4])
+
+
 class TestCovariateEncoding:
     def test_stream_count_full_flavor(self):
         model = InsertionModel(tiny_config(), seed=4)
-        seq = random_sequence(np.random.default_rng(4), n=2)
-        bundle = CovariateBundle.from_sequence(seq)
-        streams = model.encode_position_covariates(bundle, LABEL_TO_ID[seq.activities[0].label], 1)
-        assert len(streams) == N_COVARIATE_STREAMS == 7
+        state = DecoderState.from_sequence(random_sequence(np.random.default_rng(4), n=2))
+        streams = _vsn_streams(model, state)
+        assert streams.shape == (4, N_COVARIATE_STREAMS, 8) and N_COVARIATE_STREAMS == 7
 
     def test_baseline_produces_token_stream_only(self):
         model = InsertionModel(tiny_config(use_vsn=False), seed=4)
-        seq = random_sequence(np.random.default_rng(5), n=2)
-        bundle = CovariateBundle.from_sequence(seq)
-        streams = model.encode_position_covariates(bundle, LABEL_TO_ID[seq.activities[0].label], 1)
-        assert len(streams) == 1
+        state = DecoderState.from_sequence(random_sequence(np.random.default_rng(5), n=2))
+        seen = {}
+        layer = model.encoder_layers[0]
+
+        def record(x, *rest):
+            seen["x"] = x.data[0]
+            return layer(x, *rest)
+
+        model.encoder_layers[0] = record
+        _, info = model.forward([state])
+        tok = [BOS_ID, *state.tokens, EOS_ID]
+        expected = model.tok_emb.data[tok] + sinusoidal_positions(len(tok), 8)
+        np.testing.assert_array_equal(seen["x"], expected)
+        assert info["selection"] is None and not hasattr(model, "vsn")
 
     def test_unobserved_tokens_use_missing_rows(self):
         model = InsertionModel(tiny_config(), seed=5)
         seq = random_sequence(np.random.default_rng(6), n=2)
         seq.activities[0] = Activity(label=seq.activities[0].label, observed=False)
-        bundle = CovariateBundle.from_sequence(seq)
-        streams = model.encode_position_covariates(bundle, LABEL_TO_ID[seq.activities[0].label], 1)
-        np.testing.assert_array_equal(streams[1], model.arr_emb.data[0])
-        np.testing.assert_array_equal(streams[2], model.dep_emb.data[0])
-        np.testing.assert_array_equal(streams[3], model.mode_emb.data[0])
-        np.testing.assert_array_equal(
-            streams[4], model.dist_lin.b.data + model.dist_missing.data
-        )
+        streams = _vsn_streams(model, DecoderState.from_sequence(seq))
+        missing_dist = model.dist_lin.b.data + model.dist_missing.data
+        for pos in (0, 1, 3):  # begin sentinel, the unobserved token, end sentinel
+            np.testing.assert_array_equal(streams[pos, 1], model.arr_emb.data[0])
+            np.testing.assert_array_equal(streams[pos, 2], model.dep_emb.data[0])
+            np.testing.assert_array_equal(streams[pos, 3], model.mode_emb.data[0])
+            np.testing.assert_array_equal(streams[pos, 4], missing_dist)
+        observed = seq.activities[1]
+        np.testing.assert_array_equal(streams[2, 1], model.arr_emb.data[observed.arr])
+        np.testing.assert_array_equal(streams[2, 3], model.mode_emb.data[observed.mode])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_unobserved_covariates_leave_fused_logits_unchanged(self, seed, data):
+        rng = np.random.default_rng(seed)
+        model = InsertionModel(tiny_config(), seed=seed)
+        seq = random_sequence(rng)
+        hidden = data.draw(st.lists(st.booleans(), min_size=len(seq), max_size=len(seq)))
+        code = st.integers(-10, 200)
+        clean, noisy = [], []
+        for act, hide in zip(seq.activities, hidden):
+            if not hide:
+                clean.append(act)
+                noisy.append(act)
+                continue
+            clean.append(Activity(label=act.label))
+            noisy.append(
+                Activity(
+                    label=act.label, arr=data.draw(code), dep=data.draw(code),
+                    mode=data.draw(code), dist=data.draw(st.floats(0.0, 1e6)),
+                )
+            )
+        logits_clean, _ = model.forward([DecoderState.from_sequence(replace(seq, activities=clean))])
+        logits_noisy, _ = model.forward([DecoderState.from_sequence(replace(seq, activities=noisy))])
+        assert np.array_equal(logits_clean.data, logits_noisy.data)
 
     def test_static_context_determinism_and_sensitivity(self):
         model = InsertionModel(tiny_config(), seed=6)
@@ -127,8 +213,12 @@ class TestCovariateEncoding:
             model.static_context((0, 2, 3, 4))
         seq = random_sequence(np.random.default_rng(7), n=1)
         seq.weekday = 9
-        with pytest.raises(VocabularyError):
-            CovariateBundle.from_sequence(seq)
+        with pytest.raises(VocabularyError, match="weekday"):
+            DecoderState.from_sequence(seq)
+        seq.weekday = 3
+        seq.activities[0].label = "Nap"
+        with pytest.raises(VocabularyError, match="Nap"):
+            DecoderState.from_sequence(seq)
 
 
 class TestSelectionWeights:
@@ -219,16 +309,15 @@ class TestInsertionLoss:
         rng = np.random.default_rng(16)
         model = InsertionModel(tiny_config(), seed=16)
         states, targets = [], []
-        for _ in range(3):
-            seq = random_sequence(rng)
+        for n in (2, 6):  # [short, long]: the short state is padded in the batch
+            seq = random_sequence(rng, n=n)
             complete_labels = seq.labels() + ["EatOut"]
             anchors = align_subsequence(seq.labels(), complete_labels)
             states.append(DecoderState.from_sequence(seq))
             targets.append(insertion_targets(seq.labels(), complete_labels, anchors))
-        batched = model.per_sample_losses(states, targets)
-        for i in range(3):
-            single = float(model.insertion_loss(states[i], targets[i]).data)
-            assert batched[i] == pytest.approx(single, abs=1e-9)
+        batched = float(model.batch_loss(states, targets).data)
+        singles = [float(model.insertion_loss(s, t).data) for s, t in zip(states, targets)]
+        assert batched == pytest.approx(np.mean(singles), abs=1e-9)
 
     def test_gradients_on_full_loss(self):
         cfg = ModelConfig(
@@ -338,6 +427,25 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         with pytest.raises(CompatibilityError, match="d_m"):
             load_checkpoint(path, expected_config=tiny_config(d_m=16))
+
+    def test_other_formats_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(InsertionModel(tiny_config(), seed=28), path)
+        manifest, blob = _read_container(path)
+        assert manifest["format"] == 2
+        manifest["format"] = 1
+        _write_container(path, manifest, blob)
+        with pytest.raises(CompatibilityError, match=r"m\.ckpt: checkpoint format 1 is not supported"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(InsertionModel(tiny_config(), seed=29), path)
+        manifest, blob = _read_container(path)
+        manifest["config"]["n_static"] = 4
+        _write_container(path, manifest, blob)
+        with pytest.raises(CompatibilityError, match="invalid checkpoint config.*n_static"):
+            load_checkpoint(path)
 
     def test_checksum_matches_reloaded_parameters(self, tmp_path):
         model = InsertionModel(tiny_config(), seed=27)

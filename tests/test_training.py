@@ -5,7 +5,14 @@ import pytest
 
 from actrecover.data import align_subsequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
-from actrecover.model import DecoderState, InsertionModel, insertion_targets, load_checkpoint
+from actrecover.model import (
+    DecoderState,
+    InsertionModel,
+    _read_container,
+    _write_container,
+    insertion_targets,
+    load_checkpoint,
+)
 from actrecover.tensor import Parameter
 from actrecover.training import (
     Adam,
@@ -156,11 +163,11 @@ class TestTrainLoop:
         lengths = [len(st.tokens) for st in states]
         short = lengths.index(min(lengths))
         longest = lengths.index(max(lengths))
-        alone = model.per_sample_losses([states[short]], [targets[short]])[0]
-        padded = model.per_sample_losses(
+        alone = [float(model.insertion_loss(states[i], targets[i]).data) for i in (short, longest)]
+        padded = model.batch_loss(
             [states[short], states[longest]], [targets[short], targets[longest]]
-        )[0]
-        assert padded == pytest.approx(alone, abs=1e-6)
+        )
+        assert float(padded.data) == pytest.approx(np.mean(alone), abs=1e-6)
 
 
 class TestCheckpointingAndResume:
@@ -200,3 +207,16 @@ class TestCheckpointingAndResume:
         adam = Adam(model.parameters())
         with pytest.raises(ConfigError, match="config"):
             load_train_state(str(ckpt) + ".state", model, adam)
+
+    def test_resume_rejects_other_format(self, tmp_path):
+        samples = small_dataset(n_days=8, seed=7)
+        ckpt = tmp_path / "part.ckpt"
+        train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
+        state = str(ckpt) + ".state"
+        manifest, blob = _read_container(state)
+        assert manifest["format"] == 2
+        manifest["format"] = 1
+        _write_container(state, manifest, blob)
+        model = InsertionModel(tiny_config(), seed=0)
+        with pytest.raises(ConfigError, match="training-state format 1 is not supported"):
+            load_train_state(state, model, Adam(model.parameters()))
