@@ -105,6 +105,22 @@ class GatedResidualBlock:
         self.norm_bias = Parameter(name + ".norm.bias", np.zeros(d_out))
         self.dropout = dropout
 
+    @classmethod
+    def grouped(cls, name: str, n_groups: int, d: int, rng, dropout: float = 0.0):
+        """``n_groups`` independent d -> d blocks run as one on (n_groups, N, d) input.
+
+        Every parameter gains a leading group axis: weights (n_groups, d, d),
+        biases and norm (n_groups, 1, d). Group ``j`` draws its weights in
+        turn, so the stack equals ``n_groups`` separate blocks value for
+        value, and a dropout draw over the whole input hands group ``j`` the
+        numbers the ``j``-th separate block would have drawn.
+        """
+        members = [cls(name, d, d, d, rng, None, dropout) for _ in range(n_groups)]
+        for same in zip(*(m.parameters() for m in members)):
+            same[0].data = np.stack([p.data.reshape(-1, d) for p in same])
+            same[0].zero_grad()
+        return members[0]
+
     def __call__(self, a, context=None, train: bool = False, rng=None):
         h = self.dense_in(a)
         if context is not None:
@@ -133,7 +149,9 @@ class VariableSelection:
     Selection weights come from one gated residual block over the flattened
     streams (optionally conditioned on a static context vector); each stream
     also passes through its own block, with stream parameters shared across
-    positions, before the weighted sum.
+    positions, before the weighted sum. The per-stream blocks are one
+    grouped block, ``streams``, whose parameters carry a leading stream axis
+    and which processes all streams at once, laid out stream-major.
     """
 
     def __init__(
@@ -152,10 +170,7 @@ class VariableSelection:
         self.selector = GatedResidualBlock(
             name + ".select", n_streams * d_m, d_m, n_streams, rng, d_context, dropout
         )
-        self.stream_blocks = [
-            GatedResidualBlock(f"{name}.stream{j}", d_m, d_m, d_m, rng, None, dropout)
-            for j in range(n_streams)
-        ]
+        self.streams = GatedResidualBlock.grouped(name + ".streams", n_streams, d_m, rng, dropout)
 
     def __call__(self, streams, context=None, train: bool = False, rng=None):
         """Fuse ``streams`` of shape (B, T, m, d); returns (fused, weights)."""
@@ -167,18 +182,14 @@ class VariableSelection:
             )
         flat = T.reshape(streams, (b, t, m * d))
         weights = T.softmax(self.selector(flat, context, train, rng), axis=-1)
-        processed = T.stack(
-            [blk(streams[:, :, j, :], None, train, rng) for j, blk in enumerate(self.stream_blocks)],
-            axis=2,
-        )
-        fused = T.tsum(T.mul(processed, T.reshape(weights, (b, t, m, 1))), axis=2)
+        by_stream = T.swap_axes(T.reshape(streams, (b * t, m, d)), 0, 1)  # (m, B*T, d)
+        processed = self.streams(by_stream, None, train, rng)
+        w_by_stream = T.reshape(T.swap_axes(T.reshape(weights, (b * t, m)), 0, 1), (m, b * t, 1))
+        fused = T.reshape(T.tsum(T.mul(processed, w_by_stream), axis=0), (b, t, d))
         return fused, weights
 
     def parameters(self) -> list[Parameter]:
-        params = self.selector.parameters()
-        for blk in self.stream_blocks:
-            params += blk.parameters()
-        return params
+        return self.selector.parameters() + self.streams.parameters()
 
 
 class MultiHeadSelfAttention:

@@ -45,6 +45,7 @@ from .layers import (
     GatedResidualBlock,
     Linear,
     MultiHeadSelfAttention,
+    VariableSelection,
     apply_dropout,
     sinusoidal_positions,
 )
@@ -66,7 +67,7 @@ __all__ = [
     "parameter_checksum",
 ]
 
-CHECKPOINT_FORMAT = 2  # the manifest ``format`` that checkpoints and ``.state`` files carry
+CHECKPOINT_FORMAT = 3  # the manifest ``format`` that checkpoints and ``.state`` files carry
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
 
@@ -275,8 +276,6 @@ class InsertionModel:
             self.holiday_emb = table("cov.holiday_emb", 2)
             self.static_embs = [table(f"cov.static{j}_emb", N_STATIC_LEVELS) for j in range(4)]
             self.static_grn = GatedResidualBlock("static_ctx", d, d, d, rng, None, config.dropout)
-            from .layers import VariableSelection
-
             self.vsn = VariableSelection(
                 "vsn", N_COVARIATE_STREAMS, d, rng, d_context=d, dropout=config.dropout
             )
@@ -560,9 +559,19 @@ def _read_container(path) -> tuple[dict, bytes]:
         if magic != _MAGIC:
             raise CompatibilityError(f"{path}: not a checkpoint container")
         size = int.from_bytes(fh.read(4), "little")
-        manifest = json.loads(fh.read(size).decode("utf-8"))
+        try:
+            manifest = json.loads(fh.read(size).decode("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise CompatibilityError(f"{path}: unreadable container manifest: {exc}") from exc
         blob = fh.read()
+    if not isinstance(manifest, dict):
+        raise CompatibilityError(f"{path}: container manifest is not an object")
     return manifest, blob
+
+
+def _missing_keys(manifest: dict, keys: Sequence[str]) -> str:
+    """The required manifest keys that are absent, comma-separated ("" if none)."""
+    return ", ".join(k for k in keys if k not in manifest)
 
 
 def save_checkpoint(model: InsertionModel, path, extra: dict | None = None) -> None:
@@ -588,6 +597,9 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
             f"{path}: checkpoint format {manifest.get('format')!r} is not supported "
             f"(this version reads format {CHECKPOINT_FORMAT} only)"
         )
+    missing = _missing_keys(manifest, ("config", "params"))
+    if missing:
+        raise CompatibilityError(f"{path}: checkpoint manifest lacks {missing}")
     try:
         config = ModelConfig.from_dict(manifest["config"])
     except (TypeError, ValueError) as exc:
@@ -601,17 +613,30 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
         raise CompatibilityError(f"{path}: checkpoint config mismatch: " + ", ".join(diffs))
     model = InsertionModel(config, seed=0)
     params = model.param_map()
-    offset = 0
+    fitted = []
     for entry in manifest["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
+            raise CompatibilityError(f"{path}: malformed parameter entry {entry!r}") from exc
         if name not in params or params[name].shape != shape:
             raise CompatibilityError(f"{path}: parameter {name!r} with shape {shape} does not fit")
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        params[name].data = values.astype(np.float64).reshape(shape)
-        offset += count * 4
-    if offset != len(blob):
-        raise CompatibilityError(f"{path}: blob size {len(blob)} does not match manifest")
+        fitted.append(params[name])
+    absent = sorted(set(params) - {p.name for p in fitted})
+    if absent or len(fitted) != len(params):
+        raise CompatibilityError(
+            f"{path}: the manifest does not list every parameter once (absent: {absent})"
+        )
+    expected = 4 * sum(p.size for p in fitted)
+    if expected != len(blob):
+        raise CompatibilityError(
+            f"{path}: parameter blob holds {len(blob)} bytes, the manifest needs {expected}"
+        )
+    offset = 0
+    for p in fitted:
+        values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset)
+        p.data = values.astype(np.float64).reshape(p.shape)
+        offset += p.size * 4
     return model, manifest
 
 

@@ -264,24 +264,50 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, broadcasting the leading ones.
+
+    A 2-D ``b`` shared by every leading index of ``a`` is one GEMM over
+    ``a``'s rows, forward and backward, so its gradient is one ``a2.T @ g2``
+    rather than one small product per leading index summed afterwards.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes do not conform: {a.data.shape} @ {b.data.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        k, n = b.data.shape
+        a2 = a.data.reshape(-1, k)
+        data = (a2 @ b.data).reshape(a.data.shape[:-1] + (n,))
+
+        def backward(g):
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a2.T @ g2)
+
+        return _node(data, (a, b), backward)
+
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accumulate(a, _unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return _node(data, (a, b), backward)
 
 
 def linear(x, w, b=None) -> Tensor:
-    """``x @ w`` plus an optional bias broadcast over leading axes."""
+    """``x @ w`` plus an optional bias broadcast over leading axes.
+
+    A stacked ``w`` of shape (m, d_in, d_out) applies one weight per leading
+    index of ``x``.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.shape[-1] != w.data.shape[0]:
+    if x.data.shape[-1] != w.data.shape[-2]:
         raise ShapeError(f"linear shapes do not conform: {x.data.shape} @ {w.data.shape}")
     out = matmul(x, w)
     return out if b is None else add(out, b)
@@ -339,7 +365,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Standardize over the last axis (population variance), then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data
-    width = d.shape[-1]
     mu = d.mean(axis=-1, keepdims=True)
     var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -347,8 +372,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     data = xhat * gain.data + bias.data
 
     def backward(g):
-        _accumulate(gain, (g * xhat).reshape(-1, width).sum(axis=0))
-        _accumulate(bias, g.reshape(-1, width).sum(axis=0))
+        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
         gx = g * gain.data
         _accumulate(
             x,

@@ -22,6 +22,7 @@ from .model import (
     DecoderState,
     InsertionModel,
     ModelConfig,
+    _missing_keys,
     _read_container,
     _write_container,
     insertion_targets,
@@ -175,13 +176,20 @@ def _lattice_state(sample: RecoverySample, rng: np.random.Generator):
     return DecoderState.from_sequence(partial), insertion_targets(labels, comp, anchors)
 
 
-def save_train_state(path, model: InsertionModel, adam: Adam, step: int) -> None:
-    """Full-precision training state: parameters plus Adam moments."""
+# Training-config fields a resume may change; any other difference is refused.
+RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
+
+
+def save_train_state(
+    path, model: InsertionModel, adam: Adam, step: int, train_config: TrainConfig
+) -> None:
+    """Full-precision training state: parameters plus Adam moments, and the run's config."""
     names = [p.name for p in model.parameters()]
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "kind": "train_state",
         "config": model.config.to_dict(),
+        "train": train_config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
         "step": step,
         "adam_t": adam.t,
@@ -193,8 +201,15 @@ def save_train_state(path, model: InsertionModel, adam: Adam, step: int) -> None
     _write_container(path, manifest, b"".join(parts))
 
 
-def load_train_state(path, model: InsertionModel, adam: Adam) -> int:
-    """Restore parameters and Adam moments in place; returns the step count."""
+def load_train_state(
+    path, model: InsertionModel, adam: Adam, train_config: TrainConfig | None = None
+) -> int:
+    """Restore parameters and Adam moments in place; returns the step count.
+
+    With ``train_config``, the saved run's config must match it in every
+    field but those in ``RESUMABLE_CHANGES``, so a resume continues the
+    same trajectory or does not start.
+    """
     manifest, blob = _read_container(path)
     if manifest.get("kind") != "train_state":
         raise ConfigError(f"{path}: not a training-state container")
@@ -203,9 +218,30 @@ def load_train_state(path, model: InsertionModel, adam: Adam) -> int:
             f"{path}: training-state format {manifest.get('format')!r} is not supported "
             f"(this version reads format {CHECKPOINT_FORMAT} only)"
         )
+    missing = _missing_keys(manifest, ("config", "train", "step", "adam_t", "adam_skipped"))
+    if missing:
+        raise ConfigError(f"{path}: training-state manifest lacks {missing}")
     if manifest["config"] != model.config.to_dict():
         raise ConfigError(f"{path}: training state was saved for a different model config")
+    if train_config is not None:
+        saved = manifest["train"]
+        diffs = [
+            f"{key}={saved.get(key)!r} (now {value!r})"
+            for key, value in train_config.to_dict().items()
+            if key not in RESUMABLE_CHANGES and saved.get(key) != value
+        ]
+        if diffs:
+            raise ConfigError(
+                f"{path}: cannot resume with a different training config: "
+                + ", ".join(diffs)
+                + f"; only {' and '.join(RESUMABLE_CHANGES)} may change"
+            )
     params = model.parameters()
+    expected = 3 * 8 * sum(p.size for p in params)
+    if expected != len(blob):
+        raise ConfigError(
+            f"{path}: training-state blob holds {len(blob)} bytes, the model needs {expected}"
+        )
     offset = 0
 
     def take(shape):
@@ -252,7 +288,7 @@ def train(
     )
     start_step = 0
     if resume_from is not None:
-        start_step = load_train_state(str(resume_from) + ".state", model, adam)
+        start_step = load_train_state(str(resume_from) + ".state", model, adam, train_config)
 
     n = len(states)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
@@ -265,7 +301,7 @@ def train(
         if checkpoint_path is None:
             return
         save_checkpoint(model, checkpoint_path, extra={"step": step, "train": train_config.to_dict()})
-        save_train_state(str(checkpoint_path) + ".state", model, adam, step)
+        save_train_state(str(checkpoint_path) + ".state", model, adam, step, train_config)
 
     step = start_step
     while step < total_steps:

@@ -1,5 +1,6 @@
 """Shared builders for random sequences, samples, and tiny model configs,
-plus the serial decode loop the batched decoder is checked against."""
+plus frozen references the optimized paths are checked against: the serial
+decode loop and the per-stream variable selection network."""
 
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ from actrecover.activities import (
     N_TIME_BINS,
     NO_INSERT_ID,
 )
+from actrecover import tensor as T
 from actrecover.data import Activity, DaySequence, mask_sequence
+from actrecover.layers import GatedResidualBlock
 from actrecover.model import DecoderState, ModelConfig, RecoveryOutcome
 
 
@@ -86,3 +89,42 @@ def serial_recover(model, incomplete: DaySequence, max_rounds=None) -> RecoveryO
     return RecoveryOutcome(
         sequence=replace(incomplete, activities=acts), rounds=rounds, truncated=truncated
     )
+
+
+class PerStreamVSN:
+    """Reference variable selection: one ``GatedResidualBlock`` per stream.
+
+    A frozen copy of the original layer, which sliced each stream out of the
+    (B, T, m, d) block, ran it through its own block and stacked the
+    results. It draws its weights in the same order as ``VariableSelection``,
+    so both built from equal rngs hold equal values; the grouped layer must
+    reproduce its outputs and gradients.
+    """
+
+    def __init__(self, name, n_streams, d_m, rng, d_context=None, dropout=0.0):
+        self.n_streams = n_streams
+        self.d_m = d_m
+        self.selector = GatedResidualBlock(
+            name + ".select", n_streams * d_m, d_m, n_streams, rng, d_context, dropout
+        )
+        self.stream_blocks = [
+            GatedResidualBlock(f"{name}.stream{j}", d_m, d_m, d_m, rng, None, dropout)
+            for j in range(n_streams)
+        ]
+
+    def __call__(self, streams, context=None, train=False, rng=None):
+        b, t, m, d = streams.shape
+        flat = T.reshape(streams, (b, t, m * d))
+        weights = T.softmax(self.selector(flat, context, train, rng), axis=-1)
+        processed = T.stack(
+            [blk(streams[:, :, j, :], None, train, rng) for j, blk in enumerate(self.stream_blocks)],
+            axis=2,
+        )
+        fused = T.tsum(T.mul(processed, T.reshape(weights, (b, t, m, 1))), axis=2)
+        return fused, weights
+
+    def parameters(self):
+        params = self.selector.parameters()
+        for blk in self.stream_blocks:
+            params += blk.parameters()
+        return params

@@ -112,6 +112,33 @@ class TestTrain:
         assert report["steps"] == 6  # resumed from 2 of 6 total steps
         assert len(report["losses"]) == 4
 
+    def test_resume_with_other_seed_or_batch_size_exits_2(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "pinned.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--d-m", 8, "--heads", 2,
+                  "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--seed", 3, "--batch-size", 8, "--epochs", 1) == 0
+        capsys.readouterr()
+        argv = ["train", *common, "--seed", 99, "--batch-size", 4, "--epochs", 2, "--resume"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"train: {ckpt}.state: cannot resume with a different training config")
+        assert "batch_size=8 (now 4)" in err and "seed=3 (now 99)" in err
+        assert "Traceback" not in err
+
+    def test_truncated_state_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        _write_container(state, manifest, blob[:-100])
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        err = capsys.readouterr().err
+        assert f"{state}: training-state blob holds {len(blob) - 100} bytes" in err
+        assert "Traceback" not in err
+
     def test_retired_config_key_exits_2(self, small_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_static": 4}))
@@ -188,6 +215,31 @@ class TestRecover:
         assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
         err = capsys.readouterr().err
         assert "invalid checkpoint config" in err and "n_static" in err
+        assert "Traceback" not in err and not hyp.exists()
+
+    @pytest.mark.parametrize("key", ["config", "params"])
+    def test_checkpoint_without_required_key_exits_2(self, small_run, tmp_path, capsys, key):
+        manifest, blob = _read_container(small_run["ckpt"])
+        del manifest[key]
+        ckpt = tmp_path / "bare.ckpt"
+        _write_container(ckpt, manifest, blob)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"recover: {ckpt}: checkpoint manifest lacks {key}"
+        assert not hyp.exists()
+
+    def test_truncated_checkpoint_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+        manifest, blob = _read_container(small_run["ckpt"])
+        ckpt = tmp_path / "cut.ckpt"
+        _write_container(ckpt, manifest, blob[:-100])
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"recover: {ckpt}: parameter blob holds {len(blob) - 100} bytes, "
+            f"the manifest needs {len(blob)}"
+        )
         assert "Traceback" not in err and not hyp.exists()
 
     def test_writes_deterministic_summary(self, small_run, tmp_path):

@@ -4,6 +4,8 @@ The oracles re-evaluate the defining formulas directly in numpy on the
 blocks' own parameter values, sharing no code with the layer implementations.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from actrecover.layers import (
     sinusoidal_positions,
 )
 from actrecover.tensor import Parameter, Tensor
+
+from helpers import PerStreamVSN
 
 
 def _sigmoid(x):
@@ -138,6 +142,14 @@ class TestGatedResidualBlock:
         assert report.max_rel_error < 1e-4
 
 
+def stream_block(vsn, j):
+    """Stream ``j``'s own block: a copy of the grouped block holding slice ``j`` of each parameter."""
+    blk = copy.deepcopy(vsn.streams)
+    for p in blk.parameters():
+        p.data = p.data[j]
+    return blk
+
+
 class TestVariableSelection:
     def test_single_stream_weight_is_one(self):
         rng = np.random.default_rng(10)
@@ -145,7 +157,7 @@ class TestVariableSelection:
         streams = Tensor(rng.normal(size=(2, 3, 1, 4)))
         fused, weights = vsn(streams)
         np.testing.assert_allclose(weights.data, 1.0, atol=1e-12)
-        only = vsn.stream_blocks[0](streams[:, :, 0, :])
+        only = stream_block(vsn, 0)(streams[:, :, 0, :])
         np.testing.assert_allclose(fused.data, only.data, atol=1e-12)
 
     def test_zeroed_selector_gives_equal_weights(self):
@@ -170,7 +182,7 @@ class TestVariableSelection:
         w_exp = exp / exp.sum(-1, keepdims=True)
         fused_exp = np.zeros((b, t, d))
         for j in range(m):
-            processed = grn_oracle(streams[:, :, j, :], None, vsn.stream_blocks[j])
+            processed = grn_oracle(streams[:, :, j, :], None, stream_block(vsn, j))
             fused_exp += w_exp[:, :, j : j + 1] * processed
         np.testing.assert_allclose(weights.data, w_exp, atol=1e-12)
         np.testing.assert_allclose(fused.data, fused_exp, atol=1e-12)
@@ -195,6 +207,31 @@ class TestVariableSelection:
 
         report = grad_check(forward, [streams, context] + vsn.parameters(), name="vsn")
         assert report.max_rel_error < 1e-4
+
+    def test_grouped_matches_per_stream_reference_with_dropout(self):
+        rng = np.random.default_rng(16)
+        vsn = VariableSelection("vsn", 4, 5, np.random.default_rng(17), d_context=5, dropout=0.3)
+        ref = PerStreamVSN("vsn", 4, 5, np.random.default_rng(17), d_context=5, dropout=0.3)
+        streams_np = rng.normal(size=(3, 6, 4, 5))
+        context_np = rng.normal(size=(3, 1, 5))
+        r = rng.normal(size=(3, 6, 5))
+        results = []
+        for layer in (vsn, ref):
+            streams = Parameter("streams", streams_np)
+            context = Parameter("context", context_np)
+            fused, weights = layer(streams, context, train=True, rng=np.random.default_rng(18))
+            T.tsum(T.mul(fused, r)).backward()
+            results.append((fused.data, weights.data, streams.grad, context.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip(vsn.selector.parameters(), ref.selector.parameters()):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+        for k, p in enumerate(vsn.streams.parameters()):
+            for j, blk in enumerate(ref.stream_blocks):
+                want = blk.parameters()[k].grad
+                np.testing.assert_allclose(
+                    p.grad[j], want.reshape(-1, want.shape[-1]), rtol=0, atol=1e-12
+                )
 
 
 class TestMultiHeadSelfAttention:

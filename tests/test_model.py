@@ -30,7 +30,7 @@ from actrecover.model import (
 )
 from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES, PAD_ID
 
-from helpers import random_sequence, tiny_config
+from helpers import PerStreamVSN, random_sequence, tiny_config
 
 
 class TestInsertionTargets:
@@ -400,6 +400,61 @@ class TestRecover:
             pytest.skip("no random model filled the capacity")
 
 
+class TestGroupedVSN:
+    """The grouped stream block against the frozen per-stream reference, inside the model."""
+
+    @staticmethod
+    def reference_model(monkeypatch, cfg, seed):
+        with monkeypatch.context() as m:
+            m.setattr("actrecover.model.VariableSelection", PerStreamVSN)
+            return InsertionModel(cfg, seed=seed)
+
+    @staticmethod
+    def reference_name(name: str, j: int) -> str:
+        return name.replace("vsn.streams.", f"vsn.stream{j}.")
+
+    def test_fresh_model_stacks_the_per_stream_init(self, monkeypatch):
+        cfg = tiny_config(dropout=0.2)
+        model = InsertionModel(cfg, seed=41)
+        ref = self.reference_model(monkeypatch, cfg, 41).param_map()
+        for p in model.parameters():
+            if p.name.startswith("vsn.streams."):
+                assert p.shape[0] == N_COVARIATE_STREAMS
+                for j in range(N_COVARIATE_STREAMS):
+                    want = ref.pop(self.reference_name(p.name, j)).data
+                    np.testing.assert_array_equal(p.data[j], want.reshape(-1, want.shape[-1]))
+            else:
+                np.testing.assert_array_equal(p.data, ref.pop(p.name).data)
+        assert not ref
+
+    def test_loss_and_every_gradient_match_on_a_mixed_length_batch(self, monkeypatch):
+        cfg = tiny_config(dropout=0.2)
+        rng = np.random.default_rng(42)
+        seqs = [random_sequence(rng, n=n) for n in (0, 1, 3, 6, 2, 5)]
+        states = [DecoderState.from_sequence(s) for s in seqs]
+        targets = [[Counter(["WorkForPay"] if k % 2 else [])] * (len(s.tokens) + 1) for k, s in enumerate(states)]
+        model = InsertionModel(cfg, seed=43)
+        ref = self.reference_model(monkeypatch, cfg, 43)
+        losses = [
+            m.batch_loss(states, targets, train=True, rng=np.random.default_rng(44))
+            for m in (model, ref)
+        ]
+        for loss in losses:
+            loss.backward()
+        assert abs(float(losses[0].data) - float(losses[1].data)) <= 1e-12
+        ref_params = ref.param_map()
+        for p in model.parameters():
+            if p.name.startswith("vsn.streams."):
+                for j in range(N_COVARIATE_STREAMS):
+                    want = ref_params[self.reference_name(p.name, j)].grad
+                    np.testing.assert_allclose(
+                        p.grad[j], want.reshape(-1, want.shape[-1]), rtol=0, atol=1e-12
+                    )
+            else:
+                np.testing.assert_allclose(p.grad, ref_params[p.name].grad, rtol=0, atol=1e-12)
+            assert np.abs(p.grad).max() > 0, p.name
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = InsertionModel(tiny_config(), seed=24)
@@ -432,10 +487,52 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(InsertionModel(tiny_config(), seed=28), path)
         manifest, blob = _read_container(path)
-        assert manifest["format"] == 2
-        manifest["format"] = 1
+        assert manifest["format"] == 3
+        for old in (1, 2):
+            manifest["format"] = old
+            _write_container(path, manifest, blob)
+            with pytest.raises(
+                CompatibilityError, match=rf"m\.ckpt: checkpoint format {old} is not supported"
+            ):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "params"])
+    def test_manifest_without_required_key_refused(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(InsertionModel(tiny_config(), seed=30), path)
+        manifest, blob = _read_container(path)
+        del manifest[key]
         _write_container(path, manifest, blob)
-        with pytest.raises(CompatibilityError, match=r"m\.ckpt: checkpoint format 1 is not supported"):
+        with pytest.raises(CompatibilityError, match=rf"m\.ckpt: checkpoint manifest lacks {key}"):
+            load_checkpoint(path)
+
+    def test_truncated_blob_names_file_and_sizes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = InsertionModel(tiny_config(), seed=31)
+        save_checkpoint(model, path)
+        manifest, blob = _read_container(path)
+        _write_container(path, manifest, blob[:-10])
+        need = 4 * sum(p.size for p in model.parameters())
+        assert len(blob) == need
+        with pytest.raises(
+            CompatibilityError,
+            match=rf"m\.ckpt: parameter blob holds {need - 10} bytes, the manifest needs {need}",
+        ):
+            load_checkpoint(path)
+
+    def test_manifest_missing_a_parameter_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(InsertionModel(tiny_config(), seed=32), path)
+        manifest, blob = _read_container(path)
+        dropped = manifest["params"].pop()
+        _write_container(path, manifest, blob[: -4 * int(np.prod(dropped["shape"]))])
+        with pytest.raises(CompatibilityError, match=dropped["name"]):
+            load_checkpoint(path)
+
+    def test_unreadable_manifest_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"ARCK" + (5).to_bytes(4, "little") + b"{bad}")
+        with pytest.raises(CompatibilityError, match=r"m\.ckpt: unreadable container manifest"):
             load_checkpoint(path)
 
     def test_unknown_config_key_refused(self, tmp_path):

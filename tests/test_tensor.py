@@ -153,6 +153,16 @@ class TestLayerNorm:
         report = grad_check(lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), r)), [x, gain, bias])
         assert report.max_rel_error < 1e-4
 
+    def test_gradient_with_stacked_gain(self):
+        # one gain and bias row per leading index, as the grouped VSN stream block uses
+        rng = np.random.default_rng(18)
+        x = Parameter("x", rng.normal(size=(3, 4, 5)))
+        gain = Parameter("g", rng.normal(size=(3, 1, 5)))
+        bias = Parameter("b", rng.normal(size=(3, 1, 5)))
+        r = rng.normal(size=(3, 4, 5))
+        report = grad_check(lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), r)), [x, gain, bias])
+        assert report.max_rel_error < 1e-4
+
 
 class TestEmbed:
     def test_lookup_returns_row(self):
@@ -229,6 +239,42 @@ class TestMatmulAlgebra:
         r = rng.normal(size=(2, 3, 5))
         report = grad_check(lambda: T.tsum(T.mul(T.matmul(a, w), r)), [a, w])
         assert report.max_rel_error < 1e-6
+
+    def test_shared_weight_gradient_on_non_contiguous_input(self):
+        rng = np.random.default_rng(38)
+        a = Parameter("a", rng.normal(size=(3, 2, 4)))
+        w = Parameter("w", rng.normal(size=(4, 5)))
+        r = rng.normal(size=(2, 3, 5))
+
+        def forward():
+            view = T.swap_axes(a, 0, 1)  # (2, 3, 4), not contiguous
+            assert not view.data.flags.c_contiguous
+            return T.tsum(T.mul(T.matmul(view, w), r))
+
+        report = grad_check(forward, [a, w])
+        assert report.max_rel_error < 1e-6
+
+    def test_shared_weight_matches_per_row_products(self):
+        rng = np.random.default_rng(39)
+        a = rng.normal(size=(2, 3, 4, 6))
+        w = rng.normal(size=(6, 5))
+        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(w)).data, np.matmul(a, w), atol=1e-12)
+
+    def test_stacked_weights_gradient(self):
+        rng = np.random.default_rng(40)
+        a = Parameter("a", rng.normal(size=(3, 4, 2)))
+        w = Parameter("w", rng.normal(size=(3, 2, 5)))
+        r = rng.normal(size=(3, 4, 5))
+        report = grad_check(lambda: T.tsum(T.mul(T.matmul(a, w), r)), [a, w])
+        assert report.max_rel_error < 1e-6
+
+    def test_input_without_gradient_gets_none(self):
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Parameter("w", rng.normal(size=(4, 5)))
+        T.tsum(T.matmul(a, w)).backward()
+        assert a.grad is None
+        np.testing.assert_allclose(w.grad, a.data.reshape(-1, 4).sum(0)[:, None] * np.ones(5))
 
 
 class TestReductionsAndShapes:

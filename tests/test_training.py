@@ -214,9 +214,65 @@ class TestCheckpointingAndResume:
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         state = str(ckpt) + ".state"
         manifest, blob = _read_container(state)
-        assert manifest["format"] == 2
-        manifest["format"] = 1
+        assert manifest["format"] == 3
+        model = InsertionModel(tiny_config(), seed=0)
+        for old in (1, 2):
+            manifest["format"] = old
+            _write_container(state, manifest, blob)
+            with pytest.raises(ConfigError, match=f"training-state format {old} is not supported"):
+                load_train_state(state, model, Adam(model.parameters()))
+
+    @pytest.fixture
+    def one_epoch_state(self, tmp_path):
+        ckpt = tmp_path / "part.ckpt"
+        tc = TrainConfig(batch_size=4, epochs=1, seed=4)
+        train(small_dataset(n_days=8, seed=7), tiny_config(), tc, checkpoint_path=ckpt)
+        return ckpt, tc
+
+    def test_state_pins_the_training_config(self, one_epoch_state):
+        ckpt, tc = one_epoch_state
+        manifest, _ = _read_container(str(ckpt) + ".state")
+        assert manifest["train"] == tc.to_dict()
+
+    def test_resume_refuses_a_different_training_config(self, one_epoch_state):
+        ckpt, tc = one_epoch_state
+        changed = TrainConfig(batch_size=2, epochs=2, seed=99, lr=tc.lr)
+        with pytest.raises(ConfigError) as info:
+            train(small_dataset(n_days=8, seed=7), tiny_config(), changed,
+                  checkpoint_path=ckpt, resume_from=ckpt)
+        message = str(info.value)
+        assert "part.ckpt.state: cannot resume with a different training config" in message
+        assert "batch_size=4 (now 2)" in message and "seed=4 (now 99)" in message
+        assert "epochs=" not in message
+
+    def test_resume_may_change_epochs_and_checkpoint_interval(self, one_epoch_state):
+        ckpt, tc = one_epoch_state
+        longer = TrainConfig(batch_size=4, epochs=2, seed=4, checkpoint_interval=1)
+        _, report = train(small_dataset(n_days=8, seed=7), tiny_config(), longer,
+                          checkpoint_path=ckpt, resume_from=ckpt)
+        assert report.steps == 4 and len(report.losses) == 2
+
+    @pytest.mark.parametrize("key", ["config", "train", "step", "adam_t", "adam_skipped"])
+    def test_state_manifest_without_required_key_refused(self, one_epoch_state, key):
+        ckpt, _ = one_epoch_state
+        state = str(ckpt) + ".state"
+        manifest, blob = _read_container(state)
+        del manifest[key]
         _write_container(state, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
-        with pytest.raises(ConfigError, match="training-state format 1 is not supported"):
+        with pytest.raises(ConfigError, match=rf"part\.ckpt\.state: training-state manifest lacks {key}"):
+            load_train_state(state, model, Adam(model.parameters()))
+
+    def test_truncated_state_blob_names_file_and_sizes(self, one_epoch_state):
+        ckpt, _ = one_epoch_state
+        state = str(ckpt) + ".state"
+        manifest, blob = _read_container(state)
+        _write_container(state, manifest, blob[:-8])
+        model = InsertionModel(tiny_config(), seed=0)
+        need = 3 * 8 * sum(p.size for p in model.parameters())
+        assert len(blob) == need
+        with pytest.raises(
+            ConfigError,
+            match=rf"part\.ckpt\.state: training-state blob holds {need - 8} bytes, the model needs {need}",
+        ):
             load_train_state(state, model, Adam(model.parameters()))
