@@ -26,7 +26,14 @@ from .data import (
     write_samples,
     write_sequences,
 )
-from .generator import ConfigError, GeneratorConfig, default_config, generate_population, make_samples
+from .generator import (
+    ConfigError,
+    GeneratorConfig,
+    default_config,
+    generate_population,
+    make_samples,
+    read_config_object,
+)
 from .metrics import (
     activity_distribution,
     compare_transitions,
@@ -66,12 +73,9 @@ def cmd_gen(args) -> int:
         cfg = GeneratorConfig.from_json_file(args.config)
     else:
         cfg = default_config()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n_days is not None:
-        cfg.n_days = args.n_days
-    if args.p_remove is not None:
-        cfg.p_remove = args.p_remove
+    for f in dataclass_fields(cfg):  # a flag's destination is the field it overrides
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     cfg.validate()
     sequences = generate_population(cfg)
     samples = make_samples(sequences, cfg.p_remove, cfg.seed)
@@ -91,38 +95,23 @@ def cmd_gen(args) -> int:
 
 
 def _layered_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """File values under flag values; unknown file keys are rejected."""
+    """File values under flag values; unknown file keys are rejected.
+
+    A flag's destination is the config field it overrides.
+    """
     model_keys = {f.name for f in dataclass_fields(ModelConfig)}
     train_keys = {f.name for f in dataclass_fields(TrainConfig)}
-    model_raw: dict = {}
-    train_raw: dict = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: not valid JSON: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: config root must be an object")
-        for key, value in raw.items():
-            if key in model_keys:
-                model_raw[key] = value
-            elif key in train_keys:
-                train_raw[key] = value
-            else:
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-    flag_model = {
-        "d_m": args.d_m, "n_heads": args.heads, "n_layers": args.n_layers,
-        "dropout": args.dropout, "max_len": args.max_len, "max_rounds": args.max_rounds,
-    }
-    model_raw.update({k: v for k, v in flag_model.items() if v is not None})
-    flag_train = {
-        "lr": args.lr, "batch_size": args.batch_size, "epochs": args.epochs,
-        "seed": args.seed, "checkpoint_interval": args.checkpoint_interval,
-    }
-    train_raw.update({k: v for k, v in flag_train.items() if v is not None})
-    model_raw["use_vsn"] = args.flavor == "vsnit"
-    return ModelConfig(**model_raw), TrainConfig(**train_raw)
+    raw = read_config_object(args.config) if args.config is not None else {}
+    for key in raw:
+        if key not in model_keys | train_keys:
+            raise ConfigError(f"{args.config}: unknown config key {key!r}")
+    flags = {key: getattr(args, key, None) for key in model_keys | train_keys}
+    raw.update({key: value for key, value in flags.items() if value is not None})
+    raw["use_vsn"] = args.flavor == "vsnit"
+    return (
+        ModelConfig(**{k: v for k, v in raw.items() if k in model_keys}),
+        TrainConfig(**{k: v for k, v in raw.items() if k in train_keys}),
+    )
 
 
 def cmd_train(args) -> int:
@@ -194,15 +183,18 @@ def cmd_recover(args) -> int:
     return 0
 
 
+def _evaluate(samples, hypotheses, hyp_path):
+    """``evaluate``, naming ``hyp_path`` if its days do not pair with or contain the inputs."""
+    try:
+        return evaluate(samples, hypotheses)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{hyp_path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     samples = read_samples(args.data)
     hypotheses = read_sequences(args.hyp)
-    if len(samples) != len(hypotheses):
-        raise ConfigError(
-            f"{args.data} has {len(samples)} samples but {args.hyp} has "
-            f"{len(hypotheses)} hypotheses"
-        )
-    report = evaluate(samples, hypotheses)
+    report = _evaluate(samples, hypotheses, args.hyp)
     _write_json(str(args.out) + ".metrics.json", report.to_json_dict())
     hyp_counts = activity_distribution(hypotheses)
     target_counts = activity_distribution([s.complete for s in samples])
@@ -244,16 +236,14 @@ def cmd_compare(args) -> int:
     samples = read_samples(args.data)
     hyp_a = read_sequences(args.hyp_a)
     hyp_b = read_sequences(args.hyp_b)
-    if not (len(samples) == len(hyp_a) == len(hyp_b)):
-        raise ConfigError(
-            f"lengths differ: {len(samples)} samples, {len(hyp_a)} vs {len(hyp_b)} hypotheses"
-        )
-    table_a = transition_analysis(samples, hyp_a)
-    table_b = transition_analysis(samples, hyp_b)
-    verdicts = compare_transitions(table_a, table_b)
+    metrics_a = _evaluate(samples, hyp_a, args.hyp_a)
+    metrics_b = _evaluate(samples, hyp_b, args.hyp_b)
+    verdicts = compare_transitions(
+        transition_analysis(samples, hyp_a), transition_analysis(samples, hyp_b)
+    )
     payload = {
-        "metrics_a": evaluate(samples, hyp_a).to_json_dict(),
-        "metrics_b": evaluate(samples, hyp_b).to_json_dict(),
+        "metrics_a": metrics_a.to_json_dict(),
+        "metrics_b": metrics_b.to_json_dict(),
         "transition_wins_a": verdicts["wins_a"],
         "transition_wins_b": verdicts["wins_b"],
         "transition_ties": verdicts["ties"],
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--batch-size", type=int, default=None)
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--d-m", type=int, default=None)
-    tr.add_argument("--heads", type=int, default=None)
+    tr.add_argument("--heads", dest="n_heads", type=int, default=None)
     tr.add_argument("--n-layers", type=int, default=None)
     tr.add_argument("--dropout", type=float, default=None)
     tr.add_argument("--max-len", type=int, default=None)

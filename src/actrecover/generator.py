@@ -12,7 +12,7 @@ master seed, so generation is order-independent and reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -117,55 +117,45 @@ class GeneratorConfig:
             dyn.validate()
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_days": self.n_days,
-            "p_remove": self.p_remove,
-            "holiday_rate": self.holiday_rate,
-            "gap_mean_bins": self.gap_mean_bins,
-            "target_mean_daily": self.target_mean_daily,
-            "duration_mean_bins": dict(self.duration_mean_bins),
-            "regimes": {
-                name: {"initial": dyn.initial, "transition": dyn.transition}
-                for name, dyn in self.regimes.items()
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "GeneratorConfig":
-        base = default_config()
-        cfg = cls(
-            seed=int(raw.get("seed", base.seed)),
-            n_days=int(raw.get("n_days", base.n_days)),
-            p_remove=float(raw.get("p_remove", base.p_remove)),
-            holiday_rate=float(raw.get("holiday_rate", base.holiday_rate)),
-            gap_mean_bins=float(raw.get("gap_mean_bins", base.gap_mean_bins)),
-            target_mean_daily=float(raw.get("target_mean_daily", base.target_mean_daily)),
-            duration_mean_bins=dict(raw.get("duration_mean_bins", base.duration_mean_bins)),
-            regimes={
-                name: RegimeDynamics(initial=block["initial"], transition=block["transition"])
-                for name, block in raw.get(
-                    "regimes",
-                    {n: {"initial": d.initial, "transition": d.transition} for n, d in base.regimes.items()},
-                ).items()
-            },
-        )
+        """``raw``'s keys laid over ``default_config()``; unknown keys are refused."""
+        cfg = default_config()
+        known = {f.name for f in fields(cls)}
+        for key, value in raw.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}")
+            if key == "regimes":
+                value = {name: RegimeDynamics(**block) for name, block in value.items()}
+            else:
+                value = type(getattr(cfg, key))(value)  # int, float or dict, as the default is
+            setattr(cfg, key, value)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json_file(cls, path) -> "GeneratorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config root must be an object")
+        raw = read_config_object(path)
         try:
             return cls.from_json_dict(raw)
-        except (KeyError, TypeError) as exc:
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed generator config: {exc}") from exc
+
+
+def read_config_object(path) -> dict:
+    """The JSON object a config file holds; anything else is a ``ConfigError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config root must be an object")
+    return raw
 
 
 def default_config() -> GeneratorConfig:

@@ -14,12 +14,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES
-from .data import DaySequence, RecoverySample, align_subsequence
+from .data import AlignmentError, DaySequence, RecoverySample, align_subsequence
 
 __all__ = [
     "MetricsReport",
@@ -91,7 +91,20 @@ def _bucket(sample: RecoverySample, hypothesis: DaySequence) -> _SampleBuckets:
 
 def _check_pairing(samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]) -> None:
     if len(samples) != len(hypotheses):
-        raise ValueError(f"{len(samples)} samples but {len(hypotheses)} hypotheses")
+        raise AlignmentError(f"{len(samples)} samples but {len(hypotheses)} hypotheses")
+
+
+def _sample_buckets(
+    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
+) -> Iterator[_SampleBuckets]:
+    """Each pair's buckets in order; an alignment failure names its sample."""
+    _check_pairing(samples, hypotheses)
+    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
+        try:
+            buckets = _bucket(sample, hyp)
+        except AlignmentError as exc:
+            raise AlignmentError(f"sample {i}: {exc}") from exc
+        yield buckets
 
 
 def position_metrics(
@@ -103,15 +116,13 @@ def position_metrics(
     was removed either, and 0.0 otherwise; the dataset ratios aggregate raw
     counts, not per-sample ratios.
     """
-    _check_pairing(samples, hypotheses)
     report = MetricsReport(
         avg_daily_hypothesis=float(np.mean([len(h) for h in hypotheses])) if hypotheses else 0.0,
         avg_daily_target=float(np.mean([len(s.complete) for s in samples])) if samples else 0.0,
     )
     location_pcts: list[float] = []
     missing_only_pcts: list[float] = []
-    for sample, hyp in zip(samples, hypotheses):
-        buckets = _bucket(sample, hyp)
+    for buckets in _sample_buckets(samples, hypotheses):
         n_ins, n_rem = len(buckets.inserted), len(buckets.removed)
         ins_by_slot = Counter(slot for slot, _ in buckets.inserted)
         rem_by_slot = Counter(slot for slot, _ in buckets.removed)
@@ -147,11 +158,9 @@ def order_independent_metrics(
     samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
 ) -> MetricsReport:
     """The order-independent block: dataset-pooled label overlap."""
-    _check_pairing(samples, hypotheses)
     inserted_labels: Counter = Counter()
     removed_labels: Counter = Counter()
-    for sample, hyp in zip(samples, hypotheses):
-        buckets = _bucket(sample, hyp)
+    for buckets in _sample_buckets(samples, hypotheses):
         inserted_labels.update(label for _, label in buckets.inserted)
         removed_labels.update(label for _, label in buckets.removed)
     report = MetricsReport(
@@ -201,10 +210,8 @@ def insertion_pattern_topk(
     k: int = 20,
 ) -> list[tuple[tuple[str, ...], int]]:
     """The k most common ordered insertion patterns (empty pattern counted)."""
-    _check_pairing(samples, hypotheses)
     patterns: Counter = Counter()
-    for sample, hyp in zip(samples, hypotheses):
-        buckets = _bucket(sample, hyp)
+    for buckets in _sample_buckets(samples, hypotheses):
         patterns[tuple(label for _, label in buckets.inserted)] += 1
     ranked = sorted(patterns.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]

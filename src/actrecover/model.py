@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from .activities import (
     TOKEN_VOCAB_SIZE,
 )
 from .data import AlignmentError, DaySequence, Activity
+from .generator import ConfigError
 from .layers import (
     GatedResidualBlock,
     Linear,
@@ -107,21 +109,7 @@ class ModelConfig:
             raise ValueError("max_rounds must be >= 0 and max_len >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "d_m": self.d_m,
-            "n_heads": self.n_heads,
-            "d_attn": self.d_attn,
-            "d_val": self.d_val,
-            "n_layers": self.n_layers,
-            "dropout": self.dropout,
-            "use_vsn": self.use_vsn,
-            "max_rounds": self.max_rounds,
-            "max_len": self.max_len,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
+        return asdict(self)
 
 
 @dataclass
@@ -410,7 +398,8 @@ class InsertionModel:
     def selection_weights(self, state: DecoderState) -> SelectionWeights:
         if not self.config.use_vsn:
             raise VocabularyError("token-only flavor has no selection weights")
-        _, info = self.forward([state])
+        with T.no_grad():
+            _, info = self.forward([state])
         return SelectionWeights(weights=info["selection"][0, : len(state.tokens) + 2])
 
     def static_context(self, static_codes: Sequence[int]) -> np.ndarray:
@@ -418,7 +407,8 @@ class InsertionModel:
         if len(static_codes) != 4 or any(not 1 <= c <= N_STATIC_LEVELS for c in static_codes):
             raise VocabularyError(f"static codes must be four values in 1..{N_STATIC_LEVELS}")
         idx = np.asarray([[c - 1 for c in static_codes]])
-        return self._static_context(idx, train=False, rng=None).data[0, 0]
+        with T.no_grad():
+            return self._static_context(idx, train=False, rng=None).data[0, 0]
 
     # -- loss ----------------------------------------------------------------
 
@@ -539,9 +529,30 @@ def _insert(acts: list[Activity], insert_at: dict[int, int]) -> list[Activity]:
     return out
 
 
-# -- checkpoints --------------------------------------------------------------
+# -- containers ---------------------------------------------------------------
+# Checkpoints and ``.state`` files are one container: magic bytes, a length-prefixed
+# JSON manifest, then a little-endian blob of whole passes over the parameters.
 
 _MAGIC = b"ARCK"
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one container kind is stored, and how its refusals read."""
+
+    label: str  # names the file in messages
+    blob: str  # names the blob in messages
+    error: type
+    dtype: str
+    passes: int  # parameters, then optimizer moments
+    keys: tuple[str, ...] = ()  # the kind's own required manifest keys
+
+
+_KINDS = {
+    "model": _Kind("checkpoint", "parameter", CompatibilityError, "<f4", 1),
+    "train_state": _Kind("training-state", "training-state", ConfigError, "<f8", 3,
+                         ("train", "step", "adam_t", "adam_skipped")),
+}
 
 
 def _write_container(path, manifest: dict, blob: bytes) -> None:
@@ -569,80 +580,97 @@ def _read_container(path) -> tuple[dict, bytes]:
     return manifest, blob
 
 
-def _missing_keys(manifest: dict, keys: Sequence[str]) -> str:
-    """The required manifest keys that are absent, comma-separated ("" if none)."""
-    return ", ".join(k for k in keys if k not in manifest)
+def config_diffs(saved: dict, now: dict, may_change: Sequence[str] = ()) -> str:
+    """``key=saved (now new)`` for each key of ``now`` outside ``may_change`` that differs."""
+    return ", ".join(
+        f"{key}={saved.get(key)!r} (now {value!r})"
+        for key, value in now.items()
+        if key not in may_change and saved.get(key) != value
+    )
+
+
+def _blob(kind: str, model: InsertionModel, moments: Sequence[dict] = ()) -> bytes:
+    params = model.parameters()
+    passes = [{p.name: p.data for p in params}, *moments]
+    dtype = _KINDS[kind].dtype
+    return b"".join(values[p.name].astype(dtype).tobytes() for values in passes for p in params)
+
+
+def write_record(
+    path, kind: str, model: InsertionModel, fields: dict, moments: Sequence[dict] = ()
+) -> None:
+    """Write ``model``, the kind's own manifest ``fields`` and ``moments`` (name -> array)."""
+    manifest = {
+        "format": CHECKPOINT_FORMAT,
+        "kind": kind,
+        "config": model.config.to_dict(),
+        "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
+        **fields,
+    }
+    _write_container(path, manifest, _blob(kind, model, moments))
+
+
+def read_record(path, kind: str, config: ModelConfig | None = None):
+    """Check a container of ``kind``; returns (model, manifest, passes).
+
+    The model is built from the manifest's config, which must equal
+    ``config`` when one is given. ``passes[k]`` maps each parameter name to
+    its values in pass ``k``; pass 0 is already loaded into the model.
+    Every refusal raises the kind's error class and names the file.
+    """
+    spec = _KINDS[kind]
+
+    def refusal(problem: str) -> Exception:
+        return spec.error(f"{path}: {problem}")
+
+    try:
+        manifest, blob = _read_container(path)
+    except CompatibilityError as exc:
+        raise spec.error(str(exc)) from exc
+    if manifest.get("kind") != kind:
+        raise refusal(f"container holds {manifest.get('kind')!r}, not a {spec.label}")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise refusal(f"{spec.label} format {manifest.get('format')!r} is not supported "
+                      f"(this version reads format {CHECKPOINT_FORMAT} only)")
+    missing = ", ".join(k for k in ("config", "params", *spec.keys) if k not in manifest)
+    if missing:
+        raise refusal(f"{spec.label} manifest lacks {missing}")
+    try:
+        saved = ModelConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise refusal(f"invalid {spec.label} config: {exc}") from exc
+    if config is not None and saved != config:
+        raise refusal(f"{spec.label} config mismatch: "
+                      + config_diffs(manifest["config"], config.to_dict()))
+    model = InsertionModel(saved, seed=0)
+    params = model.parameters()
+    own = [{"name": p.name, "shape": list(p.shape)} for p in params]
+    for i, (listed, needed) in enumerate(zip_longest(manifest["params"], own)):
+        if listed != needed:
+            raise refusal(f"parameter entry {i} is {listed!r}, the model needs {needed!r}")
+    sizes = [p.size for p in params]
+    expected = spec.passes * np.dtype(spec.dtype).itemsize * sum(sizes)
+    if expected != len(blob):
+        raise refusal(f"{spec.blob} blob holds {len(blob)} bytes, the manifest needs {expected}")
+    rows = np.frombuffer(blob, dtype=spec.dtype).astype(np.float64).reshape(spec.passes, -1)
+    cuts = np.cumsum(sizes)[:-1]
+    passes = [{p.name: v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))} for row in rows]
+    for p in params:
+        p.data = passes[0][p.name]
+    return model, manifest, passes
 
 
 def save_checkpoint(model: InsertionModel, path, extra: dict | None = None) -> None:
     """Write the model as a JSON manifest plus a little-endian float32 blob."""
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "kind": "model",
-        "config": model.config.to_dict(),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
-        "extra": extra or {},
-    }
-    blob = b"".join(p.data.astype("<f4").tobytes() for p in model.parameters())
-    _write_container(path, manifest, blob)
+    write_record(path, "model", model, {"extra": extra or {}})
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
     """Rebuild a model from a checkpoint; returns (model, manifest)."""
-    manifest, blob = _read_container(path)
-    if manifest.get("kind") != "model":
-        raise CompatibilityError(f"{path}: container holds {manifest.get('kind')!r}, not a model")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CompatibilityError(
-            f"{path}: checkpoint format {manifest.get('format')!r} is not supported "
-            f"(this version reads format {CHECKPOINT_FORMAT} only)"
-        )
-    missing = _missing_keys(manifest, ("config", "params"))
-    if missing:
-        raise CompatibilityError(f"{path}: checkpoint manifest lacks {missing}")
-    try:
-        config = ModelConfig.from_dict(manifest["config"])
-    except (TypeError, ValueError) as exc:
-        raise CompatibilityError(f"{path}: invalid checkpoint config: {exc}") from exc
-    if expected_config is not None and config != expected_config:
-        diffs = [
-            f"{key}={manifest['config'][key]!r} (expected {value!r})"
-            for key, value in expected_config.to_dict().items()
-            if manifest["config"].get(key) != value
-        ]
-        raise CompatibilityError(f"{path}: checkpoint config mismatch: " + ", ".join(diffs))
-    model = InsertionModel(config, seed=0)
-    params = model.param_map()
-    fitted = []
-    for entry in manifest["params"]:
-        try:
-            name, shape = entry["name"], tuple(entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise CompatibilityError(f"{path}: malformed parameter entry {entry!r}") from exc
-        if name not in params or params[name].shape != shape:
-            raise CompatibilityError(f"{path}: parameter {name!r} with shape {shape} does not fit")
-        fitted.append(params[name])
-    absent = sorted(set(params) - {p.name for p in fitted})
-    if absent or len(fitted) != len(params):
-        raise CompatibilityError(
-            f"{path}: the manifest does not list every parameter once (absent: {absent})"
-        )
-    expected = 4 * sum(p.size for p in fitted)
-    if expected != len(blob):
-        raise CompatibilityError(
-            f"{path}: parameter blob holds {len(blob)} bytes, the manifest needs {expected}"
-        )
-    offset = 0
-    for p in fitted:
-        values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset)
-        p.data = values.astype(np.float64).reshape(p.shape)
-        offset += p.size * 4
+    model, manifest, _ = read_record(path, "model", expected_config)
     return model, manifest
 
 
 def parameter_checksum(model: InsertionModel) -> str:
-    """SHA-256 of the float32 parameter blob in manifest order."""
-    digest = hashlib.sha256()
-    for p in model.parameters():
-        digest.update(p.data.astype("<f4").tobytes())
-    return digest.hexdigest()
+    """SHA-256 of the float32 parameter blob a checkpoint holds."""
+    return hashlib.sha256(_blob("model", model)).hexdigest()

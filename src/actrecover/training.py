@@ -10,7 +10,7 @@ never enter the loss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -18,16 +18,15 @@ import numpy as np
 from .data import Activity, RecoverySample, align_subsequence
 from .generator import ConfigError
 from .model import (
-    CHECKPOINT_FORMAT,
     DecoderState,
     InsertionModel,
     ModelConfig,
-    _missing_keys,
-    _read_container,
-    _write_container,
+    config_diffs,
     insertion_targets,
     parameter_checksum,
+    read_record,
     save_checkpoint,
+    write_record,
 )
 from .tensor import Parameter
 
@@ -67,12 +66,7 @@ class TrainConfig:
             raise ConfigError(f"roll_in out of [0, 1]: {self.roll_in}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "batch_size": self.batch_size, "epochs": self.epochs,
-            "clip_norm": self.clip_norm, "seed": self.seed,
-            "checkpoint_interval": self.checkpoint_interval, "roll_in": self.roll_in,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,13 +78,7 @@ class TrainReport:
     skipped_steps: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "checksum": self.checksum,
-            "wall_clock": self.wall_clock,
-            "steps": self.steps,
-            "skipped_steps": self.skipped_steps,
-        }
+        return asdict(self)
 
 
 def global_grad_norm(params: Sequence[Parameter]) -> float:
@@ -184,21 +172,11 @@ def save_train_state(
     path, model: InsertionModel, adam: Adam, step: int, train_config: TrainConfig
 ) -> None:
     """Full-precision training state: parameters plus Adam moments, and the run's config."""
-    names = [p.name for p in model.parameters()]
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "kind": "train_state",
-        "config": model.config.to_dict(),
-        "train": train_config.to_dict(),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
-        "step": step,
-        "adam_t": adam.t,
-        "adam_skipped": adam.skipped,
+    fields = {
+        "train": train_config.to_dict(), "step": step,
+        "adam_t": adam.t, "adam_skipped": adam.skipped,
     }
-    parts = [p.data.astype("<f8").tobytes() for p in model.parameters()]
-    parts += [adam.m[n].astype("<f8").tobytes() for n in names]
-    parts += [adam.v[n].astype("<f8").tobytes() for n in names]
-    _write_container(path, manifest, b"".join(parts))
+    write_record(path, "train_state", model, fields, (adam.m, adam.v))
 
 
 def load_train_state(
@@ -206,57 +184,22 @@ def load_train_state(
 ) -> int:
     """Restore parameters and Adam moments in place; returns the step count.
 
-    With ``train_config``, the saved run's config must match it in every
-    field but those in ``RESUMABLE_CHANGES``, so a resume continues the
-    same trajectory or does not start.
+    The saved model config must equal ``model.config``. With
+    ``train_config``, the saved run's config must match it in every field
+    but those in ``RESUMABLE_CHANGES``, so a resume continues the same
+    trajectory or does not start.
     """
-    manifest, blob = _read_container(path)
-    if manifest.get("kind") != "train_state":
-        raise ConfigError(f"{path}: not a training-state container")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(
-            f"{path}: training-state format {manifest.get('format')!r} is not supported "
-            f"(this version reads format {CHECKPOINT_FORMAT} only)"
-        )
-    missing = _missing_keys(manifest, ("config", "train", "step", "adam_t", "adam_skipped"))
-    if missing:
-        raise ConfigError(f"{path}: training-state manifest lacks {missing}")
-    if manifest["config"] != model.config.to_dict():
-        raise ConfigError(f"{path}: training state was saved for a different model config")
+    _, manifest, (values, m, v) = read_record(path, "train_state", model.config)
     if train_config is not None:
-        saved = manifest["train"]
-        diffs = [
-            f"{key}={saved.get(key)!r} (now {value!r})"
-            for key, value in train_config.to_dict().items()
-            if key not in RESUMABLE_CHANGES and saved.get(key) != value
-        ]
+        diffs = config_diffs(manifest["train"], train_config.to_dict(), RESUMABLE_CHANGES)
         if diffs:
             raise ConfigError(
-                f"{path}: cannot resume with a different training config: "
-                + ", ".join(diffs)
-                + f"; only {' and '.join(RESUMABLE_CHANGES)} may change"
+                f"{path}: cannot resume with a different training config: {diffs}"
+                f"; only {' and '.join(RESUMABLE_CHANGES)} may change"
             )
-    params = model.parameters()
-    expected = 3 * 8 * sum(p.size for p in params)
-    if expected != len(blob):
-        raise ConfigError(
-            f"{path}: training-state blob holds {len(blob)} bytes, the model needs {expected}"
-        )
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return values.astype(np.float64).reshape(shape)
-
-    for p in params:
-        p.data = take(p.shape)
-    for p in params:
-        adam.m[p.name] = take(p.shape)
-    for p in params:
-        adam.v[p.name] = take(p.shape)
+    for p in model.parameters():
+        p.data = values[p.name]
+    adam.m, adam.v = m, v
     adam.t = int(manifest["adam_t"])
     adam.skipped = int(manifest["adam_skipped"])
     return int(manifest["step"])

@@ -1,6 +1,7 @@
 """Subcommand contracts: files written, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ class TestGen:
         out = tmp_path / "d.jsonl"
         assert run("gen", "--out", out, "--config", cfg_path, "--n-days", 9) == 0
         assert len(read_samples(out)) == 9
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({"n_dayz": 5, "seed": 3}))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"gen: {cfg_path}: unknown config key 'n_dayz'"
+        assert not out.exists()
+
+    def test_partial_config_echoes_defaults_and_coerced_values(self, tmp_path):
+        cfg_path = tmp_path / "partial.json"
+        cfg_path.write_text(json.dumps({"p_remove": 1, "holiday_rate": 0, "n_days": 5}))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path) == 0
+        echoed = json.loads((tmp_path / "d.jsonl.summary.json").read_text())["config"]
+        expected = default_config().to_json_dict()
+        expected.update(p_remove=1.0, holiday_rate=0.0, n_days=5)
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestTrain:
@@ -311,6 +331,37 @@ class TestEvalAndCompare:
         short = tmp_path / "short.jsonl"
         write_sequences(short, [s.complete for s in samples[:-1]])
         assert run("eval", "--data", small_run["data"], "--hyp", short, "--out", tmp_path / "m") == 2
+
+    def _write_misaligned(self, small_run, tmp_path):
+        """Hypotheses that drop sample 7's first input activity, so its input no longer fits."""
+        from actrecover.data import write_sequences
+
+        samples = read_samples(small_run["data"])
+        hyps = [s.complete for s in samples]
+        assert len(samples[7].incomplete) > 0
+        hyps[7] = replace(samples[7].incomplete, activities=samples[7].incomplete.activities[1:])
+        bad = tmp_path / "bad.jsonl"
+        write_sequences(bad, hyps)
+        return bad
+
+    def test_misaligned_hypothesis_exits_2_naming_file_and_sample(self, small_run, tmp_path, capsys):
+        bad = self._write_misaligned(small_run, tmp_path)
+        assert run("eval", "--data", small_run["data"], "--hyp", bad, "--out", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eval: {bad}: sample 7: element ") and "no match" in err
+        assert "Traceback" not in err and not (tmp_path / "m.metrics.json").exists()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_compare_names_the_misaligned_side(self, small_run, tmp_path, capsys, side):
+        perfect, _ = self._write_perfect_and_lazy(small_run, tmp_path)
+        bad = self._write_misaligned(small_run, tmp_path)
+        hyp_a, hyp_b = (bad, perfect) if side == "a" else (perfect, bad)
+        out = tmp_path / "cmp.json"
+        argv = ["compare", "--data", small_run["data"], "--hyp-a", hyp_a, "--hyp-b", hyp_b]
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"compare: {bad}: sample 7: ") and "no match" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_compare_identical_all_ties(self, small_run, tmp_path):
         perfect, lazy = self._write_perfect_and_lazy(small_run, tmp_path)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actrecover import tensor as T
 from actrecover.data import Activity, DaySequence, align_subsequence
 from actrecover.gradcheck import grad_check
 from actrecover.layers import sinusoidal_positions
@@ -237,6 +238,29 @@ class TestSelectionWeights:
         state = DecoderState.from_sequence(random_sequence(np.random.default_rng(9), n=1))
         with pytest.raises(VocabularyError):
             model.selection_weights(state)
+
+    def test_inspection_calls_record_no_tape(self, monkeypatch):
+        model = InsertionModel(tiny_config(), seed=8)
+        state = DecoderState.from_sequence(random_sequence(np.random.default_rng(9), n=3))
+        recorded = []
+        node = T._node
+
+        def counting_node(*args):
+            out = node(*args)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(T, "_node", counting_node)
+        model.forward([state])
+        assert sum(recorded) > 100  # the counter sees a taped forward
+        for call in (
+            lambda: model.decoder_forward(state),
+            lambda: model.selection_weights(state),
+            lambda: model.static_context((1, 2, 3, 4)),
+        ):
+            recorded.clear()
+            call()
+            assert recorded and sum(recorded) == 0
 
 
 class TestBaselineReduction:

@@ -1,5 +1,7 @@
 """Adam, clipping, the batch loop, determinism, and resumable state."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from actrecover.generator import ConfigError, default_config, generate_populatio
 from actrecover.model import (
     DecoderState,
     InsertionModel,
+    ModelConfig,
     _read_container,
     _write_container,
     insertion_targets,
@@ -17,9 +20,11 @@ from actrecover.tensor import Parameter
 from actrecover.training import (
     Adam,
     TrainConfig,
+    TrainReport,
     clip_gradients,
     global_grad_norm,
     load_train_state,
+    save_train_state,
     train,
 )
 
@@ -263,6 +268,25 @@ class TestCheckpointingAndResume:
         with pytest.raises(ConfigError, match=rf"part\.ckpt\.state: training-state manifest lacks {key}"):
             load_train_state(state, model, Adam(model.parameters()))
 
+    def test_state_with_a_wrong_parameter_list_refused(self, one_epoch_state):
+        ckpt, _ = one_epoch_state
+        state = str(ckpt) + ".state"
+        manifest, blob = _read_container(state)
+        manifest["params"] = [{"name": "bogus", "shape": [1]}]
+        _write_container(state, manifest, blob)
+        model = InsertionModel(tiny_config(), seed=0)
+        with pytest.raises(ConfigError, match=r"part\.ckpt\.state: parameter entry 0 is .*'bogus'"):
+            load_train_state(state, model, Adam(model.parameters()))
+
+    def test_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
+        ckpt, tc = one_epoch_state
+        model = InsertionModel(tiny_config(), seed=0)
+        adam = Adam(model.parameters())
+        step = load_train_state(str(ckpt) + ".state", model, adam)
+        again = tmp_path / "again.state"
+        save_train_state(again, model, adam, step, tc)
+        assert again.read_bytes() == (tmp_path / "part.ckpt.state").read_bytes()
+
     def test_truncated_state_blob_names_file_and_sizes(self, one_epoch_state):
         ckpt, _ = one_epoch_state
         state = str(ckpt) + ".state"
@@ -273,6 +297,16 @@ class TestCheckpointingAndResume:
         assert len(blob) == need
         with pytest.raises(
             ConfigError,
-            match=rf"part\.ckpt\.state: training-state blob holds {need - 8} bytes, the model needs {need}",
+            match=rf"part\.ckpt\.state: training-state blob holds {need - 8} bytes, the manifest needs {need}",
         ):
             load_train_state(state, model, Adam(model.parameters()))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [ModelConfig(), TrainConfig(), TrainReport(losses=[0.5], steps=1), default_config()],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_serialize_exactly_their_dataclass_fields(record):
+    to_dict = record.to_dict if hasattr(record, "to_dict") else record.to_json_dict
+    assert list(to_dict()) == [f.name for f in fields(record)]
