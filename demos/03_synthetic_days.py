@@ -30,7 +30,7 @@ for seq in sequences[:3]:
 counts = [len(s) for s in sequences]
 print()
 print(f"mean daily activities over {cfg.n_days} days: {np.mean(counts):.3f} "
-      f"(generator target {cfg.target_mean_daily})")
+      "(calibration target 4.49)")
 
 print()
 print("== regime contrast Home -> next activity ==")

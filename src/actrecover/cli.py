@@ -41,18 +41,22 @@ from .metrics import (
     insertion_pattern_topk,
     transition_analysis,
 )
-from .model import CompatibilityError, ModelConfig, VocabularyError, load_checkpoint
+from .model import CapacityError, CompatibilityError, ModelConfig, VocabularyError, load_checkpoint
+from .tensor import NumericError, ShapeError
 from .training import TrainConfig, train
 
+# Faults in the input (files, flags, configs): exit 2 with the message.
 _USAGE_ERRORS = (
     ConfigError,
     ParseError,
+    AlignmentError,
     CompatibilityError,
     VocabularyError,
     FileNotFoundError,
     IsADirectoryError,
-    ValueError,
 )
+# Breaches of an internal invariant: exit 1 with the message.
+_INTERNAL_ERRORS = (ShapeError, CapacityError, NumericError)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -95,22 +99,27 @@ def cmd_gen(args) -> int:
 
 
 def _layered_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """File values under flag values; unknown file keys are rejected.
+    """File values under flag values; unknown or wrong-typed file keys are rejected.
 
-    A flag's destination is the config field it overrides.
+    A flag's destination is the config field it overrides. A file value must
+    have its field's type, except that an integer may stand for a float.
     """
     model_keys = {f.name for f in dataclass_fields(ModelConfig)}
-    train_keys = {f.name for f in dataclass_fields(TrainConfig)}
+    defaults = {f.name: f.default for c in (ModelConfig, TrainConfig) for f in dataclass_fields(c)}
     raw = read_config_object(args.config) if args.config is not None else {}
-    for key in raw:
-        if key not in model_keys | train_keys:
+    for key, value in raw.items():
+        if key not in defaults:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
-    flags = {key: getattr(args, key, None) for key in model_keys | train_keys}
+        kind = type(defaults[key])
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{args.config}: config key {key!r} must be {kind.__name__}, not {value!r}")
+    flags = {key: getattr(args, key, None) for key in defaults}
     raw.update({key: value for key, value in flags.items() if value is not None})
     raw["use_vsn"] = args.flavor == "vsnit"
     return (
         ModelConfig(**{k: v for k, v in raw.items() if k in model_keys}),
-        TrainConfig(**{k: v for k, v in raw.items() if k in train_keys}),
+        TrainConfig(**{k: v for k, v in raw.items() if k not in model_keys}),
     )
 
 
@@ -323,6 +332,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except _INTERNAL_ERRORS as exc:
+        print(f"{args.command}: internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -32,6 +32,7 @@ __all__ = [
     "ParseError",
     "mask_sequence",
     "align_subsequence",
+    "slot_fills",
     "read_samples",
     "read_sequences",
     "write_samples",
@@ -130,9 +131,14 @@ def mask_sequence(
         raise ValueError(f"p_remove out of [0, 1]: {p_remove}")
     drop = rng.random(len(complete.activities)) < p_remove
     removed = [i for i, d in enumerate(drop) if d]
-    kept = [replace(a) for a, d in zip(complete.activities, drop) if not d]
-    incomplete = replace(complete, activities=kept)
-    return RecoverySample(complete=complete, incomplete=incomplete, removed_positions=removed)
+    return RecoverySample(complete, _incomplete_twin(complete, removed), removed)
+
+
+def _incomplete_twin(complete: DaySequence, removed: Iterable[int]) -> DaySequence:
+    """``complete`` without the activities at ``removed``; the kept ones are copies."""
+    gone = set(removed)
+    kept = [replace(a) for j, a in enumerate(complete.activities) if j not in gone]
+    return replace(complete, activities=kept)
 
 
 def align_subsequence(sub: Sequence, full: Sequence) -> list[int]:
@@ -151,6 +157,18 @@ def align_subsequence(sub: Sequence, full: Sequence) -> list[int]:
         anchors.append(j)
         j += 1
     return anchors
+
+
+def slot_fills(full: Sequence, anchors: Sequence[int]) -> list[list]:
+    """The items of ``full`` that fill each slot around ``anchors``.
+
+    Slot ``s`` holds the items strictly between anchor ``s-1`` and anchor
+    ``s``, with the two ends of ``full`` counting as anchors, so there are
+    ``len(anchors) + 1`` slots. With anchors from ``align_subsequence(sub,
+    full)``, interleaving ``sub`` with the slots gives back ``full``.
+    """
+    bounds = [-1, *anchors, len(full)]
+    return [list(full[lo + 1 : hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # -- JSON-lines persistence -------------------------------------------------
@@ -237,8 +255,7 @@ def write_samples(path, samples: Sequence[RecoverySample]) -> None:
     """Persist samples as complete records plus their removed positions."""
     records = []
     for i, s in enumerate(samples):
-        derived = [a for j, a in enumerate(s.complete.activities) if j not in set(s.removed_positions)]
-        if derived != s.incomplete.activities:
+        if _incomplete_twin(s.complete, s.removed_positions).activities != s.incomplete.activities:
             raise ValueError(f"sample {i}: incomplete does not equal complete minus removals")
         rec = sequence_to_record(s.complete)
         rec["removed_positions"] = list(s.removed_positions)
@@ -254,10 +271,7 @@ def read_samples(path) -> list[RecoverySample]:
             removed = sorted(int(i) for i in rec["removed_positions"])
             if removed and (removed[0] < 0 or removed[-1] >= len(complete.activities)):
                 raise ValueError(f"removed positions out of range: {removed}")
-            removed_set = set(removed)
-            kept = [replace(a) for j, a in enumerate(complete.activities) if j not in removed_set]
-            incomplete = replace(complete, activities=kept)
-            samples.append(RecoverySample(complete, incomplete, removed))
+            samples.append(RecoverySample(complete, _incomplete_twin(complete, removed), removed))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
     return samples

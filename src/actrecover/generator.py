@@ -93,7 +93,6 @@ class GeneratorConfig:
     p_remove: float = 0.3
     holiday_rate: float = 0.05
     gap_mean_bins: float = 1.0
-    target_mean_daily: float = 4.49
     duration_mean_bins: dict[str, float] = field(default_factory=dict)
     regimes: dict[str, RegimeDynamics] = field(default_factory=dict)
 

@@ -11,15 +11,14 @@ mirror the same bucketing. All functions are pure.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES
-from .data import AlignmentError, DaySequence, RecoverySample, align_subsequence
+from .data import AlignmentError, DaySequence, RecoverySample, align_subsequence, slot_fills
 
 __all__ = [
     "MetricsReport",
@@ -65,28 +64,16 @@ def precision_recall_f1(correct: int, inserted: int, removed: int) -> tuple[floa
     return precision, recall, f1
 
 
-@dataclass
-class _SampleBuckets:
-    inserted: list[tuple[int, str]]  # (source slot, label) per inserted token, in order
-    removed: list[tuple[int, str]]
+def _bucket(i: int, source: list[str], full: list[str]) -> list[tuple[int, str]]:
+    """(source slot, label) of each item ``full`` adds to ``source``, in order.
 
-
-def _bucket(sample: RecoverySample, hypothesis: DaySequence) -> _SampleBuckets:
-    inc = sample.incomplete.labels()
-    hyp = hypothesis.labels()
-    comp = sample.complete.labels()
-    hyp_anchors = align_subsequence(inc, hyp)
-    comp_anchors = align_subsequence(inc, comp)
-
-    def extra(full: list[str], anchors: list[int]) -> list[tuple[int, str]]:
-        anchor_set = set(anchors)
-        return [
-            (bisect_left(anchors, pos), label)
-            for pos, label in enumerate(full)
-            if pos not in anchor_set
-        ]
-
-    return _SampleBuckets(inserted=extra(hyp, hyp_anchors), removed=extra(comp, comp_anchors))
+    An alignment failure names sample ``i``.
+    """
+    try:
+        fills = slot_fills(full, align_subsequence(source, full))
+    except AlignmentError as exc:
+        raise AlignmentError(f"sample {i}: {exc}") from exc
+    return [(slot, label) for slot, fill in enumerate(fills) for label in fill]
 
 
 def _check_pairing(samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]) -> None:
@@ -94,45 +81,39 @@ def _check_pairing(samples: Sequence[RecoverySample], hypotheses: Sequence[DaySe
         raise AlignmentError(f"{len(samples)} samples but {len(hypotheses)} hypotheses")
 
 
-def _sample_buckets(
-    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
-) -> Iterator[_SampleBuckets]:
-    """Each pair's buckets in order; an alignment failure names its sample."""
-    _check_pairing(samples, hypotheses)
-    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
-        try:
-            buckets = _bucket(sample, hyp)
-        except AlignmentError as exc:
-            raise AlignmentError(f"sample {i}: {exc}") from exc
-        yield buckets
-
-
-def position_metrics(
+def evaluate(
     samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
 ) -> MetricsReport:
-    """The position-dependent block: slot-capped matches and count ratios.
+    """Both metric blocks in one report, from one pass over the pairs.
 
-    A sample with no insertions scores location percentage 1.0 when nothing
-    was removed either, and 0.0 otherwise; the dataset ratios aggregate raw
-    counts, not per-sample ratios.
+    Position-dependent block: slot-capped matches and count ratios. A sample
+    with no insertions scores location percentage 1.0 when nothing was
+    removed either, and 0.0 otherwise; the dataset ratios aggregate raw
+    counts, not per-sample ratios. Order-independent block: label overlap
+    pooled over the whole dataset, ignoring positions.
     """
+    _check_pairing(samples, hypotheses)
     report = MetricsReport(
         avg_daily_hypothesis=float(np.mean([len(h) for h in hypotheses])) if hypotheses else 0.0,
         avg_daily_target=float(np.mean([len(s.complete) for s in samples])) if samples else 0.0,
     )
     location_pcts: list[float] = []
     missing_only_pcts: list[float] = []
-    for buckets in _sample_buckets(samples, hypotheses):
-        n_ins, n_rem = len(buckets.inserted), len(buckets.removed)
-        ins_by_slot = Counter(slot for slot, _ in buckets.inserted)
-        rem_by_slot = Counter(slot for slot, _ in buckets.removed)
+    inserted_labels: Counter = Counter()
+    removed_labels: Counter = Counter()
+    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
+        source = sample.incomplete.labels()
+        inserted = _bucket(i, source, hyp.labels())
+        removed = _bucket(i, source, sample.complete.labels())
+        n_ins, n_rem = len(inserted), len(removed)
+        ins_by_slot = Counter(slot for slot, _ in inserted)
+        rem_by_slot = Counter(slot for slot, _ in removed)
         location_correct = sum(
             min(count, rem_by_slot.get(slot, 0)) for slot, count in ins_by_slot.items()
         )
-        ins_slot_label = Counter(buckets.inserted)
-        rem_slot_label = Counter(buckets.removed)
+        rem_slot_label = Counter(removed)
         strict_correct = sum(
-            min(count, rem_slot_label.get(key, 0)) for key, count in ins_slot_label.items()
+            min(count, rem_slot_label.get(key, 0)) for key, count in Counter(inserted).items()
         )
         if n_ins == 0:
             pct = 1.0 if n_rem == 0 else 0.0
@@ -144,28 +125,14 @@ def position_metrics(
         report.total_inserted += n_ins
         report.total_removed += n_rem
         report.correct_inserted += strict_correct
+        inserted_labels.update(label for _, label in inserted)
+        removed_labels.update(label for _, label in removed)
     report.avg_correct_location_pct = float(np.mean(location_pcts)) if location_pcts else 0.0
     report.avg_correct_location_pct_missing_only = (
         float(np.mean(missing_only_pcts)) if missing_only_pcts else 0.0
     )
     report.precision, report.recall, report.f1 = precision_recall_f1(
         report.correct_inserted, report.total_inserted, report.total_removed
-    )
-    return report
-
-
-def order_independent_metrics(
-    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
-) -> MetricsReport:
-    """The order-independent block: dataset-pooled label overlap."""
-    inserted_labels: Counter = Counter()
-    removed_labels: Counter = Counter()
-    for buckets in _sample_buckets(samples, hypotheses):
-        inserted_labels.update(label for _, label in buckets.inserted)
-        removed_labels.update(label for _, label in buckets.removed)
-    report = MetricsReport(
-        total_inserted=sum(inserted_labels.values()),
-        total_removed=sum(removed_labels.values()),
     )
     report.oi_correct = sum(
         min(count, removed_labels.get(label, 0)) for label, count in inserted_labels.items()
@@ -176,17 +143,9 @@ def order_independent_metrics(
     return report
 
 
-def evaluate(
-    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
-) -> MetricsReport:
-    """Both metric blocks in one report."""
-    report = position_metrics(samples, hypotheses)
-    oi = order_independent_metrics(samples, hypotheses)
-    report.oi_correct = oi.oi_correct
-    report.oi_precision = oi.oi_precision
-    report.oi_recall = oi.oi_recall
-    report.oi_f1 = oi.oi_f1
-    return report
+# Each block is a part of the one pass; the names stay for callers that ask for one block.
+position_metrics = evaluate
+order_independent_metrics = evaluate
 
 
 def activity_distribution(sequences: Sequence[DaySequence]) -> dict[str, int]:
@@ -210,9 +169,11 @@ def insertion_pattern_topk(
     k: int = 20,
 ) -> list[tuple[tuple[str, ...], int]]:
     """The k most common ordered insertion patterns (empty pattern counted)."""
+    _check_pairing(samples, hypotheses)
     patterns: Counter = Counter()
-    for buckets in _sample_buckets(samples, hypotheses):
-        patterns[tuple(label for _, label in buckets.inserted)] += 1
+    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
+        inserted = _bucket(i, sample.incomplete.labels(), hyp.labels())
+        patterns[tuple(label for _, label in inserted)] += 1
     ranked = sorted(patterns.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

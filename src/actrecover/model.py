@@ -41,7 +41,7 @@ from .activities import (
     PAD_ID,
     TOKEN_VOCAB_SIZE,
 )
-from .data import AlignmentError, DaySequence, Activity
+from .data import AlignmentError, DaySequence, Activity, slot_fills
 from .generator import ConfigError
 from .layers import (
     GatedResidualBlock,
@@ -100,13 +100,13 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if min(self.d_m, self.n_heads, self.d_attn, self.d_val, self.n_layers) < 1:
-            raise ValueError("model dimensions must all be >= 1")
+            raise ConfigError("model dimensions must all be >= 1")
         if self.n_heads * max(self.d_attn, self.d_val) > 4096:
-            raise ValueError("head count times head width is unreasonably large")
+            raise ConfigError("head count times head width is unreasonably large")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout out of [0, 1): {self.dropout}")
+            raise ConfigError(f"dropout out of [0, 1): {self.dropout}")
         if self.max_rounds < 0 or self.max_len < 1:
-            raise ValueError("max_rounds must be >= 0 and max_len >= 1")
+            raise ConfigError("max_rounds must be >= 0 and max_len >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -199,8 +199,7 @@ def insertion_targets(
     """Per-slot multisets of labels the decoder must insert.
 
     Slot ``s`` sits before source token ``s``; it owes exactly the complete
-    labels lying strictly between anchor ``s-1`` and anchor ``s`` (with the
-    sequence ends as virtual anchors). An empty counter means the slot's
+    labels that ``slot_fills`` puts in it. An empty counter means the slot's
     target is the stop label.
     """
     n = len(incomplete)
@@ -213,12 +212,7 @@ def insertion_targets(
         if complete[a] != incomplete[i]:
             raise AlignmentError(f"anchor {i} points at {complete[a]!r}, expected {incomplete[i]!r}")
         prev = a
-    targets = []
-    for s in range(n + 1):
-        lo = anchors[s - 1] if s > 0 else -1
-        hi = anchors[s] if s < n else len(complete)
-        targets.append(Counter(complete[lo + 1 : hi]))
-    return targets
+    return [Counter(fill) for fill in slot_fills(complete, anchors)]
 
 
 class _EncoderLayer:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Activity, RecoverySample, align_subsequence
+from .data import Activity, DaySequence, RecoverySample, align_subsequence
 from .generator import ConfigError
 from .model import (
     DecoderState,
@@ -132,11 +132,17 @@ def _prepare(samples: Sequence[RecoverySample], max_len: int):
             raise ConfigError(
                 f"sample {i} has {len(s.complete)} activities, above max_len={max_len}"
             )
-        inc, comp = s.incomplete.labels(), s.complete.labels()
-        anchors = align_subsequence(inc, comp)
-        targets.append(insertion_targets(inc, comp, anchors))
-        states.append(DecoderState.from_sequence(s.incomplete))
+        state, target = _state_and_targets(s.incomplete, s.complete)
+        states.append(state)
+        targets.append(target)
     return states, targets
+
+
+def _state_and_targets(partial: DaySequence, complete: DaySequence):
+    """The decoder state of ``partial`` and its per-slot targets toward ``complete``."""
+    labels, comp = partial.labels(), complete.labels()
+    targets = insertion_targets(labels, comp, align_subsequence(labels, comp))
+    return DecoderState.from_sequence(partial), targets
 
 
 def _lattice_state(sample: RecoverySample, rng: np.random.Generator):
@@ -158,10 +164,7 @@ def _lattice_state(sample: RecoverySample, rng: np.random.Generator):
             acts.append(Activity(label=act.label, observed=False))
         elif j not in removed:
             acts.append(replace(act))
-    partial = replace(sample.complete, activities=acts)
-    labels, comp = partial.labels(), sample.complete.labels()
-    anchors = align_subsequence(labels, comp)
-    return DecoderState.from_sequence(partial), insertion_targets(labels, comp, anchors)
+    return _state_and_targets(replace(sample.complete, activities=acts), sample.complete)
 
 
 # Training-config fields a resume may change; any other difference is refused.

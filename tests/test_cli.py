@@ -9,7 +9,14 @@ import pytest
 from actrecover.cli import main
 from actrecover.data import RecoverySample, read_samples, read_sequences, write_samples
 from actrecover.generator import default_config, generate_population, make_samples
-from actrecover.model import _read_container, _write_container, load_checkpoint
+from actrecover.model import (
+    CapacityError,
+    InsertionModel,
+    _read_container,
+    _write_container,
+    load_checkpoint,
+)
+from actrecover.tensor import NumericError, ShapeError
 
 from helpers import random_sequence
 
@@ -85,6 +92,15 @@ class TestGen:
         assert run("gen", "--out", out, "--config", cfg_path) == 2
         err = capsys.readouterr().err
         assert err.strip() == f"gen: {cfg_path}: unknown config key 'n_dayz'"
+        assert not out.exists()
+
+    def test_retired_target_mean_daily_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"target_mean_daily": 9.0}))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path, "--n-days", 5) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"gen: {cfg_path}: unknown config key 'target_mean_daily'"
         assert not out.exists()
 
     def test_partial_config_echoes_defaults_and_coerced_values(self, tmp_path):
@@ -166,6 +182,31 @@ class TestTrain:
         assert run(*argv) == 2
         assert "unknown config key 'n_static'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, kind", [("d_m", "abc", "int"), ("lr", "x", "float"), ("dropout", None, "float")]
+    )
+    def test_wrong_typed_config_value_exits_2(self, small_run, tmp_path, capsys, key, value, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"train: {cfg_path}: config key {key!r} must be {kind}, not {value!r}"
+        assert not ckpt.exists()
+
+    def test_integer_config_value_stands_for_a_float(self, small_run, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1, "epochs": 0}))
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 0
+        assert json.loads((tmp_path / "m.ckpt.report.json").read_text())["train_config"]["lr"] == 1
+
+    def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--d-m", 0) == 2
+        assert capsys.readouterr().err.strip() == "train: model dimensions must all be >= 1"
+        assert not ckpt.exists()
+
     def test_empty_dataset_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -225,6 +266,27 @@ class TestRecover:
         assert run("recover", *argv, "--max-rounds", -3) == 2
         assert capsys.readouterr().err.strip() == "recover: --max-rounds must be >= 0"
         assert not hyp.exists()
+
+    @pytest.mark.parametrize("error", [ShapeError, CapacityError, NumericError])
+    def test_internal_error_exits_1_in_one_line(self, small_run, tmp_path, capsys, monkeypatch, error):
+        def breach(self, seqs, max_rounds=None):
+            raise error("planted breach")
+
+        monkeypatch.setattr(InsertionModel, "recover_batch", breach)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp) == 1
+        err = capsys.readouterr().err
+        assert err == "recover: internal error: planted breach\n"
+        assert not hyp.exists()
+
+    def test_unmapped_value_error_is_not_a_usage_error(self, small_run, tmp_path, monkeypatch):
+        def breach(self, seqs, max_rounds=None):
+            raise ValueError("planted breach")
+
+        monkeypatch.setattr(InsertionModel, "recover_batch", breach)
+        argv = ["--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", tmp_path / "h.jsonl"]
+        with pytest.raises(ValueError, match="planted breach"):
+            run("recover", *argv)
 
     def test_checkpoint_with_unknown_config_key_exits_2(self, small_run, tmp_path, capsys):
         manifest, blob = _read_container(small_run["ckpt"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actrecover.data import (
     Activity,
@@ -13,6 +15,7 @@ from actrecover.data import (
     mask_sequence,
     read_samples,
     read_sequences,
+    slot_fills,
     write_samples,
     write_sequences,
 )
@@ -109,6 +112,26 @@ class TestAlignSubsequence:
             anchors = align_subsequence(keep, full)
             assert all(a < b for a, b in zip(anchors, anchors[1:]))
             assert all(full[a] == k for a, k in zip(anchors, keep))
+
+
+class TestSlotFills:
+    def test_items_between_anchors_with_ends_as_anchors(self):
+        assert slot_fills(["H", "W", "E", "H", "S"], [0, 3]) == [[], ["W", "E"], ["S"]]
+
+    def test_no_anchors_is_one_slot_holding_everything(self):
+        assert slot_fills(["H", "W"], []) == [["H", "W"]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(full=st.lists(st.sampled_from("HWES"), max_size=12), data=st.data())
+    def test_interleaving_sub_with_its_slots_gives_back_full(self, full, data):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        sub = [x for x, k in zip(full, keep) if k]
+        fills = slot_fills(full, align_subsequence(sub, full))
+        assert len(fills) == len(sub) + 1
+        rebuilt = list(fills[0])
+        for item, fill in zip(sub, fills[1:]):
+            rebuilt += [item, *fill]
+        assert rebuilt == full
 
 
 class TestDatasetIO:

