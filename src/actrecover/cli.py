@@ -26,14 +26,7 @@ from .data import (
     write_samples,
     write_sequences,
 )
-from .generator import (
-    ConfigError,
-    GeneratorConfig,
-    default_config,
-    generate_population,
-    make_samples,
-    read_config_object,
-)
+from .generator import ConfigError, GeneratorConfig, config_values, generate_population, make_samples
 from .metrics import (
     activity_distribution,
     compare_transitions,
@@ -72,15 +65,39 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def cmd_gen(args) -> int:
+def read_config_object(path):
+    """The JSON a config file holds; text that is not UTF-8 JSON is a ``ConfigError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"not UTF-8 JSON: {exc}") from exc
+
+
+def _layered_configs(args, *classes) -> list:
+    """One instance of each config dataclass: field defaults, then the ``--config`` file, then flags.
+
+    The file's values are built on their own first, so every refusal of a
+    file value names the file. A flag's destination is the field it sets.
+    """
+    names = [[f.name for f in dataclass_fields(c)] for c in classes]
+
+    def build(values: dict) -> list:
+        return [c(**{k: values[k] for k in keys if k in values}) for c, keys in zip(classes, names)]
+
+    values = {}
     if args.config is not None:
-        cfg = GeneratorConfig.from_json_file(args.config)
-    else:
-        cfg = default_config()
-    for f in dataclass_fields(cfg):  # a flag's destination is the field it overrides
-        if getattr(args, f.name, None) is not None:
-            setattr(cfg, f.name, getattr(args, f.name))
-    cfg.validate()
+        try:
+            values = config_values(read_config_object(args.config), *classes)
+            build(values)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+    values.update((k, getattr(args, k)) for keys in names for k in keys if getattr(args, k, None) is not None)
+    return build(values)
+
+
+def cmd_gen(args) -> int:
+    (cfg,) = _layered_configs(args, GeneratorConfig)
     sequences = generate_population(cfg)
     samples = make_samples(sequences, cfg.p_remove, cfg.seed)
     write_samples(args.out, samples)
@@ -98,43 +115,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _layered_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    """File values under flag values; unknown or wrong-typed file keys are rejected.
-
-    A flag's destination is the config field it overrides. A file value must
-    have its field's type, except that an integer may stand for a float.
-    """
-    model_keys = {f.name for f in dataclass_fields(ModelConfig)}
-    defaults = {f.name: f.default for c in (ModelConfig, TrainConfig) for f in dataclass_fields(c)}
-    raw = read_config_object(args.config) if args.config is not None else {}
-    for key, value in raw.items():
-        if key not in defaults:
-            raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        kind = type(defaults[key])
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{args.config}: config key {key!r} must be {kind.__name__}, not {value!r}")
-    flags = {key: getattr(args, key, None) for key in defaults}
-    raw.update({key: value for key, value in flags.items() if value is not None})
-    raw["use_vsn"] = args.flavor == "vsnit"
-    return (
-        ModelConfig(**{k: v for k, v in raw.items() if k in model_keys}),
-        TrainConfig(**{k: v for k, v in raw.items() if k not in model_keys}),
-    )
-
-
 def cmd_train(args) -> int:
     samples = read_samples(args.data)
     if not samples:
         raise ConfigError(f"{args.data}: dataset is empty")
-    model_config, train_config = _layered_configs(args)
+    model_config, train_config = _layered_configs(args, ModelConfig, TrainConfig)
     resume_from = args.out if args.resume else None
     model, report = train(
         samples, model_config, train_config,
         checkpoint_path=args.out, resume_from=resume_from,
     )
     payload = report.to_json_dict()
-    payload["flavor"] = args.flavor
+    payload["flavor"] = "vsnit" if model_config.use_vsn else "baseline"
     payload["model_config"] = model_config.to_dict()
     payload["train_config"] = train_config.to_dict()
     _write_json(str(args.out) + ".report.json", payload)
@@ -266,6 +258,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Flavor(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value == "vsnit")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actrecover", description="Activity sequence recovery pipeline."
@@ -283,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model on a recovery dataset")
     tr.add_argument("--data", required=True, help="samples JSONL")
     tr.add_argument("--out", required=True, help="checkpoint path")
-    tr.add_argument("--flavor", choices=("vsnit", "baseline"), default="vsnit")
+    tr.add_argument("--flavor", dest="use_vsn", choices=("vsnit", "baseline"), action=_Flavor,
+                    help="sets use_vsn: vsnit (true) or baseline (false)")
     tr.add_argument("--config", default=None, help="train/model config JSON")
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--epochs", type=int, default=None)

@@ -135,10 +135,9 @@ def mask_sequence(
 
 
 def _incomplete_twin(complete: DaySequence, removed: Iterable[int]) -> DaySequence:
-    """``complete`` without the activities at ``removed``; the kept ones are copies."""
+    """``complete`` without the activities at ``removed``; the kept ones are shared."""
     gone = set(removed)
-    kept = [replace(a) for j, a in enumerate(complete.activities) if j not in gone]
-    return replace(complete, activities=kept)
+    return replace(complete, activities=[a for j, a in enumerate(complete.activities) if j not in gone])
 
 
 def align_subsequence(sub: Sequence, full: Sequence) -> list[int]:
@@ -195,24 +194,22 @@ def sequence_to_record(seq: DaySequence) -> dict:
 
 
 def sequence_from_record(rec: dict) -> DaySequence:
+    """The day a record holds; a field of the wrong JSON type or out of range is a ``ValueError``."""
+    acts = []
+    for a in rec["activities"]:
+        act = Activity(a["label"], a["arr"], a["dep"], a["mode"], a["dist"], a["observed"])
+        if type(act.dist) is int:
+            act.dist = float(act.dist)
+        if not (type(act.arr) is type(act.dep) is type(act.mode) is int
+                and type(act.dist) is float and type(act.observed) is bool):
+            raise ValueError(f"activity {len(acts)}: arr, dep and mode must be integers, "
+                             f"dist a number and observed a boolean: {a}")
+        acts.append(act)
     seq = DaySequence(
-        person_id=int(rec["person_id"]),
-        date=int(rec["date"]),
-        weekday=int(rec["weekday"]),
-        holiday=int(rec["holiday"]),
-        static=tuple(int(c) for c in rec["static"]),
-        activities=[
-            Activity(
-                label=a["label"],
-                arr=int(a["arr"]),
-                dep=int(a["dep"]),
-                mode=int(a["mode"]),
-                dist=float(a["dist"]),
-                observed=bool(a["observed"]),
-            )
-            for a in rec["activities"]
-        ],
-    )
+        rec["person_id"], rec["date"], rec["weekday"], rec["holiday"], tuple(rec["static"]), acts)
+    if not (type(seq.person_id) is type(seq.date) is type(seq.weekday) is type(seq.holiday) is int
+            and all(type(c) is int for c in seq.static)):
+        raise ValueError("person_id, date, weekday, holiday and static codes must be integers")
     seq.validate()
     return seq
 
@@ -226,12 +223,14 @@ def _write_lines(path, records: Iterable[dict]) -> None:
 
 def _read_lines(path) -> list[tuple[int, dict]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                out.append((lineno, json.loads(line)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append((lineno, json.loads(line)))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc.msg}") from exc
     return out
@@ -268,9 +267,9 @@ def read_samples(path) -> list[RecoverySample]:
     for lineno, rec in _read_lines(path):
         try:
             complete = sequence_from_record(rec)
-            removed = sorted(int(i) for i in rec["removed_positions"])
-            if removed and (removed[0] < 0 or removed[-1] >= len(complete.activities)):
-                raise ValueError(f"removed positions out of range: {removed}")
+            removed, n = sorted(rec["removed_positions"]), len(complete.activities)
+            if not all(type(i) is int and 0 <= i < n for i in removed) or len(set(removed)) < len(removed):
+                raise ValueError(f"removed positions must be distinct integers in [0, {n}): {removed}")
             samples.append(RecoverySample(complete, _incomplete_twin(complete, removed), removed))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc

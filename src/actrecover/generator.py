@@ -11,8 +11,7 @@ master seed, so generation is order-independent and reproducible.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .data import Activity, DaySequence, RecoverySample, mask_sequence
 
 __all__ = [
     "ConfigError",
+    "config_values",
     "GeneratorConfig",
     "RegimeDynamics",
     "REGIMES",
@@ -47,7 +47,32 @@ _SHORT = {
 
 
 class ConfigError(ValueError):
-    """Generator configuration is inconsistent."""
+    """A configuration value is missing, unknown, of the wrong type or out of range."""
+
+
+def config_values(raw, *classes) -> dict:
+    """``raw``, a JSON object of config values, typed by the fields of the dataclasses ``classes``.
+
+    The one rule for config JSON: a key must be a field; a bool field takes only a bool, an int
+    field an int but not a bool, a float field an int or a float (stored as a float), and a dict
+    field an object. Any other value is a ``ConfigError`` naming the key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    kinds = {f.name: type(f.default if f.default_factory is MISSING else f.default_factory())
+             for c in classes for f in fields(c)}
+    values = {}
+    for key, value in raw.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown config key {key!r}")
+        kind = kinds[key]
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
+        try:
+            values[key] = kind(value)
+        except OverflowError as exc:
+            raise ConfigError(f"config key {key!r} is too large for a float: {value}") from exc
+    return values
 
 
 def _row(**named: float) -> list[float]:
@@ -72,12 +97,15 @@ class RegimeDynamics:
     transition: list[list[float]]
 
     def validate(self) -> None:
-        init = np.asarray(self.initial, dtype=np.float64)
-        trans = np.asarray(self.transition, dtype=np.float64)
+        try:
+            init = np.asarray(self.initial, dtype=np.float64)
+            trans = np.asarray(self.transition, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dynamics are not arrays of numbers: {exc}") from exc
         if init.shape != (N_ACTIVITIES,) or trans.shape != (N_ACTIVITIES, N_ACTIVITIES):
             raise ConfigError(f"dynamics shapes {init.shape}, {trans.shape} are not (9,), (9, 9)")
-        if (init < 0).any() or (trans < 0).any():
-            raise ConfigError("negative probabilities in dynamics")
+        if not ((init >= 0).all() and (trans >= 0).all()):
+            raise ConfigError("dynamics hold negative or missing probabilities")
         if abs(init.sum() - 1.0) > 1e-9:
             raise ConfigError(f"initial distribution sums to {init.sum()!r}, not 1")
         rowsums = trans.sum(axis=1)
@@ -86,79 +114,8 @@ class RegimeDynamics:
             raise ConfigError(f"transition rows {bad.tolist()} do not sum to 1")
 
 
-@dataclass
-class GeneratorConfig:
-    seed: int = 0
-    n_days: int = 10_000
-    p_remove: float = 0.3
-    holiday_rate: float = 0.05
-    gap_mean_bins: float = 1.0
-    duration_mean_bins: dict[str, float] = field(default_factory=dict)
-    regimes: dict[str, RegimeDynamics] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.seed < 0 or self.n_days < 1:
-            raise ConfigError("seed must be >= 0 and n_days >= 1")
-        if not 0.0 <= self.p_remove <= 1.0:
-            raise ConfigError(f"p_remove out of [0, 1]: {self.p_remove}")
-        if not 0.0 <= self.holiday_rate <= 1.0:
-            raise ConfigError(f"holiday_rate out of [0, 1]: {self.holiday_rate}")
-        if self.gap_mean_bins < 0:
-            raise ConfigError("gap_mean_bins must be >= 0")
-        missing = [l for l in ACTIVITY_CATEGORIES if l not in self.duration_mean_bins]
-        if missing:
-            raise ConfigError(f"duration_mean_bins missing labels: {missing}")
-        if any(m < 1.0 for m in self.duration_mean_bins.values()):
-            raise ConfigError("duration means must be >= 1 bin")
-        if set(self.regimes) != set(REGIMES):
-            raise ConfigError(f"regimes must be exactly {REGIMES}")
-        for dyn in self.regimes.values():
-            dyn.validate()
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "GeneratorConfig":
-        """``raw``'s keys laid over ``default_config()``; unknown keys are refused."""
-        cfg = default_config()
-        known = {f.name for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key == "regimes":
-                value = {name: RegimeDynamics(**block) for name, block in value.items()}
-            else:
-                value = type(getattr(cfg, key))(value)  # int, float or dict, as the default is
-            setattr(cfg, key, value)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_json_file(cls, path) -> "GeneratorConfig":
-        raw = read_config_object(path)
-        try:
-            return cls.from_json_dict(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed generator config: {exc}") from exc
-
-
-def read_config_object(path) -> dict:
-    """The JSON object a config file holds; anything else is a ``ConfigError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be an object")
-    return raw
-
-
-def default_config() -> GeneratorConfig:
-    """Calibrated defaults: mean daily activity count near 4.49.
+def _calibrated_regimes() -> dict[str, RegimeDynamics]:
+    """Calibrated dynamics: mean daily activity count near 4.49.
 
     Weekdays push HomeActivity -> WorkForPay hard; weekends push
     HomeActivity -> Recreation/GoShopping; holidays lean further into
@@ -207,20 +164,60 @@ def default_config() -> GeneratorConfig:
             _row(home=0.56, rec=0.12, eat=0.10),  # from WorkForPay
         ],
     )
-    durations = {
-        "GoShopping": 7.0,
-        "Other": 8.0,
-        "PersonalBusiness": 7.0,
-        "GoToSchool": 30.0,
-        "Healthcare": 8.0,
-        "Recreation": 12.0,
-        "EatOut": 6.0,
-        "HomeActivity": 32.0,
-        "WorkForPay": 36.0,
-    }
-    return GeneratorConfig(duration_mean_bins=durations, regimes={
-        "weekday": weekday, "weekend": weekend, "holiday": holiday,
-    })
+    return {"weekday": weekday, "weekend": weekend, "holiday": holiday}
+
+
+def _calibrated_durations() -> dict[str, float]:
+    return {"GoShopping": 7.0, "Other": 8.0, "PersonalBusiness": 7.0, "GoToSchool": 30.0, "Healthcare": 8.0,
+            "Recreation": 12.0, "EatOut": 6.0, "HomeActivity": 32.0, "WorkForPay": 36.0}
+
+
+@dataclass
+class GeneratorConfig:
+    """Calibrated generator settings, checked when built; plain regime objects become ``RegimeDynamics``."""
+
+    seed: int = 0
+    n_days: int = 10_000
+    p_remove: float = 0.3
+    holiday_rate: float = 0.05
+    gap_mean_bins: float = 1.0
+    duration_mean_bins: dict[str, float] = field(default_factory=_calibrated_durations)
+    regimes: dict[str, RegimeDynamics] = field(default_factory=_calibrated_regimes)
+
+    def __post_init__(self) -> None:
+        for name, dyn in self.regimes.items():
+            try:
+                self.regimes[name] = dyn if isinstance(dyn, RegimeDynamics) else RegimeDynamics(**dyn)
+            except TypeError as exc:
+                raise ConfigError(f"regime {name!r} is malformed: {exc}") from exc
+        self.validate()
+
+    def validate(self) -> None:
+        if self.seed < 0 or self.n_days < 1:
+            raise ConfigError("seed must be >= 0 and n_days >= 1")
+        if not 0.0 <= self.p_remove <= 1.0:
+            raise ConfigError(f"p_remove out of [0, 1]: {self.p_remove}")
+        if not 0.0 <= self.holiday_rate <= 1.0:
+            raise ConfigError(f"holiday_rate out of [0, 1]: {self.holiday_rate}")
+        if not self.gap_mean_bins >= 0:  # also refuses NaN
+            raise ConfigError("gap_mean_bins must be >= 0")
+        missing = [l for l in ACTIVITY_CATEGORIES if l not in self.duration_mean_bins]
+        if missing:
+            raise ConfigError(f"duration_mean_bins missing labels: {missing}")
+        if not all(isinstance(m, (int, float)) and m >= 1.0 for m in self.duration_mean_bins.values()):
+            raise ConfigError("duration means must be numbers >= 1 bin")
+        if set(self.regimes) != set(REGIMES):
+            raise ConfigError(f"regimes must be exactly {REGIMES}")
+        for dyn in self.regimes.values():
+            dyn.validate()
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def default_config() -> GeneratorConfig:
+    """The calibrated generator: mean daily activity count near 4.49."""
+    return GeneratorConfig()
 
 
 def regime_of(weekday: int, holiday: int) -> str:
@@ -271,8 +268,7 @@ def _sample_day(cfg: GeneratorConfig, rng: np.random.Generator, idx: int) -> Day
 
 
 def generate_population(cfg: GeneratorConfig, seed: int | None = None) -> list[DaySequence]:
-    """Sample ``cfg.n_days`` person-days, one independent substream each."""
-    cfg.validate()
+    """Sample ``cfg.n_days`` person-days, one independent substream each (``cfg`` is checked when built)."""
     base = cfg.seed if seed is None else seed
     return [_sample_day(cfg, np.random.default_rng([base, i]), i) for i in range(cfg.n_days)]
 

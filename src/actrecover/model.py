@@ -42,7 +42,7 @@ from .activities import (
     TOKEN_VOCAB_SIZE,
 )
 from .data import AlignmentError, DaySequence, Activity, slot_fills
-from .generator import ConfigError
+from .generator import ConfigError, config_values
 from .layers import (
     GatedResidualBlock,
     Linear,
@@ -463,7 +463,7 @@ class InsertionModel:
         """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds
-        acts = [[replace(a) for a in seq.activities] for seq in incompletes]
+        acts = [list(seq.activities) for seq in incompletes]
         truncated = [False] * len(acts)
         inserted: list[list[int]] = [[] for _ in acts]  # one count per round taken
         active = list(range(len(acts))) if limit > 0 else []
@@ -630,8 +630,12 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     if missing:
         raise refusal(f"{spec.label} manifest lacks {missing}")
     try:
-        saved = ModelConfig(**manifest["config"])
-    except (TypeError, ValueError) as exc:
+        values = config_values(manifest["config"], ModelConfig)
+        missing = ", ".join(key for key in ModelConfig().to_dict() if key not in values)
+        if missing:
+            raise ConfigError(f"config lacks {missing}")
+        saved = ModelConfig(**values)
+    except ConfigError as exc:
         raise refusal(f"invalid {spec.label} config: {exc}") from exc
     if config is not None and saved != config:
         raise refusal(f"{spec.label} config mismatch: "

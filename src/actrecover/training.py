@@ -56,11 +56,11 @@ class TrainConfig:
     roll_in: float = 0.7  # fraction of batch states resampled from the decode lattice
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
+        if not self.lr > 0:  # also refuses NaN
             raise ConfigError(f"learning rate must be positive: {self.lr}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip norm must be positive: {self.clip_norm}")
         if not 0.0 <= self.roll_in <= 1.0:
             raise ConfigError(f"roll_in out of [0, 1]: {self.roll_in}")
@@ -163,7 +163,7 @@ def _lattice_state(sample: RecoverySample, rng: np.random.Generator):
         if j in promoted:
             acts.append(Activity(label=act.label, observed=False))
         elif j not in removed:
-            acts.append(replace(act))
+            acts.append(act)
     return _state_and_targets(replace(sample.complete, activities=acts), sample.complete)
 
 
@@ -193,6 +193,9 @@ def load_train_state(
     trajectory or does not start.
     """
     _, manifest, (values, m, v) = read_record(path, "train_state", model.config)
+    for key in ("step", "adam_t", "adam_skipped"):
+        if type(manifest[key]) is not int or manifest[key] < 0:
+            raise ConfigError(f"{path}: training-state {key} must be an integer >= 0, not {manifest[key]!r}")
     if train_config is not None:
         diffs = config_diffs(manifest["train"], train_config.to_dict(), RESUMABLE_CHANGES)
         if diffs:
@@ -203,9 +206,8 @@ def load_train_state(
     for p in model.parameters():
         p.data = values[p.name]
     adam.m, adam.v = m, v
-    adam.t = int(manifest["adam_t"])
-    adam.skipped = int(manifest["adam_skipped"])
-    return int(manifest["step"])
+    adam.t, adam.skipped = manifest["adam_t"], manifest["adam_skipped"]
+    return manifest["step"]
 
 
 def train(

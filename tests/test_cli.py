@@ -8,7 +8,7 @@ import pytest
 
 from actrecover.cli import main
 from actrecover.data import RecoverySample, read_samples, read_sequences, write_samples
-from actrecover.generator import default_config, generate_population, make_samples
+from actrecover.generator import GeneratorConfig, default_config, generate_population, make_samples
 from actrecover.model import (
     CapacityError,
     InsertionModel,
@@ -113,6 +113,63 @@ class TestGen:
         expected.update(p_remove=1.0, holiday_rate=0.0, n_days=5)
         assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
+    @pytest.mark.parametrize(
+        "key, value, kind", [("seed", 1.7, "int"), ("n_days", "12", "int"), ("p_remove", True, "float")]
+    )
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, key, value, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path, "--n-days", 5) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"gen: {cfg_path}: config key {key!r} must be {kind}, not {value!r}"
+        assert not out.exists()
+
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"p_remove": 1' + "0" * 400 + "}")
+        assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: config key 'p_remove' is too large for a float: 1000")
+        assert "Traceback" not in err
+
+    def test_nan_config_value_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"gap_mean_bins": NaN}')
+        assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
+        assert capsys.readouterr().err.strip() == f"gen: {cfg_path}: gap_mean_bins must be >= 0"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: not UTF-8 JSON: ") and "can't decode" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "regimes, problem",
+        [({"weekday": [1]}, "regime 'weekday' is malformed"), ({"weekday": {"initial": [1]}}, "transition")],
+    )
+    def test_malformed_regime_exits_2_naming_the_file(self, tmp_path, capsys, regimes, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"regimes": regimes}))
+        assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: ") and problem in err and "Traceback" not in err
+
+    def test_each_config_layer_is_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = GeneratorConfig.validate
+        monkeypatch.setattr(GeneratorConfig, "validate", lambda cfg: calls.append(1) or validate(cfg))
+        assert run("gen", "--out", tmp_path / "a.jsonl", "--n-days", 5) == 0
+        assert len(calls) == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_days": 4}))
+        assert run("gen", "--out", tmp_path / "b.jsonl", "--config", cfg_path, "--seed", 2) == 0
+        assert len(calls) == 3  # once for the file's layer, once with the flag laid over it
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, small_run):
@@ -199,7 +256,56 @@ class TestTrain:
         cfg_path.write_text(json.dumps({"lr": 1, "epochs": 0}))
         ckpt = tmp_path / "m.ckpt"
         assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 0
-        assert json.loads((tmp_path / "m.ckpt.report.json").read_text())["train_config"]["lr"] == 1
+        assert '"lr": 1.0,' in (tmp_path / "m.ckpt.report.json").read_text()
+
+    def test_config_use_vsn_false_trains_the_baseline_unless_flavor_says_otherwise(self, small_run, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"use_vsn": False}))
+        common = ["--data", small_run["data"], "--config", cfg_path, "--epochs", 1, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1]
+        for flavor_flag, flavor in (([], "baseline"), (["--flavor", "vsnit"], "vsnit")):
+            ckpt = tmp_path / f"{flavor}.ckpt"
+            assert run("train", *common, *flavor_flag, "--out", ckpt) == 0
+            names = [entry["name"] for entry in load_checkpoint(ckpt)[1]["params"]]
+            assert any(n.startswith("cov.") for n in names) == (flavor == "vsnit")
+            report = json.loads((tmp_path / f"{flavor}.ckpt.report.json").read_text())
+            assert report["flavor"] == flavor
+            assert report["model_config"]["use_vsn"] is (flavor == "vsnit")
+
+    @pytest.mark.parametrize("key, message", [("lr", "learning rate must be positive: nan"),
+                                              ("clip_norm", "clip norm must be positive: nan")])
+    def test_nan_config_value_exits_2(self, small_run, tmp_path, capsys, key, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"{key}": NaN}}')
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 2
+        assert capsys.readouterr().err.strip() == f"train: {cfg_path}: {message}"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--d-m", 8]])
+    def test_out_of_range_config_value_exits_2_naming_the_file(self, small_run, tmp_path, capsys, flags):
+        cfg_path = tmp_path / "c0.json"
+        cfg_path.write_text(json.dumps({"d_m": 0}))
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path, *flags]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.strip() == f"train: {cfg_path}: model dimensions must all be >= 1"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key, value", [("step", "abc"), ("adam_t", None), ("step", 0.5), ("adam_skipped", -1)])
+    def test_wrong_state_counter_exits_2_naming_the_file(self, small_run, tmp_path, capsys, key, value):
+        ckpt = tmp_path / "c.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        manifest[key] = value
+        _write_container(state, manifest, blob)
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"train: {state}: training-state {key} must be an integer >= 0, not {value!r}"
 
     def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -298,6 +404,29 @@ class TestRecover:
         err = capsys.readouterr().err
         assert "invalid checkpoint config" in err and "n_static" in err
         assert "Traceback" not in err and not hyp.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("d_m", 8.0, "config key 'd_m' must be int, not 8.0"),
+            ("use_vsn", 1, "config key 'use_vsn' must be bool, not 1"),
+            ("max_rounds", 2.5, "config key 'max_rounds' must be int, not 2.5"),
+            ("max_len", None, "config lacks max_len"),
+        ],
+    )
+    def test_checkpoint_config_of_the_wrong_type_exits_2(self, small_run, tmp_path, capsys, key, value, problem):
+        manifest, blob = _read_container(small_run["ckpt"])
+        if value is None:
+            del manifest["config"][key]
+        else:
+            manifest["config"][key] = value
+        ckpt = tmp_path / "typed.ckpt"
+        _write_container(ckpt, manifest, blob)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"recover: {ckpt}: invalid checkpoint config: {problem}"
+        assert not hyp.exists()
 
     @pytest.mark.parametrize("key", ["config", "params"])
     def test_checkpoint_without_required_key_exits_2(self, small_run, tmp_path, capsys, key):
@@ -447,3 +576,32 @@ class TestEvalAndCompare:
         assert total == 162
         assert payload["transition_wins_a"] > payload["transition_wins_b"]
         assert len(payload["cells"]) == 162
+
+    @pytest.mark.parametrize("flag", ["--data", "--hyp"])
+    def test_binary_file_as_dataset_exits_2(self, small_run, tmp_path, capsys, flag):
+        files = {"--data": small_run["data"], "--hyp": small_run["data"], flag: small_run["ckpt"]}
+        out = tmp_path / "m"
+        assert run("eval", *[x for pair in files.items() for x in pair], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"eval: {small_run['ckpt']}: line 1 is not UTF-8 text"
+        assert not (tmp_path / "m.metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda rec: rec["activities"][0].update(arr=1.9), "arr, dep and mode must be integers"),
+            (lambda rec: rec["activities"][0].update(observed="false"), "observed a boolean"),
+            (lambda rec: rec.update(removed_positions=[0, 0]), "removed positions must be distinct integers"),
+        ],
+        ids=["arr-float", "observed-string", "removed-twice"],
+    )
+    def test_wrong_typed_record_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys, edit, problem):
+        lines = small_run["data"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        edit(rec)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        assert run("eval", "--data", data, "--hyp", data, "--out", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eval: {data}: invalid record at line 2: ") and problem in err
+        assert "Traceback" not in err

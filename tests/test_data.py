@@ -1,10 +1,13 @@
 """Masking, alignment, and the JSONL dataset format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actrecover.activities import ACTIVITY_CATEGORIES, N_MODES, N_STATIC_LEVELS, N_TIME_BINS
 from actrecover.data import (
     Activity,
     AlignmentError,
@@ -194,3 +197,40 @@ class TestDatasetIO:
         bad = RecoverySample(complete=seq, incomplete=seq, removed_positions=[0])
         with pytest.raises(ValueError, match="sample 0"):
             write_samples(tmp_path / "x.jsonl", [bad])
+
+
+@st.composite
+def drawn_activities(draw):
+    label = draw(st.sampled_from(ACTIVITY_CATEGORIES))
+    if not draw(st.booleans()):
+        return Activity(label=label)
+    arr = draw(st.integers(1, N_TIME_BINS))
+    return Activity(
+        label=label, arr=arr, dep=draw(st.integers(arr, N_TIME_BINS)), mode=draw(st.integers(1, N_MODES)),
+        dist=draw(st.floats(0.0, 1e4, allow_nan=False)), observed=True,
+    )
+
+
+@st.composite
+def drawn_samples(draw):
+    acts = draw(st.lists(drawn_activities(), min_size=1, max_size=8))
+    complete = DaySequence(
+        person_id=draw(st.integers(0, 10**9)), date=draw(st.integers(0, 10**9)),
+        weekday=draw(st.integers(1, 7)), holiday=draw(st.integers(0, 1)),
+        static=tuple(draw(st.lists(st.integers(1, N_STATIC_LEVELS), min_size=4, max_size=4))),
+        activities=acts,
+    )
+    removed = sorted(draw(st.sets(st.integers(0, len(acts) - 1))))
+    kept = [a for j, a in enumerate(acts) if j not in removed]
+    return RecoverySample(complete, replace(complete, activities=kept), removed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(drawn_samples(), max_size=6))
+def test_write_then_read_samples_gives_them_back(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("roundtrip") / "samples.jsonl"
+    write_samples(path, samples)
+    assert read_samples(path) == samples
+    again = path.with_suffix(".again.jsonl")
+    write_samples(again, read_samples(path))
+    assert again.read_bytes() == path.read_bytes()

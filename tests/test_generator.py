@@ -35,8 +35,8 @@ def test_config_json_roundtrip():
     cfg = default_config()
     cfg.seed = 9
     cfg.n_days = 123
-    again = GeneratorConfig.from_json_dict(cfg.to_json_dict())
-    assert again.to_json_dict() == cfg.to_json_dict()
+    again = GeneratorConfig(**cfg.to_json_dict())
+    assert again == cfg
 
 
 def test_determinism_bytewise():

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID
 from actrecover.data import Activity, DaySequence, RecoverySample
@@ -200,22 +202,38 @@ class TestOrderIndependentMetrics:
         assert report.avg_correct_location_pct == 1.0
 
 
+@st.composite
+def drawn_triples(draw):
+    """One (sample, hypothesis) pair: a drawn day, a drawn removal, and drawn insertions."""
+    labels = st.sampled_from(ACTIVITY_CATEGORIES[:4])
+    comp = draw(st.lists(labels, min_size=1, max_size=8))
+    smp = sample_of(comp, draw(st.sets(st.integers(0, len(comp) - 1))))
+    hyp = smp.incomplete.labels()
+    for _ in range(draw(st.integers(0, 4))):
+        hyp.insert(draw(st.integers(0, len(hyp))), draw(labels))
+    return smp, seq_of(hyp)
+
+
+def assert_matches_oracle(samples, hyps):
+    report = evaluate(samples, hyps)
+    oracle = oracle_reports(samples, hyps)
+    assert report.total_inserted == oracle["total_inserted"]
+    assert report.total_removed == oracle["total_removed"]
+    assert report.correct_inserted == oracle["correct_inserted"]
+    assert report.oi_correct == oracle["oi_correct"]
+    assert report.avg_correct_location_pct == pytest.approx(oracle["avg_pct"], abs=1e-12)
+    assert report.avg_correct_location_pct_missing_only == pytest.approx(oracle["avg_pct_missing"], abs=1e-12)
+
+
 class TestOracleEquivalence:
     def test_five_hundred_random_triples(self):
-        rng = np.random.default_rng(1234)
-        triples = random_triples(rng, 500)
-        samples = [t[0] for t in triples]
-        hyps = [t[1] for t in triples]
-        report = evaluate(samples, hyps)
-        oracle = oracle_reports(samples, hyps)
-        assert report.total_inserted == oracle["total_inserted"]
-        assert report.total_removed == oracle["total_removed"]
-        assert report.correct_inserted == oracle["correct_inserted"]
-        assert report.oi_correct == oracle["oi_correct"]
-        assert report.avg_correct_location_pct == pytest.approx(oracle["avg_pct"], abs=1e-12)
-        assert report.avg_correct_location_pct_missing_only == pytest.approx(
-            oracle["avg_pct_missing"], abs=1e-12
-        )
+        triples = random_triples(np.random.default_rng(1234), 500)
+        assert_matches_oracle([t[0] for t in triples], [t[1] for t in triples])
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples=st.lists(drawn_triples(), min_size=1, max_size=10))
+    def test_drawn_triples(self, triples):
+        assert_matches_oracle([t[0] for t in triples], [t[1] for t in triples])
 
     def test_dominance_chain(self):
         rng = np.random.default_rng(99)
