@@ -26,14 +26,13 @@ class GradientReport:
     per_parameter: dict[str, float]
 
 
-def _scalar_loss(forward: Callable[[], Tensor]) -> float:
-    loss = forward()
+def _checked(loss: Tensor) -> Tensor:
+    """``loss`` itself, once it is known to be a finite scalar."""
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-    value = float(loss.data)
-    if not np.isfinite(value):
+    if not np.isfinite(loss.data).all():
         raise NumericError("loss is not finite")
-    return value
+    return loss
 
 
 def grad_check(
@@ -50,12 +49,7 @@ def grad_check(
     """
     for p in params:
         p.zero_grad()
-    loss = forward()
-    if loss.data.size != 1:
-        raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-    if not np.isfinite(loss.data).all():
-        raise NumericError("loss is not finite")
-    loss.backward()
+    _checked(forward()).backward()
     analytic = {p.name: np.array(p.grad, copy=True) for p in params}
 
     per_parameter: dict[str, float] = {}
@@ -66,9 +60,9 @@ def grad_check(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = _scalar_loss(forward)
+            f_plus = float(_checked(forward()).data)
             flat[i] = orig - eps
-            f_minus = _scalar_loss(forward)
+            f_minus = float(_checked(forward()).data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]), abs(numeric))

@@ -2,8 +2,8 @@
 
 Gated linear units, gated residual blocks, softmax-weighted variable
 selection, and scaled dot-product multi-head self-attention, all built on
-the tape in :mod:`actrecover.tensor`. Blocks own their parameters and
-expose them through ``parameters()``.
+the tape in :mod:`actrecover.tensor`. Each is a :class:`Block`, which
+finds the parameters its attributes hold.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from . import tensor as T
 from .tensor import Parameter, ShapeError
 
 __all__ = [
+    "Block",
     "Linear",
     "GatedLinearUnit",
     "GatedResidualBlock",
@@ -47,7 +48,26 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     return np.where(i.astype(int) % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-class Linear:
+class Block:
+    """A part of the network; ``parameters()`` finds the ``Parameter``s it holds.
+
+    Attributes are searched in the order they were first assigned, which is
+    the checkpoint layout. A ``Parameter`` counts as it is, a list item by
+    item, and anything else with a ``parameters()`` method by its result.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        found: list[Parameter] = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Parameter):
+                    found.append(item)
+                elif hasattr(item, "parameters"):
+                    found += item.parameters()
+        return found
+
+
+class Linear(Block):
     def __init__(self, name: str, d_in: int, d_out: int, rng, bias: bool = True):
         self.w = Parameter(name + ".w", _init_weight(rng, d_in, d_out))
         self.b = Parameter(name + ".b", np.zeros(d_out)) if bias else None
@@ -55,11 +75,8 @@ class Linear:
     def __call__(self, x):
         return T.linear(x, self.w, self.b)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w] + ([self.b] if self.b is not None else [])
 
-
-class GatedLinearUnit:
+class GatedLinearUnit(Block):
     """sigmoid(x Wg + bg) ⊙ (x Wv + bv); the gate can suppress a path entirely."""
 
     def __init__(self, name: str, d: int, rng):
@@ -69,11 +86,8 @@ class GatedLinearUnit:
     def __call__(self, x):
         return T.mul(T.sigmoid(self.gate(x)), self.value(x))
 
-    def parameters(self) -> list[Parameter]:
-        return self.gate.parameters() + self.value.parameters()
 
-
-class GatedResidualBlock:
+class GatedResidualBlock(Block):
     """Residual block: LayerNorm(skip(a) + GLU(dense_out(ELU(dense_in(a) + ctx(c))))).
 
     The optional context feeds the hidden layer through a bias-free
@@ -133,17 +147,8 @@ class GatedResidualBlock:
         residual = a if self.skip is None else self.skip(a)
         return T.layer_norm(T.add(residual, gated), self.norm_gain, self.norm_bias)
 
-    def parameters(self) -> list[Parameter]:
-        params = self.dense_in.parameters()
-        if self.context is not None:
-            params += self.context.parameters()
-        params += self.dense_out.parameters() + self.glu.parameters()
-        if self.skip is not None:
-            params += self.skip.parameters()
-        return params + [self.norm_gain, self.norm_bias]
 
-
-class VariableSelection:
+class VariableSelection(Block):
     """Softmax-weighted fusion of per-stream processed inputs.
 
     Selection weights come from one gated residual block over the flattened
@@ -188,11 +193,8 @@ class VariableSelection:
         fused = T.reshape(T.tsum(T.mul(processed, w_by_stream), axis=0), (b, t, d))
         return fused, weights
 
-    def parameters(self) -> list[Parameter]:
-        return self.selector.parameters() + self.streams.parameters()
 
-
-class MultiHeadSelfAttention:
+class MultiHeadSelfAttention(Block):
     """Scaled dot-product self-attention with full bidirectional visibility.
 
     Invalid (padding) keys are pushed to -1e9 before the softmax; a query row
@@ -230,6 +232,3 @@ class MultiHeadSelfAttention:
             attn = T.mul(attn, any_valid)
         mixed = T.reshape(T.swap_axes(T.matmul(attn, v), 1, 2), (b, t, h * dv))
         return T.matmul(mixed, self.w_out)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.w_out]

@@ -44,6 +44,7 @@ from .activities import (
 from .data import AlignmentError, DaySequence, Activity, slot_fills
 from .generator import ConfigError, config_values
 from .layers import (
+    Block,
     GatedResidualBlock,
     Linear,
     MultiHeadSelfAttention,
@@ -215,7 +216,7 @@ def insertion_targets(
     return [Counter(fill) for fill in slot_fills(complete, anchors)]
 
 
-class _EncoderLayer:
+class _EncoderLayer(Block):
     """Self-attention with a residual layer norm, then a gated residual feed-forward."""
 
     def __init__(self, name: str, cfg: ModelConfig, rng):
@@ -233,11 +234,8 @@ class _EncoderLayer:
         x = T.layer_norm(T.add(x, attended), self.norm_gain, self.norm_bias)
         return self.ff(x, None, train, rng)
 
-    def parameters(self) -> list[Parameter]:
-        return self.attn.parameters() + [self.norm_gain, self.norm_bias] + self.ff.parameters()
 
-
-class InsertionModel:
+class InsertionModel(Block):
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
@@ -267,31 +265,16 @@ class InsertionModel:
         self.slot_proj = Linear("slot_proj", 2 * d, d, rng)
         self.out_proj = Linear("out_proj", d, N_CONTENT_CLASSES, rng)
 
-        self._params = self._collect_parameters()
-        names = [p.name for p in self._params]
+        names = [p.name for p in self.parameters()]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate parameter names: {dupes}")
 
-    def _collect_parameters(self) -> list[Parameter]:
-        params: list[Parameter] = [self.tok_emb]
-        if self.config.use_vsn:
-            params += [self.arr_emb, self.dep_emb, self.mode_emb]
-            params += self.dist_lin.parameters() + [self.dist_missing]
-            params += [self.weekday_emb, self.holiday_emb] + self.static_embs
-            params += self.static_grn.parameters() + self.vsn.parameters()
-        for layer in self.encoder_layers:
-            params += layer.parameters()
-        return params + self.slot_proj.parameters() + self.out_proj.parameters()
-
-    def parameters(self) -> list[Parameter]:
-        return list(self._params)
-
     def param_map(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self._params}
+        return {p.name: p for p in self.parameters()}
 
     def zero_grads(self) -> None:
-        for p in self._params:
+        for p in self.parameters():
             p.zero_grad()
 
     # -- forward -------------------------------------------------------------
@@ -387,7 +370,8 @@ class InsertionModel:
         """Distributions over what to insert into each of the n+1 slots."""
         with T.no_grad():
             logits, _ = self.forward([state])
-        return SlotDistribution(probs=_slot_probs(logits.data[0, : state.n_slots]))
+            probs = T.softmax(logits, axis=-1).data
+        return SlotDistribution(probs=probs[0, : state.n_slots])
 
     def selection_weights(self, state: DecoderState) -> SelectionWeights:
         if not self.config.use_vsn:
@@ -481,7 +465,8 @@ class InsertionModel:
                     ]
                     with T.no_grad():
                         logits, _ = self.forward(states)
-                    for i, choices in zip(rows, _slot_probs(logits.data).argmax(axis=-1)):
+                        probs = T.softmax(logits, axis=-1).data
+                    for i, choices in zip(rows, probs.argmax(axis=-1)):
                         picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
                         if not picks:
                             continue
@@ -503,13 +488,6 @@ class InsertionModel:
             )
             for i, seq in enumerate(incompletes)
         ]
-
-
-def _slot_probs(raw: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of slot logits, stabilized by max subtraction."""
-    z = raw - raw.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _insert(acts: list[Activity], insert_at: dict[int, int]) -> list[Activity]:
@@ -583,6 +561,11 @@ def config_diffs(saved: dict, now: dict, may_change: Sequence[str] = ()) -> str:
     )
 
 
+def _param_entries(params: Sequence[Parameter]) -> list[dict]:
+    """The manifest's ``params`` list: each parameter's name and shape, in layout order."""
+    return [{"name": p.name, "shape": list(p.shape)} for p in params]
+
+
 def _blob(kind: str, model: InsertionModel, moments: Sequence[dict] = ()) -> bytes:
     params = model.parameters()
     passes = [{p.name: p.data for p in params}, *moments]
@@ -598,7 +581,7 @@ def write_record(
         "format": CHECKPOINT_FORMAT,
         "kind": kind,
         "config": model.config.to_dict(),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in model.parameters()],
+        "params": _param_entries(model.parameters()),
         **fields,
     }
     _write_container(path, manifest, _blob(kind, model, moments))
@@ -642,8 +625,7 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
                       + config_diffs(manifest["config"], config.to_dict()))
     model = InsertionModel(saved, seed=0)
     params = model.parameters()
-    own = [{"name": p.name, "shape": list(p.shape)} for p in params]
-    for i, (listed, needed) in enumerate(zip_longest(manifest["params"], own)):
+    for i, (listed, needed) in enumerate(zip_longest(manifest["params"], _param_entries(params))):
         if listed != needed:
             raise refusal(f"parameter entry {i} is {listed!r}, the model needs {needed!r}")
     sizes = [p.size for p in params]

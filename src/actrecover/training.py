@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Activity, DaySequence, RecoverySample, align_subsequence
-from .generator import ConfigError
+from .generator import ConfigError, config_values
 from .model import (
     DecoderState,
     InsertionModel,
@@ -197,7 +197,11 @@ def load_train_state(
         if type(manifest[key]) is not int or manifest[key] < 0:
             raise ConfigError(f"{path}: training-state {key} must be an integer >= 0, not {manifest[key]!r}")
     if train_config is not None:
-        diffs = config_diffs(manifest["train"], train_config.to_dict(), RESUMABLE_CHANGES)
+        try:
+            saved = config_values(manifest["train"], TrainConfig)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: invalid saved training config: {exc}") from exc
+        diffs = config_diffs(saved, train_config.to_dict(), RESUMABLE_CHANGES)
         if diffs:
             raise ConfigError(
                 f"{path}: cannot resume with a different training config: {diffs}"

@@ -1,6 +1,7 @@
 """Shared builders for random sequences, samples, and tiny model configs,
 plus frozen references the optimized paths are checked against: the serial
-decode loop and the per-stream variable selection network."""
+decode loop, the per-stream variable selection network and the hand-kept
+parameter lists."""
 
 from dataclasses import replace
 
@@ -15,8 +16,14 @@ from actrecover.activities import (
 )
 from actrecover import tensor as T
 from actrecover.data import Activity, DaySequence, mask_sequence
-from actrecover.layers import GatedResidualBlock
-from actrecover.model import DecoderState, ModelConfig, RecoveryOutcome
+from actrecover.layers import (
+    GatedLinearUnit,
+    GatedResidualBlock,
+    Linear,
+    MultiHeadSelfAttention,
+    VariableSelection,
+)
+from actrecover.model import DecoderState, InsertionModel, ModelConfig, RecoveryOutcome, _EncoderLayer
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -128,3 +135,42 @@ class PerStreamVSN:
         for blk in self.stream_blocks:
             params += blk.parameters()
         return params
+
+
+def listed_parameters(part) -> list:
+    """Reference parameter order: the lists each part once kept by hand.
+
+    A frozen copy of the per-class ``parameters()`` methods and of the
+    model's ``_collect_parameters``. That order is the checkpoint layout, so
+    ``Block.parameters`` must give the same objects in the same order.
+    """
+    if isinstance(part, Linear):
+        return [part.w] + ([part.b] if part.b is not None else [])
+    if isinstance(part, GatedLinearUnit):
+        return listed_parameters(part.gate) + listed_parameters(part.value)
+    if isinstance(part, GatedResidualBlock):
+        params = listed_parameters(part.dense_in)
+        if part.context is not None:
+            params += listed_parameters(part.context)
+        params += listed_parameters(part.dense_out) + listed_parameters(part.glu)
+        if part.skip is not None:
+            params += listed_parameters(part.skip)
+        return params + [part.norm_gain, part.norm_bias]
+    if isinstance(part, VariableSelection):
+        return listed_parameters(part.selector) + listed_parameters(part.streams)
+    if isinstance(part, MultiHeadSelfAttention):
+        return [part.w_q, part.w_k, part.w_v, part.w_out]
+    if isinstance(part, _EncoderLayer):
+        params = listed_parameters(part.attn) + [part.norm_gain, part.norm_bias]
+        return params + listed_parameters(part.ff)
+    if isinstance(part, InsertionModel):
+        params = [part.tok_emb]
+        if part.config.use_vsn:
+            params += [part.arr_emb, part.dep_emb, part.mode_emb]
+            params += listed_parameters(part.dist_lin) + [part.dist_missing]
+            params += [part.weekday_emb, part.holiday_emb] + part.static_embs
+            params += listed_parameters(part.static_grn) + listed_parameters(part.vsn)
+        for layer in part.encoder_layers:
+            params += listed_parameters(layer)
+        return params + listed_parameters(part.slot_proj) + listed_parameters(part.out_proj)
+    raise TypeError(f"no reference parameter list for {type(part).__name__}")

@@ -307,6 +307,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.strip() == f"train: {state}: training-state {key} must be an integer >= 0, not {value!r}"
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda train: [1], "config must be a JSON object"),
+        (lambda train: {**train, "seed": 2.0}, "config key 'seed' must be int, not 2.0"),
+    ], ids=["not_an_object", "float_seed"])
+    def test_wrong_typed_state_train_config_exits_2(self, small_run, tmp_path, capsys, edit, problem):
+        ckpt = tmp_path / "c.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        manifest["train"] = edit(manifest["train"])
+        _write_container(state, manifest, blob)
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"train: {state}: invalid saved training config: {problem}"
+
     def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert run("train", "--data", small_run["data"], "--out", ckpt, "--d-m", 0) == 2

@@ -12,8 +12,10 @@ import pytest
 from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
 from actrecover.layers import (
+    Block,
     GatedLinearUnit,
     GatedResidualBlock,
+    Linear,
     MultiHeadSelfAttention,
     VariableSelection,
     apply_dropout,
@@ -21,7 +23,7 @@ from actrecover.layers import (
 )
 from actrecover.tensor import Parameter, Tensor
 
-from helpers import PerStreamVSN
+from helpers import PerStreamVSN, listed_parameters
 
 
 def _sigmoid(x):
@@ -317,3 +319,60 @@ class TestDropoutAndPositions:
         assert enc.shape == (10, 8)
         assert np.abs(enc).max() <= 1.0
         assert not np.allclose(enc[0], enc[1])
+
+
+LAYERS = {
+    "linear": lambda rng: Linear("lin", 3, 4, rng),
+    "linear_without_bias": lambda rng: Linear("lin", 3, 4, rng, bias=False),
+    "glu": lambda rng: GatedLinearUnit("glu", 3, rng),
+    "grn_square": lambda rng: GatedResidualBlock("grn", 3, 5, 3, rng),
+    "grn_square_with_context": lambda rng: GatedResidualBlock("grn", 3, 5, 3, rng, d_context=2),
+    "grn_skip": lambda rng: GatedResidualBlock("grn", 3, 5, 4, rng),
+    "grn_skip_with_context": lambda rng: GatedResidualBlock("grn", 3, 5, 4, rng, d_context=2),
+    "grn_grouped": lambda rng: GatedResidualBlock.grouped("grn", 3, 4, rng),
+    "vsn": lambda rng: VariableSelection("vsn", 3, 4, rng),
+    "vsn_with_context": lambda rng: VariableSelection("vsn", 3, 4, rng, d_context=2),
+    "attention": lambda rng: MultiHeadSelfAttention("attn", 4, 2, 3, 2, rng),
+}
+
+
+class _Duck:
+    """Holds parameters without being a ``Block``, as the per-stream reference does."""
+
+    def __init__(self, *params):
+        self.params = list(params)
+
+    def parameters(self):
+        return list(self.params)
+
+
+class TestBlockParameters:
+    @pytest.mark.parametrize("kind", sorted(LAYERS))
+    def test_each_layer_lists_the_hand_kept_order(self, kind):
+        layer = LAYERS[kind](np.random.default_rng(0))
+        got, want = layer.parameters(), listed_parameters(layer)
+        assert [p.name for p in got] == [p.name for p in want]
+        assert all(g is w for g, w in zip(got, want))
+
+    def test_attributes_are_searched_in_first_assignment_order(self):
+        rng = np.random.default_rng(1)
+
+        def param(name):
+            return Parameter(name, np.zeros(2))
+
+        class Toy(Block):
+            def __init__(self):
+                self.width = 2  # not a parameter
+                self.head = param("head")
+                self.absent = None
+                self.items = [param("item0"), Linear("item1", 2, 2, rng, bias=False)]
+                self.inner = GatedLinearUnit("inner", 2, rng)
+                self.duck = _Duck(param("duck0"), param("duck1"))
+                self.head = param("head.again")  # keeps its first slot
+
+        names = [p.name for p in Toy().parameters()]
+        assert names == [
+            "head.again", "item0", "item1.w",
+            "inner.gate.w", "inner.gate.b", "inner.value.w", "inner.value.b",
+            "duck0", "duck1",
+        ]

@@ -31,7 +31,7 @@ from actrecover.model import (
 )
 from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES, PAD_ID
 
-from helpers import PerStreamVSN, random_sequence, tiny_config
+from helpers import PerStreamVSN, listed_parameters, random_sequence, tiny_config
 
 
 class TestInsertionTargets:
@@ -477,6 +477,18 @@ class TestGroupedVSN:
             else:
                 np.testing.assert_allclose(p.grad, ref_params[p.name].grad, rtol=0, atol=1e-12)
             assert np.abs(p.grad).max() > 0, p.name
+
+
+class TestParameterOrder:
+    """The order ``parameters()`` finds is the checkpoint layout."""
+
+    @pytest.mark.parametrize("use_vsn", [True, False])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_parameters_follow_the_hand_kept_order(self, use_vsn, n_layers):
+        model = InsertionModel(tiny_config(use_vsn=use_vsn, n_layers=n_layers), seed=13)
+        got, want = model.parameters(), listed_parameters(model)
+        assert [p.name for p in got] == [p.name for p in want]
+        assert all(g is w for g, w in zip(got, want))
 
 
 class TestCheckpoints:

@@ -323,6 +323,25 @@ class TestGradCheckContract:
         finally:
             T.set_finite_checks(True)
 
+    def test_loss_non_finite_only_when_perturbed_raises(self):
+        x = Parameter("x", np.array([0.0]))
+
+        def forward():
+            scale = 1.0 if x.data[0] == 0.0 else np.inf
+            return T.tsum(T.mul(x, scale))
+
+        T.set_finite_checks(False)
+        try:
+            with pytest.raises(NumericError, match="loss is not finite"):
+                grad_check(forward, [x])
+        finally:
+            T.set_finite_checks(True)
+
+    def test_non_scalar_loss_raises(self):
+        x = Parameter("x", np.ones(2))
+        with pytest.raises(ShapeError, match=r"loss must be scalar, got shape \(2,\)"):
+            grad_check(lambda: T.mul(x, 2.0), [x])
+
     def test_backward_requires_scalar(self):
         x = Parameter("x", np.ones((2, 2)))
         with pytest.raises(ShapeError):
