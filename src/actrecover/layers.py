@@ -4,6 +4,11 @@ Gated linear units, gated residual blocks, softmax-weighted variable
 selection, and scaled dot-product multi-head self-attention, all built on
 the tape in :mod:`actrecover.tensor`. Each is a :class:`Block`, which
 finds the parameters its attributes hold.
+
+Position-wise blocks also run on packed rows: the valid positions of a
+batch of sequences laid back to back, described by a :class:`Packing`.
+Attention alone needs the padded (B, T) grid, which ``Packing.pad`` and
+``Packing.pack`` move rows into and out of.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .tensor import Parameter, ShapeError
 
 __all__ = [
     "Block",
+    "Packing",
     "Linear",
     "GatedLinearUnit",
     "GatedResidualBlock",
@@ -30,13 +36,56 @@ def _init_weight(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
 
 
-def apply_dropout(x, rate: float, train: bool, rng: np.random.Generator | None):
-    """Inverted dropout with a constant mask; identity outside training."""
+class Packing:
+    """Sequences of ``sizes`` rows laid back to back, and their padded (B, T) grid.
+
+    A packed tensor has one row per valid position, sequence after
+    sequence, on its second-to-last axis. Row ``r`` is cell
+    ``cells[r] = b * T + t`` of the grid, where ``b = seq[r]`` and
+    ``t = pos[r]``; ``valid`` is the grid's (B, T) mask of real cells.
+    """
+
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        b, t = len(sizes), int(sizes.max())
+        self.grid = (b, t)
+        starts = np.cumsum(sizes) - sizes  # each sequence's first row
+        self.seq = np.repeat(np.arange(b), sizes)
+        self.pos = np.arange(len(self.seq)) - starts[self.seq]
+        self.cells = self.seq * t + self.pos
+        cols = np.arange(t)
+        self.valid = cols < sizes[:, None]
+        # a padding cell repeats its sequence's last row: attention masks it as a
+        # key and ``pack`` never reads it back, so its content is never used
+        self._sources = (starts[:, None] + np.minimum(cols, sizes[:, None] - 1)).reshape(-1)
+
+    def pad(self, x):
+        """Packed (N, d) rows laid out on the (B, T, d) grid."""
+        return T.reshape(T.embed(x, self._sources), self.grid + (x.shape[-1],))
+
+    def pack(self, x):
+        """The valid rows of a (B, T, d) grid, packed to (N, d)."""
+        b, t = self.grid
+        return T.embed(T.reshape(x, (b * t, x.shape[-1])), self.cells)
+
+
+def apply_dropout(x, rate: float, train: bool, rng: np.random.Generator | None, packing=None):
+    """Inverted dropout with a constant mask; identity outside training.
+
+    With a ``packing``, ``x`` holds packed rows. The mask is drawn at the
+    padded shape, in the padded order, and its valid rows are kept, so
+    every row gets the mask values the padded tensor would have drawn.
+    """
     if not train or rate <= 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    if packing is None:
+        draw = rng.random(x.shape)
+    else:
+        b, t = packing.grid
+        draw = rng.random(x.shape[:-2] + (b * t, x.shape[-1]))[..., packing.cells, :]
+    keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
     return T.mul(x, keep)
 
 
@@ -135,14 +184,22 @@ class GatedResidualBlock(Block):
             same[0].zero_grad()
         return members[0]
 
-    def __call__(self, a, context=None, train: bool = False, rng=None):
+    def __call__(self, a, context=None, train: bool = False, rng=None, packing=None):
+        """Apply the block to ``a``; with a ``packing``, ``a`` is packed rows.
+
+        A packed call takes one context row per sequence and projects it
+        before handing it to that sequence's rows.
+        """
         h = self.dense_in(a)
         if context is not None:
             if self.context is None:
                 raise ShapeError("block was built without a context projection")
-            h = T.add(h, self.context(context))
+            projected = self.context(context)
+            if packing is not None:
+                projected = T.embed(projected, packing.seq)
+            h = T.add(h, projected)
         h = self.dense_out(T.elu(h))
-        h = apply_dropout(h, self.dropout, train, rng)
+        h = apply_dropout(h, self.dropout, train, rng, packing)
         gated = self.glu(h)
         residual = a if self.skip is None else self.skip(a)
         return T.layer_norm(T.add(residual, gated), self.norm_gain, self.norm_bias)
@@ -177,20 +234,25 @@ class VariableSelection(Block):
         )
         self.streams = GatedResidualBlock.grouped(name + ".streams", n_streams, d_m, rng, dropout)
 
-    def __call__(self, streams, context=None, train: bool = False, rng=None):
-        """Fuse ``streams`` of shape (B, T, m, d); returns (fused, weights)."""
-        b, t, m, d = streams.shape
+    def __call__(self, streams, context=None, train: bool = False, rng=None, packing=None):
+        """Fuse ``streams`` of shape (..., m, d); returns (fused, weights).
+
+        The leading axes are (B, T) with a (B, 1, d) context, or packed
+        rows (N,) with a ``packing`` and a (B, d) context.
+        """
+        *lead, m, d = streams.shape
         if m != self.n_streams or d != self.d_m:
             raise ShapeError(
                 f"stream block of shape {streams.shape} does not match "
                 f"({self.n_streams}, {self.d_m})"
             )
-        flat = T.reshape(streams, (b, t, m * d))
-        weights = T.softmax(self.selector(flat, context, train, rng), axis=-1)
-        by_stream = T.swap_axes(T.reshape(streams, (b * t, m, d)), 0, 1)  # (m, B*T, d)
-        processed = self.streams(by_stream, None, train, rng)
-        w_by_stream = T.reshape(T.swap_axes(T.reshape(weights, (b * t, m)), 0, 1), (m, b * t, 1))
-        fused = T.reshape(T.tsum(T.mul(processed, w_by_stream), axis=0), (b, t, d))
+        rows = int(np.prod(lead))
+        flat = T.reshape(streams, (*lead, m * d))
+        weights = T.softmax(self.selector(flat, context, train, rng, packing), axis=-1)
+        by_stream = T.swap_axes(T.reshape(streams, (rows, m, d)), 0, 1)  # (m, rows, d)
+        processed = self.streams(by_stream, None, train, rng, packing)
+        w_by_stream = T.reshape(T.swap_axes(T.reshape(weights, (rows, m)), 0, 1), (m, rows, 1))
+        fused = T.reshape(T.tsum(T.mul(processed, w_by_stream), axis=0), (*lead, d))
         return fused, weights
 
 

@@ -13,6 +13,11 @@ so the observed tokens always survive in order.
 
 With ``use_vsn`` off the model degrades to the token-only flavor: positions
 are encoded from token embeddings alone and covariates are never read.
+
+A batch runs packed: the valid positions of all its states back to back,
+with no padding. Only attention runs on the padded (B, T) grid, and
+dropout draws its masks at the padded shape, so a packed batch computes
+what a padded one would.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .activities import (
     N_STATIC_LEVELS,
     N_TIME_BINS,
     NO_INSERT_ID,
-    PAD_ID,
     TOKEN_VOCAB_SIZE,
 )
 from .data import AlignmentError, DaySequence, Activity, slot_fills
@@ -48,6 +52,7 @@ from .layers import (
     GatedResidualBlock,
     Linear,
     MultiHeadSelfAttention,
+    Packing,
     VariableSelection,
     apply_dropout,
     sinusoidal_positions,
@@ -229,10 +234,12 @@ class _EncoderLayer(Block):
             name + ".ff", cfg.d_m, cfg.d_m, cfg.d_m, rng, None, cfg.dropout
         )
 
-    def __call__(self, x, key_valid, train, rng, dropout):
-        attended = apply_dropout(self.attn(x, key_valid), dropout, train, rng)
+    def __call__(self, x, packing: Packing, train, rng, dropout):
+        """Packed rows in, packed rows out; attention alone sees the padded grid."""
+        attended = packing.pack(self.attn(packing.pad(x), packing.valid))
+        attended = apply_dropout(attended, dropout, train, rng, packing)
         x = T.layer_norm(T.add(x, attended), self.norm_gain, self.norm_bias)
-        return self.ff(x, None, train, rng)
+        return self.ff(x, None, train, rng, packing)
 
 
 class InsertionModel(Block):
@@ -270,9 +277,6 @@ class InsertionModel(Block):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate parameter names: {dupes}")
 
-    def param_map(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.parameters()}
-
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -280,67 +284,63 @@ class InsertionModel(Block):
     # -- forward -------------------------------------------------------------
 
     def _batch_arrays(self, states: Sequence[DecoderState]) -> dict:
-        """Pad and collate encoded states into (B, T) arrays, sentinels included."""
+        """Collate encoded states into packed rows: each state's BOS, activities and EOS."""
         lengths = np.array([len(st.tokens) for st in states])
         longest = int(lengths.max())
         if longest > self.config.max_len:
             raise CapacityError(f"state of {longest} tokens exceeds max_len={self.config.max_len}")
-        b = len(states)
-        t_pad = longest + 2
-        cols = np.arange(t_pad)
-        inner = (cols >= 1) & (cols <= lengths[:, None])  # the activity positions
-        valid = cols <= lengths[:, None] + 1
+        packing = Packing(lengths + 2)
+        last = packing.pos == lengths[packing.seq] + 1
+        inner = (packing.pos > 0) & ~last  # the activity rows
 
         def collate(field: str, fill, dtype) -> np.ndarray:
-            out = np.full((b, t_pad), fill, dtype=dtype)
+            out = np.full(len(packing.seq), fill, dtype=dtype)
             out[inner] = np.concatenate([getattr(st, field) for st in states])
             return out
 
-        tok = collate("tokens", PAD_ID, np.int64)
-        tok[:, 0] = BOS_ID
-        tok[np.arange(b), lengths + 1] = EOS_ID
+        tok = collate("tokens", BOS_ID, np.int64)
+        tok[last] = EOS_ID
         arr = collate("arr", MISSING_CODE, np.int64)
-        dist_missing = np.ones((b, t_pad))
-        dist_missing[inner] = arr[inner] == MISSING_CODE
         weekday = np.array([st.weekday - 1 for st in states], dtype=np.int64)
         holiday = np.array([st.holiday for st in states], dtype=np.int64)
         return {
-            "tok": tok, "valid": valid, "arr": arr,
+            "packing": packing, "tok": tok, "arr": arr,
             "dep": collate("dep", MISSING_CODE, np.int64),
             "mode": collate("mode", MISSING_CODE, np.int64),
-            "dist": collate("dist", 0.0, np.float64), "dist_missing": dist_missing,
-            "weekday": np.repeat(weekday[:, None], t_pad, axis=1),
-            "holiday": np.repeat(holiday[:, None], t_pad, axis=1),
+            "dist": collate("dist", 0.0, np.float64),
+            "dist_missing": (arr == MISSING_CODE).astype(np.float64),
+            "weekday": weekday[packing.seq], "holiday": holiday[packing.seq],
             "static": np.array([st.static for st in states], dtype=np.int64) - 1,
-            "slot_valid": valid[:, :-1] & valid[:, 1:],
-            "n_slots": lengths + 1, "t_pad": t_pad,
+            "slot_rows": np.flatnonzero(~last)[:, None] + [0, 1],  # slot s sits between rows s and s + 1
+            "n_slots": lengths + 1,
         }
 
     def _static_context(self, static_idx: np.ndarray, train: bool, rng):
+        """One (d,) context row per person, from the four static codes."""
         total = None
         for j, emb in enumerate(self.static_embs):
             e = T.embed(emb, static_idx[:, j])
             total = e if total is None else T.add(total, e)
-        context = self.static_grn(total, None, train, rng)
-        return T.reshape(context, (static_idx.shape[0], 1, self.config.d_m))
+        return self.static_grn(total, None, train, rng)
 
     def forward(self, states: Sequence[DecoderState], train: bool = False, rng=None):
         """Slot logits for a batch; returns (logits, info).
 
-        ``logits`` has shape (B, max_slots, classes); ``info`` carries the
-        numpy slot mask and, for the covariate flavor, selection weights.
+        ``logits`` holds every state's slots back to back, shape
+        (sum of n_slots, classes). ``info`` carries ``n_slots`` per state
+        and, for the covariate flavor, the selection weights of every
+        position, likewise packed, shape (sum of n_slots + B, streams).
         """
         cfg = self.config
         arrs = self._batch_arrays(states)
-        pos = sinusoidal_positions(arrs["t_pad"], cfg.d_m)
+        packing = arrs["packing"]
+        pos = sinusoidal_positions(packing.grid[1], cfg.d_m)[packing.pos]
         token_stream = T.add(T.embed(self.tok_emb, arrs["tok"]), pos)
         selection = None
         if cfg.use_vsn:
-            dist_vals = arrs["dist"][:, :, None]
-            flag = arrs["dist_missing"][:, :, None]
             dist_stream = T.add(
-                self.dist_lin(T.Tensor(dist_vals)),
-                T.mul(T.Tensor(flag), self.dist_missing),
+                self.dist_lin(T.Tensor(arrs["dist"][:, None])),
+                T.mul(T.Tensor(arrs["dist_missing"][:, None]), self.dist_missing),
             )
             streams = T.stack(
                 [
@@ -352,33 +352,33 @@ class InsertionModel(Block):
                     T.embed(self.weekday_emb, arrs["weekday"]),
                     T.embed(self.holiday_emb, arrs["holiday"]),
                 ],
-                axis=2,
+                axis=1,
             )
             context = self._static_context(arrs["static"], train, rng)
-            x, weights = self.vsn(streams, context, train, rng)
+            x, weights = self.vsn(streams, context, train, rng, packing)
             selection = weights.data
         else:
             x = token_stream
         for layer in self.encoder_layers:
-            x = layer(x, arrs["valid"], train, rng, cfg.dropout)
-        rep = self.slot_proj(T.concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
+            x = layer(x, packing, train, rng, cfg.dropout)
+        rows = arrs["slot_rows"]
+        rep = self.slot_proj(T.reshape(T.embed(x, rows), (len(rows), 2 * cfg.d_m)))
         logits = self.out_proj(rep)
-        info = {"slot_mask": arrs["slot_valid"], "n_slots": arrs["n_slots"], "selection": selection}
-        return logits, info
+        return logits, {"n_slots": arrs["n_slots"], "selection": selection}
 
     def decoder_forward(self, state: DecoderState) -> SlotDistribution:
         """Distributions over what to insert into each of the n+1 slots."""
         with T.no_grad():
             logits, _ = self.forward([state])
             probs = T.softmax(logits, axis=-1).data
-        return SlotDistribution(probs=probs[0, : state.n_slots])
+        return SlotDistribution(probs=probs)
 
     def selection_weights(self, state: DecoderState) -> SelectionWeights:
         if not self.config.use_vsn:
             raise VocabularyError("token-only flavor has no selection weights")
         with T.no_grad():
             _, info = self.forward([state])
-        return SelectionWeights(weights=info["selection"][0, : len(state.tokens) + 2])
+        return SelectionWeights(weights=info["selection"])
 
     def static_context(self, static_codes: Sequence[int]) -> np.ndarray:
         """The context vector a person's four static codes produce."""
@@ -386,34 +386,37 @@ class InsertionModel(Block):
             raise VocabularyError(f"static codes must be four values in 1..{N_STATIC_LEVELS}")
         idx = np.asarray([[c - 1 for c in static_codes]])
         with T.no_grad():
-            return self._static_context(idx, train=False, rng=None).data[0, 0]
+            return self._static_context(idx, train=False, rng=None).data[0]
 
     # -- loss ----------------------------------------------------------------
 
-    def _target_arrays(self, info: dict, targets_list: Sequence[Sequence[Counter]]):
-        b, s = info["slot_mask"].shape
-        target = np.zeros((b, s, N_CONTENT_CLASSES))
-        weight = np.zeros((b, s, 1))
+    def _target_arrays(self, n_slots: np.ndarray, targets_list: Sequence[Sequence[Counter]]):
+        """Packed slot targets and loss weights, one row per slot of every state."""
+        b = len(n_slots)
+        if len(targets_list) != b:
+            raise AlignmentError(f"{len(targets_list)} target lists for {b} states")
+        target = np.zeros((int(n_slots.sum()), N_CONTENT_CLASSES))
+        row = 0
         for i, targets in enumerate(targets_list):
-            n_slots = info["n_slots"][i]
-            if len(targets) != n_slots:
-                raise AlignmentError(f"sample {i}: {len(targets)} targets for {n_slots} slots")
-            for slot, counter in enumerate(targets):
+            if len(targets) != n_slots[i]:
+                raise AlignmentError(f"sample {i}: {len(targets)} targets for {n_slots[i]} slots")
+            for counter in targets:
                 total = sum(counter.values())
                 if total == 0:
-                    target[i, slot, NO_INSERT_ID] = 1.0
+                    target[row, NO_INSERT_ID] = 1.0
                 else:
                     for label, count in counter.items():
                         if label not in LABEL_TO_ID:
                             raise VocabularyError(f"unknown target label {label!r}")
-                        target[i, slot, LABEL_TO_ID[label]] = count / total
-            weight[i, :n_slots, 0] = 1.0 / (n_slots * b)
+                        target[row, LABEL_TO_ID[label]] = count / total
+                row += 1
+        weight = np.repeat(1.0 / (n_slots * b), n_slots)[:, None]
         return target, weight
 
     def batch_loss(self, states, targets_list, train: bool = False, rng=None):
         """Mean-over-slots cross-entropy, averaged over the batch."""
         logits, info = self.forward(states, train=train, rng=rng)
-        target, weight = self._target_arrays(info, targets_list)
+        target, weight = self._target_arrays(info["n_slots"], targets_list)
         logp = T.log_softmax(logits, axis=-1)
         return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
 
@@ -465,7 +468,7 @@ class InsertionModel(Block):
                     ]
                     with T.no_grad():
                         logits, _ = self.forward(states)
-                        probs = T.softmax(logits, axis=-1).data
+                        probs = T.softmax(logits, axis=-1).data.reshape(len(rows), length + 1, -1)
                     for i, choices in zip(rows, probs.argmax(axis=-1)):
                         picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
                         if not picks:

@@ -329,7 +329,7 @@ def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
     e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(d >= 0, 1.0, e) / (1.0 + e)  # bit-equal to 1/(1+e) and e/(1+e) per branch
 
     def backward(g):
         _accumulate(x, g * s * (1.0 - s))
@@ -398,9 +398,10 @@ def embed(table, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, width))
-        _accumulate(table, gt)
+        # one bincount over flat (row, column) cells adds in the order np.add.at would
+        cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        gt = np.bincount(cells, weights=g.reshape(-1), minlength=n_rows * width)
+        _accumulate(table, gt.reshape(n_rows, width))
 
     return _node(data, (table,), backward)
 

@@ -3,8 +3,10 @@
 Adam with bias correction behind global-norm gradient clipping; per-epoch
 shuffles and per-step dropout masks are derived from the training seed, so a
 run is fully reproducible and resuming from saved state continues the exact
-same trajectory. Batches pad to the longest in-batch sequence; padded slots
-never enter the loss.
+same trajectory. A batch runs packed: the valid positions of its states back
+to back, with padding only inside each attention (see
+:mod:`actrecover.model`), so padding costs work only there and never enters
+the loss.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Shared builders for random sequences, samples, and tiny model configs,
 plus frozen references the optimized paths are checked against: the serial
-decode loop, the per-stream variable selection network and the hand-kept
-parameter lists."""
+decode loop, the per-stream variable selection network, the hand-kept
+parameter lists, the two-branch sigmoid and the padded forward and loss."""
+
+from collections import Counter
 
 from dataclasses import replace
 
@@ -9,10 +11,16 @@ import numpy as np
 
 from actrecover.activities import (
     ACTIVITY_CATEGORIES,
+    BOS_ID,
+    EOS_ID,
     ID_TO_LABEL,
+    LABEL_TO_ID,
+    MISSING_CODE,
     MODE_UNKNOWN,
+    N_CONTENT_CLASSES,
     N_TIME_BINS,
     NO_INSERT_ID,
+    PAD_ID,
 )
 from actrecover import tensor as T
 from actrecover.data import Activity, DaySequence, mask_sequence
@@ -22,6 +30,8 @@ from actrecover.layers import (
     Linear,
     MultiHeadSelfAttention,
     VariableSelection,
+    apply_dropout,
+    sinusoidal_positions,
 )
 from actrecover.model import DecoderState, InsertionModel, ModelConfig, RecoveryOutcome, _EncoderLayer
 
@@ -174,3 +184,120 @@ def listed_parameters(part) -> list:
             params += listed_parameters(layer)
         return params + listed_parameters(part.slot_proj) + listed_parameters(part.out_proj)
     raise TypeError(f"no reference parameter list for {type(part).__name__}")
+
+
+def two_branch_sigmoid(d: np.ndarray) -> np.ndarray:
+    """Reference sigmoid: a frozen copy of the form that divided once per branch."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _padded_arrays(states) -> dict:
+    """The padded collation: (B, T) arrays, every state padded to the longest."""
+    lengths = np.array([len(st.tokens) for st in states])
+    b = len(states)
+    t_pad = int(lengths.max()) + 2
+    cols = np.arange(t_pad)
+    inner = (cols >= 1) & (cols <= lengths[:, None])
+    valid = cols <= lengths[:, None] + 1
+
+    def collate(field, fill, dtype):
+        out = np.full((b, t_pad), fill, dtype=dtype)
+        out[inner] = np.concatenate([getattr(st, field) for st in states])
+        return out
+
+    tok = collate("tokens", PAD_ID, np.int64)
+    tok[:, 0] = BOS_ID
+    tok[np.arange(b), lengths + 1] = EOS_ID
+    arr = collate("arr", MISSING_CODE, np.int64)
+    dist_missing = np.ones((b, t_pad))
+    dist_missing[inner] = arr[inner] == MISSING_CODE
+    weekday = np.array([st.weekday - 1 for st in states], dtype=np.int64)
+    holiday = np.array([st.holiday for st in states], dtype=np.int64)
+    return {
+        "tok": tok, "valid": valid, "arr": arr,
+        "dep": collate("dep", MISSING_CODE, np.int64),
+        "mode": collate("mode", MISSING_CODE, np.int64),
+        "dist": collate("dist", 0.0, np.float64), "dist_missing": dist_missing,
+        "weekday": np.repeat(weekday[:, None], t_pad, axis=1),
+        "holiday": np.repeat(holiday[:, None], t_pad, axis=1),
+        "static": np.array([st.static for st in states], dtype=np.int64) - 1,
+        "n_slots": lengths + 1, "t_pad": t_pad,
+    }
+
+
+def padded_forward(model, states, train=False, rng=None):
+    """Reference forward: every stage on the padded (B, T) grid.
+
+    A frozen copy of the forward that the packed one replaced. Returns
+    (logits, selection): logits (B, T - 1, classes), where slots past a
+    state's ``n_slots`` are padding, and the (B, T, streams) selection
+    weights or None. The packed forward must reproduce both on every
+    valid row and draw the same dropout numbers in the same order.
+    """
+    cfg = model.config
+    arrs = _padded_arrays(states)
+    pos = sinusoidal_positions(arrs["t_pad"], cfg.d_m)
+    token_stream = T.add(T.embed(model.tok_emb, arrs["tok"]), pos)
+    selection = None
+    if cfg.use_vsn:
+        dist_stream = T.add(
+            model.dist_lin(T.Tensor(arrs["dist"][:, :, None])),
+            T.mul(T.Tensor(arrs["dist_missing"][:, :, None]), model.dist_missing),
+        )
+        streams = T.stack(
+            [
+                token_stream,
+                T.embed(model.arr_emb, arrs["arr"]),
+                T.embed(model.dep_emb, arrs["dep"]),
+                T.embed(model.mode_emb, arrs["mode"]),
+                dist_stream,
+                T.embed(model.weekday_emb, arrs["weekday"]),
+                T.embed(model.holiday_emb, arrs["holiday"]),
+            ],
+            axis=2,
+        )
+        total = None
+        for j, emb in enumerate(model.static_embs):
+            e = T.embed(emb, arrs["static"][:, j])
+            total = e if total is None else T.add(total, e)
+        context = T.reshape(model.static_grn(total, None, train, rng), (len(states), 1, cfg.d_m))
+        x, weights = model.vsn(streams, context, train, rng)
+        selection = weights.data
+    else:
+        x = token_stream
+    for layer in model.encoder_layers:
+        attended = apply_dropout(layer.attn(x, arrs["valid"]), cfg.dropout, train, rng)
+        x = T.layer_norm(T.add(x, attended), layer.norm_gain, layer.norm_bias)
+        x = layer.ff(x, None, train, rng)
+    rep = model.slot_proj(T.concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
+    return model.out_proj(rep), selection
+
+
+def padded_batch_loss(model, states, targets_list, train=False, rng=None):
+    """Reference loss: a frozen copy of the padded batch loss, padded slots weighted 0."""
+    logits, _ = padded_forward(model, states, train, rng)
+    b, s, _ = logits.shape
+    target = np.zeros((b, s, N_CONTENT_CLASSES))
+    weight = np.zeros((b, s, 1))
+    for i, targets in enumerate(targets_list):
+        n_slots = len(states[i].tokens) + 1
+        for slot, counter in enumerate(targets):
+            total = sum(counter.values())
+            if total == 0:
+                target[i, slot, NO_INSERT_ID] = 1.0
+            else:
+                for label, count in counter.items():
+                    target[i, slot, LABEL_TO_ID[label]] = count / total
+        weight[i, :n_slots, 0] = 1.0 / (n_slots * b)
+    logp = T.log_softmax(logits, axis=-1)
+    return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
+
+
+def random_targets(rng: np.random.Generator, state) -> list[Counter]:
+    """Per-slot targets for ``state``: stop, or one or two random labels."""
+    out = []
+    for _ in range(state.n_slots):
+        k = int(rng.integers(0, 3))
+        out.append(Counter(ACTIVITY_CATEGORIES[i] for i in rng.integers(0, len(ACTIVITY_CATEGORIES), size=k)))
+    return out

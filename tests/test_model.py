@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover import tensor as T
-from actrecover.data import Activity, DaySequence, align_subsequence
+from actrecover.data import Activity, AlignmentError, DaySequence, align_subsequence
 from actrecover.gradcheck import grad_check
 from actrecover.layers import sinusoidal_positions
 from actrecover.model import (
@@ -29,9 +29,17 @@ from actrecover.model import (
     parameter_checksum,
     save_checkpoint,
 )
-from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES, PAD_ID
+from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES
 
-from helpers import PerStreamVSN, listed_parameters, random_sequence, tiny_config
+from helpers import (
+    PerStreamVSN,
+    listed_parameters,
+    padded_batch_loss,
+    padded_forward,
+    random_sequence,
+    random_targets,
+    tiny_config,
+)
 
 
 class TestInsertionTargets:
@@ -85,9 +93,9 @@ class TestDecoderForward:
         short = DecoderState.from_sequence(random_sequence(rng, n=2))
         long = DecoderState.from_sequence(random_sequence(rng, n=6))
         alone, _ = model.forward([short])
-        padded, info = model.forward([short, long])
-        n_slots = short.n_slots
-        np.testing.assert_allclose(alone.data[0, :n_slots], padded.data[0, :n_slots], atol=1e-9)
+        batched, info = model.forward([short, long])
+        assert batched.shape == (short.n_slots + long.n_slots, N_CONTENT_CLASSES)
+        np.testing.assert_allclose(alone.data, batched.data[: short.n_slots], atol=1e-9)
 
 
 def _vsn_streams(model, state) -> np.ndarray:
@@ -95,9 +103,9 @@ def _vsn_streams(model, state) -> np.ndarray:
     seen = {}
     vsn = model.vsn
 
-    def record(streams, context, train, rng):
-        seen["streams"] = streams.data[0]
-        return vsn(streams, context, train, rng)
+    def record(streams, *rest):
+        seen["streams"] = streams.data  # one state: its packed rows are its positions
+        return vsn(streams, *rest)
 
     model.vsn = record
     model.forward([state])
@@ -120,19 +128,23 @@ class TestCollate:
             ],
         )
         a = model._batch_arrays([DecoderState.from_sequence(short), DecoderState.from_sequence(long)])
-        B, E, P, M = BOS_ID, EOS_ID, PAD_ID, MISSING_CODE  # HomeActivity 7, WorkForPay 8, EatOut 6
-        assert a["t_pad"] == 5
-        np.testing.assert_array_equal(a["tok"], [[B, 7, E, P, P], [B, 7, 8, 6, E]])
-        np.testing.assert_array_equal(a["valid"], [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
-        np.testing.assert_array_equal(a["arr"], [[M, 1, M, M, M], [M, 1, M, 40, M]])
-        np.testing.assert_array_equal(a["dep"], [[M, 30, M, M, M], [M, 20, M, 44, M]])
-        np.testing.assert_array_equal(a["mode"], [[M, 6, M, M, M], [M, 6, M, 2, M]])
-        np.testing.assert_array_equal(a["dist"], [[0, 0, 0, 0, 0], [0, 0, 0, 3.5, 0]])
-        np.testing.assert_array_equal(a["dist_missing"], [[1, 0, 1, 1, 1], [1, 0, 1, 0, 1]])
-        np.testing.assert_array_equal(a["weekday"], [[1] * 5, [6] * 5])
-        np.testing.assert_array_equal(a["holiday"], [[0] * 5, [1] * 5])
+        B, E, M = BOS_ID, EOS_ID, MISSING_CODE  # HomeActivity 7, WorkForPay 8, EatOut 6
+        packing = a["packing"]  # rows: short's 3 positions, then long's 5
+        assert packing.grid == (2, 5)
+        np.testing.assert_array_equal(packing.valid, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+        np.testing.assert_array_equal(packing.cells, [0, 1, 2, 5, 6, 7, 8, 9])
+        np.testing.assert_array_equal(packing.seq, [0, 0, 0, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(packing.pos, [0, 1, 2, 0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(a["tok"], [B, 7, E, B, 7, 8, 6, E])
+        np.testing.assert_array_equal(a["arr"], [M, 1, M, M, 1, M, 40, M])
+        np.testing.assert_array_equal(a["dep"], [M, 30, M, M, 20, M, 44, M])
+        np.testing.assert_array_equal(a["mode"], [M, 6, M, M, 6, M, 2, M])
+        np.testing.assert_array_equal(a["dist"], [0, 0, 0, 0, 0, 0, 3.5, 0])
+        np.testing.assert_array_equal(a["dist_missing"], [1, 0, 1, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(a["weekday"], [1] * 3 + [6] * 5)
+        np.testing.assert_array_equal(a["holiday"], [0] * 3 + [1] * 5)
         np.testing.assert_array_equal(a["static"], [[2, 0, 3, 1], [4, 4, 0, 0]])
-        np.testing.assert_array_equal(a["slot_valid"], [[1, 1, 0, 0], [1, 1, 1, 1]])
+        np.testing.assert_array_equal(a["slot_rows"], [[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [6, 7]])
         np.testing.assert_array_equal(a["n_slots"], [2, 4])
 
 
@@ -150,7 +162,7 @@ class TestCovariateEncoding:
         layer = model.encoder_layers[0]
 
         def record(x, *rest):
-            seen["x"] = x.data[0]
+            seen["x"] = x.data
             return layer(x, *rest)
 
         model.encoder_layers[0] = record
@@ -343,6 +355,15 @@ class TestInsertionLoss:
         singles = [float(model.insertion_loss(s, t).data) for s, t in zip(states, targets)]
         assert batched == pytest.approx(np.mean(singles), abs=1e-9)
 
+    def test_target_lists_must_match_states(self):
+        model = InsertionModel(tiny_config(), seed=16)
+        states = [DecoderState.from_sequence(random_sequence(np.random.default_rng(16), n=2))] * 2
+        targets = [[Counter()] * 3]
+        with pytest.raises(AlignmentError, match="1 target lists for 2 states"):
+            model.batch_loss(states, targets)
+        with pytest.raises(AlignmentError, match="sample 0: 2 targets for 3 slots"):
+            model.batch_loss(states[:1], [[Counter()] * 2])
+
     def test_gradients_on_full_loss(self):
         cfg = ModelConfig(
             d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1, dropout=0.0, max_len=16
@@ -440,7 +461,7 @@ class TestGroupedVSN:
     def test_fresh_model_stacks_the_per_stream_init(self, monkeypatch):
         cfg = tiny_config(dropout=0.2)
         model = InsertionModel(cfg, seed=41)
-        ref = self.reference_model(monkeypatch, cfg, 41).param_map()
+        ref = {p.name: p for p in self.reference_model(monkeypatch, cfg, 41).parameters()}
         for p in model.parameters():
             if p.name.startswith("vsn.streams."):
                 assert p.shape[0] == N_COVARIATE_STREAMS
@@ -460,13 +481,13 @@ class TestGroupedVSN:
         model = InsertionModel(cfg, seed=43)
         ref = self.reference_model(monkeypatch, cfg, 43)
         losses = [
-            m.batch_loss(states, targets, train=True, rng=np.random.default_rng(44))
-            for m in (model, ref)
+            model.batch_loss(states, targets, train=True, rng=np.random.default_rng(44)),
+            padded_batch_loss(ref, states, targets, train=True, rng=np.random.default_rng(44)),
         ]
         for loss in losses:
             loss.backward()
         assert abs(float(losses[0].data) - float(losses[1].data)) <= 1e-12
-        ref_params = ref.param_map()
+        ref_params = {p.name: p for p in ref.parameters()}
         for p in model.parameters():
             if p.name.startswith("vsn.streams."):
                 for j in range(N_COVARIATE_STREAMS):
@@ -477,6 +498,58 @@ class TestGroupedVSN:
             else:
                 np.testing.assert_allclose(p.grad, ref_params[p.name].grad, rtol=0, atol=1e-12)
             assert np.abs(p.grad).max() > 0, p.name
+
+
+class TestPackedForward:
+    """The packed forward and loss against the frozen padded reference."""
+
+    @staticmethod
+    def batch(seed: int, lengths) -> list:
+        rng = np.random.default_rng(seed)
+        return [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in lengths]
+
+    @staticmethod
+    def assert_loss_and_gradients_match(cfg, seed, states):
+        """Loss and every gradient within 1e-12, and the dropout rng left in the same state."""
+        targets = [random_targets(np.random.default_rng([seed, i]), st) for i, st in enumerate(states)]
+        packed, padded = InsertionModel(cfg, seed=seed), InsertionModel(cfg, seed=seed)
+        rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
+        loss = packed.batch_loss(states, targets, train=True, rng=rngs[0])
+        want = padded_batch_loss(padded, states, targets, train=True, rng=rngs[1])
+        loss.backward()
+        want.backward()
+        assert abs(float(loss.data) - float(want.data)) <= 1e-12 * abs(float(want.data))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        for p, q in zip(packed.parameters(), padded.parameters()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=0, atol=1e-12, err_msg=p.name)
+
+    @pytest.mark.parametrize("use_vsn", [True, False])
+    def test_mixed_lengths_match_the_padded_reference(self, use_vsn):
+        cfg = tiny_config(use_vsn=use_vsn, dropout=0.2, n_layers=2, max_len=10)
+        states = self.batch(50, [0, 10, 3, 1, 7, 0, 5, 10, 2])
+        self.assert_loss_and_gradients_match(cfg, 51, states)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        lengths=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+        use_vsn=st.booleans(),
+    )
+    def test_drawn_batches_match_the_padded_reference(self, seed, lengths, use_vsn):
+        cfg = tiny_config(use_vsn=use_vsn, dropout=0.2, n_layers=2, max_len=8)
+        self.assert_loss_and_gradients_match(cfg, seed, self.batch(seed, lengths))
+
+    @pytest.mark.parametrize("use_vsn", [True, False])
+    @pytest.mark.parametrize("b", [1, 7])
+    def test_equal_lengths_give_bit_identical_logits(self, use_vsn, b):
+        model = InsertionModel(tiny_config(use_vsn=use_vsn, n_layers=2, max_len=10), seed=52)
+        for n in (0, 1, 4, 10):
+            states = self.batch(53 + n, [n] * b)
+            logits, info = model.forward(states)
+            want, selection = padded_forward(model, states)
+            assert np.array_equal(logits.data.reshape(want.shape), want.data)
+            if use_vsn:
+                assert np.array_equal(info["selection"].reshape(selection.shape), selection)
 
 
 class TestParameterOrder:

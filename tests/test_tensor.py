@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
 from actrecover.tensor import NumericError, Parameter, ShapeError, Tensor
+
+from helpers import two_branch_sigmoid
 
 
 def setup_module():
@@ -62,6 +66,19 @@ class TestElu:
         x = Parameter("x", np.array([-2.0, -0.5, 0.7, 3.0]))
         report = grad_check(lambda: T.tsum(T.elu(x)), [x])
         assert report.max_rel_error < 1e-6
+
+
+class TestSigmoid:
+    def test_bit_equal_to_the_two_branch_form_at_the_edges(self):
+        d = np.random.default_rng(0).normal(scale=20.0, size=(896, 64))
+        d.flat[:8] = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 5e-324, -5e-324]
+        assert T.sigmoid(Tensor(d)).data.tobytes() == two_branch_sigmoid(d).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_bit_equal_to_the_two_branch_form(self, values):
+        d = np.array(values)
+        assert T.sigmoid(Tensor(d)).data.tobytes() == two_branch_sigmoid(d).tobytes()
 
 
 class TestSoftmax:
@@ -184,6 +201,24 @@ class TestEmbed:
         table = Parameter("t", np.zeros((3, 2)))
         with pytest.raises(IndexError):
             T.embed(table, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(1, 12),
+        width=st.integers(1, 6),
+        shape=st.sampled_from([(0,), (1,), (7,), (40,), (3, 5), (8, 2), (2, 0)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_backward_bit_equals_add_at(self, n_rows, width, shape, seed):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n_rows, size=shape)  # repeats whenever the index outnumbers the rows
+        g = rng.normal(size=shape + (width,))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        table = Tensor(rng.normal(size=(n_rows, width)), requires_grad=True)
+        T.tsum(T.mul(T.embed(table, idx), g)).backward()
+        want = np.zeros((n_rows, width))
+        np.add.at(want, idx.reshape(-1), g.reshape(-1, width))
+        assert table.grad.tobytes() == want.tobytes()
 
 
 class TestNoGrad:
