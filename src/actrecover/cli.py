@@ -28,6 +28,7 @@ from .data import (
 )
 from .generator import ConfigError, GeneratorConfig, config_values, generate_population, make_samples
 from .metrics import (
+    InputSide,
     activity_distribution,
     compare_transitions,
     evaluate,
@@ -184,10 +185,10 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _evaluate(samples, hypotheses, hyp_path):
+def _evaluate(side, hypotheses, hyp_path):
     """``evaluate``, naming ``hyp_path`` if its days do not pair with or contain the inputs."""
     try:
-        return evaluate(samples, hypotheses)
+        return evaluate(side, hypotheses)
     except AlignmentError as exc:
         raise AlignmentError(f"{hyp_path}: {exc}") from exc
 
@@ -195,7 +196,8 @@ def _evaluate(samples, hypotheses, hyp_path):
 def cmd_eval(args) -> int:
     samples = read_samples(args.data)
     hypotheses = read_sequences(args.hyp)
-    report = _evaluate(samples, hypotheses, args.hyp)
+    side = InputSide(samples)
+    report = _evaluate(side, hypotheses, args.hyp)
     _write_json(str(args.out) + ".metrics.json", report.to_json_dict())
     hyp_counts = activity_distribution(hypotheses)
     target_counts = activity_distribution([s.complete for s in samples])
@@ -204,13 +206,13 @@ def cmd_eval(args) -> int:
         ["label", "hypothesis", "target"],
         [[label, hyp_counts[label], target_counts[label]] for label in ACTIVITY_CATEGORIES],
     )
-    patterns = insertion_pattern_topk(samples, hypotheses, k=20)
+    patterns = insertion_pattern_topk(side, hypotheses, k=20)
     _write_csv(
         str(args.out) + ".patterns.csv",
         ["pattern", "count"],
         [["|".join(pattern), count] for pattern, count in patterns],
     )
-    table = transition_analysis(samples, hypotheses)
+    table = transition_analysis(side, hypotheses)
     _write_json(
         str(args.out) + ".transitions.json",
         {
@@ -237,11 +239,10 @@ def cmd_compare(args) -> int:
     samples = read_samples(args.data)
     hyp_a = read_sequences(args.hyp_a)
     hyp_b = read_sequences(args.hyp_b)
-    metrics_a = _evaluate(samples, hyp_a, args.hyp_a)
-    metrics_b = _evaluate(samples, hyp_b, args.hyp_b)
-    verdicts = compare_transitions(
-        transition_analysis(samples, hyp_a), transition_analysis(samples, hyp_b)
-    )
+    side = InputSide(samples)
+    metrics_a = _evaluate(side, hyp_a, args.hyp_a)
+    metrics_b = _evaluate(side, hyp_b, args.hyp_b)
+    verdicts = compare_transitions(transition_analysis(side, hyp_a), transition_analysis(side, hyp_b))
     payload = {
         "metrics_a": metrics_a.to_json_dict(),
         "metrics_b": metrics_b.to_json_dict(),

@@ -11,6 +11,7 @@ one record per person-day.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -76,8 +77,8 @@ class Activity:
                 raise ValueError(f"arrival bin {self.arr} after departure bin {self.dep}")
             if not 1 <= self.mode <= N_MODES:
                 raise ValueError(f"mode code out of 1..{N_MODES}: {self.mode}")
-        if self.dist < 0:
-            raise ValueError(f"negative trip distance {self.dist}")
+        if not (math.isfinite(self.dist) and self.dist >= 0):
+            raise ValueError(f"trip distance must be a finite number >= 0: {self.dist}")
 
 
 @dataclass

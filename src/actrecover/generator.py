@@ -11,11 +11,13 @@ master seed, so generation is order-independent and reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
-from .activities import ACTIVITY_CATEGORIES, MODE_UNKNOWN, N_ACTIVITIES, N_TIME_BINS
+from .activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, MODE_UNKNOWN, N_ACTIVITIES, N_TIME_BINS
 from .data import Activity, DaySequence, RecoverySample, mask_sequence
 
 __all__ = [
@@ -226,26 +228,36 @@ def regime_of(weekday: int, holiday: int) -> str:
     return "weekend" if weekday >= 6 else "weekday"
 
 
-_MODE_PROBS = (0.52, 0.16, 0.14, 0.06, 0.12)  # codes 1..5; arrival trips only
+def _cdf(probs) -> list[float]:
+    """The cumulative sum ``Generator.choice(n, p=probs)`` searches, normalized by its last entry.
+
+    Summed left to right in doubles, as ``np.cumsum`` does, so
+    ``bisect_right(cdf, rng.random())`` draws the index ``choice`` would,
+    from the same one uniform.
+    """
+    cdf = list(accumulate(map(float, probs)))
+    return [c / cdf[-1] for c in cdf]
 
 
-def _sample_day(cfg: GeneratorConfig, rng: np.random.Generator, idx: int) -> DaySequence:
+_MODE_CDF = _cdf((0.52, 0.16, 0.14, 0.06, 0.12))  # codes 1..5; arrival trips only
+
+
+def _sample_day(cfg: GeneratorConfig, cdfs: dict, rng: np.random.Generator, idx: int) -> DaySequence:
+    """One day; ``cdfs`` maps each regime to its initial CDF and its transition rows' CDFs."""
     weekday = int(rng.integers(1, 8))
     holiday = int(rng.random() < cfg.holiday_rate)
-    dyn = cfg.regimes[regime_of(weekday, holiday)]
-    initial = np.asarray(dyn.initial)
-    transition = np.asarray(dyn.transition)
+    initial, transition = cdfs[regime_of(weekday, holiday)]
     static = tuple(int(c) for c in rng.integers(1, 6, size=4))
 
     activities: list[Activity] = []
-    label_idx = int(rng.choice(N_ACTIVITIES, p=initial))
+    label_idx = bisect_right(initial, rng.random())
     t = 1
     while True:
         label = ACTIVITY_CATEGORIES[label_idx]
         dur = 1 + int(rng.poisson(cfg.duration_mean_bins[label] - 1.0))
         dep = min(t + dur - 1, N_TIME_BINS)
         if activities:
-            mode = int(rng.choice(5, p=_MODE_PROBS)) + 1
+            mode = bisect_right(_MODE_CDF, rng.random()) + 1
             dist = round(float(rng.gamma(2.0, 2.0)), 2)
         else:
             mode = MODE_UNKNOWN  # the day's first activity has no arrival trip
@@ -255,7 +267,7 @@ def _sample_day(cfg: GeneratorConfig, rng: np.random.Generator, idx: int) -> Day
         t = dep + gap
         if dep >= N_TIME_BINS or t > N_TIME_BINS or len(activities) >= N_TIME_BINS:
             break
-        label_idx = int(rng.choice(N_ACTIVITIES, p=transition[label_idx]))
+        label_idx = bisect_right(transition[label_idx], rng.random())
 
     return DaySequence(
         person_id=idx,
@@ -268,9 +280,14 @@ def _sample_day(cfg: GeneratorConfig, rng: np.random.Generator, idx: int) -> Day
 
 
 def generate_population(cfg: GeneratorConfig, seed: int | None = None) -> list[DaySequence]:
-    """Sample ``cfg.n_days`` person-days, one independent substream each (``cfg`` is checked when built)."""
+    """Sample ``cfg.n_days`` person-days, one independent substream each (``cfg`` is checked when built).
+
+    The sampling CDFs come from ``cfg`` as it is at the call, since a config can change after it is built.
+    """
     base = cfg.seed if seed is None else seed
-    return [_sample_day(cfg, np.random.default_rng([base, i]), i) for i in range(cfg.n_days)]
+    cdfs = {name: (_cdf(dyn.initial), [_cdf(row) for row in dyn.transition])
+            for name, dyn in cfg.regimes.items()}
+    return [_sample_day(cfg, cdfs, np.random.default_rng([base, i]), i) for i in range(cfg.n_days)]
 
 
 def make_samples(
@@ -288,7 +305,7 @@ def empirical_transitions(sequences: list[DaySequence]) -> dict[str, np.ndarray]
     counts = {r: np.zeros((N_ACTIVITIES, N_ACTIVITIES)) for r in REGIMES}
     for seq in sequences:
         table = counts[regime_of(seq.weekday, seq.holiday)]
-        ids = [ACTIVITY_CATEGORIES.index(a.label) for a in seq.activities]
+        ids = [LABEL_TO_ID[a.label] for a in seq.activities]
         for a, b in zip(ids, ids[1:]):
             table[a, b] += 1
     out = {}

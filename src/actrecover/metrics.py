@@ -22,6 +22,7 @@ from .data import AlignmentError, DaySequence, RecoverySample, align_subsequence
 
 __all__ = [
     "MetricsReport",
+    "InputSide",
     "TransitionTable",
     "precision_recall_f1",
     "position_metrics",
@@ -64,8 +65,8 @@ def precision_recall_f1(correct: int, inserted: int, removed: int) -> tuple[floa
     return precision, recall, f1
 
 
-def _bucket(i: int, source: list[str], full: list[str]) -> list[tuple[int, str]]:
-    """(source slot, label) of each item ``full`` adds to ``source``, in order.
+def _added(i: int, source: list[str], full: list[str]) -> list[tuple[int, list[str]]]:
+    """(source slot, items) of each slot ``full`` adds items to, in slot order.
 
     An alignment failure names sample ``i``.
     """
@@ -73,16 +74,65 @@ def _bucket(i: int, source: list[str], full: list[str]) -> list[tuple[int, str]]
         fills = slot_fills(full, align_subsequence(source, full))
     except AlignmentError as exc:
         raise AlignmentError(f"sample {i}: {exc}") from exc
-    return [(slot, label) for slot, fill in enumerate(fills) for label in fill]
+    return [(slot, fill) for slot, fill in enumerate(fills) if fill]
 
 
-def _check_pairing(samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]) -> None:
-    if len(samples) != len(hypotheses):
-        raise AlignmentError(f"{len(samples)} samples but {len(hypotheses)} hypotheses")
+def _pair_counts(labels: list[str]) -> Counter:
+    return Counter(zip(labels, labels[1:]))
+
+
+def _pair_table(differences) -> np.ndarray:
+    """The 9x9 count table of a stream of pair multisets, summed in plain ints."""
+    cells = [0] * (N_ACTIVITIES * N_ACTIVITIES)
+    for pairs in differences:
+        for (a, b), count in pairs.items():
+            cells[LABEL_TO_ID[a] * N_ACTIVITIES + LABEL_TO_ID[b]] += count
+    return np.array(cells, dtype=int).reshape(N_ACTIVITIES, N_ACTIVITIES)
+
+
+class InputSide:
+    """What scoring needs of the samples alone, worked out once and shared by every hypothesis set.
+
+    Per sample: the input labels, the removed activities' labels by input slot
+    (from aligning the input to the complete day), and the input's adjacent
+    pairs; over the dataset, the removed label counts and the broken
+    transition table. Each metric function takes this or the samples it is
+    built from.
+    """
+
+    def __init__(self, samples: Sequence[RecoverySample]):
+        self.samples = samples
+        self.labels = [s.incomplete.labels() for s in samples]
+        self.removed = [dict(_added(i, source, s.complete.labels()))
+                        for i, (s, source) in enumerate(zip(samples, self.labels))]
+        self.removed_labels = Counter(label for removed in self.removed
+                                      for fill in removed.values() for label in fill)
+        self.input_pairs = [_pair_counts(source) for source in self.labels]
+        self.broken = _pair_table(_pair_counts(s.complete.labels()) - pairs
+                                  for s, pairs in zip(samples, self.input_pairs))
+
+
+def _input_side(samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]) -> InputSide:
+    """``samples`` as an ``InputSide``, checked to pair one to one with ``hypotheses``."""
+    side = samples if isinstance(samples, InputSide) else InputSide(samples)
+    if len(side.samples) != len(hypotheses):
+        raise AlignmentError(f"{len(side.samples)} samples but {len(hypotheses)} hypotheses")
+    return side
+
+
+def _overlap(a: list[str], b: list[str]) -> int:
+    """Size of the multiset intersection of ``a`` and ``b``."""
+    rest = list(b)
+    n = 0
+    for label in a:
+        if label in rest:
+            rest.remove(label)
+            n += 1
+    return n
 
 
 def evaluate(
-    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
+    samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]
 ) -> MetricsReport:
     """Both metric blocks in one report, from one pass over the pairs.
 
@@ -92,29 +142,24 @@ def evaluate(
     counts, not per-sample ratios. Order-independent block: label overlap
     pooled over the whole dataset, ignoring positions.
     """
-    _check_pairing(samples, hypotheses)
+    side = _input_side(samples, hypotheses)
     report = MetricsReport(
         avg_daily_hypothesis=float(np.mean([len(h) for h in hypotheses])) if hypotheses else 0.0,
-        avg_daily_target=float(np.mean([len(s.complete) for s in samples])) if samples else 0.0,
+        avg_daily_target=float(np.mean([len(s.complete) for s in side.samples])) if side.samples else 0.0,
     )
     location_pcts: list[float] = []
     missing_only_pcts: list[float] = []
-    inserted_labels: Counter = Counter()
-    removed_labels: Counter = Counter()
-    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
-        source = sample.incomplete.labels()
-        inserted = _bucket(i, source, hyp.labels())
-        removed = _bucket(i, source, sample.complete.labels())
-        n_ins, n_rem = len(inserted), len(removed)
-        ins_by_slot = Counter(slot for slot, _ in inserted)
-        rem_by_slot = Counter(slot for slot, _ in removed)
-        location_correct = sum(
-            min(count, rem_by_slot.get(slot, 0)) for slot, count in ins_by_slot.items()
-        )
-        rem_slot_label = Counter(removed)
-        strict_correct = sum(
-            min(count, rem_slot_label.get(key, 0)) for key, count in Counter(inserted).items()
-        )
+    inserted_labels: list[str] = []
+    for i, (source, removed, hyp) in enumerate(zip(side.labels, side.removed, hypotheses)):
+        n_ins = location_correct = 0
+        n_rem = sum(map(len, removed.values()))
+        for slot, fill in _added(i, source, hyp.labels()):
+            n_ins += len(fill)
+            inserted_labels += fill
+            lost = removed.get(slot)
+            if lost:
+                location_correct += min(len(fill), len(lost))
+                report.correct_inserted += _overlap(fill, lost)
         if n_ins == 0:
             pct = 1.0 if n_rem == 0 else 0.0
         else:
@@ -124,9 +169,6 @@ def evaluate(
             missing_only_pcts.append(pct)
         report.total_inserted += n_ins
         report.total_removed += n_rem
-        report.correct_inserted += strict_correct
-        inserted_labels.update(label for _, label in inserted)
-        removed_labels.update(label for _, label in removed)
     report.avg_correct_location_pct = float(np.mean(location_pcts)) if location_pcts else 0.0
     report.avg_correct_location_pct_missing_only = (
         float(np.mean(missing_only_pcts)) if missing_only_pcts else 0.0
@@ -135,7 +177,7 @@ def evaluate(
         report.correct_inserted, report.total_inserted, report.total_removed
     )
     report.oi_correct = sum(
-        min(count, removed_labels.get(label, 0)) for label, count in inserted_labels.items()
+        min(count, side.removed_labels.get(label, 0)) for label, count in Counter(inserted_labels).items()
     )
     report.oi_precision, report.oi_recall, report.oi_f1 = precision_recall_f1(
         report.oi_correct, report.total_inserted, report.total_removed
@@ -164,16 +206,15 @@ def average_daily_activities(sequences: Sequence[DaySequence]) -> float:
 
 
 def insertion_pattern_topk(
-    samples: Sequence[RecoverySample],
+    samples: Sequence[RecoverySample] | InputSide,
     hypotheses: Sequence[DaySequence],
     k: int = 20,
 ) -> list[tuple[tuple[str, ...], int]]:
     """The k most common ordered insertion patterns (empty pattern counted)."""
-    _check_pairing(samples, hypotheses)
+    side = _input_side(samples, hypotheses)
     patterns: Counter = Counter()
-    for i, (sample, hyp) in enumerate(zip(samples, hypotheses)):
-        inserted = _bucket(i, sample.incomplete.labels(), hyp.labels())
-        patterns[tuple(label for _, label in inserted)] += 1
+    for i, (source, hyp) in enumerate(zip(side.labels, hypotheses)):
+        patterns[tuple(label for _, fill in _added(i, source, hyp.labels()) for label in fill)] += 1
     ranked = sorted(patterns.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -186,27 +227,14 @@ class TransitionTable:
     inserted: np.ndarray = field(default_factory=lambda: np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=int))
 
 
-def _pair_counts(labels: list[str]) -> Counter:
-    return Counter(zip(labels, labels[1:]))
-
-
-def _pair_difference(a: Counter, b: Counter) -> Counter:
-    return Counter({key: count - b.get(key, 0) for key, count in a.items() if count > b.get(key, 0)})
-
-
 def transition_analysis(
-    samples: Sequence[RecoverySample], hypotheses: Sequence[DaySequence]
+    samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]
 ) -> TransitionTable:
-    """Per-sample pair differences, accumulated over the dataset."""
-    _check_pairing(samples, hypotheses)
-    table = TransitionTable()
-    for sample, hyp in zip(samples, hypotheses):
-        inc_pairs = _pair_counts(sample.incomplete.labels())
-        for (a, b), count in _pair_difference(_pair_counts(sample.complete.labels()), inc_pairs).items():
-            table.broken[LABEL_TO_ID[a], LABEL_TO_ID[b]] += count
-        for (a, b), count in _pair_difference(_pair_counts(hyp.labels()), inc_pairs).items():
-            table.inserted[LABEL_TO_ID[a], LABEL_TO_ID[b]] += count
-    return table
+    """Per-sample pair differences against the input, accumulated over the dataset."""
+    side = _input_side(samples, hypotheses)
+    inserted = _pair_table(_pair_counts(hyp.labels()) - pairs
+                           for hyp, pairs in zip(hypotheses, side.input_pairs))
+    return TransitionTable(broken=side.broken.copy(), inserted=inserted)
 
 
 def compare_transitions(table_a: TransitionTable, table_b: TransitionTable) -> dict:

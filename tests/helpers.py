@@ -1,7 +1,8 @@
 """Shared builders for random sequences, samples, and tiny model configs,
 plus frozen references the optimized paths are checked against: the serial
 decode loop, the per-stream variable selection network, the hand-kept
-parameter lists, the two-branch sigmoid and the padded forward and loss."""
+parameter lists, the two-branch sigmoid, the padded forward and loss, and
+the ``rng.choice`` day sampler."""
 
 from collections import Counter
 
@@ -17,6 +18,7 @@ from actrecover.activities import (
     LABEL_TO_ID,
     MISSING_CODE,
     MODE_UNKNOWN,
+    N_ACTIVITIES,
     N_CONTENT_CLASSES,
     N_TIME_BINS,
     NO_INSERT_ID,
@@ -24,6 +26,7 @@ from actrecover.activities import (
 )
 from actrecover import tensor as T
 from actrecover.data import Activity, DaySequence, mask_sequence
+from actrecover.generator import regime_of
 from actrecover.layers import (
     GatedLinearUnit,
     GatedResidualBlock,
@@ -301,3 +304,40 @@ def random_targets(rng: np.random.Generator, state) -> list[Counter]:
         k = int(rng.integers(0, 3))
         out.append(Counter(ACTIVITY_CATEGORIES[i] for i in rng.integers(0, len(ACTIVITY_CATEGORIES), size=k)))
     return out
+
+
+def choice_sample_day(cfg, rng: np.random.Generator, idx: int) -> DaySequence:
+    """Reference day sampler: a frozen copy of the one that drew with ``rng.choice(n, p=p)``.
+
+    It reads ``cfg`` for every day; ``generate_population`` must reproduce
+    its days exactly, draw for draw.
+    """
+    weekday = int(rng.integers(1, 8))
+    holiday = int(rng.random() < cfg.holiday_rate)
+    dyn = cfg.regimes[regime_of(weekday, holiday)]
+    initial = np.asarray(dyn.initial)
+    transition = np.asarray(dyn.transition)
+    static = tuple(int(c) for c in rng.integers(1, 6, size=4))
+
+    activities: list[Activity] = []
+    label_idx = int(rng.choice(N_ACTIVITIES, p=initial))
+    t = 1
+    while True:
+        label = ACTIVITY_CATEGORIES[label_idx]
+        dur = 1 + int(rng.poisson(cfg.duration_mean_bins[label] - 1.0))
+        dep = min(t + dur - 1, N_TIME_BINS)
+        if activities:
+            mode = int(rng.choice(5, p=(0.52, 0.16, 0.14, 0.06, 0.12))) + 1
+            dist = round(float(rng.gamma(2.0, 2.0)), 2)
+        else:
+            mode = MODE_UNKNOWN
+            dist = 0.0
+        activities.append(Activity(label=label, arr=t, dep=dep, mode=mode, dist=dist, observed=True))
+        gap = 1 + int(rng.poisson(cfg.gap_mean_bins))
+        t = dep + gap
+        if dep >= N_TIME_BINS or t > N_TIME_BINS or len(activities) >= N_TIME_BINS:
+            break
+        label_idx = int(rng.choice(N_ACTIVITIES, p=transition[label_idx]))
+
+    return DaySequence(person_id=idx, date=idx, weekday=weekday, holiday=holiday, static=static,
+                       activities=activities)

@@ -1,5 +1,6 @@
 """Subcommand contracts: files written, exit codes, determinism."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from actrecover.cli import main
-from actrecover.data import RecoverySample, read_samples, read_sequences, write_samples
+from actrecover.data import RecoverySample, align_subsequence, read_samples, read_sequences, write_samples
 from actrecover.generator import GeneratorConfig, default_config, generate_population, make_samples
 from actrecover.model import (
     CapacityError,
@@ -64,6 +65,15 @@ class TestGen:
         assert run("gen", "--out", a, "--seed", 7, "--n-days", 25) == 0
         assert run("gen", "--out", b, "--seed", 7, "--n-days", 25) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_0_bytes_are_pinned(self, tmp_path):
+        """The data and summary the ``rng.choice`` sampler wrote for ``gen --seed 0 --n-days 300``."""
+        out = tmp_path / "g.jsonl"
+        assert run("gen", "--out", out, "--seed", 0, "--n-days", 300) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "g.jsonl.summary.json")] == [
+            "4a3a91a473aba19a0a37c21831b1990af041614eeee9c8ae95a534e4f1dab0de",
+            "86654beeaa98f9ea80c84ff360ba6c3be8635af62bcbfb24a60506d4a7735efb",
+        ]
 
     def test_missing_config_path_exits_2(self, tmp_path):
         assert run("gen", "--out", tmp_path / "x.jsonl", "--config", tmp_path / "nope.json") == 2
@@ -363,8 +373,6 @@ class TestRecover:
         assert len(read_sequences(hyp)) == 4
 
     def test_outputs_contain_inputs_as_subsequence(self, small_run, tmp_path):
-        from actrecover.data import align_subsequence
-
         hyp = tmp_path / "hyp.jsonl"
         assert run("recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp) == 0
         samples = read_samples(small_run["data"])
@@ -572,6 +580,26 @@ class TestEvalAndCompare:
         assert err.startswith(f"compare: {bad}: sample 7: ") and "no match" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_alignments_per_day(self, small_run, tmp_path, monkeypatch, command):
+        """Each input is aligned to its complete day once per command, then once per hypothesis scoring."""
+        import actrecover.metrics
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return align_subsequence(*args)
+
+        monkeypatch.setattr(actrecover.metrics, "align_subsequence", counting)
+        perfect, lazy = self._write_perfect_and_lazy(small_run, tmp_path)
+        files = ["--hyp", perfect] if command == "eval" else ["--hyp-a", perfect, "--hyp-b", lazy]
+        assert run(command, "--data", small_run["data"], *files, "--out", tmp_path / "out") == 0
+        n_days = len(read_samples(small_run["data"]))
+        assert len(calls) <= 3 * n_days
+        if command == "compare":
+            assert len(calls) == 3 * n_days
+
     def test_compare_identical_all_ties(self, small_run, tmp_path):
         perfect, lazy = self._write_perfect_and_lazy(small_run, tmp_path)
         out = tmp_path / "cmp.json"
@@ -623,3 +651,18 @@ class TestEvalAndCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"eval: {data}: invalid record at line 2: ") and problem in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_non_finite_distance_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys, command, value):
+        lines = small_run["data"].read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["activities"][-1]["dist"] = value  # json writes the bare NaN / Infinity that Python's json reads
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
+        out = tmp_path / "m"
+        hyp = ["--hyp", data] if command == "eval" else []
+        assert run(command, "--data", data, "--out", out, *hyp) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {data}: invalid record at line 3: trip distance must be a finite")
+        assert "Traceback" not in err and not list(tmp_path.glob("m*"))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actrecover.activities import ACTIVITY_CATEGORIES, N_TIME_BINS
+from actrecover.activities import ACTIVITY_CATEGORIES, N_ACTIVITIES, N_TIME_BINS
 from actrecover.data import sequence_to_record
 from actrecover.generator import (
+    REGIMES,
     ConfigError,
     GeneratorConfig,
     default_config,
@@ -14,6 +17,8 @@ from actrecover.generator import (
     make_samples,
     regime_of,
 )
+
+from helpers import choice_sample_day
 
 HOME = ACTIVITY_CATEGORIES.index("HomeActivity")
 WORK = ACTIVITY_CATEGORIES.index("WorkForPay")
@@ -107,3 +112,46 @@ def test_make_samples_deterministic_and_consistent():
         removed = set(s.removed_positions)
         kept = [a for i, a in enumerate(s.complete.activities) if i not in removed]
         assert kept == s.incomplete.activities
+
+
+@st.composite
+def distributions(draw):
+    """A 9-way distribution with zero-mass entries, whose sum may miss 1 by less than 1e-9."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = draw(st.lists(weight, min_size=N_ACTIVITIES, max_size=N_ACTIVITIES).filter(any))
+    probs = [w / sum(weights) for w in weights]
+    probs[probs.index(max(probs))] += draw(st.floats(-9e-10, 9e-10))
+    return probs
+
+
+@st.composite
+def drawn_configs(draw):
+    """A valid config: drawn seed, days and holiday rate, and the calibrated or drawn regime dynamics."""
+    regimes = {
+        name: {"initial": draw(distributions()), "transition": [draw(distributions()) for _ in range(N_ACTIVITIES)]}
+        for name in REGIMES
+    } if draw(st.booleans()) else default_config().regimes
+    return GeneratorConfig(seed=draw(st.integers(0, 2**32 - 1)), n_days=draw(st.integers(1, 20)),
+                           holiday_rate=draw(st.floats(0.0, 1.0)), regimes=regimes)
+
+
+def assert_equals_choice_reference(cfg):
+    expected = [choice_sample_day(cfg, np.random.default_rng([cfg.seed, i]), i) for i in range(cfg.n_days)]
+    assert [sequence_to_record(s) for s in generate_population(cfg)] == [sequence_to_record(s) for s in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=drawn_configs())
+def test_population_equals_the_choice_reference(cfg):
+    assert_equals_choice_reference(cfg)
+
+
+def test_a_row_changed_after_the_config_is_built_is_sampled():
+    cfg = default_config()
+    cfg.n_days = 300
+    before = generate_population(cfg)
+    cfg.regimes["weekday"].transition[HOME] = [1.0 if j == REC else 0.0 for j in range(N_ACTIVITIES)]
+    assert_equals_choice_reference(cfg)
+    after = generate_population(cfg)
+    assert [sequence_to_record(s) for s in after] != [sequence_to_record(s) for s in before]
+    assert empirical_transitions(after)["weekday"][HOME, WORK] == 0.0

@@ -5,7 +5,10 @@ dict counting — including its own subsequence alignment — sharing no code
 with the library implementation.
 """
 
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID
-from actrecover.data import Activity, DaySequence, RecoverySample
+from actrecover.cli import main
+from actrecover.data import Activity, DaySequence, RecoverySample, write_samples, write_sequences
 from actrecover.metrics import (
     activity_distribution,
     average_daily_activities,
@@ -203,15 +207,18 @@ class TestOrderIndependentMetrics:
 
 
 @st.composite
-def drawn_triples(draw):
-    """One (sample, hypothesis) pair: a drawn day, a drawn removal, and drawn insertions."""
+def drawn_triples(draw, n_hypotheses=1):
+    """A drawn day and removal, and ``n_hypotheses`` hypotheses of drawn insertions: (sample, *hypotheses)."""
     labels = st.sampled_from(ACTIVITY_CATEGORIES[:4])
     comp = draw(st.lists(labels, min_size=1, max_size=8))
     smp = sample_of(comp, draw(st.sets(st.integers(0, len(comp) - 1))))
-    hyp = smp.incomplete.labels()
-    for _ in range(draw(st.integers(0, 4))):
-        hyp.insert(draw(st.integers(0, len(hyp))), draw(labels))
-    return smp, seq_of(hyp)
+    hyps = []
+    for _ in range(n_hypotheses):
+        hyp = smp.incomplete.labels()
+        for _ in range(draw(st.integers(0, 4))):
+            hyp.insert(draw(st.integers(0, len(hyp))), draw(labels))
+        hyps.append(seq_of(hyp))
+    return (smp, *hyps)
 
 
 def assert_matches_oracle(samples, hyps):
@@ -242,6 +249,30 @@ class TestOracleEquivalence:
             report = evaluate([t[0] for t in triples], [t[1] for t in triples])
             assert report.correct_inserted <= report.oi_correct
             assert report.oi_correct <= min(report.total_inserted, report.total_removed)
+
+
+class TestCompareParity:
+    @settings(max_examples=100, deadline=None)
+    @given(triples=st.lists(drawn_triples(n_hypotheses=2), min_size=1, max_size=10))
+    def test_compare_equals_each_file_scored_on_its_own(self, triples):
+        samples, hyp_a, hyp_b = (list(t) for t in zip(*triples))
+        with tempfile.TemporaryDirectory() as tmp:
+            data, a, b, out = (Path(tmp) / name for name in ("d.jsonl", "a.jsonl", "b.jsonl", "cmp.json"))
+            write_samples(data, samples)
+            write_sequences(a, hyp_a)
+            write_sequences(b, hyp_b)
+            assert main(["compare", "--data", str(data), "--hyp-a", str(a), "--hyp-b", str(b),
+                         "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+        verdicts = compare_transitions(transition_analysis(samples, hyp_a), transition_analysis(samples, hyp_b))
+        assert payload == {
+            "metrics_a": evaluate(samples, hyp_a).to_json_dict(),
+            "metrics_b": evaluate(samples, hyp_b).to_json_dict(),
+            "transition_wins_a": verdicts["wins_a"],
+            "transition_wins_b": verdicts["wins_b"],
+            "transition_ties": verdicts["ties"],
+            "cells": verdicts["cells"],
+        }
 
 
 class TestDistributionsAndPatterns:
