@@ -17,8 +17,8 @@ w = Parameter("w", rng.normal(size=(3, 4)))
 b = Parameter("b", np.zeros(4))
 hidden = T.elu(T.linear(x, w, b))
 probs = T.softmax(hidden, axis=-1)
-loss = T.tmean(T.mul(probs, rng.normal(size=(2, 4))))
-print("loss =", loss.item())
+loss = T.mul(T.tsum(T.mul(probs, rng.normal(size=(2, 4)))), 1.0 / 8)  # the mean of 8 entries
+print("loss =", float(loss.data))
 
 loss.backward()
 print("dL/dw row 0:", np.round(w.grad[0], 4))

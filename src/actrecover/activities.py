@@ -34,23 +34,3 @@ N_MODES = 6  # five travel modes plus Unknown, coded 1..6
 MODE_UNKNOWN = 6
 N_STATIC_LEVELS = 5  # tract income/age/race/education, each coded 1..5
 MISSING_CODE = 0  # categorical sentinel for unobserved covariates
-
-# Industry-code prefixes mapped onto the shopping/service categories.
-# Home and work activities carry no industry code; they are inferred from
-# anchor locations upstream and appear here only as vocabulary members.
-NAICS_TO_CATEGORY: dict[str, str] = {
-    "42": "GoShopping",
-    "44": "GoShopping",
-    "45": "GoShopping",
-    "51": "Other",
-    "53": "Other",
-    "52": "PersonalBusiness",
-    "54": "PersonalBusiness",
-    "56": "PersonalBusiness",
-    "81": "PersonalBusiness",
-    "92": "PersonalBusiness",
-    "61": "GoToSchool",
-    "62": "Healthcare",
-    "71": "Recreation",
-    "72": "EatOut",
-}

@@ -35,6 +35,9 @@ __all__ = [
 
 REGIMES = ("weekday", "weekend", "holiday")
 
+# The largest mean ``Generator.poisson`` draws from (numpy's own limit); any larger one raises.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 _SHORT = {
     "shop": "GoShopping",
     "other": "Other",
@@ -203,11 +206,14 @@ class GeneratorConfig:
             raise ConfigError(f"holiday_rate out of [0, 1]: {self.holiday_rate}")
         if not self.gap_mean_bins >= 0:  # also refuses NaN
             raise ConfigError("gap_mean_bins must be >= 0")
+        if self.gap_mean_bins > POISSON_LAM_MAX:
+            raise ConfigError(f"gap_mean_bins above the Poisson limit {POISSON_LAM_MAX}: {self.gap_mean_bins}")
         missing = [l for l in ACTIVITY_CATEGORIES if l not in self.duration_mean_bins]
         if missing:
             raise ConfigError(f"duration_mean_bins missing labels: {missing}")
-        if not all(isinstance(m, (int, float)) and m >= 1.0 for m in self.duration_mean_bins.values()):
-            raise ConfigError("duration means must be numbers >= 1 bin")
+        means = self.duration_mean_bins.values()
+        if not all(isinstance(m, (int, float)) and 1.0 <= m <= POISSON_LAM_MAX for m in means):
+            raise ConfigError(f"duration means must be numbers in [1, {POISSON_LAM_MAX}] bins")
         if set(self.regimes) != set(REGIMES):
             raise ConfigError(f"regimes must be exactly {REGIMES}")
         for dyn in self.regimes.values():

@@ -29,7 +29,6 @@ __all__ = [
     "order_independent_metrics",
     "evaluate",
     "activity_distribution",
-    "average_daily_activities",
     "insertion_pattern_topk",
     "transition_analysis",
     "compare_transitions",
@@ -197,12 +196,6 @@ def activity_distribution(sequences: Sequence[DaySequence]) -> dict[str, int]:
         for label in seq.labels():
             counts[label] += 1
     return counts
-
-
-def average_daily_activities(sequences: Sequence[DaySequence]) -> float:
-    if not sequences:
-        raise ValueError("average over an empty set of sequences is undefined")
-    return float(np.mean([len(s) for s in sequences]))
 
 
 def insertion_pattern_topk(

@@ -165,23 +165,12 @@ class DecoderState:
             static=tuple(seq.static),
         )
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.tokens) + 1
-
 
 @dataclass
 class SlotDistribution:
     """Per-slot probabilities over the nine labels plus the stop label."""
 
     probs: np.ndarray  # (n_slots, N_CONTENT_CLASSES)
-
-    @property
-    def n_slots(self) -> int:
-        return self.probs.shape[0]
-
-    def argmax(self) -> np.ndarray:
-        return self.probs.argmax(axis=-1)
 
 
 @dataclass
@@ -379,14 +368,6 @@ class InsertionModel(Block):
         with T.no_grad():
             _, info = self.forward([state])
         return SelectionWeights(weights=info["selection"])
-
-    def static_context(self, static_codes: Sequence[int]) -> np.ndarray:
-        """The context vector a person's four static codes produce."""
-        if len(static_codes) != 4 or any(not 1 <= c <= N_STATIC_LEVELS for c in static_codes):
-            raise VocabularyError(f"static codes must be four values in 1..{N_STATIC_LEVELS}")
-        idx = np.asarray([[c - 1 for c in static_codes]])
-        with T.no_grad():
-            return self._static_context(idx, train=False, rng=None).data[0]
 
     # -- loss ----------------------------------------------------------------
 

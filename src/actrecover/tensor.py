@@ -23,10 +23,8 @@ __all__ = [
     "Parameter",
     "ShapeError",
     "NumericError",
-    "set_finite_checks",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "matmul",
     "linear",
@@ -36,12 +34,10 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "embed",
-    "concat",
     "stack",
     "reshape",
     "swap_axes",
     "tsum",
-    "tmean",
 ]
 
 
@@ -51,15 +47,6 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced non-finite values."""
-
-
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Globally verify that every forward result is finite (slow; for tests)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 _GRAD_ENABLED = True
@@ -101,15 +88,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def backward(self) -> None:
         """Run reverse-mode differentiation from this scalar."""
@@ -135,31 +115,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         src = self
         data = src.data[key]
@@ -170,9 +125,6 @@ class Tensor:
             _accumulate(src, gx)
 
         return _node(data, (src,), backward)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Parameter(Tensor):
@@ -188,17 +140,12 @@ class Parameter(Tensor):
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _FINITE_CHECKS and not np.isfinite(data).all():
-        raise NumericError("non-finite values in forward result")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -236,17 +183,6 @@ def add(a, b) -> Tensor:
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -306,9 +242,6 @@ def linear(x, w, b=None) -> Tensor:
     A stacked ``w`` of shape (m, d_in, d_out) applies one weight per leading
     index of ``x``.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.shape[-1] != w.data.shape[-2]:
-        raise ShapeError(f"linear shapes do not conform: {x.data.shape} @ {w.data.shape}")
     out = matmul(x, w)
     return out if b is None else add(out, b)
 
@@ -406,19 +339,6 @@ def embed(table, indices) -> Tensor:
     return _node(data, (table,), backward)
 
 
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-
-    def backward(g):
-        pieces = np.split(g, np.cumsum(sizes[:-1]), axis=axis)
-        for t, piece in zip(ts, pieces):
-            _accumulate(t, piece)
-
-    return _node(data, tuple(ts), backward)
-
-
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in ts], axis=axis)
@@ -462,12 +382,3 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(x, np.broadcast_to(ge, x.data.shape).copy())
 
     return _node(data, (x,), backward)
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size if axis is None else np.prod(
-        [x.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
-

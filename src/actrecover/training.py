@@ -37,7 +37,6 @@ __all__ = [
     "TrainReport",
     "Adam",
     "clip_gradients",
-    "global_grad_norm",
     "train",
     "save_train_state",
     "load_train_state",
@@ -83,16 +82,12 @@ class TrainReport:
         return asdict(self)
 
 
-def global_grad_norm(params: Sequence[Parameter]) -> float:
+def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
+    """Scale all gradients so their global norm is at most ``max_norm``; returns the norm before."""
     total = 0.0
     for p in params:
         total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
-
-
-def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``."""
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if np.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
         for p in params:

@@ -1,12 +1,13 @@
 """Shared builders for random sequences, samples, and tiny model configs,
 plus frozen references the optimized paths are checked against: the serial
 decode loop, the per-stream variable selection network, the hand-kept
-parameter lists, the two-branch sigmoid, the padded forward and loss, and
-the ``rng.choice`` day sampler."""
+parameter lists, the two-branch sigmoid, the padded forward and loss (with
+the ``concat`` op only it uses), and the ``rng.choice`` day sampler."""
 
 from collections import Counter
 
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def serial_recover(model, incomplete: DaySequence, max_rounds=None) -> RecoveryO
     rounds = 0
     while rounds < limit:
         state = DecoderState.from_sequence(replace(incomplete, activities=acts))
-        choices = model.decoder_forward(state).argmax()
+        choices = model.decoder_forward(state).probs.argmax(axis=-1)
         picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
         if not picks:
             break
@@ -195,6 +196,19 @@ def two_branch_sigmoid(d: np.ndarray) -> np.ndarray:
     return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:
+    ts = [T._as_tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in ts], axis=axis)
+    sizes = [t.data.shape[axis] for t in ts]
+
+    def backward(g):
+        pieces = np.split(g, np.cumsum(sizes[:-1]), axis=axis)
+        for t, piece in zip(ts, pieces):
+            T._accumulate(t, piece)
+
+    return T._node(data, tuple(ts), backward)
+
+
 def _padded_arrays(states) -> dict:
     """The padded collation: (B, T) arrays, every state padded to the longest."""
     lengths = np.array([len(st.tokens) for st in states])
@@ -273,7 +287,7 @@ def padded_forward(model, states, train=False, rng=None):
         attended = apply_dropout(layer.attn(x, arrs["valid"]), cfg.dropout, train, rng)
         x = T.layer_norm(T.add(x, attended), layer.norm_gain, layer.norm_bias)
         x = layer.ff(x, None, train, rng)
-    rep = model.slot_proj(T.concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
+    rep = model.slot_proj(concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
     return model.out_proj(rep), selection
 
 
@@ -300,7 +314,7 @@ def padded_batch_loss(model, states, targets_list, train=False, rng=None):
 def random_targets(rng: np.random.Generator, state) -> list[Counter]:
     """Per-slot targets for ``state``: stop, or one or two random labels."""
     out = []
-    for _ in range(state.n_slots):
+    for _ in range(len(state.tokens) + 1):
         k = int(rng.integers(0, 3))
         out.append(Counter(ACTIVITY_CATEGORIES[i] for i in rng.integers(0, len(ACTIVITY_CATEGORIES), size=k)))
     return out

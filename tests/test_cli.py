@@ -19,7 +19,7 @@ from actrecover.model import (
 )
 from actrecover.tensor import NumericError, ShapeError
 
-from helpers import random_sequence
+from helpers import random_sample, random_sequence
 
 
 def run(*argv) -> int:
@@ -148,6 +148,20 @@ class TestGen:
         cfg_path.write_text('{"gap_mean_bins": NaN}')
         assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
         assert capsys.readouterr().err.strip() == f"gen: {cfg_path}: gap_mean_bins must be >= 0"
+
+    @pytest.mark.parametrize("value", [float("inf"), 1e300])  # json writes the first as Infinity
+    @pytest.mark.parametrize("key, problem", [("gap_mean_bins", "gap_mean_bins above the Poisson limit"),
+                                              ("duration_mean_bins", "duration means must be numbers")])
+    def test_poisson_mean_numpy_cannot_draw_exits_2(self, tmp_path, capsys, key, problem, value):
+        if key == "duration_mean_bins":
+            value = {**default_config().duration_mean_bins, "HomeActivity": value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--n-days", 2, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: {problem}") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "latin1.json"
@@ -341,6 +355,16 @@ class TestTrain:
         assert capsys.readouterr().err.strip() == "train: model dimensions must all be >= 1"
         assert not ckpt.exists()
 
+    def test_over_long_sample_exits_2_naming_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        data = tmp_path / "d.jsonl"
+        write_samples(data, [random_sample(rng, n=3), random_sample(rng, n=4), random_sample(rng, n=1)])
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", data, "--out", ckpt, "--max-len", 3) == 2
+        err = capsys.readouterr().err
+        assert err == "train: sample 1 has 4 activities, above max_len=3\n"
+        assert not ckpt.exists()
+
     def test_empty_dataset_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -410,6 +434,31 @@ class TestRecover:
         err = capsys.readouterr().err
         assert err == "recover: internal error: planted breach\n"
         assert not hyp.exists()
+
+    def test_invariant_breach_exits_1_and_writes_nothing(self, small_run, tmp_path, capsys, monkeypatch):
+        recover_batch = InsertionModel.recover_batch
+        planted = []
+
+        def drop_an_input(self, seqs, max_rounds=None):
+            """Drops from one outcome an input activity whose label was never inserted there."""
+            outcomes = recover_batch(self, seqs, max_rounds)
+            for i, outcome in enumerate(outcomes):
+                acts = outcome.sequence.activities
+                inserted = {a.label for a in acts if not a.observed}
+                gone = next((a for a in acts if a.observed and a.label not in inserted), None)
+                if gone is not None:
+                    kept = [a for a in acts if a is not gone]
+                    outcomes[i] = replace(outcome, sequence=replace(outcome.sequence, activities=kept))
+                    planted.append(i)
+                    return outcomes
+            raise AssertionError("no outcome has an input activity to drop")
+
+        monkeypatch.setattr(InsertionModel, "recover_batch", drop_an_input)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"recover: invariant breach on sample {planted[0]}: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not hyp.exists()
 
     def test_unmapped_value_error_is_not_a_usage_error(self, small_run, tmp_path, monkeypatch):
         def breach(self, seqs, max_rounds=None):

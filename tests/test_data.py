@@ -37,16 +37,6 @@ def make_sequence(labels, person_id=0, weekday=3, holiday=0):
 
 
 class TestVocabulary:
-    def test_industry_code_map_targets_the_closed_vocabulary(self):
-        from actrecover.activities import ACTIVITY_CATEGORIES, NAICS_TO_CATEGORY
-
-        assert set(NAICS_TO_CATEGORY.values()) <= set(ACTIVITY_CATEGORIES)
-        assert len(NAICS_TO_CATEGORY) == 14
-        # home and work activities carry no industry code
-        assert "HomeActivity" not in NAICS_TO_CATEGORY.values()
-        assert "WorkForPay" not in NAICS_TO_CATEGORY.values()
-        assert NAICS_TO_CATEGORY["62"] == "Healthcare"
-
     def test_nine_label_vocabulary_is_closed(self):
         from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID
 

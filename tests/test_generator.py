@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from actrecover.activities import ACTIVITY_CATEGORIES, N_ACTIVITIES, N_TIME_BINS
 from actrecover.data import sequence_to_record
 from actrecover.generator import (
+    POISSON_LAM_MAX,
     REGIMES,
     ConfigError,
     GeneratorConfig,
@@ -34,6 +35,24 @@ def test_invalid_transition_matrix_rejected():
     cfg.regimes["weekday"].transition[0][0] += 0.5
     with pytest.raises(ConfigError, match="rows"):
         cfg.validate()
+
+
+def test_poisson_limit_is_numpys_own():
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+
+
+def test_means_at_the_poisson_limit_generate_and_above_it_are_refused():
+    durations = dict.fromkeys(ACTIVITY_CATEGORIES, POISSON_LAM_MAX)
+    cfg = GeneratorConfig(n_days=3, gap_mean_bins=POISSON_LAM_MAX, duration_mean_bins=durations)
+    assert [len(day) for day in generate_population(cfg)] == [1, 1, 1]  # each draw fills the day
+    above = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+    with pytest.raises(ConfigError, match="gap_mean_bins above the Poisson limit"):
+        GeneratorConfig(gap_mean_bins=above)
+    with pytest.raises(ConfigError, match="duration means"):
+        GeneratorConfig(duration_mean_bins={**durations, "EatOut": above})
 
 
 def test_config_json_roundtrip():

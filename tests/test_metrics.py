@@ -20,7 +20,6 @@ from actrecover.cli import main
 from actrecover.data import Activity, DaySequence, RecoverySample, write_samples, write_sequences
 from actrecover.metrics import (
     activity_distribution,
-    average_daily_activities,
     compare_transitions,
     evaluate,
     insertion_pattern_topk,
@@ -285,12 +284,6 @@ class TestDistributionsAndPatterns:
         counts = activity_distribution([])
         assert set(counts) == set(ACTIVITY_CATEGORIES)
         assert all(v == 0 for v in counts.values())
-
-    def test_average_daily(self):
-        assert average_daily_activities([seq_of([H] * 3), seq_of([H] * 5)]) == 4.0
-        assert average_daily_activities([seq_of([])]) == 0.0
-        with pytest.raises(ValueError):
-            average_daily_activities([])
 
     def test_no_insertion_collapses_to_empty_pattern(self):
         samples = [sample_of([H, W], []) for _ in range(4)]

@@ -94,8 +94,9 @@ class TestDecoderForward:
         long = DecoderState.from_sequence(random_sequence(rng, n=6))
         alone, _ = model.forward([short])
         batched, info = model.forward([short, long])
-        assert batched.shape == (short.n_slots + long.n_slots, N_CONTENT_CLASSES)
-        np.testing.assert_allclose(alone.data, batched.data[: short.n_slots], atol=1e-9)
+        n_short = len(short.tokens) + 1
+        assert batched.shape == (n_short + len(long.tokens) + 1, N_CONTENT_CLASSES)
+        np.testing.assert_allclose(alone.data, batched.data[:n_short], atol=1e-9)
 
 
 def _vsn_streams(model, state) -> np.ndarray:
@@ -214,17 +215,19 @@ class TestCovariateEncoding:
 
     def test_static_context_determinism_and_sensitivity(self):
         model = InsertionModel(tiny_config(), seed=6)
-        a = model.static_context((1, 2, 3, 4))
-        b = model.static_context((1, 2, 3, 4))
-        np.testing.assert_array_equal(a, b)
-        c = model.static_context((2, 1, 3, 4))  # same values, different covariate slots
-        assert not np.allclose(a, c)
+        seq = random_sequence(np.random.default_rng(6), n=3)
+
+        def logits(static):
+            return model.forward([DecoderState.from_sequence(replace(seq, static=static))])[0].data
+
+        a = logits((1, 2, 3, 4))
+        np.testing.assert_array_equal(a, logits((1, 2, 3, 4)))
+        assert not np.allclose(a, logits((2, 1, 3, 4)))  # same values, different covariate slots
 
     def test_bad_codes_rejected(self):
-        model = InsertionModel(tiny_config(), seed=7)
-        with pytest.raises(VocabularyError):
-            model.static_context((0, 2, 3, 4))
         seq = random_sequence(np.random.default_rng(7), n=1)
+        with pytest.raises(VocabularyError, match="static codes"):
+            DecoderState.from_sequence(replace(seq, static=(0, 2, 3, 4)))
         seq.weekday = 9
         with pytest.raises(VocabularyError, match="weekday"):
             DecoderState.from_sequence(seq)
@@ -268,7 +271,6 @@ class TestSelectionWeights:
         for call in (
             lambda: model.decoder_forward(state),
             lambda: model.selection_weights(state),
-            lambda: model.static_context((1, 2, 3, 4)),
         ):
             recorded.clear()
             call()
@@ -338,7 +340,7 @@ class TestInsertionLoss:
         model.out_proj.b.data[NO_INSERT_ID] = 50.0
         seq = random_sequence(np.random.default_rng(15), n=3)
         state = DecoderState.from_sequence(seq)
-        targets = [Counter() for _ in range(state.n_slots)]
+        targets = [Counter() for _ in range(len(state.tokens) + 1)]
         assert float(model.insertion_loss(state, targets).data) < 1e-9
 
     def test_per_sample_losses_match_single_sample_losses(self):

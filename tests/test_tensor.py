@@ -11,15 +11,25 @@ from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
 from actrecover.tensor import NumericError, Parameter, ShapeError, Tensor
 
-from helpers import two_branch_sigmoid
+from helpers import concat, two_branch_sigmoid
 
 
-def setup_module():
-    T.set_finite_checks(True)
+@pytest.fixture(scope="module", autouse=True)
+def unchecked_node():
+    """Every forward result in this module must be finite: ``T._node`` checks first.
 
+    Yields the plain ``_node``, for the tests that need a non-finite forward.
+    """
+    node = T._node
 
-def teardown_module():
-    T.set_finite_checks(False)
+    def checked(data, parents, backward):
+        if not np.isfinite(data).all():
+            raise NumericError("non-finite values in forward result")
+        return node(data, parents, backward)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_node", checked)
+        yield node
 
 
 class TestLinear:
@@ -328,7 +338,7 @@ class TestReductionsAndShapes:
 
         def forward():
             s = T.stack([x, y], axis=1)
-            back = T.concat([s[:, 0:1, :], s[:, 1:2, :]], axis=1)
+            back = concat([s[:, 0:1, :], s[:, 1:2, :]], axis=1)
             return T.tsum(T.mul(back, r))
 
         report = grad_check(forward, [x, y])
@@ -344,33 +354,27 @@ class TestReductionsAndShapes:
 
 
 class TestGradCheckContract:
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_raises(self, unchecked_node, monkeypatch):
+        monkeypatch.setattr(T, "_node", unchecked_node)
         x = Parameter("x", np.array([1.0]))
 
         def forward():
             bad = Tensor(np.array([np.inf]))
             return T.tsum(T.mul(x, bad))
 
-        T.set_finite_checks(False)
-        try:
-            with pytest.raises(NumericError):
-                grad_check(forward, [x])
-        finally:
-            T.set_finite_checks(True)
+        with pytest.raises(NumericError):
+            grad_check(forward, [x])
 
-    def test_loss_non_finite_only_when_perturbed_raises(self):
+    def test_loss_non_finite_only_when_perturbed_raises(self, unchecked_node, monkeypatch):
+        monkeypatch.setattr(T, "_node", unchecked_node)
         x = Parameter("x", np.array([0.0]))
 
         def forward():
             scale = 1.0 if x.data[0] == 0.0 else np.inf
             return T.tsum(T.mul(x, scale))
 
-        T.set_finite_checks(False)
-        try:
-            with pytest.raises(NumericError, match="loss is not finite"):
-                grad_check(forward, [x])
-        finally:
-            T.set_finite_checks(True)
+        with pytest.raises(NumericError, match="loss is not finite"):
+            grad_check(forward, [x])
 
     def test_non_scalar_loss_raises(self):
         x = Parameter("x", np.ones(2))
