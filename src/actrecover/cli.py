@@ -73,6 +73,8 @@ def read_config_object(path):
             return json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("JSON nested too deeply") from exc
 
 
 def _layered_configs(args, *classes) -> list:

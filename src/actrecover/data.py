@@ -234,6 +234,8 @@ def _read_lines(path) -> list[tuple[int, dict]]:
                 raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ParseError(f"{path}: parse error at line {lineno}: nested too deeply") from exc
     return out
 
 

@@ -272,7 +272,7 @@ class MultiHeadSelfAttention(Block):
         self.w_v = Parameter(name + ".w_v", _init_weight(rng, d_m, n_heads * d_val))
         self.w_out = Parameter(name + ".w_out", _init_weight(rng, n_heads * d_val, d_m))
 
-    def __call__(self, x, key_valid: np.ndarray | None = None):
+    def __call__(self, x, key_valid: np.ndarray):
         """Attend over (B, T, d_m); ``key_valid`` is a (B, T) bool mask."""
         b, t, _ = x.shape
         h, da, dv = self.n_heads, self.d_attn, self.d_val
@@ -284,13 +284,9 @@ class MultiHeadSelfAttention(Block):
         k = split_heads(T.matmul(x, self.w_k), da)
         v = split_heads(T.matmul(x, self.w_v), dv)
         scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), 1.0 / np.sqrt(da))
-        if key_valid is not None:
-            bias = np.where(key_valid, 0.0, -1e9)[:, None, None, :]
-            scores = T.add(scores, bias)
-        attn = T.softmax(scores, axis=-1)
-        if key_valid is not None:
-            # rows with no valid key at all are defined to produce zeros
-            any_valid = key_valid.any(axis=-1).astype(np.float64)[:, None, None, None]
-            attn = T.mul(attn, any_valid)
+        scores = T.add(scores, np.where(key_valid, 0.0, -1e9)[:, None, None, :])
+        # rows with no valid key at all are defined to produce zeros
+        any_valid = key_valid.any(axis=-1).astype(np.float64)[:, None, None, None]
+        attn = T.mul(T.softmax(scores, axis=-1), any_valid)
         mixed = T.reshape(T.swap_axes(T.matmul(attn, v), 1, 2), (b, t, h * dv))
         return T.matmul(mixed, self.w_out)

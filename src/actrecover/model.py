@@ -45,7 +45,7 @@ from .activities import (
     NO_INSERT_ID,
     TOKEN_VOCAB_SIZE,
 )
-from .data import AlignmentError, DaySequence, Activity, slot_fills
+from .data import AlignmentError, DaySequence, Activity, align_subsequence, slot_fills
 from .generator import ConfigError, config_values
 from .layers import (
     Block,
@@ -188,26 +188,16 @@ class RecoveryOutcome:
     inserted: tuple[int, ...] = ()  # activities inserted in each round, one entry per round
 
 
-def insertion_targets(
-    incomplete: Sequence, complete: Sequence, anchors: Sequence[int]
-) -> list[Counter]:
-    """Per-slot multisets of labels the decoder must insert.
+def insertion_targets(incomplete: Sequence, complete: Sequence) -> list[Counter]:
+    """Per-slot multisets of labels the decoder must insert into ``incomplete``.
 
+    ``incomplete`` is aligned leftmost-greedy inside ``complete``; a list
+    that is not an order-preserving subsequence raises ``AlignmentError``.
     Slot ``s`` sits before source token ``s``; it owes exactly the complete
     labels that ``slot_fills`` puts in it. An empty counter means the slot's
     target is the stop label.
     """
-    n = len(incomplete)
-    if len(anchors) != n:
-        raise AlignmentError(f"{len(anchors)} anchors for {n} source tokens")
-    prev = -1
-    for i, a in enumerate(anchors):
-        if not prev < a < len(complete):
-            raise AlignmentError(f"anchor {i} = {a} is out of order or out of range")
-        if complete[a] != incomplete[i]:
-            raise AlignmentError(f"anchor {i} points at {complete[a]!r}, expected {incomplete[i]!r}")
-        prev = a
-    return [Counter(fill) for fill in slot_fills(complete, anchors)]
+    return [Counter(fill) for fill in slot_fills(complete, align_subsequence(incomplete, complete))]
 
 
 class _EncoderLayer(Block):
@@ -528,7 +518,7 @@ def _read_container(path) -> tuple[dict, bytes]:
         size = int.from_bytes(fh.read(4), "little")
         try:
             manifest = json.loads(fh.read(size).decode("utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError and too-deep nesting
             raise CompatibilityError(f"{path}: unreadable container manifest: {exc}") from exc
         blob = fh.read()
     if not isinstance(manifest, dict):
@@ -607,6 +597,8 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     if config is not None and saved != config:
         raise refusal(f"{spec.label} config mismatch: "
                       + config_diffs(manifest["config"], config.to_dict()))
+    if not isinstance(manifest["params"], list):
+        raise refusal(f"{spec.label} manifest params must be a list, not {manifest['params']!r}")
     model = InsertionModel(saved, seed=0)
     params = model.parameters()
     for i, (listed, needed) in enumerate(zip_longest(manifest["params"], _param_entries(params))):

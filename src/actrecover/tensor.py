@@ -370,15 +370,12 @@ def swap_axes(x, axis1: int, axis2: int) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def backward(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-            return
-        ge = g if keepdims else np.expand_dims(g, axis)
+        ge = g if axis is None else np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(ge, x.data.shape).copy())
 
     return _node(data, (x,), backward)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Activity, DaySequence, RecoverySample, align_subsequence
+from .data import Activity, RecoverySample
 from .generator import ConfigError, config_values
 from .model import (
     DecoderState,
@@ -59,8 +59,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.lr > 0:  # also refuses NaN
             raise ConfigError(f"learning rate must be positive: {self.lr}")
+        if not np.isfinite(self.lr):
+            raise ConfigError(f"learning rate must be finite: {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"Adam betas must be in [0, 1): beta1={self.beta1}, beta2={self.beta2}")
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"Adam eps must be finite and positive: {self.eps}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0 or self.checkpoint_interval < 0:
+            raise ConfigError("seed and checkpoint_interval must be >= 0: "
+                              f"seed={self.seed}, checkpoint_interval={self.checkpoint_interval}")
         if not self.clip_norm > 0:
             raise ConfigError(f"clip norm must be positive: {self.clip_norm}")
         if not 0.0 <= self.roll_in <= 1.0:
@@ -121,47 +130,29 @@ class Adam:
         return True
 
 
-def _prepare(samples: Sequence[RecoverySample], max_len: int):
-    """Precompute decoder states and per-slot targets for every sample."""
-    states, targets = [], []
-    for i, s in enumerate(samples):
-        if len(s.complete) > max_len:
-            raise ConfigError(
-                f"sample {i} has {len(s.complete)} activities, above max_len={max_len}"
-            )
-        state, target = _state_and_targets(s.incomplete, s.complete)
-        states.append(state)
-        targets.append(target)
-    return states, targets
-
-
-def _state_and_targets(partial: DaySequence, complete: DaySequence):
-    """The decoder state of ``partial`` and its per-slot targets toward ``complete``."""
-    labels, comp = partial.labels(), complete.labels()
-    targets = insertion_targets(labels, comp, align_subsequence(labels, comp))
-    return DecoderState.from_sequence(partial), targets
-
-
-def _lattice_state(sample: RecoverySample, rng: np.random.Generator):
-    """A random intermediate decode state of ``sample`` with its targets.
+def _batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float):
+    """One training example of ``sample``: a decode state and its per-slot targets.
 
     Iterative insertion only ever visits the complete sequence minus a subset
     of the still-missing positions, where already-inserted tokens carry no
-    unknown covariates. Promoting each removed position with one shared
-    random rate covers the whole lattice from the raw input (nothing
-    promoted) to the finished state, which is what teaches the decoder both
-    intermediate insertions and termination.
+    unknown covariates. With probability ``roll_in`` a state is drawn from
+    that lattice: promoting each removed position with one shared random rate
+    covers it from the raw input (nothing promoted) to the finished state,
+    which is what teaches the decoder both intermediate insertions and
+    termination. Otherwise nothing is promoted and the state is the raw input.
     """
     removed = set(sample.removed_positions)
-    rate = rng.random()
-    promoted = {i for i in removed if rng.random() < rate}
-    acts = []
-    for j, act in enumerate(sample.complete.activities):
-        if j in promoted:
-            acts.append(Activity(label=act.label, observed=False))
-        elif j not in removed:
-            acts.append(act)
-    return _state_and_targets(replace(sample.complete, activities=acts), sample.complete)
+    promoted = set()
+    if removed and rng.random() < roll_in:
+        rate = rng.random()
+        promoted = {i for i in removed if rng.random() < rate}
+    partial = replace(sample.complete, activities=[
+        Activity(label=act.label, observed=False) if j in promoted else act
+        for j, act in enumerate(sample.complete.activities)
+        if j in promoted or j not in removed
+    ])
+    targets = insertion_targets(partial.labels(), sample.complete.labels())
+    return DecoderState.from_sequence(partial), targets
 
 
 # Training-config fields a resume may change; any other difference is refused.
@@ -226,7 +217,11 @@ def train(
     """
     if not samples:
         raise ConfigError("training dataset is empty")
-    states, targets = _prepare(samples, model_config.max_len)
+    max_len = model_config.max_len
+    for i, s in enumerate(samples):  # refuse bad input before the first step
+        if len(s.complete) > max_len:
+            raise ConfigError(f"sample {i} has {len(s.complete)} activities, above max_len={max_len}")
+        DecoderState.from_sequence(s.complete)  # an invalid day raises VocabularyError
     model = InsertionModel(model_config, seed=train_config.seed)
     adam = Adam(
         model.parameters(),
@@ -239,7 +234,7 @@ def train(
     if resume_from is not None:
         start_step = load_train_state(str(resume_from) + ".state", model, adam, train_config)
 
-    n = len(states)
+    n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs
     params = model.parameters()
@@ -258,14 +253,8 @@ def train(
         order = np.random.default_rng([train_config.seed, 1, epoch]).permutation(n)
         idx = order[pos * train_config.batch_size : (pos + 1) * train_config.batch_size]
         roll_rng = np.random.default_rng([train_config.seed, 3, step])
-        batch_states, batch_targets = [], []
-        for i in idx:
-            if samples[i].removed_positions and roll_rng.random() < train_config.roll_in:
-                state, target = _lattice_state(samples[i], roll_rng)
-            else:
-                state, target = states[i], targets[i]
-            batch_states.append(state)
-            batch_targets.append(target)
+        items = [_batch_item(samples[i], roll_rng, train_config.roll_in) for i in idx]
+        batch_states, batch_targets = zip(*items)
         model.zero_grads()
         rng = np.random.default_rng([train_config.seed, 2, step])
         loss = model.batch_loss(batch_states, batch_targets, train=True, rng=rng)

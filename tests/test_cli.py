@@ -22,8 +22,20 @@ from actrecover.tensor import NumericError, ShapeError
 from helpers import random_sample, random_sequence
 
 
+DEEP = 100_000  # JSON nesting far past Python's recursion limit
+
+
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def rewrite_line(src, dst, lineno: int, edit) -> None:
+    """Copy the JSON-lines file ``src`` to ``dst`` with ``edit`` applied to line ``lineno``'s record."""
+    lines = src.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    dst.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +184,15 @@ class TestGen:
         assert err.startswith(f"gen: {cfg_path}: not UTF-8 JSON: ") and "can't decode" in err
         assert not out.exists()
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"seed": ' + "[" * DEEP + "]" * DEEP + "}")
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"gen: {cfg_path}: JSON nested too deeply\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "regimes, problem",
         [({"weekday": [1]}, "regime 'weekday' is malformed"), ({"weekday": {"initial": [1]}}, "transition")],
@@ -305,6 +326,49 @@ class TestTrain:
         assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 2
         assert capsys.readouterr().err.strip() == f"train: {cfg_path}: {message}"
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"lr": Infinity}', "learning rate must be finite: inf"),
+        ('{"beta1": 1.0}', "Adam betas must be in [0, 1): beta1=1.0, beta2=0.999"),
+        ('{"beta2": -0.5}', "Adam betas must be in [0, 1): beta1=0.9, beta2=-0.5"),
+        ('{"eps": 0.0}', "Adam eps must be finite and positive: 0.0"),
+        ('{"eps": Infinity}', "Adam eps must be finite and positive: inf"),
+        ('{"seed": -3}', "seed and checkpoint_interval must be >= 0: seed=-3, checkpoint_interval=0"),
+        ('{"checkpoint_interval": -1}', "seed and checkpoint_interval must be >= 0: seed=0, checkpoint_interval=-1"),
+        ('{"n_heads": 64, "d_attn": 128}', "head count times head width is unreasonably large"),
+        ('{"dropout": 1.0}', "dropout out of [0, 1): 1.0"),
+        ('{"max_len": 0}', "max_rounds must be >= 0 and max_len >= 1"),
+    ], ids=["lr-inf", "beta1-1", "beta2-neg", "eps-0", "eps-inf", "seed-neg", "interval-neg",
+            "head-width", "dropout-1", "max-len-0"])
+    def test_config_value_training_cannot_run_exits_2(self, small_run, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path) == 2
+        assert capsys.readouterr().err == f"train: {cfg_path}: {message}\n"
+        assert not ckpt.exists()
+
+    def test_negative_seed_flag_exits_2(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--seed", -3) == 2
+        err = capsys.readouterr().err
+        assert err == "train: seed and checkpoint_interval must be >= 0: seed=-3, checkpoint_interval=0\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("params", [5, None, {"name": "tok_emb"}], ids=["int", "null", "object"])
+    def test_state_params_that_are_not_a_list_exit_2(self, small_run, tmp_path, capsys, params):
+        ckpt = tmp_path / "c.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        manifest["params"] = params
+        _write_container(state, manifest, blob)
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err == f"train: {state}: training-state manifest params must be a list, not {params!r}\n"
 
     @pytest.mark.parametrize("flags", [[], ["--d-m", 8]])
     def test_out_of_range_config_value_exits_2_naming_the_file(self, small_run, tmp_path, capsys, flags):
@@ -515,6 +579,28 @@ class TestRecover:
         assert err.strip() == f"recover: {ckpt}: checkpoint manifest lacks {key}"
         assert not hyp.exists()
 
+    @pytest.mark.parametrize("params", [5, None], ids=["int", "null"])
+    def test_checkpoint_params_that_are_not_a_list_exit_2(self, small_run, tmp_path, capsys, params):
+        manifest, blob = _read_container(small_run["ckpt"])
+        manifest["params"] = params
+        ckpt = tmp_path / "params.ckpt"
+        _write_container(ckpt, manifest, blob)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err == f"recover: {ckpt}: checkpoint manifest params must be a list, not {params!r}\n"
+        assert not hyp.exists()
+
+    def test_deeply_nested_checkpoint_manifest_exits_2(self, small_run, tmp_path, capsys):
+        payload = ("[" * DEEP + "]" * DEEP).encode()
+        ckpt = tmp_path / "deep.ckpt"
+        ckpt.write_bytes(b"ARCK" + len(payload).to_bytes(4, "little") + payload)
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"recover: {ckpt}: unreadable container manifest: maximum recursion depth")
+        assert err.count("\n") == 1 and not hyp.exists()
+
     def test_truncated_checkpoint_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
         manifest, blob = _read_container(small_run["ckpt"])
         ckpt = tmp_path / "cut.ckpt"
@@ -715,3 +801,37 @@ class TestEvalAndCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: {data}: invalid record at line 3: trip distance must be a finite")
         assert "Traceback" not in err and not list(tmp_path.glob("m*"))
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rec: rec["activities"][0].update(arr=0), "time bins out of 1..96: 0, "),
+        (lambda rec: rec["activities"][0].update(dep=97), "time bins out of 1..96: "),
+        (lambda rec: rec["activities"][0].update(arr=50, dep=40), "arrival bin 50 after departure bin 40"),
+        (lambda rec: rec["activities"][0].update(mode=7), "mode code out of 1..6: 7"),
+        (lambda rec: rec["activities"][0].update(mode=0), "mode code out of 1..6: 0"),
+        (lambda rec: rec["activities"][0].update(dist=-1.5), "trip distance must be a finite number >= 0: -1.5"),
+        (lambda rec: rec["activities"][0].update(dist=-2), "trip distance must be a finite number >= 0: -2.0"),
+        (lambda rec: rec.update(weekday=8), "weekday out of 1..7: 8"),
+        (lambda rec: rec.update(weekday=0), "weekday out of 1..7: 0"),
+        (lambda rec: rec.update(holiday=2), "holiday flag must be 0/1: 2"),
+        (lambda rec: rec.update(static=[1, 2, 3]), "static codes must be four values in 1..5"),
+        (lambda rec: rec.update(static=[1, 2, 3, 6]), "static codes must be four values in 1..5"),
+        (lambda rec: rec.update(person_id="7"),
+         "person_id, date, weekday, holiday and static codes must be integers"),
+        (lambda rec: rec.update(static=[1, 2, 3, 4.0]),
+         "person_id, date, weekday, holiday and static codes must be integers"),
+    ], ids=["arr-0", "dep-97", "arr-after-dep", "mode-7", "mode-0", "dist-negative", "dist-int-as-float",
+            "weekday-8", "weekday-0", "holiday-2", "static-three", "static-6", "id-string", "static-float"])
+    def test_out_of_range_record_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys, edit, problem):
+        data = tmp_path / "bad.jsonl"
+        rewrite_line(small_run["data"], data, 2, edit)
+        assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eval: {data}: invalid record at line 2: {problem}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("m*"))
+
+    def test_deeply_nested_data_line_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys):
+        lines = small_run["data"].read_text().splitlines()
+        data = tmp_path / "deep.jsonl"
+        data.write_text("\n".join([lines[0], "[" * DEEP + "]" * DEEP, *lines[1:]]) + "\n")
+        assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
+        assert capsys.readouterr().err == f"eval: {data}: parse error at line 2: nested too deeply\n"

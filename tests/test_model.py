@@ -44,20 +44,20 @@ from helpers import (
 
 class TestInsertionTargets:
     def test_single_missing_token(self):
-        targets = insertion_targets(["H", "H"], ["H", "W", "H"], [0, 2])
+        targets = insertion_targets(["H", "H"], ["H", "W", "H"])
         assert targets == [Counter(), Counter(["W"]), Counter()]
 
     def test_nothing_removed_all_stop(self):
-        targets = insertion_targets(["H", "W"], ["H", "W"], [0, 1])
+        targets = insertion_targets(["H", "W"], ["H", "W"])
         assert targets == [Counter(), Counter(), Counter()]
 
     def test_empty_source_owes_everything(self):
-        targets = insertion_targets([], ["H", "W"], [])
+        targets = insertion_targets([], ["H", "W"])
         assert targets == [Counter(["H", "W"])]
 
-    def test_bad_anchors_rejected(self):
-        with pytest.raises(Exception, match="anchor"):
-            insertion_targets(["H"], ["W", "H"], [0])
+    def test_non_subsequence_rejected(self):
+        with pytest.raises(AlignmentError, match="no match left"):
+            insertion_targets(["W", "H"], ["H", "W"])
 
 
 class TestDecoderForward:
@@ -350,9 +350,8 @@ class TestInsertionLoss:
         for n in (2, 6):  # [short, long]: the short state is padded in the batch
             seq = random_sequence(rng, n=n)
             complete_labels = seq.labels() + ["EatOut"]
-            anchors = align_subsequence(seq.labels(), complete_labels)
             states.append(DecoderState.from_sequence(seq))
-            targets.append(insertion_targets(seq.labels(), complete_labels, anchors))
+            targets.append(insertion_targets(seq.labels(), complete_labels))
         batched = float(model.batch_loss(states, targets).data)
         singles = [float(model.insertion_loss(s, t).data) for s, t in zip(states, targets)]
         assert batched == pytest.approx(np.mean(singles), abs=1e-9)

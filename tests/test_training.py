@@ -1,16 +1,18 @@
 """Adam, clipping, the batch loop, determinism, and resumable state."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from actrecover.data import align_subsequence
+from actrecover.activities import MISSING_CODE
+from actrecover.data import RecoverySample
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
     DecoderState,
     InsertionModel,
     ModelConfig,
+    VocabularyError,
     _read_container,
     _write_container,
     insertion_targets,
@@ -21,6 +23,7 @@ from actrecover.training import (
     Adam,
     TrainConfig,
     TrainReport,
+    _batch_item,
     clip_gradients,
     load_train_state,
     save_train_state,
@@ -94,10 +97,50 @@ class TestClipping:
         np.testing.assert_array_equal(p.grad, [0.1, 0.1])
 
 
+STATE_FIELDS = ("tokens", "arr", "dep", "mode", "dist", "weekday", "holiday", "static")
+
+
+class TestBatchItem:
+    def test_without_roll_in_the_item_is_the_raw_input(self):
+        for sample in small_dataset(n_days=8, seed=9):
+            state, targets = _batch_item(sample, np.random.default_rng(0), 0.0)
+            raw = DecoderState.from_sequence(sample.incomplete)
+            for name in STATE_FIELDS:
+                np.testing.assert_array_equal(getattr(state, name), getattr(raw, name))
+            assert targets == insertion_targets(sample.incomplete.labels(), sample.complete.labels())
+
+    def test_a_sample_without_removals_draws_nothing(self):
+        cfg = default_config()
+        cfg.n_days = 1
+        (sample,) = make_samples(generate_population(cfg, seed=8), 0.0, seed=8)
+        rng = np.random.default_rng(5)
+        state, targets = _batch_item(sample, rng, 1.0)
+        assert rng.random() == np.random.default_rng(5).random()
+        assert all(not counter for counter in targets) and len(state.tokens) == len(sample.complete)
+
+    def test_rolled_in_states_lie_on_the_decode_lattice(self):
+        rng = np.random.default_rng(11)
+        for sample in small_dataset(n_days=16, seed=11):
+            state, targets = _batch_item(sample, rng, 1.0)
+            kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
+            observed = state.arr != MISSING_CODE
+            assert int(observed.sum()) == len(kept)  # every kept activity, and no promoted one, is observed
+            assert sum(sum(c.values()) for c in targets) == len(sample.complete) - len(state.tokens)
+
+
 class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             train([], tiny_config(), TrainConfig(epochs=1))
+
+    def test_invalid_day_refused_before_the_first_step(self):
+        samples = small_dataset(n_days=4, seed=3)
+        s = samples[2]
+        samples[2] = RecoverySample(
+            replace(s.complete, weekday=9), replace(s.incomplete, weekday=9), s.removed_positions
+        )
+        with pytest.raises(VocabularyError, match="weekday out of 1..7: 9"):
+            train(samples, tiny_config(), TrainConfig(epochs=0))
 
     def test_deterministic_loss_series(self):
         samples = small_dataset()
@@ -161,10 +204,8 @@ class TestTrainLoop:
         model = InsertionModel(tiny_config(), seed=0)
         states, targets = [], []
         for s in samples:
-            inc, comp = s.incomplete.labels(), s.complete.labels()
-            anchors = align_subsequence(inc, comp)
             states.append(DecoderState.from_sequence(s.incomplete))
-            targets.append(insertion_targets(inc, comp, anchors))
+            targets.append(insertion_targets(s.incomplete.labels(), s.complete.labels()))
         lengths = [len(st.tokens) for st in states]
         short = lengths.index(min(lengths))
         longest = lengths.index(max(lengths))
