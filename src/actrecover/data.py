@@ -111,11 +111,21 @@ class DaySequence:
 
 @dataclass
 class RecoverySample:
-    """A masking outcome: the complete day, its masked twin, and what left."""
+    """A masking outcome: the complete day and the positions that left it.
+
+    ``incomplete`` is the complete day without those positions; its
+    activities are the complete day's own, shared, not copied.
+    """
 
     complete: DaySequence
-    incomplete: DaySequence
     removed_positions: list[int]
+    incomplete: DaySequence = field(init=False)
+
+    def __post_init__(self) -> None:
+        gone = set(self.removed_positions)
+        self.incomplete = replace(
+            self.complete, activities=[a for j, a in enumerate(self.complete.activities) if j not in gone]
+        )
 
 
 def mask_sequence(
@@ -132,13 +142,7 @@ def mask_sequence(
         raise ValueError(f"p_remove out of [0, 1]: {p_remove}")
     drop = rng.random(len(complete.activities)) < p_remove
     removed = [i for i, d in enumerate(drop) if d]
-    return RecoverySample(complete, _incomplete_twin(complete, removed), removed)
-
-
-def _incomplete_twin(complete: DaySequence, removed: Iterable[int]) -> DaySequence:
-    """``complete`` without the activities at ``removed``; the kept ones are shared."""
-    gone = set(removed)
-    return replace(complete, activities=[a for j, a in enumerate(complete.activities) if j not in gone])
+    return RecoverySample(complete, removed)
 
 
 def align_subsequence(sub: Sequence, full: Sequence) -> list[int]:
@@ -255,14 +259,8 @@ def read_sequences(path) -> list[DaySequence]:
 
 def write_samples(path, samples: Sequence[RecoverySample]) -> None:
     """Persist samples as complete records plus their removed positions."""
-    records = []
-    for i, s in enumerate(samples):
-        if _incomplete_twin(s.complete, s.removed_positions).activities != s.incomplete.activities:
-            raise ValueError(f"sample {i}: incomplete does not equal complete minus removals")
-        rec = sequence_to_record(s.complete)
-        rec["removed_positions"] = list(s.removed_positions)
-        records.append(rec)
-    _write_lines(path, records)
+    _write_lines(path, ({**sequence_to_record(s.complete), "removed_positions": list(s.removed_positions)}
+                        for s in samples))
 
 
 def read_samples(path) -> list[RecoverySample]:
@@ -273,7 +271,7 @@ def read_samples(path) -> list[RecoverySample]:
             removed, n = sorted(rec["removed_positions"]), len(complete.activities)
             if not all(type(i) is int and 0 <= i < n for i in removed) or len(set(removed)) < len(removed):
                 raise ValueError(f"removed positions must be distinct integers in [0, {n}): {removed}")
-            samples.append(RecoverySample(complete, _incomplete_twin(complete, removed), removed))
+            samples.append(RecoverySample(complete, removed))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
     return samples

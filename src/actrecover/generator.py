@@ -112,7 +112,7 @@ class RegimeDynamics:
         if not ((init >= 0).all() and (trans >= 0).all()):
             raise ConfigError("dynamics hold negative or missing probabilities")
         if abs(init.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"initial distribution sums to {init.sum()!r}, not 1")
+            raise ConfigError(f"initial distribution sums to {float(init.sum())!r}, not 1")
         rowsums = trans.sum(axis=1)
         bad = np.where(np.abs(rowsums - 1.0) > 1e-9)[0]
         if bad.size:

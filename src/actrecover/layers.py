@@ -69,17 +69,15 @@ class Packing:
         return T.embed(T.reshape(x, (b * t, x.shape[-1])), self.cells)
 
 
-def apply_dropout(x, rate: float, train: bool, rng: np.random.Generator | None, packing=None):
-    """Inverted dropout with a constant mask; identity outside training.
+def apply_dropout(x, rate: float, rng: np.random.Generator | None, packing=None):
+    """Inverted dropout with a constant mask; the identity without an ``rng``.
 
     With a ``packing``, ``x`` holds packed rows. The mask is drawn at the
     padded shape, in the padded order, and its valid rows are kept, so
     every row gets the mask values the padded tensor would have drawn.
     """
-    if not train or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     if packing is None:
         draw = rng.random(x.shape)
     else:
@@ -141,8 +139,8 @@ class GatedResidualBlock(Block):
 
     The optional context feeds the hidden layer through a bias-free
     projection. When input and output widths differ the residual path goes
-    through a bias-free skip projection so the addition conforms. Dropout,
-    when active, is applied to the pre-gate activation.
+    through a bias-free skip projection so the addition conforms. Dropout
+    runs on the pre-gate activation when a call gets an ``rng``.
     """
 
     def __init__(
@@ -184,7 +182,7 @@ class GatedResidualBlock(Block):
             same[0].zero_grad()
         return members[0]
 
-    def __call__(self, a, context=None, train: bool = False, rng=None, packing=None):
+    def __call__(self, a, context=None, rng=None, packing=None):
         """Apply the block to ``a``; with a ``packing``, ``a`` is packed rows.
 
         A packed call takes one context row per sequence and projects it
@@ -199,7 +197,7 @@ class GatedResidualBlock(Block):
                 projected = T.embed(projected, packing.seq)
             h = T.add(h, projected)
         h = self.dense_out(T.elu(h))
-        h = apply_dropout(h, self.dropout, train, rng, packing)
+        h = apply_dropout(h, self.dropout, rng, packing)
         gated = self.glu(h)
         residual = a if self.skip is None else self.skip(a)
         return T.layer_norm(T.add(residual, gated), self.norm_gain, self.norm_bias)
@@ -234,7 +232,7 @@ class VariableSelection(Block):
         )
         self.streams = GatedResidualBlock.grouped(name + ".streams", n_streams, d_m, rng, dropout)
 
-    def __call__(self, streams, context=None, train: bool = False, rng=None, packing=None):
+    def __call__(self, streams, context=None, rng=None, packing=None):
         """Fuse ``streams`` of shape (..., m, d); returns (fused, weights).
 
         The leading axes are (B, T) with a (B, 1, d) context, or packed
@@ -248,9 +246,9 @@ class VariableSelection(Block):
             )
         rows = int(np.prod(lead))
         flat = T.reshape(streams, (*lead, m * d))
-        weights = T.softmax(self.selector(flat, context, train, rng, packing), axis=-1)
+        weights = T.softmax(self.selector(flat, context, rng, packing), axis=-1)
         by_stream = T.swap_axes(T.reshape(streams, (rows, m, d)), 0, 1)  # (m, rows, d)
-        processed = self.streams(by_stream, None, train, rng, packing)
+        processed = self.streams(by_stream, None, rng, packing)
         w_by_stream = T.reshape(T.swap_axes(T.reshape(weights, (rows, m)), 0, 1), (m, rows, 1))
         fused = T.reshape(T.tsum(T.mul(processed, w_by_stream), axis=0), (*lead, d))
         return fused, weights

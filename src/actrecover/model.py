@@ -12,7 +12,7 @@ simultaneously and repeats until all slots stop or a round cap is reached,
 so the observed tokens always survive in order.
 
 With ``use_vsn`` off the model degrades to the token-only flavor: positions
-are encoded from token embeddings alone and covariates are never read.
+are encoded from token embeddings alone and covariates are never encoded.
 
 A batch runs packed: the valid positions of all its states back to back,
 with no padding. Only attention runs on the padded (B, T) grid, and
@@ -120,50 +120,24 @@ class ModelConfig:
 
 @dataclass
 class DecoderState:
-    """One partial day encoded for the network; sentinels are implied at the ends.
+    """One partial day ready for the network; sentinels are implied at the ends.
 
-    Per-activity arrays have one entry per activity. Timing, mode and
-    distance of an unobserved activity are never stored: its codes hold the
-    missing sentinel and its distance is 0, which is how decoder insertions
-    stay free of leaked covariates. So an activity is observed exactly when
-    its ``arr`` is not the missing sentinel.
+    ``tokens`` holds the activity ids, which both flavors read. ``day`` is
+    the day itself, checked once when the state is built; only the
+    covariate flavor reads its covariates, in ``InsertionModel._batch_arrays``.
     """
 
     tokens: np.ndarray  # (n,) activity ids
-    arr: np.ndarray  # (n,) arrival bins 1..96, or MISSING_CODE
-    dep: np.ndarray  # (n,) departure bins 1..96, or MISSING_CODE
-    mode: np.ndarray  # (n,) travel modes 1..6, or MISSING_CODE
-    dist: np.ndarray  # (n,) trip distances, 0 where unobserved
-    weekday: int  # 1..7
-    holiday: int  # 0 or 1
-    static: tuple[int, int, int, int]  # 1..N_STATIC_LEVELS each
+    day: DaySequence
 
     @classmethod
     def from_sequence(cls, seq: DaySequence) -> "DecoderState":
-        """Validate ``seq`` once and encode it; raises ``VocabularyError``."""
+        """Validate ``seq`` once and keep it; raises ``VocabularyError``."""
         try:
             seq.validate()
         except ValueError as exc:
             raise VocabularyError(str(exc)) from exc
-        blank = (MISSING_CODE, MISSING_CODE, MISSING_CODE)
-        codes = np.array(
-            [
-                (LABEL_TO_ID[a.label],) + ((a.arr, a.dep, a.mode) if a.observed else blank)
-                for a in seq.activities
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        dist = np.array([a.dist if a.observed else 0.0 for a in seq.activities], dtype=np.float64)
-        return cls(
-            tokens=codes[:, 0],
-            arr=codes[:, 1],
-            dep=codes[:, 2],
-            mode=codes[:, 3],
-            dist=dist,
-            weekday=seq.weekday,
-            holiday=seq.holiday,
-            static=tuple(seq.static),
-        )
+        return cls(np.array([LABEL_TO_ID[a.label] for a in seq.activities], dtype=np.int64), seq)
 
 
 @dataclass
@@ -209,16 +183,15 @@ class _EncoderLayer(Block):
         )
         self.norm_gain = Parameter(name + ".norm.gain", np.ones(cfg.d_m))
         self.norm_bias = Parameter(name + ".norm.bias", np.zeros(cfg.d_m))
-        self.ff = GatedResidualBlock(
-            name + ".ff", cfg.d_m, cfg.d_m, cfg.d_m, rng, None, cfg.dropout
-        )
+        self.ff = GatedResidualBlock(name + ".ff", cfg.d_m, cfg.d_m, cfg.d_m, rng, None, cfg.dropout)
+        self.dropout = cfg.dropout
 
-    def __call__(self, x, packing: Packing, train, rng, dropout):
+    def __call__(self, x, packing: Packing, rng):
         """Packed rows in, packed rows out; attention alone sees the padded grid."""
         attended = packing.pack(self.attn(packing.pad(x), packing.valid))
-        attended = apply_dropout(attended, dropout, train, rng, packing)
+        attended = apply_dropout(attended, self.dropout, rng, packing)
         x = T.layer_norm(T.add(x, attended), self.norm_gain, self.norm_bias)
-        return self.ff(x, None, train, rng, packing)
+        return self.ff(x, None, rng, packing)
 
 
 class InsertionModel(Block):
@@ -263,7 +236,14 @@ class InsertionModel(Block):
     # -- forward -------------------------------------------------------------
 
     def _batch_arrays(self, states: Sequence[DecoderState]) -> dict:
-        """Collate encoded states into packed rows: each state's BOS, activities and EOS."""
+        """Collate states into packed rows: each state's BOS, activities and EOS.
+
+        The covariate flavor also encodes the days' covariates here, in one
+        pass over the batch's activities. Timing, mode and distance of an
+        unobserved activity are never read: like a sentinel's, its codes are
+        the missing sentinel and its distance is 0, which is how decoder
+        insertions stay free of leaked covariates.
+        """
         lengths = np.array([len(st.tokens) for st in states])
         longest = int(lengths.max())
         if longest > self.config.max_len:
@@ -271,39 +251,44 @@ class InsertionModel(Block):
         packing = Packing(lengths + 2)
         last = packing.pos == lengths[packing.seq] + 1
         inner = (packing.pos > 0) & ~last  # the activity rows
-
-        def collate(field: str, fill, dtype) -> np.ndarray:
-            out = np.full(len(packing.seq), fill, dtype=dtype)
-            out[inner] = np.concatenate([getattr(st, field) for st in states])
-            return out
-
-        tok = collate("tokens", BOS_ID, np.int64)
+        tok = np.full(len(packing.seq), BOS_ID, dtype=np.int64)
+        tok[inner] = np.concatenate([st.tokens for st in states])
         tok[last] = EOS_ID
-        arr = collate("arr", MISSING_CODE, np.int64)
-        weekday = np.array([st.weekday - 1 for st in states], dtype=np.int64)
-        holiday = np.array([st.holiday for st in states], dtype=np.int64)
-        return {
-            "packing": packing, "tok": tok, "arr": arr,
-            "dep": collate("dep", MISSING_CODE, np.int64),
-            "mode": collate("mode", MISSING_CODE, np.int64),
-            "dist": collate("dist", 0.0, np.float64),
-            "dist_missing": (arr == MISSING_CODE).astype(np.float64),
-            "weekday": weekday[packing.seq], "holiday": holiday[packing.seq],
-            "static": np.array([st.static for st in states], dtype=np.int64) - 1,
+        arrays = {
+            "packing": packing, "tok": tok,
             "slot_rows": np.flatnonzero(~last)[:, None] + [0, 1],  # slot s sits between rows s and s + 1
             "n_slots": lengths + 1,
         }
+        if self.config.use_vsn:
+            days = [st.day for st in states]
+            blank = (MISSING_CODE, MISSING_CODE, MISSING_CODE, 0.0)
+            cov = np.full((len(tok), 4), blank)  # arrival, departure and mode codes, then distance
+            cov[inner] = np.reshape([(a.arr, a.dep, a.mode, a.dist) if a.observed else blank
+                                     for day in days for a in day.activities], (-1, 4))
+            codes = cov[:, :3].astype(np.int64)
+            weekday = np.array([day.weekday - 1 for day in days], dtype=np.int64)
+            holiday = np.array([day.holiday for day in days], dtype=np.int64)
+            arrays.update(
+                arr=codes[:, 0], dep=codes[:, 1], mode=codes[:, 2],
+                dist=cov[:, 3].copy(),  # contiguous: on a strided column dist_lin's gradient sums differently
+                dist_missing=(codes[:, 0] == MISSING_CODE).astype(np.float64),
+                weekday=weekday[packing.seq], holiday=holiday[packing.seq],
+                static=np.array([day.static for day in days], dtype=np.int64) - 1,
+            )
+        return arrays
 
-    def _static_context(self, static_idx: np.ndarray, train: bool, rng):
+    def _static_context(self, static_idx: np.ndarray, rng):
         """One (d,) context row per person, from the four static codes."""
         total = None
         for j, emb in enumerate(self.static_embs):
             e = T.embed(emb, static_idx[:, j])
             total = e if total is None else T.add(total, e)
-        return self.static_grn(total, None, train, rng)
+        return self.static_grn(total, None, rng)
 
-    def forward(self, states: Sequence[DecoderState], train: bool = False, rng=None):
+    def forward(self, states: Sequence[DecoderState], rng=None):
         """Slot logits for a batch; returns (logits, info).
+
+        Dropout runs exactly when an ``rng`` is given, which training does.
 
         ``logits`` holds every state's slots back to back, shape
         (sum of n_slots, classes). ``info`` carries ``n_slots`` per state
@@ -333,13 +318,13 @@ class InsertionModel(Block):
                 ],
                 axis=1,
             )
-            context = self._static_context(arrs["static"], train, rng)
-            x, weights = self.vsn(streams, context, train, rng, packing)
+            context = self._static_context(arrs["static"], rng)
+            x, weights = self.vsn(streams, context, rng, packing)
             selection = weights.data
         else:
             x = token_stream
         for layer in self.encoder_layers:
-            x = layer(x, packing, train, rng, cfg.dropout)
+            x = layer(x, packing, rng)
         rows = arrs["slot_rows"]
         rep = self.slot_proj(T.reshape(T.embed(x, rows), (len(rows), 2 * cfg.d_m)))
         logits = self.out_proj(rep)
@@ -384,16 +369,16 @@ class InsertionModel(Block):
         weight = np.repeat(1.0 / (n_slots * b), n_slots)[:, None]
         return target, weight
 
-    def batch_loss(self, states, targets_list, train: bool = False, rng=None):
+    def batch_loss(self, states, targets_list, rng=None):
         """Mean-over-slots cross-entropy, averaged over the batch."""
-        logits, info = self.forward(states, train=train, rng=rng)
+        logits, info = self.forward(states, rng=rng)
         target, weight = self._target_arrays(info["n_slots"], targets_list)
         logp = T.log_softmax(logits, axis=-1)
         return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
 
-    def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], train: bool = False, rng=None):
+    def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], rng=None):
         """Cross-entropy of one state's slot distributions against its targets."""
-        return self.batch_loss([state], [targets], train=train, rng=rng)
+        return self.batch_loss([state], [targets], rng=rng)
 
     # -- decoding ------------------------------------------------------------
 
@@ -609,6 +594,8 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     if expected != len(blob):
         raise refusal(f"{spec.blob} blob holds {len(blob)} bytes, the manifest needs {expected}")
     rows = np.frombuffer(blob, dtype=spec.dtype).astype(np.float64).reshape(spec.passes, -1)
+    if not np.isfinite(rows).all():
+        raise refusal(f"{spec.blob} blob holds non-finite values")
     cuts = np.cumsum(sizes)[:-1]
     passes = [{p.name: v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))} for row in rows]
     for p in params:

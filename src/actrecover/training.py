@@ -30,7 +30,7 @@ from .model import (
     save_checkpoint,
     write_record,
 )
-from .tensor import Parameter
+from .tensor import NumericError, Parameter
 
 __all__ = [
     "TrainConfig",
@@ -155,6 +155,8 @@ def _batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float
     return DecoderState.from_sequence(partial), targets
 
 
+F32_MAX = float(np.finfo(np.float32).max)  # checkpoints store parameters as float32
+
 # Training-config fields a resume may change; any other difference is refused.
 RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
 
@@ -213,7 +215,8 @@ def train(
 
     The checkpoint, when requested, is written every
     ``checkpoint_interval`` steps and at the end, with a same-named
-    ``.state`` sidecar carrying full-precision resume state.
+    ``.state`` sidecar carrying full-precision resume state. A step that leaves
+    a parameter no checkpoint can store raises ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
@@ -257,10 +260,12 @@ def train(
         batch_states, batch_targets = zip(*items)
         model.zero_grads()
         rng = np.random.default_rng([train_config.seed, 2, step])
-        loss = model.batch_loss(batch_states, batch_targets, train=True, rng=rng)
+        loss = model.batch_loss(batch_states, batch_targets, rng=rng)
         loss.backward()
         clip_gradients(params, train_config.clip_norm)
-        adam.step(params)
+        if adam.step(params) and not all(np.abs(p.data).max() <= F32_MAX for p in params):
+            raise NumericError(f"training diverged at step {step + 1}: "
+                               "a parameter is not finite or lies beyond float32's range")
         report.losses.append(float(loss.data))
         step += 1
         if train_config.checkpoint_interval and step % train_config.checkpoint_interval == 0:

@@ -133,12 +133,12 @@ class PerStreamVSN:
             for j in range(n_streams)
         ]
 
-    def __call__(self, streams, context=None, train=False, rng=None):
+    def __call__(self, streams, context=None, rng=None):
         b, t, m, d = streams.shape
         flat = T.reshape(streams, (b, t, m * d))
-        weights = T.softmax(self.selector(flat, context, train, rng), axis=-1)
+        weights = T.softmax(self.selector(flat, context, rng), axis=-1)
         processed = T.stack(
-            [blk(streams[:, :, j, :], None, train, rng) for j, blk in enumerate(self.stream_blocks)],
+            [blk(streams[:, :, j, :], None, rng) for j, blk in enumerate(self.stream_blocks)],
             axis=2,
         )
         fused = T.tsum(T.mul(processed, T.reshape(weights, (b, t, m, 1))), axis=2)
@@ -210,40 +210,40 @@ def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:
 
 
 def _padded_arrays(states) -> dict:
-    """The padded collation: (B, T) arrays, every state padded to the longest."""
+    """The padded collation: (B, T) arrays, every state padded to the longest.
+
+    It encodes each state's day itself, so it shares no code with the
+    packed collation it checks.
+    """
     lengths = np.array([len(st.tokens) for st in states])
     b = len(states)
     t_pad = int(lengths.max()) + 2
-    cols = np.arange(t_pad)
-    inner = (cols >= 1) & (cols <= lengths[:, None])
-    valid = cols <= lengths[:, None] + 1
-
-    def collate(field, fill, dtype):
-        out = np.full((b, t_pad), fill, dtype=dtype)
-        out[inner] = np.concatenate([getattr(st, field) for st in states])
-        return out
-
-    tok = collate("tokens", PAD_ID, np.int64)
-    tok[:, 0] = BOS_ID
-    tok[np.arange(b), lengths + 1] = EOS_ID
-    arr = collate("arr", MISSING_CODE, np.int64)
+    tok = np.full((b, t_pad), PAD_ID, dtype=np.int64)
+    arr = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
+    dep = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
+    mode = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
+    dist = np.zeros((b, t_pad))
     dist_missing = np.ones((b, t_pad))
-    dist_missing[inner] = arr[inner] == MISSING_CODE
-    weekday = np.array([st.weekday - 1 for st in states], dtype=np.int64)
-    holiday = np.array([st.holiday for st in states], dtype=np.int64)
+    for i, st in enumerate(states):
+        tok[i, 0], tok[i, lengths[i] + 1] = BOS_ID, EOS_ID
+        for j, act in enumerate(st.day.activities, start=1):
+            tok[i, j] = LABEL_TO_ID[act.label]
+            if act.observed:
+                arr[i, j], dep[i, j], mode[i, j], dist[i, j] = act.arr, act.dep, act.mode, act.dist
+                dist_missing[i, j] = 0.0
+    weekday = np.array([st.day.weekday - 1 for st in states], dtype=np.int64)
+    holiday = np.array([st.day.holiday for st in states], dtype=np.int64)
     return {
-        "tok": tok, "valid": valid, "arr": arr,
-        "dep": collate("dep", MISSING_CODE, np.int64),
-        "mode": collate("mode", MISSING_CODE, np.int64),
-        "dist": collate("dist", 0.0, np.float64), "dist_missing": dist_missing,
+        "tok": tok, "valid": np.arange(t_pad) <= lengths[:, None] + 1,
+        "arr": arr, "dep": dep, "mode": mode, "dist": dist, "dist_missing": dist_missing,
         "weekday": np.repeat(weekday[:, None], t_pad, axis=1),
         "holiday": np.repeat(holiday[:, None], t_pad, axis=1),
-        "static": np.array([st.static for st in states], dtype=np.int64) - 1,
+        "static": np.array([st.day.static for st in states], dtype=np.int64) - 1,
         "n_slots": lengths + 1, "t_pad": t_pad,
     }
 
 
-def padded_forward(model, states, train=False, rng=None):
+def padded_forward(model, states, rng=None):
     """Reference forward: every stage on the padded (B, T) grid.
 
     A frozen copy of the forward that the packed one replaced. Returns
@@ -278,22 +278,22 @@ def padded_forward(model, states, train=False, rng=None):
         for j, emb in enumerate(model.static_embs):
             e = T.embed(emb, arrs["static"][:, j])
             total = e if total is None else T.add(total, e)
-        context = T.reshape(model.static_grn(total, None, train, rng), (len(states), 1, cfg.d_m))
-        x, weights = model.vsn(streams, context, train, rng)
+        context = T.reshape(model.static_grn(total, None, rng), (len(states), 1, cfg.d_m))
+        x, weights = model.vsn(streams, context, rng)
         selection = weights.data
     else:
         x = token_stream
     for layer in model.encoder_layers:
-        attended = apply_dropout(layer.attn(x, arrs["valid"]), cfg.dropout, train, rng)
+        attended = apply_dropout(layer.attn(x, arrs["valid"]), cfg.dropout, rng)
         x = T.layer_norm(T.add(x, attended), layer.norm_gain, layer.norm_bias)
-        x = layer.ff(x, None, train, rng)
+        x = layer.ff(x, None, rng)
     rep = model.slot_proj(concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
     return model.out_proj(rep), selection
 
 
-def padded_batch_loss(model, states, targets_list, train=False, rng=None):
+def padded_batch_loss(model, states, targets_list, rng=None):
     """Reference loss: a frozen copy of the padded batch loss, padded slots weighted 0."""
-    logits, _ = padded_forward(model, states, train, rng)
+    logits, _ = padded_forward(model, states, rng)
     b, s, _ = logits.shape
     target = np.zeros((b, s, N_CONTENT_CLASSES))
     weight = np.zeros((b, s, 1))

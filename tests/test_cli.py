@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,17 @@ def rewrite_line(src, dst, lineno: int, edit) -> None:
     edit(rec)
     lines[lineno - 1] = json.dumps(rec)
     dst.write_text("\n".join(lines) + "\n")
+
+
+def default_regimes_with(path, value) -> dict:
+    """A ``gen`` config of the default regimes with the entry at ``path`` (keys, then indices) set to ``value``."""
+    regimes = default_config().to_json_dict()["regimes"]
+    *walk, last = path
+    target = regimes
+    for key in walk:
+        target = target[key]
+    target[last] = value
+    return {"regimes": regimes}
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +215,34 @@ class TestGen:
         assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"gen: {cfg_path}: ") and problem in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            ({"holiday_rate": 1.5}, "holiday_rate out of [0, 1]: 1.5"),
+            ({"n_days": 0}, "seed must be >= 0 and n_days >= 1"),
+            ({"p_remove": 2.0}, "p_remove out of [0, 1]: 2.0"),
+            ({"duration_mean_bins": {"HomeActivity": 32.0}}, "duration_mean_bins missing labels: ['GoShopping'"),
+            ({"regimes": {k: v for k, v in default_config().to_json_dict()["regimes"].items() if k != "holiday"}},
+             "regimes must be exactly ('weekday', 'weekend', 'holiday')"),
+            (default_regimes_with(("weekday", "initial"), [0.125] * 8),
+             "dynamics shapes (8,), (9, 9) are not (9,), (9, 9)"),
+            (default_regimes_with(("weekday", "initial", 0), "HomeActivity"), "dynamics are not arrays of numbers"),
+            (default_regimes_with(("weekday", "transition", 2, 0), -0.1),
+             "dynamics hold negative or missing probabilities"),
+            (default_regimes_with(("weekday", "initial"), [2.0] + [0.0] * 8), "initial distribution sums to 2.0, not 1"),
+            (default_regimes_with(("weekday", "transition", 4), [0.5] + [0.0] * 8),
+             "transition rows [4] do not sum to 1"),
+        ],
+    )
+    def test_config_value_generation_cannot_use_exits_2(self, tmp_path, capsys, raw, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--out", out, "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: {problem}") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
 
     def test_each_config_layer_is_validated_once(self, tmp_path, monkeypatch):
         calls = []
@@ -413,6 +453,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.strip() == f"train: {state}: invalid saved training config: {problem}"
 
+    def test_diverged_training_exits_1_and_writes_no_checkpoint(self, small_run, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1e300}))
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path,
+                "--epochs", 2, "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would fail the run
+            assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("train: internal error: training diverged at step 1: "
+                       "a parameter is not finite or lies beyond float32's range\n")
+        assert not ckpt.exists() and not (tmp_path / "m.ckpt.state").exists()
+
+    def test_state_of_non_finite_values_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "nan.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        values = np.frombuffer(blob, dtype="<f8").copy()
+        values[-1] = np.nan  # the last Adam second moment
+        _write_container(state, manifest, values.tobytes())
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        assert capsys.readouterr().err == f"train: {state}: training-state blob holds non-finite values\n"
+
+    def test_resume_from_a_model_container_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        (tmp_path / "m.ckpt.state").write_bytes(small_run["ckpt"].read_bytes())
+        argv = ["train", "--data", small_run["data"], "--out", ckpt, "--seed", 1, "--epochs", 3,
+                "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0, "--resume"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"train: {ckpt}.state: container holds 'model', not a training-state\n"
+        assert not ckpt.exists()
+
     def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert run("train", "--data", small_run["data"], "--out", ckpt, "--d-m", 0) == 2
@@ -471,7 +549,7 @@ class TestRecover:
     def test_over_length_input_exits_2_naming_the_sample(self, small_run, tmp_path, capsys):
         samples = read_samples(small_run["data"])[:3]
         long_day = random_sequence(np.random.default_rng(40), n=40)
-        samples[1] = RecoverySample(complete=long_day, incomplete=long_day, removed_positions=[])
+        samples[1] = RecoverySample(long_day, [])
         data = tmp_path / "long.jsonl"
         write_samples(data, samples)
         hyp = tmp_path / "hyp.jsonl"
@@ -613,6 +691,36 @@ class TestRecover:
             f"the manifest needs {len(blob)}"
         )
         assert "Traceback" not in err and not hyp.exists()
+
+    def test_checkpoint_of_non_finite_values_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+        manifest, blob = _read_container(small_run["ckpt"])
+        values = np.frombuffer(blob, dtype="<f4").copy()
+        values[3] = np.inf
+        ckpt = tmp_path / "inf.ckpt"
+        _write_container(ckpt, manifest, values.tobytes())
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        err = capsys.readouterr().err
+        assert err == f"recover: {ckpt}: parameter blob holds non-finite values\n"
+        assert not hyp.exists()
+
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda run_: run_["data"].read_bytes(), "not a checkpoint container"),
+            (lambda run_: run_["ckpt"].with_suffix(".ckpt.state").read_bytes(),
+             "container holds 'train_state', not a checkpoint"),
+            (lambda run_: b"ARCK" + (2).to_bytes(4, "little") + b"[]", "container manifest is not an object"),
+        ],
+        ids=["data file", "state file", "list manifest"],
+    )
+    def test_file_that_is_no_checkpoint_exits_2_naming_it(self, small_run, tmp_path, capsys, make, problem):
+        ckpt = tmp_path / "other.ckpt"
+        ckpt.write_bytes(make(small_run))
+        hyp = tmp_path / "hyp.jsonl"
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
+        assert capsys.readouterr().err == f"recover: {ckpt}: {problem}\n"
+        assert not hyp.exists()
 
     def test_writes_deterministic_summary(self, small_run, tmp_path):
         summaries = []

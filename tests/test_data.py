@@ -1,7 +1,5 @@
 """Masking, alignment, and the JSONL dataset format."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,12 +180,6 @@ class TestDatasetIO:
         assert read_sequences(path) == []
         assert read_samples(path) == []
 
-    def test_inconsistent_sample_rejected_on_write(self, tmp_path):
-        seq = make_sequence(["HomeActivity", "WorkForPay"])
-        bad = RecoverySample(complete=seq, incomplete=seq, removed_positions=[0])
-        with pytest.raises(ValueError, match="sample 0"):
-            write_samples(tmp_path / "x.jsonl", [bad])
-
 
 @st.composite
 def drawn_activities(draw):
@@ -210,9 +202,7 @@ def drawn_samples(draw):
         static=tuple(draw(st.lists(st.integers(1, N_STATIC_LEVELS), min_size=4, max_size=4))),
         activities=acts,
     )
-    removed = sorted(draw(st.sets(st.integers(0, len(acts) - 1))))
-    kept = [a for j, a in enumerate(acts) if j not in removed]
-    return RecoverySample(complete, replace(complete, activities=kept), removed)
+    return RecoverySample(complete, sorted(draw(st.sets(st.integers(0, len(acts) - 1)))))
 
 
 @settings(max_examples=200, deadline=None)

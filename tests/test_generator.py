@@ -12,6 +12,7 @@ from actrecover.generator import (
     REGIMES,
     ConfigError,
     GeneratorConfig,
+    _row,
     default_config,
     empirical_transitions,
     generate_population,
@@ -35,6 +36,11 @@ def test_invalid_transition_matrix_rejected():
     cfg.regimes["weekday"].transition[0][0] += 0.5
     with pytest.raises(ConfigError, match="rows"):
         cfg.validate()
+
+
+def test_named_masses_above_one_rejected():
+    with pytest.raises(ConfigError, match="named masses exceed 1"):
+        _row(home=0.7, work=0.4)
 
 
 def test_poisson_limit_is_numpys_own():

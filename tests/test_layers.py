@@ -221,7 +221,7 @@ class TestVariableSelection:
         for layer in (vsn, ref):
             streams = Parameter("streams", streams_np)
             context = Parameter("context", context_np)
-            fused, weights = layer(streams, context, train=True, rng=np.random.default_rng(18))
+            fused, weights = layer(streams, context, rng=np.random.default_rng(18))
             T.tsum(T.mul(fused, r)).backward()
             results.append((fused.data, weights.data, streams.grad, context.grad))
         for got, want in zip(*results):
@@ -305,12 +305,12 @@ class TestMultiHeadSelfAttention:
 class TestDropoutAndPositions:
     def test_dropout_identity_outside_training(self):
         x = Tensor(np.ones((2, 3)))
-        assert apply_dropout(x, 0.5, train=False, rng=None) is x
+        assert apply_dropout(x, 0.5, rng=None) is x
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(21)
         x = Tensor(np.ones((200, 50)))
-        out = apply_dropout(x, 0.3, train=True, rng=rng).data
+        out = apply_dropout(x, 0.3, rng=rng).data
         assert abs(out.mean() - 1.0) < 0.02
         assert (out == 0).mean() == pytest.approx(0.3, abs=0.02)
 

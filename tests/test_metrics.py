@@ -40,10 +40,7 @@ def seq_of(labels) -> DaySequence:
 
 
 def sample_of(complete_labels, removed_positions) -> RecoverySample:
-    complete = seq_of(complete_labels)
-    removed = sorted(removed_positions)
-    kept = [a for i, a in enumerate(complete.activities) if i not in set(removed)]
-    return RecoverySample(complete, replace(complete, activities=kept), removed)
+    return RecoverySample(seq_of(complete_labels), sorted(removed_positions))
 
 
 # -- independent oracle -------------------------------------------------------

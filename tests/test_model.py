@@ -148,6 +148,11 @@ class TestCollate:
         np.testing.assert_array_equal(a["slot_rows"], [[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [6, 7]])
         np.testing.assert_array_equal(a["n_slots"], [2, 4])
 
+    def test_token_only_flavor_encodes_no_covariates(self):
+        model = InsertionModel(tiny_config(use_vsn=False), seed=0)
+        state = DecoderState.from_sequence(random_sequence(np.random.default_rng(3), n=3))
+        assert set(model._batch_arrays([state])) == {"packing", "tok", "slot_rows", "n_slots"}
+
 
 class TestCovariateEncoding:
     def test_stream_count_full_flavor(self):
@@ -323,6 +328,12 @@ class TestInsertionLoss:
         loss = model.insertion_loss(state, targets)
         assert float(loss.data) == pytest.approx(math.log(10.0), abs=1e-12)
 
+    def test_target_label_outside_the_vocabulary_rejected(self):
+        model = InsertionModel(tiny_config(), seed=14)
+        state = DecoderState.from_sequence(random_sequence(np.random.default_rng(14), n=1))
+        with pytest.raises(VocabularyError, match="unknown target label 'Nap'"):
+            model.insertion_loss(state, [Counter(["Nap"]), Counter()])
+
     def test_two_label_slot_same_uniform_mass(self):
         model = InsertionModel(tiny_config(), seed=14)
         model.out_proj.w.data[:] = 0.0
@@ -482,8 +493,8 @@ class TestGroupedVSN:
         model = InsertionModel(cfg, seed=43)
         ref = self.reference_model(monkeypatch, cfg, 43)
         losses = [
-            model.batch_loss(states, targets, train=True, rng=np.random.default_rng(44)),
-            padded_batch_loss(ref, states, targets, train=True, rng=np.random.default_rng(44)),
+            model.batch_loss(states, targets, rng=np.random.default_rng(44)),
+            padded_batch_loss(ref, states, targets, rng=np.random.default_rng(44)),
         ]
         for loss in losses:
             loss.backward()
@@ -515,8 +526,8 @@ class TestPackedForward:
         targets = [random_targets(np.random.default_rng([seed, i]), st) for i, st in enumerate(states)]
         packed, padded = InsertionModel(cfg, seed=seed), InsertionModel(cfg, seed=seed)
         rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
-        loss = packed.batch_loss(states, targets, train=True, rng=rngs[0])
-        want = padded_batch_loss(padded, states, targets, train=True, rng=rngs[1])
+        loss = packed.batch_loss(states, targets, rng=rngs[0])
+        want = padded_batch_loss(padded, states, targets, rng=rngs[1])
         loss.backward()
         want.backward()
         assert abs(float(loss.data) - float(want.data)) <= 1e-12 * abs(float(want.data))

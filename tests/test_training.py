@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from actrecover.activities import MISSING_CODE
 from actrecover.data import RecoverySample
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
@@ -97,16 +96,13 @@ class TestClipping:
         np.testing.assert_array_equal(p.grad, [0.1, 0.1])
 
 
-STATE_FIELDS = ("tokens", "arr", "dep", "mode", "dist", "weekday", "holiday", "static")
-
-
 class TestBatchItem:
     def test_without_roll_in_the_item_is_the_raw_input(self):
         for sample in small_dataset(n_days=8, seed=9):
             state, targets = _batch_item(sample, np.random.default_rng(0), 0.0)
             raw = DecoderState.from_sequence(sample.incomplete)
-            for name in STATE_FIELDS:
-                np.testing.assert_array_equal(getattr(state, name), getattr(raw, name))
+            np.testing.assert_array_equal(state.tokens, raw.tokens)
+            assert state.day == raw.day
             assert targets == insertion_targets(sample.incomplete.labels(), sample.complete.labels())
 
     def test_a_sample_without_removals_draws_nothing(self):
@@ -123,8 +119,8 @@ class TestBatchItem:
         for sample in small_dataset(n_days=16, seed=11):
             state, targets = _batch_item(sample, rng, 1.0)
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
-            observed = state.arr != MISSING_CODE
-            assert int(observed.sum()) == len(kept)  # every kept activity, and no promoted one, is observed
+            observed = [a.observed for a in state.day.activities]
+            assert sum(observed) == len(kept)  # every kept activity, and no promoted one, is observed
             assert sum(sum(c.values()) for c in targets) == len(sample.complete) - len(state.tokens)
 
 
@@ -136,9 +132,7 @@ class TestTrainLoop:
     def test_invalid_day_refused_before_the_first_step(self):
         samples = small_dataset(n_days=4, seed=3)
         s = samples[2]
-        samples[2] = RecoverySample(
-            replace(s.complete, weekday=9), replace(s.incomplete, weekday=9), s.removed_positions
-        )
+        samples[2] = RecoverySample(replace(s.complete, weekday=9), s.removed_positions)
         with pytest.raises(VocabularyError, match="weekday out of 1..7: 9"):
             train(samples, tiny_config(), TrainConfig(epochs=0))
 
@@ -167,8 +161,6 @@ class TestTrainLoop:
         assert report.skipped_steps == 0
 
     def test_single_pair_overfit_reproduces_target(self):
-        from dataclasses import replace
-
         from actrecover.data import Activity, DaySequence, RecoverySample
 
         complete = DaySequence(
@@ -179,13 +171,10 @@ class TestTrainLoop:
                 Activity("HomeActivity", 65, 96, 1, 4.0, True),
             ],
         )
-        incomplete = replace(
-            complete, activities=[complete.activities[0], complete.activities[2]]
-        )
-        sample = RecoverySample(complete, incomplete, [1])
+        sample = RecoverySample(complete, [1])
         tc = TrainConfig(lr=3e-3, batch_size=1, epochs=200, seed=6)
         model, _ = train([sample], tiny_config(d_m=16, d_attn=8, d_val=8), tc)
-        out = model.recover(incomplete)
+        out = model.recover(sample.incomplete)
         assert out.sequence.labels() == ["HomeActivity", "WorkForPay", "HomeActivity"]
 
     def test_degenerate_no_removal_sample_saturates(self):
