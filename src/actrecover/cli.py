@@ -123,11 +123,7 @@ def cmd_train(args) -> int:
     if not samples:
         raise ConfigError(f"{args.data}: dataset is empty")
     model_config, train_config = _layered_configs(args, ModelConfig, TrainConfig)
-    resume_from = args.out if args.resume else None
-    model, report = train(
-        samples, model_config, train_config,
-        checkpoint_path=args.out, resume_from=resume_from,
-    )
+    model, report = train(samples, model_config, train_config, checkpoint_path=args.out, resume=args.resume)
     payload = report.to_json_dict()
     payload["flavor"] = "vsnit" if model_config.use_vsn else "baseline"
     payload["model_config"] = model_config.to_dict()

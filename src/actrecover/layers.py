@@ -225,8 +225,6 @@ class VariableSelection(Block):
     ):
         if n_streams < 1:
             raise ShapeError("variable selection needs at least one stream")
-        self.n_streams = n_streams
-        self.d_m = d_m
         self.selector = GatedResidualBlock(
             name + ".select", n_streams * d_m, d_m, n_streams, rng, d_context, dropout
         )
@@ -239,11 +237,6 @@ class VariableSelection(Block):
         rows (N,) with a ``packing`` and a (B, d) context.
         """
         *lead, m, d = streams.shape
-        if m != self.n_streams or d != self.d_m:
-            raise ShapeError(
-                f"stream block of shape {streams.shape} does not match "
-                f"({self.n_streams}, {self.d_m})"
-            )
         rows = int(np.prod(lead))
         flat = T.reshape(streams, (*lead, m * d))
         weights = T.softmax(self.selector(flat, context, rng, packing), axis=-1)

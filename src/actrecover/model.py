@@ -224,11 +224,6 @@ class InsertionModel(Block):
         self.slot_proj = Linear("slot_proj", 2 * d, d, rng)
         self.out_proj = Linear("out_proj", d, N_CONTENT_CLASSES, rng)
 
-        names = [p.name for p in self.parameters()]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate parameter names: {dupes}")
-
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -484,6 +479,7 @@ _KINDS = {
     "train_state": _Kind("training-state", "training-state", ConfigError, "<f8", 3,
                          ("train", "step", "adam_t", "adam_skipped")),
 }
+F32_MAX = float(np.finfo(_KINDS["model"].dtype).max)  # the largest value a checkpoint stores
 
 
 def _write_container(path, manifest: dict, blob: bytes) -> None:
@@ -525,17 +521,16 @@ def _param_entries(params: Sequence[Parameter]) -> list[dict]:
     return [{"name": p.name, "shape": list(p.shape)} for p in params]
 
 
-def _blob(kind: str, model: InsertionModel, moments: Sequence[dict] = ()) -> bytes:
-    params = model.parameters()
-    passes = [{p.name: p.data for p in params}, *moments]
+def _blob(kind: str, model: InsertionModel, moments: Sequence[list] = ()) -> bytes:
+    passes = [[p.data for p in model.parameters()], *moments]
     dtype = _KINDS[kind].dtype
-    return b"".join(values[p.name].astype(dtype).tobytes() for values in passes for p in params)
+    return b"".join(value.astype(dtype).tobytes() for values in passes for value in values)
 
 
 def write_record(
-    path, kind: str, model: InsertionModel, fields: dict, moments: Sequence[dict] = ()
+    path, kind: str, model: InsertionModel, fields: dict, moments: Sequence[list] = ()
 ) -> None:
-    """Write ``model``, the kind's own manifest ``fields`` and ``moments`` (name -> array)."""
+    """Write ``model``, the kind's own manifest ``fields`` and ``moments`` (arrays in parameter order)."""
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "kind": kind,
@@ -550,8 +545,8 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     """Check a container of ``kind``; returns (model, manifest, passes).
 
     The model is built from the manifest's config, which must equal
-    ``config`` when one is given. ``passes[k]`` maps each parameter name to
-    its values in pass ``k``; pass 0 is already loaded into the model.
+    ``config`` when one is given. ``passes[k]`` lists pass ``k``'s arrays in
+    parameter order; pass 0 is already loaded into the model.
     Every refusal raises the kind's error class and names the file.
     """
     spec = _KINDS[kind]
@@ -597,9 +592,9 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     if not np.isfinite(rows).all():
         raise refusal(f"{spec.blob} blob holds non-finite values")
     cuts = np.cumsum(sizes)[:-1]
-    passes = [{p.name: v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))} for row in rows]
-    for p in params:
-        p.data = passes[0][p.name]
+    passes = [[v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))] for row in rows]
+    for p, value in zip(params, passes[0]):
+        p.data = value
     return model, manifest, passes
 
 

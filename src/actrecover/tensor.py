@@ -250,7 +250,7 @@ def elu(x) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise."""
     x = _as_tensor(x)
     d = x.data
-    data = np.where(d > 0, d, np.expm1(d))
+    data = np.where(d > 0, d, np.expm1(np.minimum(d, 0.0)))  # no overflow on the discarded side
 
     def backward(g):
         _accumulate(x, g * np.where(d > 0, 1.0, data + 1.0))

@@ -20,6 +20,7 @@ import numpy as np
 from .data import Activity, RecoverySample
 from .generator import ConfigError, config_values
 from .model import (
+    F32_MAX,
     DecoderState,
     InsertionModel,
     ModelConfig,
@@ -107,25 +108,26 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
 class Adam:
     """Adam with bias correction; skips (and counts) non-finite steps."""
 
-    def __init__(self, params: Sequence[Parameter], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: Sequence[Parameter], config: TrainConfig):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = config.lr, config.beta1, config.beta2, config.eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        self.m = [np.zeros_like(p.data) for p in self.params]  # moments in parameter order
+        self.v = [np.zeros_like(p.data) for p in self.params]
         self.skipped = 0
 
-    def step(self, params: Sequence[Parameter]) -> bool:
-        """Apply one update from ``p.grad``; returns False if skipped."""
-        for p in params:
+    def step(self) -> bool:
+        """Apply one update from each ``p.grad``; returns False if skipped."""
+        for p in self.params:
             if not np.isfinite(p.grad).all():
                 self.skipped += 1
                 return False
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for p in params:
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * p.grad
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * p.grad**2
+        for i, p in enumerate(self.params):
+            m = self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
+            v = self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * p.grad**2
             p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
         return True
 
@@ -154,8 +156,6 @@ def _batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float
     targets = insertion_targets(partial.labels(), sample.complete.labels())
     return DecoderState.from_sequence(partial), targets
 
-
-F32_MAX = float(np.finfo(np.float32).max)  # checkpoints store parameters as float32
 
 # Training-config fields a resume may change; any other difference is refused.
 RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
@@ -197,8 +197,8 @@ def load_train_state(
                 f"{path}: cannot resume with a different training config: {diffs}"
                 f"; only {' and '.join(RESUMABLE_CHANGES)} may change"
             )
-    for p in model.parameters():
-        p.data = values[p.name]
+    for p, value in zip(model.parameters(), values):
+        p.data = value
     adam.m, adam.v = m, v
     adam.t, adam.skipped = manifest["adam_t"], manifest["adam_skipped"]
     return manifest["step"]
@@ -209,38 +209,34 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     checkpoint_path=None,
-    resume_from=None,
+    resume: bool = False,
 ):
     """Fit an insertion model on recovery samples; returns (model, report).
 
     The checkpoint, when requested, is written every
     ``checkpoint_interval`` steps and at the end, with a same-named
-    ``.state`` sidecar carrying full-precision resume state. A step that leaves
-    a parameter no checkpoint can store raises ``NumericError``.
+    ``.state`` sidecar carrying full-precision resume state; ``resume``
+    continues from that sidecar. A step that leaves a parameter no
+    checkpoint can store raises ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
+    if resume and checkpoint_path is None:
+        raise ConfigError("resuming needs the checkpoint path whose .state file it reads")
     max_len = model_config.max_len
     for i, s in enumerate(samples):  # refuse bad input before the first step
         if len(s.complete) > max_len:
             raise ConfigError(f"sample {i} has {len(s.complete)} activities, above max_len={max_len}")
         DecoderState.from_sequence(s.complete)  # an invalid day raises VocabularyError
     model = InsertionModel(model_config, seed=train_config.seed)
-    adam = Adam(
-        model.parameters(),
-        lr=train_config.lr,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.eps,
-    )
+    adam = Adam(model.parameters(), train_config)
     start_step = 0
-    if resume_from is not None:
-        start_step = load_train_state(str(resume_from) + ".state", model, adam, train_config)
+    if resume:
+        start_step = load_train_state(str(checkpoint_path) + ".state", model, adam, train_config)
 
     n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs
-    params = model.parameters()
     report = TrainReport()
     started = time.perf_counter()
 
@@ -262,8 +258,8 @@ def train(
         rng = np.random.default_rng([train_config.seed, 2, step])
         loss = model.batch_loss(batch_states, batch_targets, rng=rng)
         loss.backward()
-        clip_gradients(params, train_config.clip_norm)
-        if adam.step(params) and not all(np.abs(p.data).max() <= F32_MAX for p in params):
+        clip_gradients(adam.params, train_config.clip_norm)
+        if adam.step() and not all(np.abs(p.data).max() <= F32_MAX for p in adam.params):
             raise NumericError(f"training diverged at step {step + 1}: "
                                "a parameter is not finite or lies beyond float32's range")
         report.losses.append(float(loss.data))

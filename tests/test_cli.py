@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from helpers import random_sample, random_sequence
 
 
 DEEP = 100_000  # JSON nesting far past Python's recursion limit
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv) -> int:
@@ -378,8 +383,11 @@ class TestTrain:
         ('{"n_heads": 64, "d_attn": 128}', "head count times head width is unreasonably large"),
         ('{"dropout": 1.0}', "dropout out of [0, 1): 1.0"),
         ('{"max_len": 0}', "max_rounds must be >= 0 and max_len >= 1"),
+        ('{"batch_size": 0}', "batch_size must be >= 1 and epochs >= 0"),
+        ('{"epochs": -1}', "batch_size must be >= 1 and epochs >= 0"),
+        ('{"roll_in": 1.5}', "roll_in out of [0, 1]: 1.5"),
     ], ids=["lr-inf", "beta1-1", "beta2-neg", "eps-0", "eps-inf", "seed-neg", "interval-neg",
-            "head-width", "dropout-1", "max-len-0"])
+            "head-width", "dropout-1", "max-len-0", "batch-size-0", "epochs-neg", "roll-in-1.5"])
     def test_config_value_training_cannot_run_exits_2(self, small_run, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -514,6 +522,20 @@ class TestTrain:
 
 
 class TestRecover:
+    def test_overflowing_training_prints_no_numpy_warning(self, tmp_path):
+        # lr 1e10 drives pre-activations far past exp's range without leaving float32's;
+        # run as a user would, so stderr is the real one and no warning filter applies
+        (tmp_path / "cfg.json").write_text(json.dumps({"lr": 1e10}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        for argv in (["gen", "--out", "d.jsonl", "--n-days", 16, "--seed", 1],
+                     ["train", "--data", "d.jsonl", "--out", "m.ckpt", "--config", "cfg.json", "--epochs", 2,
+                      "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1],
+                     ["recover", "--checkpoint", "m.ckpt", "--data", "d.jsonl", "--out", "h.jsonl"]):
+            done = subprocess.run([sys.executable, "-m", "actrecover.cli", *map(str, argv)], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert "RuntimeWarning" not in done.stderr, done.stderr
+
     def test_zero_rounds_passthrough(self, small_run, tmp_path):
         hyp = tmp_path / "hyp.jsonl"
         assert (

@@ -79,6 +79,11 @@ class TestMaskSequence:
         with pytest.raises(ValueError):
             mask_sequence(seq, 0.3, np.random.default_rng(0))
 
+    def test_removal_rate_above_one_rejected(self):
+        seq = make_sequence(["HomeActivity"])
+        with pytest.raises(ValueError, match=r"p_remove out of \[0, 1\]: 1.5"):
+            mask_sequence(seq, 1.5, np.random.default_rng(0))
+
 
 class TestAlignSubsequence:
     def test_unique_alignment(self):

@@ -21,7 +21,7 @@ from actrecover.layers import (
     apply_dropout,
     sinusoidal_positions,
 )
-from actrecover.tensor import Parameter, Tensor
+from actrecover.tensor import Parameter, ShapeError, Tensor
 
 from helpers import PerStreamVSN, listed_parameters
 
@@ -132,6 +132,12 @@ class TestGatedResidualBlock:
         c = rng.normal(size=(2, 5))
         np.testing.assert_allclose(blk(Tensor(a), Tensor(c)).data, grn_oracle(a, c, blk), atol=1e-12)
 
+    def test_a_context_without_a_context_projection_refused(self):
+        rng = np.random.default_rng(9)
+        blk = GatedResidualBlock("grn", 4, 4, 4, rng)
+        with pytest.raises(ShapeError, match="block was built without a context projection"):
+            blk(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4))))
+
     def test_gradient_full_block(self):
         rng = np.random.default_rng(9)
         blk = GatedResidualBlock("grn", 4, 4, 4, rng, d_context=4)
@@ -161,6 +167,19 @@ class TestVariableSelection:
         np.testing.assert_allclose(weights.data, 1.0, atol=1e-12)
         only = stream_block(vsn, 0)(streams[:, :, 0, :])
         np.testing.assert_allclose(fused.data, only.data, atol=1e-12)
+
+    def test_no_streams_refused(self):
+        with pytest.raises(ShapeError, match="variable selection needs at least one stream"):
+            VariableSelection("vsn", 0, 4, np.random.default_rng(10))
+
+    @pytest.mark.parametrize("shape", [(5, 6, 4), (5, 7, 3), (2, 3, 6, 4), (5, 14, 2)])
+    def test_a_stream_block_of_another_shape_raises_shape_error(self, shape):
+        # (5, 14, 2) has the flat width of seven 4-wide streams, so it passes the
+        # selector and fails at the grouped stream block instead
+        rng = np.random.default_rng(10)
+        vsn = VariableSelection("vsn", 7, 4, rng)
+        with pytest.raises(ShapeError, match=r"matmul shapes do not conform"):
+            vsn(Tensor(rng.normal(size=shape)))
 
     def test_zeroed_selector_gives_equal_weights(self):
         rng = np.random.default_rng(11)

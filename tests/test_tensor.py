@@ -1,6 +1,7 @@
 """Forward values and gradients of the tensor core."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestElu:
         x = Tensor([-1.0, 0.0, 2.0])
         expected = [math.exp(-1.0) - 1.0, 0.0, 2.0]
         np.testing.assert_allclose(T.elu(x).data, expected, atol=1e-15)
+
+    def test_no_overflow_warning_and_the_old_formula_where_it_did_not_overflow(self):
+        d = np.array([1000.0, -1.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.elu(Tensor(d)).data
+        with np.errstate(over="ignore"):
+            old = np.where(d > 0, d, np.expm1(d))  # overflows at 1000, where the value is discarded
+        assert got.tobytes() == old.tobytes()
 
     def test_gradient_smooth_regions(self):
         x = Parameter("x", np.array([-2.0, -0.5, 0.7, 3.0]))

@@ -42,16 +42,16 @@ def small_dataset(n_days=16, seed=3):
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter("p", np.array([1.0, -2.0]))
-        adam = Adam([p], lr=0.1)
+        adam = Adam([p], TrainConfig(lr=0.1))
         before = p.data.copy()
-        assert adam.step([p])
+        assert adam.step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_magnitude_close_to_lr(self):
         p = Parameter("p", np.zeros(4))
         p.grad = np.array([3.0, -0.5, 10.0, -7.0])
-        adam = Adam([p], lr=1e-3)
-        adam.step([p])
+        adam = Adam([p], TrainConfig(lr=1e-3))
+        adam.step()
         # bias correction makes the first update lr * g / (|g| + eps) per entry
         np.testing.assert_allclose(np.abs(p.data), 1e-3, rtol=1e-5)
         np.testing.assert_array_equal(np.sign(p.data), -np.sign(p.grad))
@@ -59,8 +59,8 @@ class TestAdam:
     def test_non_finite_gradient_skipped_and_counted(self):
         p = Parameter("p", np.array([1.0]))
         p.grad = np.array([np.nan])
-        adam = Adam([p], lr=0.1)
-        assert not adam.step([p])
+        adam = Adam([p], TrainConfig(lr=0.1))
+        assert not adam.step()
         assert adam.skipped == 1
         np.testing.assert_array_equal(p.data, [1.0])
 
@@ -70,10 +70,10 @@ class TestAdam:
         trajectories = []
         for _ in range(2):
             p = Parameter("p", np.ones(3))
-            adam = Adam([p], lr=0.01)
+            adam = Adam([p], TrainConfig(lr=0.01))
             for g in grads:
                 p.grad = g.copy()
-                adam.step([p])
+                adam.step()
             trajectories.append(p.data.copy())
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
 
@@ -228,18 +228,22 @@ class TestCheckpointingAndResume:
         half_tc = TrainConfig(lr=1e-3, batch_size=4, epochs=3, seed=4)
         train(samples, cfg, half_tc, checkpoint_path=ckpt)
         model, tail_report = train(
-            samples, cfg, full_tc, checkpoint_path=ckpt, resume_from=ckpt
+            samples, cfg, full_tc, checkpoint_path=ckpt, resume=True
         )
         midpoint = len(full_report.losses) // 2
         np.testing.assert_allclose(tail_report.losses, full_report.losses[midpoint:], atol=1e-12)
         assert tail_report.steps == full_report.steps
+
+    def test_resume_without_a_checkpoint_path_refused(self):
+        with pytest.raises(ConfigError, match=r"resuming needs the checkpoint path"):
+            train(small_dataset(n_days=8, seed=7), tiny_config(), TrainConfig(epochs=1), resume=True)
 
     def test_resume_rejects_other_config(self, tmp_path):
         samples = small_dataset(n_days=8, seed=7)
         ckpt = tmp_path / "part.ckpt"
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         model = InsertionModel(tiny_config(d_m=16, d_attn=8, d_val=8), seed=0)
-        adam = Adam(model.parameters())
+        adam = Adam(model.parameters(), TrainConfig())
         with pytest.raises(ConfigError, match="config"):
             load_train_state(str(ckpt) + ".state", model, adam)
 
@@ -255,7 +259,7 @@ class TestCheckpointingAndResume:
             manifest["format"] = old
             _write_container(state, manifest, blob)
             with pytest.raises(ConfigError, match=f"training-state format {old} is not supported"):
-                load_train_state(state, model, Adam(model.parameters()))
+                load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
 
     @pytest.fixture
     def one_epoch_state(self, tmp_path):
@@ -274,7 +278,7 @@ class TestCheckpointingAndResume:
         changed = TrainConfig(batch_size=2, epochs=2, seed=99, lr=tc.lr)
         with pytest.raises(ConfigError) as info:
             train(small_dataset(n_days=8, seed=7), tiny_config(), changed,
-                  checkpoint_path=ckpt, resume_from=ckpt)
+                  checkpoint_path=ckpt, resume=True)
         message = str(info.value)
         assert "part.ckpt.state: cannot resume with a different training config" in message
         assert "batch_size=4 (now 2)" in message and "seed=4 (now 99)" in message
@@ -284,7 +288,7 @@ class TestCheckpointingAndResume:
         ckpt, tc = one_epoch_state
         longer = TrainConfig(batch_size=4, epochs=2, seed=4, checkpoint_interval=1)
         _, report = train(small_dataset(n_days=8, seed=7), tiny_config(), longer,
-                          checkpoint_path=ckpt, resume_from=ckpt)
+                          checkpoint_path=ckpt, resume=True)
         assert report.steps == 4 and len(report.losses) == 2
 
     @pytest.mark.parametrize("key", ["config", "train", "step", "adam_t", "adam_skipped"])
@@ -296,7 +300,7 @@ class TestCheckpointingAndResume:
         _write_container(state, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(ConfigError, match=rf"part\.ckpt\.state: training-state manifest lacks {key}"):
-            load_train_state(state, model, Adam(model.parameters()))
+            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
 
     def test_state_with_a_wrong_parameter_list_refused(self, one_epoch_state):
         ckpt, _ = one_epoch_state
@@ -306,12 +310,12 @@ class TestCheckpointingAndResume:
         _write_container(state, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(ConfigError, match=r"part\.ckpt\.state: parameter entry 0 is .*'bogus'"):
-            load_train_state(state, model, Adam(model.parameters()))
+            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
 
     def test_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
         ckpt, tc = one_epoch_state
         model = InsertionModel(tiny_config(), seed=0)
-        adam = Adam(model.parameters())
+        adam = Adam(model.parameters(), TrainConfig())
         step = load_train_state(str(ckpt) + ".state", model, adam)
         again = tmp_path / "again.state"
         save_train_state(again, model, adam, step, tc)
@@ -329,7 +333,7 @@ class TestCheckpointingAndResume:
             ConfigError,
             match=rf"part\.ckpt\.state: training-state blob holds {need - 8} bytes, the manifest needs {need}",
         ):
-            load_train_state(state, model, Adam(model.parameters()))
+            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
 
 
 @pytest.mark.parametrize(
