@@ -2,7 +2,10 @@
 
 Central differences at 64-bit with a small step give roughly eight
 significant digits; relative errors below 1e-4 indicate a correct adjoint
-for every layer used here.
+for every layer used here. The checked parameters are promoted to float64
+first, so a float32 model is checked at 64-bit too: by the dtype rule of
+:mod:`actrecover.tensor`, every operation downstream of them computes in
+float64.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ def grad_check(
     ``forward`` must rebuild its graph on every call and return a scalar;
     it is evaluated twice per parameter entry. The relative error for one
     entry is ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
+    Each of ``params`` is left holding its value in float64.
     """
     for p in params:
+        p.data = p.data.astype(np.float64, copy=False)
         p.zero_grad()
     _checked(forward()).backward()
     analytic = {p.name: np.array(p.grad, copy=True) for p in params}

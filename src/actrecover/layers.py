@@ -83,8 +83,7 @@ def apply_dropout(x, rate: float, rng: np.random.Generator | None, packing=None)
     else:
         b, t = packing.grid
         draw = rng.random(x.shape[:-2] + (b * t, x.shape[-1]))[..., packing.cells, :]
-    keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
-    return T.mul(x, keep)
+    return T.mul(x, (draw >= rate) / (1.0 - rate))  # the mask adopts x's dtype
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
@@ -277,7 +276,7 @@ class MultiHeadSelfAttention(Block):
         scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), 1.0 / np.sqrt(da))
         scores = T.add(scores, np.where(key_valid, 0.0, -1e9)[:, None, None, :])
         # rows with no valid key at all are defined to produce zeros
-        any_valid = key_valid.any(axis=-1).astype(np.float64)[:, None, None, None]
+        any_valid = key_valid.any(axis=-1)[:, None, None, None]
         attn = T.mul(T.softmax(scores, axis=-1), any_valid)
         mixed = T.reshape(T.swap_axes(T.matmul(attn, v), 1, 2), (b, t, h * dv))
         return T.matmul(mixed, self.w_out)

@@ -18,6 +18,10 @@ A batch runs packed: the valid positions of all its states back to back,
 with no padding. Only attention runs on the padded (B, T) grid, and
 dropout draws its masks at the padded shape, so a packed batch computes
 what a padded one would.
+
+The model holds its parameters, gradients and optimizer moments in
+float32, the dtype its checkpoints store, so it trains and decodes at the
+precision it is saved in (see the dtype rule in :mod:`actrecover.tensor`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .layers import (
     apply_dropout,
     sinusoidal_positions,
 )
-from .tensor import Parameter
+from .tensor import NumericError, Parameter
 
 __all__ = [
     "CapacityError",
@@ -75,7 +79,8 @@ __all__ = [
     "parameter_checksum",
 ]
 
-CHECKPOINT_FORMAT = 3  # the manifest ``format`` that checkpoints and ``.state`` files carry
+CHECKPOINT_FORMAT = 4  # the manifest ``format`` that checkpoints and ``.state`` files carry
+PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
 
@@ -223,6 +228,9 @@ class InsertionModel(Block):
         ]
         self.slot_proj = Linear("slot_proj", 2 * d, d, rng)
         self.out_proj = Linear("out_proj", d, N_CONTENT_CLASSES, rng)
+        for p in self.parameters():  # drawn in float64, held in the checkpoint's dtype
+            p.data = p.data.astype(PARAM_DTYPE)
+        self.zero_grads()
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -266,7 +274,7 @@ class InsertionModel(Block):
             arrays.update(
                 arr=codes[:, 0], dep=codes[:, 1], mode=codes[:, 2],
                 dist=cov[:, 3].copy(),  # contiguous: on a strided column dist_lin's gradient sums differently
-                dist_missing=(codes[:, 0] == MISSING_CODE).astype(np.float64),
+                dist_missing=codes[:, 0] == MISSING_CODE,
                 weekday=weekday[packing.seq], holiday=holiday[packing.seq],
                 static=np.array([day.static for day in days], dtype=np.int64) - 1,
             )
@@ -298,8 +306,8 @@ class InsertionModel(Block):
         selection = None
         if cfg.use_vsn:
             dist_stream = T.add(
-                self.dist_lin(T.Tensor(arrs["dist"][:, None])),
-                T.mul(T.Tensor(arrs["dist_missing"][:, None]), self.dist_missing),
+                self.dist_lin(arrs["dist"][:, None]),
+                T.mul(arrs["dist_missing"][:, None], self.dist_missing),
             )
             streams = T.stack(
                 [
@@ -397,7 +405,8 @@ class InsertionModel(Block):
         inserts the argmax of every non-stop slot; a sequence leaves when all
         its slots stop, when it runs out of rounds, or when an insertion
         would pass ``max_len`` (it is then truncated to the leftmost picks
-        that fit).
+        that fit). Slot scores that leave float32's range raise
+        ``NumericError``.
         """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds
@@ -417,9 +426,12 @@ class InsertionModel(Block):
                         DecoderState.from_sequence(replace(incompletes[i], activities=acts[i]))
                         for i in rows
                     ]
-                    with T.no_grad():
+                    with T.no_grad(), np.errstate(all="ignore"):  # the logits are checked just below
                         logits, _ = self.forward(states)
                         probs = T.softmax(logits, axis=-1).data.reshape(len(rows), length + 1, -1)
+                    if not np.isfinite(logits.data).all():
+                        raise NumericError("slot scores are not finite: the model's arithmetic "
+                                           "leaves float32's range")
                     for i, choices in zip(rows, probs.argmax(axis=-1)):
                         picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
                         if not picks:
@@ -469,17 +481,15 @@ class _Kind:
     label: str  # names the file in messages
     blob: str  # names the blob in messages
     error: type
-    dtype: str
     passes: int  # parameters, then optimizer moments
     keys: tuple[str, ...] = ()  # the kind's own required manifest keys
 
 
 _KINDS = {
-    "model": _Kind("checkpoint", "parameter", CompatibilityError, "<f4", 1),
-    "train_state": _Kind("training-state", "training-state", ConfigError, "<f8", 3,
+    "model": _Kind("checkpoint", "parameter", CompatibilityError, 1),
+    "train_state": _Kind("training-state", "training-state", ConfigError, 3,
                          ("train", "step", "adam_t", "adam_skipped")),
 }
-F32_MAX = float(np.finfo(_KINDS["model"].dtype).max)  # the largest value a checkpoint stores
 
 
 def _write_container(path, manifest: dict, blob: bytes) -> None:
@@ -521,10 +531,9 @@ def _param_entries(params: Sequence[Parameter]) -> list[dict]:
     return [{"name": p.name, "shape": list(p.shape)} for p in params]
 
 
-def _blob(kind: str, model: InsertionModel, moments: Sequence[list] = ()) -> bytes:
+def _blob(model: InsertionModel, moments: Sequence[list] = ()) -> bytes:
     passes = [[p.data for p in model.parameters()], *moments]
-    dtype = _KINDS[kind].dtype
-    return b"".join(value.astype(dtype).tobytes() for values in passes for value in values)
+    return b"".join(np.asarray(value, PARAM_DTYPE).tobytes() for values in passes for value in values)
 
 
 def write_record(
@@ -538,7 +547,7 @@ def write_record(
         "params": _param_entries(model.parameters()),
         **fields,
     }
-    _write_container(path, manifest, _blob(kind, model, moments))
+    _write_container(path, manifest, _blob(model, moments))
 
 
 def read_record(path, kind: str, config: ModelConfig | None = None):
@@ -585,10 +594,10 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
         if listed != needed:
             raise refusal(f"parameter entry {i} is {listed!r}, the model needs {needed!r}")
     sizes = [p.size for p in params]
-    expected = spec.passes * np.dtype(spec.dtype).itemsize * sum(sizes)
+    expected = spec.passes * PARAM_DTYPE.itemsize * sum(sizes)
     if expected != len(blob):
         raise refusal(f"{spec.blob} blob holds {len(blob)} bytes, the manifest needs {expected}")
-    rows = np.frombuffer(blob, dtype=spec.dtype).astype(np.float64).reshape(spec.passes, -1)
+    rows = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(spec.passes, -1).copy()
     if not np.isfinite(rows).all():
         raise refusal(f"{spec.blob} blob holds non-finite values")
     cuts = np.cumsum(sizes)[:-1]
@@ -611,4 +620,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
 
 def parameter_checksum(model: InsertionModel) -> str:
     """SHA-256 of the float32 parameter blob a checkpoint holds."""
-    return hashlib.sha256(_blob("model", model)).hexdigest()
+    return hashlib.sha256(_blob(model)).hexdigest()

@@ -1,11 +1,19 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Values are numpy float64 arrays in row-major order. Every operation records
-its inputs and a backward closure; calling :meth:`Tensor.backward` on a
-scalar walks the recorded graph in reverse topological order and accumulates
-gradients into every node that requires them. The operation set is
-deliberately small: exactly what gated residual blocks, variable selection,
-multi-head attention and the slot insertion head need.
+Values are numpy float arrays in row-major order. One dtype rule holds for
+every operation: a :class:`Tensor` keeps the floating dtype it is given
+(anything else becomes float64), an operation computes in the dtype of its
+tensor operands, a raw operand (a mask, a constant, a scalar) adopts that
+dtype, and a gradient is accumulated in the dtype of its node. So a model
+whose parameters are float32 trains and infers without a float64 array on
+its tape, while layers built from float64 draws stay float64.
+
+Every operation records its inputs and a backward closure; calling
+:meth:`Tensor.backward` on a scalar walks the recorded graph in reverse
+topological order and accumulates gradients into every node that requires
+them. The operation set is deliberately small: exactly what gated residual
+blocks, variable selection, multi-head attention and the slot insertion
+head need.
 
 Gradient buffers on :class:`Parameter` persist across graphs and accumulate;
 callers zero them between optimization steps. Inside a :class:`no_grad`
@@ -72,12 +80,13 @@ class no_grad:
 
 
 class Tensor:
-    """A dense float64 array plus the hooks for backpropagation."""
+    """A dense float array plus the hooks for backpropagation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -145,6 +154,13 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _as_tensors(*xs) -> list[Tensor]:
+    """The operands as tensors; raw ones take the dtype of the tensor operands."""
+    dtypes = [x.data.dtype for x in xs if isinstance(x, Tensor)]
+    dtype = np.result_type(*dtypes) if dtypes else None
+    return [x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype)) for x in xs]
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -162,6 +178,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 def _accumulate(node: Tensor, g: np.ndarray) -> None:
     if not node.requires_grad:
         return
+    g = g.astype(node.data.dtype, copy=False)
     node.grad = g if node.grad is None else node.grad + g
 
 
@@ -177,7 +194,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -189,7 +206,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -206,7 +223,7 @@ def matmul(a, b) -> Tensor:
     ``a``'s rows, forward and backward, so its gradient is one ``a2.T @ g2``
     rather than one small product per leading index summed afterwards.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensors(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes do not conform: {a.data.shape} @ {b.data.shape}")
     if a.data.ndim > 2 and b.data.ndim == 2:
@@ -296,7 +313,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Standardize over the last axis (population variance), then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    x, gain, bias = _as_tensors(x, gain, bias)
     d = x.data
     mu = d.mean(axis=-1, keepdims=True)
     var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -331,7 +348,8 @@ def embed(table, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        # one bincount over flat (row, column) cells adds in the order np.add.at would
+        # one bincount over flat (row, column) cells adds in the order np.add.at would;
+        # it sums in float64, and _accumulate casts the result to the table's dtype
         cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=n_rows * width)
         _accumulate(table, gt.reshape(n_rows, width))
@@ -340,7 +358,7 @@ def embed(table, indices) -> Tensor:
 
 
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = _as_tensors(*tensors)
     data = np.stack([t.data for t in ts], axis=axis)
 
     def backward(g):

@@ -20,7 +20,6 @@ import numpy as np
 from .data import Activity, RecoverySample
 from .generator import ConfigError, config_values
 from .model import (
-    F32_MAX,
     DecoderState,
     InsertionModel,
     ModelConfig,
@@ -93,10 +92,14 @@ class TrainReport:
 
 
 def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``; returns the norm before."""
+    """Scale all gradients so their global norm is at most ``max_norm``; returns the norm before.
+
+    The squares are summed in float64, so the norm of float32 gradients
+    cannot overflow before it is clipped.
+    """
     total = 0.0
     for p in params:
-        total += float((p.grad * p.grad).sum())
+        total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if np.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
@@ -106,7 +109,10 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction; skips (and counts) non-finite steps."""
+    """Adam with bias correction; skips (and counts) non-finite steps.
+
+    Moments are held, and updates land, in each parameter's dtype.
+    """
 
     def __init__(self, params: Sequence[Parameter], config: TrainConfig):
         self.params = list(params)
@@ -128,7 +134,8 @@ class Adam:
         for i, p in enumerate(self.params):
             m = self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
             v = self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * p.grad**2
-            p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            update = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p.data = update.astype(p.data.dtype, copy=False)  # numpy 1 promotes an lr float32 cannot hold
         return True
 
 
@@ -164,7 +171,7 @@ RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
 def save_train_state(
     path, model: InsertionModel, adam: Adam, step: int, train_config: TrainConfig
 ) -> None:
-    """Full-precision training state: parameters plus Adam moments, and the run's config."""
+    """Training state: parameters plus Adam moments, as the model holds them, and the run's config."""
     fields = {
         "train": train_config.to_dict(), "step": step,
         "adam_t": adam.t, "adam_skipped": adam.skipped,
@@ -215,9 +222,9 @@ def train(
 
     The checkpoint, when requested, is written every
     ``checkpoint_interval`` steps and at the end, with a same-named
-    ``.state`` sidecar carrying full-precision resume state; ``resume``
-    continues from that sidecar. A step that leaves a parameter no
-    checkpoint can store raises ``NumericError``.
+    ``.state`` sidecar carrying the exact resume state; ``resume``
+    continues from that sidecar. A step whose loss or updated parameters
+    leave float32's range raises ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
@@ -256,10 +263,14 @@ def train(
         batch_states, batch_targets = zip(*items)
         model.zero_grads()
         rng = np.random.default_rng([train_config.seed, 2, step])
-        loss = model.batch_loss(batch_states, batch_targets, rng=rng)
-        loss.backward()
-        clip_gradients(adam.params, train_config.clip_norm)
-        if adam.step() and not all(np.abs(p.data).max() <= F32_MAX for p in adam.params):
+        with np.errstate(all="ignore"):  # the loss and the parameters are checked just below
+            loss = model.batch_loss(batch_states, batch_targets, rng=rng)
+            loss.backward()
+            clip_gradients(adam.params, train_config.clip_norm)
+            stepped = adam.step()
+        if not np.isfinite(loss.data):
+            raise NumericError(f"training diverged at step {step + 1}: the loss is not finite")
+        if stepped and not all(np.isfinite(p.data).all() for p in adam.params):
             raise NumericError(f"training diverged at step {step + 1}: "
                                "a parameter is not finite or lies beyond float32's range")
         report.losses.append(float(loss.data))

@@ -2,7 +2,8 @@
 plus frozen references the optimized paths are checked against: the serial
 decode loop, the per-stream variable selection network, the hand-kept
 parameter lists, the two-branch sigmoid, the padded forward and loss (with
-the ``concat`` op only it uses), and the ``rng.choice`` day sampler."""
+the ``concat`` op only it uses), and the ``rng.choice`` day sampler; and
+``at_float64``, which promotes a model to run parity checks at 64-bit."""
 
 from collections import Counter
 
@@ -44,6 +45,19 @@ def tiny_config(**overrides) -> ModelConfig:
     base = dict(d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1, dropout=0.0, max_len=16)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def at_float64(model):
+    """``model`` with its parameters promoted to float64, as ``grad_check`` promotes them.
+
+    Two computations equal in exact arithmetic differ in float32's last
+    bits; run at float64, they are held to the tolerances that reveal a
+    real difference.
+    """
+    for p in model.parameters():
+        p.data = p.data.astype(np.float64)
+    model.zero_grads()
+    return model
 
 
 def random_sequence(rng: np.random.Generator, n: int | None = None, labels=None) -> DaySequence:
@@ -259,8 +273,8 @@ def padded_forward(model, states, rng=None):
     selection = None
     if cfg.use_vsn:
         dist_stream = T.add(
-            model.dist_lin(T.Tensor(arrs["dist"][:, :, None])),
-            T.mul(T.Tensor(arrs["dist_missing"][:, :, None]), model.dist_missing),
+            model.dist_lin(arrs["dist"][:, :, None]),
+            T.mul(arrs["dist_missing"][:, :, None], model.dist_missing),
         )
         streams = T.stack(
             [

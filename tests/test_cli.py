@@ -475,6 +475,20 @@ class TestTrain:
                        "a parameter is not finite or lies beyond float32's range\n")
         assert not ckpt.exists() and not (tmp_path / "m.ckpt.state").exists()
 
+    def test_a_loss_beyond_float32_exits_1_and_writes_no_checkpoint(self, small_run, tmp_path, capsys):
+        # lr 1e10 moves step 1's parameters to about 1e10; step 2's forward then overflows float32
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lr": 1e10}))
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--data", small_run["data"], "--out", ckpt, "--config", cfg_path,
+                "--epochs", 2, "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "train: internal error: training diverged at step 2: the loss is not finite\n"
+        assert not ckpt.exists() and not (tmp_path / "m.ckpt.state").exists()
+
     def test_state_of_non_finite_values_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "nan.ckpt"
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
@@ -482,7 +496,7 @@ class TestTrain:
         assert run("train", *common, "--epochs", 1) == 0
         state = f"{ckpt}.state"
         manifest, blob = _read_container(state)
-        values = np.frombuffer(blob, dtype="<f8").copy()
+        values = np.frombuffer(blob, dtype="<f4").copy()
         values[-1] = np.nan  # the last Adam second moment
         _write_container(state, manifest, values.tobytes())
         capsys.readouterr()
@@ -535,6 +549,20 @@ class TestRecover:
             done = subprocess.run([sys.executable, "-m", "actrecover.cli", *map(str, argv)], cwd=tmp_path,
                                   env=env, capture_output=True, text=True, timeout=300)
             assert "RuntimeWarning" not in done.stderr, done.stderr
+
+    def test_slot_scores_beyond_float32_exit_1(self, small_run, tmp_path, capsys):
+        # one step at lr 1e10 leaves finite parameters whose forward overflows float32
+        (tmp_path / "cfg.json").write_text(json.dumps({"lr": 1e10}))
+        ckpt, hyp = tmp_path / "m.ckpt", tmp_path / "h.jsonl"
+        assert run("train", "--data", small_run["data"], "--out", ckpt, "--config", tmp_path / "cfg.json",
+                   "--epochs", 1, "--batch-size", 16, "--d-m", 8, "--heads", 2, "--n-layers", 1) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 1
+        assert capsys.readouterr().err == ("recover: internal error: slot scores are not finite: "
+                                           "the model's arithmetic leaves float32's range\n")
+        assert not hyp.exists()
 
     def test_zero_rounds_passthrough(self, small_run, tmp_path):
         hyp = tmp_path / "hyp.jsonl"

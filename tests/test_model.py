@@ -33,6 +33,7 @@ from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSE
 
 from helpers import (
     PerStreamVSN,
+    at_float64,
     listed_parameters,
     padded_batch_loss,
     padded_forward,
@@ -89,7 +90,7 @@ class TestDecoderForward:
 
     def test_padding_does_not_change_logits(self):
         rng = np.random.default_rng(3)
-        model = InsertionModel(tiny_config(), seed=3)
+        model = at_float64(InsertionModel(tiny_config(), seed=3))
         short = DecoderState.from_sequence(random_sequence(rng, n=2))
         long = DecoderState.from_sequence(random_sequence(rng, n=6))
         alone, _ = model.forward([short])
@@ -174,7 +175,7 @@ class TestCovariateEncoding:
         model.encoder_layers[0] = record
         _, info = model.forward([state])
         tok = [BOS_ID, *state.tokens, EOS_ID]
-        expected = model.tok_emb.data[tok] + sinusoidal_positions(len(tok), 8)
+        expected = model.tok_emb.data[tok] + sinusoidal_positions(len(tok), 8).astype(np.float32)
         np.testing.assert_array_equal(seen["x"], expected)
         assert info["selection"] is None and not hasattr(model, "vsn")
 
@@ -319,7 +320,7 @@ class TestBaselineReduction:
 
 class TestInsertionLoss:
     def test_uniform_predictor_log10(self):
-        model = InsertionModel(tiny_config(), seed=13)
+        model = at_float64(InsertionModel(tiny_config(), seed=13))
         model.out_proj.w.data[:] = 0.0
         model.out_proj.b.data[:] = 0.0  # logits all equal -> uniform over 10 classes
         seq = random_sequence(np.random.default_rng(13), n=2)
@@ -335,7 +336,7 @@ class TestInsertionLoss:
             model.insertion_loss(state, [Counter(["Nap"]), Counter()])
 
     def test_two_label_slot_same_uniform_mass(self):
-        model = InsertionModel(tiny_config(), seed=14)
+        model = at_float64(InsertionModel(tiny_config(), seed=14))
         model.out_proj.w.data[:] = 0.0
         model.out_proj.b.data[:] = 0.0
         seq = random_sequence(np.random.default_rng(14), n=1)
@@ -356,7 +357,7 @@ class TestInsertionLoss:
 
     def test_per_sample_losses_match_single_sample_losses(self):
         rng = np.random.default_rng(16)
-        model = InsertionModel(tiny_config(), seed=16)
+        model = at_float64(InsertionModel(tiny_config(), seed=16))
         states, targets = [], []
         for n in (2, 6):  # [short, long]: the short state is padded in the batch
             seq = random_sequence(rng, n=n)
@@ -490,8 +491,8 @@ class TestGroupedVSN:
         seqs = [random_sequence(rng, n=n) for n in (0, 1, 3, 6, 2, 5)]
         states = [DecoderState.from_sequence(s) for s in seqs]
         targets = [[Counter(["WorkForPay"] if k % 2 else [])] * (len(s.tokens) + 1) for k, s in enumerate(states)]
-        model = InsertionModel(cfg, seed=43)
-        ref = self.reference_model(monkeypatch, cfg, 43)
+        model = at_float64(InsertionModel(cfg, seed=43))
+        ref = at_float64(self.reference_model(monkeypatch, cfg, 43))
         losses = [
             model.batch_loss(states, targets, rng=np.random.default_rng(44)),
             padded_batch_loss(ref, states, targets, rng=np.random.default_rng(44)),
@@ -524,7 +525,7 @@ class TestPackedForward:
     def assert_loss_and_gradients_match(cfg, seed, states):
         """Loss and every gradient within 1e-12, and the dropout rng left in the same state."""
         targets = [random_targets(np.random.default_rng([seed, i]), st) for i, st in enumerate(states)]
-        packed, padded = InsertionModel(cfg, seed=seed), InsertionModel(cfg, seed=seed)
+        packed, padded = (at_float64(InsertionModel(cfg, seed=seed)) for _ in range(2))
         rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
         loss = packed.batch_loss(states, targets, rng=rngs[0])
         want = padded_batch_loss(padded, states, targets, rng=rngs[1])
@@ -608,8 +609,8 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(InsertionModel(tiny_config(), seed=28), path)
         manifest, blob = _read_container(path)
-        assert manifest["format"] == 3
-        for old in (1, 2):
+        assert manifest["format"] == 4
+        for old in (1, 2, 3):
             manifest["format"] = old
             _write_container(path, manifest, blob)
             with pytest.raises(

@@ -205,6 +205,69 @@ class TestTrainLoop:
         assert float(padded.data) == pytest.approx(np.mean(alone), abs=1e-6)
 
 
+def _tape(loss):
+    """Every node the loss's graph reaches, the raw operands that became tensors included."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestFloat32:
+    """The model trains and decodes in float32, the dtype its checkpoints store."""
+
+    @pytest.mark.parametrize("use_vsn", [True, False], ids=["fused", "token"])
+    def test_two_steps_leave_every_array_float32(self, use_vsn):
+        samples = small_dataset(n_days=8, seed=11)
+        model = InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=3)
+        adam = Adam(model.parameters(), TrainConfig())
+        for step in range(2):
+            rng = np.random.default_rng(step)
+            states, targets = zip(*(_batch_item(s, rng, 0.7) for s in samples))
+            model.zero_grads()
+            loss = model.batch_loss(states, targets, rng=rng)
+            loss.backward()
+            clip_gradients(adam.params, 1.0)
+            assert adam.step()
+        params = model.parameters()
+        arrays = [p.data for p in params] + [p.grad for p in params] + adam.m + adam.v
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        tape = _tape(loss)
+        assert len(tape) > len(params)
+        assert {node.data.dtype for node in tape} == {np.dtype(np.float32)}
+        assert {node.grad.dtype for node in tape if node.grad is not None} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("use_vsn", [True, False], ids=["fused", "token"])
+    def test_recovery_scores_in_float32(self, use_vsn, monkeypatch):
+        model = InsertionModel(tiny_config(use_vsn=use_vsn), seed=5)
+        forward, dtypes = model.forward, []
+
+        def recording(states, rng=None):
+            logits, info = forward(states, rng)
+            dtypes.append(logits.data.dtype)
+            return logits, info
+
+        monkeypatch.setattr(model, "forward", recording)
+        model.recover_batch([s.incomplete for s in small_dataset(n_days=6, seed=12)])
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+    def test_the_trained_model_decodes_as_the_checkpoint_it_wrote(self, tmp_path):
+        samples = small_dataset(n_days=24, seed=13)
+        ckpt = tmp_path / "m.ckpt"
+        tc = TrainConfig(lr=3e-3, batch_size=8, epochs=4, seed=2)
+        trained, _ = train(samples, tiny_config(dropout=0.1), tc, checkpoint_path=ckpt)
+        loaded, _ = load_checkpoint(ckpt)
+        days = [s.incomplete for s in samples]
+        assert trained.recover_batch(days) == loaded.recover_batch(days)
+        for day in days:  # the slot scores behind each outcome are the same bits
+            state = DecoderState.from_sequence(day)
+            assert (trained.decoder_forward(state).probs.tobytes()
+                    == loaded.decoder_forward(state).probs.tobytes())
+
+
 class TestCheckpointingAndResume:
     def test_checkpoint_written_at_interval(self, tmp_path):
         samples = small_dataset(n_days=8, seed=6)
@@ -253,9 +316,9 @@ class TestCheckpointingAndResume:
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         state = str(ckpt) + ".state"
         manifest, blob = _read_container(state)
-        assert manifest["format"] == 3
+        assert manifest["format"] == 4
         model = InsertionModel(tiny_config(), seed=0)
-        for old in (1, 2):
+        for old in (1, 2, 3):
             manifest["format"] = old
             _write_container(state, manifest, blob)
             with pytest.raises(ConfigError, match=f"training-state format {old} is not supported"):
@@ -327,7 +390,7 @@ class TestCheckpointingAndResume:
         manifest, blob = _read_container(state)
         _write_container(state, manifest, blob[:-8])
         model = InsertionModel(tiny_config(), seed=0)
-        need = 3 * 8 * sum(p.size for p in model.parameters())
+        need = 3 * 4 * sum(p.size for p in model.parameters())
         assert len(blob) == need
         with pytest.raises(
             ConfigError,
