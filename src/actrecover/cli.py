@@ -71,7 +71,7 @@ def read_config_object(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of more digits than Python converts
         raise ConfigError(f"not UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("JSON nested too deeply") from exc

@@ -204,7 +204,11 @@ def sequence_from_record(rec: dict) -> DaySequence:
     for a in rec["activities"]:
         act = Activity(a["label"], a["arr"], a["dep"], a["mode"], a["dist"], a["observed"])
         if type(act.dist) is int:
-            act.dist = float(act.dist)
+            try:
+                act.dist = float(act.dist)
+            except OverflowError as exc:
+                raise ValueError(f"activity {len(acts)}: trip distance is an integer too large "
+                                 "for a float") from exc
         if not (type(act.arr) is type(act.dep) is type(act.mode) is int
                 and type(act.dist) is float and type(act.observed) is bool):
             raise ValueError(f"activity {len(acts)}: arr, dep and mode must be integers, "
@@ -238,6 +242,8 @@ def _read_lines(path) -> list[tuple[int, dict]]:
                 raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc.msg}") from exc
+            except ValueError as exc:  # an integer of more digits than Python converts
+                raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
             except RecursionError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: nested too deeply") from exc
     return out

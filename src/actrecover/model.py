@@ -11,8 +11,11 @@ per-slot stop label. Decoding inserts the argmax of every non-stop slot
 simultaneously and repeats until all slots stop or a round cap is reached,
 so the observed tokens always survive in order.
 
-With ``use_vsn`` off the model degrades to the token-only flavor: positions
-are encoded from token embeddings alone and covariates are never encoded.
+A partial day reaches the network as a ``DecoderState``: the day checked
+once and encoded as arrays, which training selects rows from and decoding
+inserts rows into. With ``use_vsn`` off the model degrades to the token-only
+flavor: positions are encoded from token embeddings alone and covariates are
+never read.
 
 A batch runs packed: the valid positions of all its states back to back,
 with no padding. Only attention runs on the padded (B, T) grid, and
@@ -42,6 +45,7 @@ from .activities import (
     ID_TO_LABEL,
     LABEL_TO_ID,
     MISSING_CODE,
+    N_ACTIVITIES,
     N_CONTENT_CLASSES,
     N_MODES,
     N_STATIC_LEVELS,
@@ -83,6 +87,11 @@ CHECKPOINT_FORMAT = 4  # the manifest ``format`` that checkpoints and ``.state``
 PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
+# The covariate row of an unobserved activity and of a sentinel: timing, mode and distance
+# are never read, so decoder insertions stay free of leaked covariates.
+UNOBSERVED_ROW = (MISSING_CODE, MISSING_CODE, MISSING_CODE, 0.0)
+# Row c of each is an insertion of label id c: its token, an unobserved row and no source activity.
+_INSERTIONS = (np.arange(N_ACTIVITIES), np.full((N_ACTIVITIES, 4), UNOBSERVED_ROW), np.full(N_ACTIVITIES, -1))
 
 
 class CapacityError(RuntimeError):
@@ -127,22 +136,39 @@ class ModelConfig:
 class DecoderState:
     """One partial day ready for the network; sentinels are implied at the ends.
 
-    ``tokens`` holds the activity ids, which both flavors read. ``day`` is
-    the day itself, checked once when the state is built; only the
-    covariate flavor reads its covariates, in ``InsertionModel._batch_arrays``.
+    ``tokens`` holds the activity ids, which both flavors read. The
+    covariate flavor also reads ``rows``, one per activity, and the day's
+    ``codes``. ``source`` maps each row to its activity in the day the state
+    was built from; a decoder insertion has none.
     """
 
     tokens: np.ndarray  # (n,) activity ids
-    day: DaySequence
+    rows: np.ndarray  # (n, 4) arrival, departure and mode codes, then distance; UNOBSERVED_ROW if unobserved
+    codes: np.ndarray  # (6,) weekday - 1, holiday, then the four static codes - 1
+    source: np.ndarray  # (n,) each row's index in the source day, -1 for an insertion
 
     @classmethod
     def from_sequence(cls, seq: DaySequence) -> "DecoderState":
-        """Validate ``seq`` once and keep it; raises ``VocabularyError``."""
+        """Validate ``seq`` once and encode it; raises ``VocabularyError``."""
         try:
             seq.validate()
         except ValueError as exc:
             raise VocabularyError(str(exc)) from exc
-        return cls(np.array([LABEL_TO_ID[a.label] for a in seq.activities], dtype=np.int64), seq)
+        acts = seq.activities
+        return cls(
+            np.array([LABEL_TO_ID[a.label] for a in acts], dtype=np.int64),
+            np.array([(a.arr, a.dep, a.mode, a.dist) if a.observed else UNOBSERVED_ROW for a in acts],
+                     dtype=np.float64).reshape(-1, 4),
+            np.array([seq.weekday - 1, seq.holiday, *(c - 1 for c in seq.static)], dtype=np.int64),
+            np.arange(len(acts)),
+        )
+
+    def select(self, take: Sequence[int]) -> "DecoderState":
+        """The state of rows ``take``, by one gather; ``n + c``, past the n rows, inserts label id ``c``."""
+        take = np.asarray(take, dtype=np.int64)  # once, not once per array
+        tokens, rows, source = (np.concatenate([own, inserted])[take]
+                                for own, inserted in zip((self.tokens, self.rows, self.source), _INSERTIONS))
+        return DecoderState(tokens, rows, self.codes, source)
 
 
 @dataclass
@@ -241,11 +267,8 @@ class InsertionModel(Block):
     def _batch_arrays(self, states: Sequence[DecoderState]) -> dict:
         """Collate states into packed rows: each state's BOS, activities and EOS.
 
-        The covariate flavor also encodes the days' covariates here, in one
-        pass over the batch's activities. Timing, mode and distance of an
-        unobserved activity are never read: like a sentinel's, its codes are
-        the missing sentinel and its distance is 0, which is how decoder
-        insertions stay free of leaked covariates.
+        The covariate flavor also joins the states' covariate rows and spreads
+        each day's codes over its rows.
         """
         lengths = np.array([len(st.tokens) for st in states])
         longest = int(lengths.max())
@@ -263,20 +286,15 @@ class InsertionModel(Block):
             "n_slots": lengths + 1,
         }
         if self.config.use_vsn:
-            days = [st.day for st in states]
-            blank = (MISSING_CODE, MISSING_CODE, MISSING_CODE, 0.0)
-            cov = np.full((len(tok), 4), blank)  # arrival, departure and mode codes, then distance
-            cov[inner] = np.reshape([(a.arr, a.dep, a.mode, a.dist) if a.observed else blank
-                                     for day in days for a in day.activities], (-1, 4))
+            cov = np.full((len(tok), 4), UNOBSERVED_ROW)  # arrival, departure and mode codes, then distance
+            cov[inner] = np.concatenate([st.rows for st in states])
             codes = cov[:, :3].astype(np.int64)
-            weekday = np.array([day.weekday - 1 for day in days], dtype=np.int64)
-            holiday = np.array([day.holiday for day in days], dtype=np.int64)
+            day = np.array([st.codes for st in states])
             arrays.update(
                 arr=codes[:, 0], dep=codes[:, 1], mode=codes[:, 2],
                 dist=cov[:, 3].copy(),  # contiguous: on a strided column dist_lin's gradient sums differently
                 dist_missing=codes[:, 0] == MISSING_CODE,
-                weekday=weekday[packing.seq], holiday=holiday[packing.seq],
-                static=np.array([day.static for day in days], dtype=np.int64) - 1,
+                weekday=day[packing.seq, 0], holiday=day[packing.seq, 1], static=day[:, 2:],
             )
         return arrays
 
@@ -398,7 +416,8 @@ class InsertionModel(Block):
     ) -> list[RecoveryOutcome]:
         """Decode many sequences at once; each outcome equals a lone ``recover``.
 
-        Every round groups the still-active sequences by current length and
+        Each input is checked and encoded once, even when no round runs.
+        Every round groups the still-active states by current length and
         scores each group with one gradient-free forward of at most
         ``RECOVER_ROWS`` rows. Equal lengths need no padding, so every row
         sees the arithmetic of a batch-1 forward. Per sequence, a round
@@ -410,24 +429,20 @@ class InsertionModel(Block):
         """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds
-        acts = [list(seq.activities) for seq in incompletes]
-        truncated = [False] * len(acts)
-        inserted: list[list[int]] = [[] for _ in acts]  # one count per round taken
-        active = list(range(len(acts))) if limit > 0 else []
+        states = [DecoderState.from_sequence(seq) for seq in incompletes]
+        truncated = [False] * len(states)
+        inserted: list[list[int]] = [[] for _ in states]  # one count per round taken
+        active = list(range(len(states))) if limit > 0 else []
         while active:
             groups: dict[int, list[int]] = {}
             for i in active:
-                groups.setdefault(len(acts[i]), []).append(i)
+                groups.setdefault(len(states[i].tokens), []).append(i)
             still_active = []
             for length, members in sorted(groups.items()):
                 for start in range(0, len(members), RECOVER_ROWS):
                     rows = members[start : start + RECOVER_ROWS]
-                    states = [
-                        DecoderState.from_sequence(replace(incompletes[i], activities=acts[i]))
-                        for i in rows
-                    ]
                     with T.no_grad(), np.errstate(all="ignore"):  # the logits are checked just below
-                        logits, _ = self.forward(states)
+                        logits, _ = self.forward([states[i] for i in rows])
                         probs = T.softmax(logits, axis=-1).data.reshape(len(rows), length + 1, -1)
                     if not np.isfinite(logits.data).all():
                         raise NumericError("slot scores are not finite: the model's arithmetic "
@@ -436,35 +451,25 @@ class InsertionModel(Block):
                         picks = [(s, int(c)) for s, c in enumerate(choices) if c != NO_INSERT_ID]
                         if not picks:
                             continue
-                        budget = cfg.max_len - length
-                        if len(picks) > budget:
-                            truncated[i] = True
-                            picks = picks[:budget]
-                        acts[i] = _insert(acts[i], dict(picks))
+                        truncated[i] = len(picks) > cfg.max_len - length
+                        picks = picks[: cfg.max_len - length]  # the leftmost picks that fit
+                        # slot s sits before row s: row j sorts by 2j + 1, an insertion into slot s by 2s
+                        order = {2 * j + 1: j for j in range(length)} | {2 * s: length + c for s, c in picks}
+                        states[i] = states[i].select([order[key] for key in sorted(order)])
                         inserted[i].append(len(picks))
                         if not truncated[i] and len(inserted[i]) < limit:
                             still_active.append(i)
             active = sorted(still_active)
         return [
             RecoveryOutcome(
-                sequence=replace(seq, activities=acts[i]),
+                sequence=replace(seq, activities=[seq.activities[j] if j >= 0 else Activity(ID_TO_LABEL[t])
+                                                  for j, t in zip(st.source.tolist(), st.tokens.tolist())]),
                 rounds=len(inserted[i]),
                 truncated=truncated[i],
                 inserted=tuple(inserted[i]),
             )
-            for i, seq in enumerate(incompletes)
+            for i, (seq, st) in enumerate(zip(incompletes, states))
         ]
-
-
-def _insert(acts: list[Activity], insert_at: dict[int, int]) -> list[Activity]:
-    """``acts`` with an unobserved activity of label id ``insert_at[s]`` in each slot ``s``."""
-    out: list[Activity] = []
-    for s in range(len(acts) + 1):
-        if s in insert_at:
-            out.append(Activity(label=ID_TO_LABEL[insert_at[s]], observed=False))
-        if s < len(acts):
-            out.append(acts[s])
-    return out
 
 
 # -- containers ---------------------------------------------------------------

@@ -12,12 +12,12 @@ the loss.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data import Activity, RecoverySample
+from .data import RecoverySample
 from .generator import ConfigError, config_values
 from .model import (
     DecoderState,
@@ -139,7 +139,7 @@ class Adam:
         return True
 
 
-def _batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float):
+def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.Generator, roll_in: float):
     """One training example of ``sample``: a decode state and its per-slot targets.
 
     Iterative insertion only ever visits the complete sequence minus a subset
@@ -149,19 +149,17 @@ def _batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float
     covers it from the raw input (nothing promoted) to the finished state,
     which is what teaches the decoder both intermediate insertions and
     termination. Otherwise nothing is promoted and the state is the raw input.
+    It selects rows of ``complete``; a promoted row comes back as an insertion.
     """
     removed = set(sample.removed_positions)
     promoted = set()
     if removed and rng.random() < roll_in:
         rate = rng.random()
         promoted = {i for i in removed if rng.random() < rate}
-    partial = replace(sample.complete, activities=[
-        Activity(label=act.label, observed=False) if j in promoted else act
-        for j, act in enumerate(sample.complete.activities)
-        if j in promoted or j not in removed
-    ])
-    targets = insertion_targets(partial.labels(), sample.complete.labels())
-    return DecoderState.from_sequence(partial), targets
+    labels = sample.complete.labels()
+    keep = [j for j in range(len(labels)) if j in promoted or j not in removed]
+    state = complete.select([len(labels) + complete.tokens[j] if j in promoted else j for j in keep])
+    return state, insertion_targets([labels[j] for j in keep], labels)
 
 
 # Training-config fields a resume may change; any other difference is refused.
@@ -193,6 +191,9 @@ def load_train_state(
     for key in ("step", "adam_t", "adam_skipped"):
         if type(manifest[key]) is not int or manifest[key] < 0:
             raise ConfigError(f"{path}: training-state {key} must be an integer >= 0, not {manifest[key]!r}")
+    if manifest["adam_t"] + manifest["adam_skipped"] != manifest["step"]:  # each step updates or skips once
+        raise ConfigError(f"{path}: training-state adam_t {manifest['adam_t']} plus adam_skipped "
+                          f"{manifest['adam_skipped']} must equal step {manifest['step']}")
     if train_config is not None:
         try:
             saved = config_values(manifest["train"], TrainConfig)
@@ -234,7 +235,7 @@ def train(
     for i, s in enumerate(samples):  # refuse bad input before the first step
         if len(s.complete) > max_len:
             raise ConfigError(f"sample {i} has {len(s.complete)} activities, above max_len={max_len}")
-        DecoderState.from_sequence(s.complete)  # an invalid day raises VocabularyError
+    completes = [DecoderState.from_sequence(s.complete) for s in samples]  # VocabularyError on an invalid day
     model = InsertionModel(model_config, seed=train_config.seed)
     adam = Adam(model.parameters(), train_config)
     start_step = 0
@@ -259,7 +260,7 @@ def train(
         order = np.random.default_rng([train_config.seed, 1, epoch]).permutation(n)
         idx = order[pos * train_config.batch_size : (pos + 1) * train_config.batch_size]
         roll_rng = np.random.default_rng([train_config.seed, 3, step])
-        items = [_batch_item(samples[i], roll_rng, train_config.roll_in) for i in idx]
+        items = [_batch_item(samples[i], completes[i], roll_rng, train_config.roll_in) for i in idx]
         batch_states, batch_targets = zip(*items)
         model.zero_grads()
         rng = np.random.default_rng([train_config.seed, 2, step])

@@ -1,9 +1,11 @@
 """Shared builders for random sequences, samples, and tiny model configs,
 plus frozen references the optimized paths are checked against: the serial
-decode loop, the per-stream variable selection network, the hand-kept
-parameter lists, the two-branch sigmoid, the padded forward and loss (with
-the ``concat`` op only it uses), and the ``rng.choice`` day sampler; and
-``at_float64``, which promotes a model to run parity checks at 64-bit."""
+decode loop and its activity-level insertion, the training item built from
+``Activity`` objects, the per-stream variable selection network, the
+hand-kept parameter lists, the two-branch sigmoid, the padded forward and
+loss (with the ``concat`` op only it uses), and the ``rng.choice`` day
+sampler; and ``at_float64``, which promotes a model to run parity checks at
+64-bit."""
 
 from collections import Counter
 
@@ -27,7 +29,7 @@ from actrecover.activities import (
     PAD_ID,
 )
 from actrecover import tensor as T
-from actrecover.data import Activity, DaySequence, mask_sequence
+from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import regime_of
 from actrecover.layers import (
     GatedLinearUnit,
@@ -38,7 +40,14 @@ from actrecover.layers import (
     apply_dropout,
     sinusoidal_positions,
 )
-from actrecover.model import DecoderState, InsertionModel, ModelConfig, RecoveryOutcome, _EncoderLayer
+from actrecover.model import (
+    DecoderState,
+    InsertionModel,
+    ModelConfig,
+    RecoveryOutcome,
+    _EncoderLayer,
+    insertion_targets,
+)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -111,19 +120,49 @@ def serial_recover(model, incomplete: DaySequence, max_rounds=None) -> RecoveryO
         if len(picks) > budget:
             truncated = True
             picks = picks[:budget]
-        insert_at = {s: c for s, c in picks}
-        new_acts = []
-        for s in range(len(acts) + 1):
-            if s in insert_at:
-                new_acts.append(Activity(label=ID_TO_LABEL[insert_at[s]], observed=False))
-            if s < len(acts):
-                new_acts.append(acts[s])
-        acts = new_acts
+        acts = insert_activities(acts, {s: c for s, c in picks})
         if truncated:
             break
     return RecoveryOutcome(
         sequence=replace(incomplete, activities=acts), rounds=rounds, truncated=truncated
     )
+
+
+def insert_activities(acts: list, insert_at: dict) -> list:
+    """Reference insertion: ``acts`` with an unobserved activity of label id ``insert_at[s]`` in slot ``s``.
+
+    A frozen copy of the decoder's activity-level insertion; the rows a
+    decoding round inserts into a ``DecoderState`` must encode what this builds.
+    """
+    out = []
+    for s in range(len(acts) + 1):
+        if s in insert_at:
+            out.append(Activity(label=ID_TO_LABEL[insert_at[s]], observed=False))
+        if s < len(acts):
+            out.append(acts[s])
+    return out
+
+
+def activity_batch_item(sample: RecoverySample, rng: np.random.Generator, roll_in: float):
+    """Reference training item: (the partial day, its per-slot targets).
+
+    A frozen copy of the builder that made each item's day from fresh
+    ``Activity`` objects: removed positions are dropped, except those
+    promoted with one shared random rate, which come back unobserved. The
+    optimized builder must encode the same day, owe the same targets and
+    draw the same numbers in the same order.
+    """
+    removed = set(sample.removed_positions)
+    promoted = set()
+    if removed and rng.random() < roll_in:
+        rate = rng.random()
+        promoted = {i for i in removed if rng.random() < rate}
+    partial = replace(sample.complete, activities=[
+        Activity(label=act.label, observed=False) if j in promoted else act
+        for j, act in enumerate(sample.complete.activities)
+        if j in promoted or j not in removed
+    ])
+    return partial, insertion_targets(partial.labels(), sample.complete.labels())
 
 
 class PerStreamVSN:
@@ -223,14 +262,14 @@ def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:
     return T._node(data, tuple(ts), backward)
 
 
-def _padded_arrays(states) -> dict:
-    """The padded collation: (B, T) arrays, every state padded to the longest.
+def _padded_arrays(days) -> dict:
+    """The padded collation: (B, T) arrays, every day padded to the longest.
 
-    It encodes each state's day itself, so it shares no code with the
-    packed collation it checks.
+    It encodes each day from its ``Activity`` objects itself, so it shares
+    no code with the packed collation it checks.
     """
-    lengths = np.array([len(st.tokens) for st in states])
-    b = len(states)
+    lengths = np.array([len(day) for day in days])
+    b = len(days)
     t_pad = int(lengths.max()) + 2
     tok = np.full((b, t_pad), PAD_ID, dtype=np.int64)
     arr = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
@@ -238,36 +277,37 @@ def _padded_arrays(states) -> dict:
     mode = np.full((b, t_pad), MISSING_CODE, dtype=np.int64)
     dist = np.zeros((b, t_pad))
     dist_missing = np.ones((b, t_pad))
-    for i, st in enumerate(states):
+    for i, day in enumerate(days):
         tok[i, 0], tok[i, lengths[i] + 1] = BOS_ID, EOS_ID
-        for j, act in enumerate(st.day.activities, start=1):
+        for j, act in enumerate(day.activities, start=1):
             tok[i, j] = LABEL_TO_ID[act.label]
             if act.observed:
                 arr[i, j], dep[i, j], mode[i, j], dist[i, j] = act.arr, act.dep, act.mode, act.dist
                 dist_missing[i, j] = 0.0
-    weekday = np.array([st.day.weekday - 1 for st in states], dtype=np.int64)
-    holiday = np.array([st.day.holiday for st in states], dtype=np.int64)
+    weekday = np.array([day.weekday - 1 for day in days], dtype=np.int64)
+    holiday = np.array([day.holiday for day in days], dtype=np.int64)
     return {
         "tok": tok, "valid": np.arange(t_pad) <= lengths[:, None] + 1,
         "arr": arr, "dep": dep, "mode": mode, "dist": dist, "dist_missing": dist_missing,
         "weekday": np.repeat(weekday[:, None], t_pad, axis=1),
         "holiday": np.repeat(holiday[:, None], t_pad, axis=1),
-        "static": np.array([st.day.static for st in states], dtype=np.int64) - 1,
+        "static": np.array([day.static for day in days], dtype=np.int64) - 1,
         "n_slots": lengths + 1, "t_pad": t_pad,
     }
 
 
-def padded_forward(model, states, rng=None):
+def padded_forward(model, days, rng=None):
     """Reference forward: every stage on the padded (B, T) grid.
 
-    A frozen copy of the forward that the packed one replaced. Returns
-    (logits, selection): logits (B, T - 1, classes), where slots past a
-    state's ``n_slots`` are padding, and the (B, T, streams) selection
-    weights or None. The packed forward must reproduce both on every
-    valid row and draw the same dropout numbers in the same order.
+    A frozen copy of the forward that the packed one replaced, run on the
+    days themselves. Returns (logits, selection): logits (B, T - 1,
+    classes), where slots past a day's ``n_slots`` are padding, and the
+    (B, T, streams) selection weights or None. The packed forward of the
+    days' states must reproduce both on every valid row and draw the same
+    dropout numbers in the same order.
     """
     cfg = model.config
-    arrs = _padded_arrays(states)
+    arrs = _padded_arrays(days)
     pos = sinusoidal_positions(arrs["t_pad"], cfg.d_m)
     token_stream = T.add(T.embed(model.tok_emb, arrs["tok"]), pos)
     selection = None
@@ -292,7 +332,7 @@ def padded_forward(model, states, rng=None):
         for j, emb in enumerate(model.static_embs):
             e = T.embed(emb, arrs["static"][:, j])
             total = e if total is None else T.add(total, e)
-        context = T.reshape(model.static_grn(total, None, rng), (len(states), 1, cfg.d_m))
+        context = T.reshape(model.static_grn(total, None, rng), (len(days), 1, cfg.d_m))
         x, weights = model.vsn(streams, context, rng)
         selection = weights.data
     else:
@@ -305,14 +345,14 @@ def padded_forward(model, states, rng=None):
     return model.out_proj(rep), selection
 
 
-def padded_batch_loss(model, states, targets_list, rng=None):
+def padded_batch_loss(model, days, targets_list, rng=None):
     """Reference loss: a frozen copy of the padded batch loss, padded slots weighted 0."""
-    logits, _ = padded_forward(model, states, rng)
+    logits, _ = padded_forward(model, days, rng)
     b, s, _ = logits.shape
     target = np.zeros((b, s, N_CONTENT_CLASSES))
     weight = np.zeros((b, s, 1))
     for i, targets in enumerate(targets_list):
-        n_slots = len(states[i].tokens) + 1
+        n_slots = len(days[i]) + 1
         for slot, counter in enumerate(targets):
             total = sum(counter.values())
             if total == 0:

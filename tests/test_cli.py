@@ -172,6 +172,13 @@ class TestGen:
         assert err.startswith(f"gen: {cfg_path}: config key 'p_remove' is too large for a float: 1000")
         assert "Traceback" not in err
 
+    def test_integer_of_more_digits_than_python_parses_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": 1' + "0" * sys.get_int_max_str_digits() + "}")
+        assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gen: {cfg_path}: not UTF-8 JSON: Exceeds the limit") and err.count("\n") == 1
+
     def test_nan_config_value_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"gap_mean_bins": NaN}')
@@ -442,6 +449,25 @@ class TestTrain:
         assert run("train", *common, "--epochs", 2, "--resume") == 2
         err = capsys.readouterr().err
         assert err.strip() == f"train: {state}: training-state {key} must be an integer >= 0, not {value!r}"
+
+    @pytest.mark.parametrize("key, value", [("adam_t", 10**400), ("adam_skipped", 1), ("step", 0)],
+                             ids=["adam_t-beyond-float", "adam_skipped", "step"])
+    def test_state_counters_no_run_could_write_exit_2_naming_the_file(self, small_run, tmp_path, capsys,
+                                                                     key, value):
+        ckpt = tmp_path / "c.ckpt"
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
+                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
+        assert run("train", *common, "--epochs", 1) == 0
+        state = f"{ckpt}.state"
+        manifest, blob = _read_container(state)
+        assert (manifest["step"], manifest["adam_t"], manifest["adam_skipped"]) == (2, 2, 0)
+        manifest[key] = value
+        _write_container(state, manifest, blob)
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 2, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"train: {state}: training-state adam_t ") and err.count("\n") == 1
+        assert err.strip().endswith(f" must equal step {manifest['step']}") and "Traceback" not in err
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda train: [1], "config must be a JSON object"),
@@ -985,6 +1011,37 @@ class TestEvalAndCompare:
         assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"eval: {data}: invalid record at line 2: {problem}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("m*"))
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--data"), ("eval", "--hyp"), ("train", "--data"), ("recover", "--data"),
+        ("compare", "--hyp-b"),
+    ])
+    @pytest.mark.parametrize("digits, problem", [
+        (400, "invalid record at line 2: activity 0: trip distance is an integer too large for a float"),
+        (sys.get_int_max_str_digits() + 1, "parse error at line 2: Exceeds the limit"),
+    ], ids=["beyond-float", "beyond-int-parsing"])
+    def test_integer_distance_beyond_range_exits_2_naming_file_and_line(
+        self, small_run, tmp_path, capsys, command, flag, digits, problem
+    ):
+        lines = small_run["data"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["activities"][0]["dist"] = 0
+        big = json.dumps(rec).replace('"dist": 0', '"dist": 1' + "0" * digits, 1)  # valid JSON at any size
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], big, *lines[2:]]) + "\n")
+        data = small_run["data"]
+        files = {
+            "eval": {"--data": data, "--hyp": data},
+            "train": {"--data": data},
+            "recover": {"--data": data, "--checkpoint": small_run["ckpt"]},
+            "compare": {"--data": data, "--hyp-a": data, "--hyp-b": data},
+        }[command]
+        files[flag] = bad
+        out = tmp_path / ("m.json" if command == "compare" else "m")
+        assert run(command, *[x for pair in files.items() for x in pair], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {bad}: {problem}") and err.count("\n") == 1
         assert not list(tmp_path.glob("m*"))
 
     def test_deeply_nested_data_line_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys):

@@ -3,10 +3,11 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actrecover import tensor as T
@@ -29,11 +30,12 @@ from actrecover.model import (
     parameter_checksum,
     save_checkpoint,
 )
-from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_CONTENT_CLASSES
+from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_ACTIVITIES, N_CONTENT_CLASSES
 
 from helpers import (
     PerStreamVSN,
     at_float64,
+    insert_activities,
     listed_parameters,
     padded_batch_loss,
     padded_forward,
@@ -400,6 +402,61 @@ class TestRecover:
         assert out.sequence.activities == seq.activities
         assert out.rounds == 0 and not out.truncated
 
+    def test_zero_rounds_still_refuse_an_invalid_day(self):
+        model = InsertionModel(tiny_config(), seed=18)
+        seq = random_sequence(np.random.default_rng(18), n=3)
+        seq.weekday = 9
+        with pytest.raises(VocabularyError, match="weekday out of 1..7: 9"):
+            model.recover_batch([seq], max_rounds=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(0, 6),
+        picks=st.dictionaries(st.integers(0, 6), st.integers(0, N_ACTIVITIES - 1)),
+    )
+    @example(seed=0, n=6, picks={0: 1, 6: 2})  # a day at max_len: the budget leaves no pick
+    @example(seed=0, n=0, picks={})
+    def test_a_round_inserts_rows_that_encode_the_activity_level_insertion(self, seed, n, picks):
+        rng = np.random.default_rng(seed)
+        seq = random_sequence(rng, n=n)
+        for j in np.flatnonzero(rng.random(n) < 0.3):  # an unobserved input activity keeps its codes
+            seq.activities[j] = Activity(seq.activities[j].label, arr=3, dep=4, mode=5, dist=6.0)
+        insert_at = {s: c for s, c in picks.items() if s <= n}
+        model = InsertionModel(tiny_config(max_len=6), seed=0)
+
+        def forward(states, rng=None):  # picks the drawn labels, and stops everywhere else
+            (state,) = states
+            logits = np.zeros((len(state.tokens) + 1, N_CONTENT_CLASSES), dtype=np.float32)
+            logits[:, NO_INSERT_ID] = 1.0
+            for s, c in insert_at.items():
+                logits[s, c] = 2.0
+            return T.Tensor(logits), {}
+
+        model.forward = forward
+        made, select = [], DecoderState.select
+
+        def recording(state, take):
+            made.append(select(state, take))
+            return made[-1]
+
+        with mock.patch.object(DecoderState, "select", recording):
+            (out,) = model.recover_batch([seq], max_rounds=1)
+        fitted = dict(sorted(insert_at.items())[: 6 - n])  # the leftmost picks that fit
+        want = insert_activities(seq.activities, fitted)
+        assert out.sequence.activities == want and out.truncated == (len(fitted) < len(insert_at))
+        assert all(any(a is b for b in out.sequence.activities) for a in seq.activities)  # not copies
+        assert len(made) == (1 if insert_at else 0)
+        if made:
+            (state,) = made
+            encoded = DecoderState.from_sequence(replace(seq, activities=want))
+            np.testing.assert_array_equal(state.tokens, encoded.tokens)
+            np.testing.assert_array_equal(state.rows, encoded.rows)
+            np.testing.assert_array_equal(state.codes, encoded.codes)
+            kept = state.source >= 0
+            np.testing.assert_array_equal(state.source[kept], np.arange(n))  # the input's rows, in order
+            assert (~kept).sum() == len(fitted)
+
     def test_stop_biased_model_returns_input(self):
         model = InsertionModel(tiny_config(), seed=19)
         model.out_proj.w.data[:] = 0.0
@@ -495,7 +552,7 @@ class TestGroupedVSN:
         ref = at_float64(self.reference_model(monkeypatch, cfg, 43))
         losses = [
             model.batch_loss(states, targets, rng=np.random.default_rng(44)),
-            padded_batch_loss(ref, states, targets, rng=np.random.default_rng(44)),
+            padded_batch_loss(ref, seqs, targets, rng=np.random.default_rng(44)),
         ]
         for loss in losses:
             loss.backward()
@@ -519,16 +576,17 @@ class TestPackedForward:
     @staticmethod
     def batch(seed: int, lengths) -> list:
         rng = np.random.default_rng(seed)
-        return [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in lengths]
+        return [random_sequence(rng, n=n) for n in lengths]
 
     @staticmethod
-    def assert_loss_and_gradients_match(cfg, seed, states):
+    def assert_loss_and_gradients_match(cfg, seed, days):
         """Loss and every gradient within 1e-12, and the dropout rng left in the same state."""
+        states = [DecoderState.from_sequence(day) for day in days]
         targets = [random_targets(np.random.default_rng([seed, i]), st) for i, st in enumerate(states)]
         packed, padded = (at_float64(InsertionModel(cfg, seed=seed)) for _ in range(2))
         rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
         loss = packed.batch_loss(states, targets, rng=rngs[0])
-        want = padded_batch_loss(padded, states, targets, rng=rngs[1])
+        want = padded_batch_loss(padded, days, targets, rng=rngs[1])
         loss.backward()
         want.backward()
         assert abs(float(loss.data) - float(want.data)) <= 1e-12 * abs(float(want.data))
@@ -539,8 +597,7 @@ class TestPackedForward:
     @pytest.mark.parametrize("use_vsn", [True, False])
     def test_mixed_lengths_match_the_padded_reference(self, use_vsn):
         cfg = tiny_config(use_vsn=use_vsn, dropout=0.2, n_layers=2, max_len=10)
-        states = self.batch(50, [0, 10, 3, 1, 7, 0, 5, 10, 2])
-        self.assert_loss_and_gradients_match(cfg, 51, states)
+        self.assert_loss_and_gradients_match(cfg, 51, self.batch(50, [0, 10, 3, 1, 7, 0, 5, 10, 2]))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -557,9 +614,9 @@ class TestPackedForward:
     def test_equal_lengths_give_bit_identical_logits(self, use_vsn, b):
         model = InsertionModel(tiny_config(use_vsn=use_vsn, n_layers=2, max_len=10), seed=52)
         for n in (0, 1, 4, 10):
-            states = self.batch(53 + n, [n] * b)
-            logits, info = model.forward(states)
-            want, selection = padded_forward(model, states)
+            days = self.batch(53 + n, [n] * b)
+            logits, info = model.forward([DecoderState.from_sequence(day) for day in days])
+            want, selection = padded_forward(model, days)
             assert np.array_equal(logits.data.reshape(want.shape), want.data)
             if use_vsn:
                 assert np.array_equal(info["selection"].reshape(selection.shape), selection)

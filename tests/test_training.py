@@ -1,11 +1,15 @@
 """Adam, clipping, the batch loop, determinism, and resumable state."""
 
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from actrecover.data import RecoverySample
+from actrecover.activities import ACTIVITY_CATEGORIES, MISSING_CODE
+from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
     DecoderState,
@@ -29,7 +33,7 @@ from actrecover.training import (
     train,
 )
 
-from helpers import tiny_config
+from helpers import activity_batch_item, random_sequence, tiny_config
 
 
 def small_dataset(n_days=16, seed=3):
@@ -96,13 +100,21 @@ class TestClipping:
         np.testing.assert_array_equal(p.grad, [0.1, 0.1])
 
 
+def _item(sample, rng, roll_in):
+    """``_batch_item`` of ``sample``, with its complete day encoded as ``train`` encodes it."""
+    return _batch_item(sample, DecoderState.from_sequence(sample.complete), rng, roll_in)
+
+
 class TestBatchItem:
     def test_without_roll_in_the_item_is_the_raw_input(self):
         for sample in small_dataset(n_days=8, seed=9):
-            state, targets = _batch_item(sample, np.random.default_rng(0), 0.0)
+            state, targets = _item(sample, np.random.default_rng(0), 0.0)
             raw = DecoderState.from_sequence(sample.incomplete)
             np.testing.assert_array_equal(state.tokens, raw.tokens)
-            assert state.day == raw.day
+            np.testing.assert_array_equal(state.rows, raw.rows)
+            np.testing.assert_array_equal(state.codes, raw.codes)
+            kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
+            np.testing.assert_array_equal(state.source, kept)  # each row's place in the complete day
             assert targets == insertion_targets(sample.incomplete.labels(), sample.complete.labels())
 
     def test_a_sample_without_removals_draws_nothing(self):
@@ -110,18 +122,90 @@ class TestBatchItem:
         cfg.n_days = 1
         (sample,) = make_samples(generate_population(cfg, seed=8), 0.0, seed=8)
         rng = np.random.default_rng(5)
-        state, targets = _batch_item(sample, rng, 1.0)
+        state, targets = _item(sample, rng, 1.0)
         assert rng.random() == np.random.default_rng(5).random()
         assert all(not counter for counter in targets) and len(state.tokens) == len(sample.complete)
 
     def test_rolled_in_states_lie_on_the_decode_lattice(self):
         rng = np.random.default_rng(11)
         for sample in small_dataset(n_days=16, seed=11):
-            state, targets = _batch_item(sample, rng, 1.0)
+            state, targets = _item(sample, rng, 1.0)
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
-            observed = [a.observed for a in state.day.activities]
-            assert sum(observed) == len(kept)  # every kept activity, and no promoted one, is observed
+            observed = state.rows[:, 0] != MISSING_CODE  # every day of the dataset is observed throughout
+            np.testing.assert_array_equal(state.source[observed], kept)  # every kept row, and no promoted one
             assert sum(sum(c.values()) for c in targets) == len(sample.complete) - len(state.tokens)
+
+    def test_targets_follow_the_alignment_when_labels_repeat(self):
+        home = Activity("HomeActivity", 1, 30, 6, 0.0, True)
+        day = DaySequence(0, 0, 2, 0, (1, 2, 3, 4), [home, replace(home, arr=40, dep=96, mode=1)])
+        state, targets = _item(RecoverySample(day, [0]), np.random.default_rng(0), 0.0)
+        np.testing.assert_array_equal(state.source, [1])
+        assert targets == [Counter(), Counter(["HomeActivity"])]  # the alignment's slot, not the removed one
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        labels=st.lists(st.sampled_from(ACTIVITY_CATEGORIES[5:]), min_size=1, max_size=12),
+        hidden=st.lists(st.booleans(), max_size=12),
+        p_remove=st.floats(0.0, 1.0),
+        roll_in=st.sampled_from([0.0, 0.7, 1.0]),
+    )
+    def test_item_encodes_the_frozen_reference(self, seed, labels, hidden, p_remove, roll_in):
+        rng = np.random.default_rng(seed)
+        complete = random_sequence(rng, labels=labels)
+        for j, hide in enumerate(hidden[: len(labels)]):  # a dataset day may hold unobserved activities
+            if hide:
+                complete.activities[j] = Activity(labels[j], arr=5, dep=9, mode=2, dist=3.5)
+        sample = mask_sequence(complete, p_remove, rng)
+        rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
+        state, targets = _item(sample, rngs[0], roll_in)
+        partial, want_targets = activity_batch_item(sample, rngs[1], roll_in)
+        want = DecoderState.from_sequence(partial)
+        np.testing.assert_array_equal(state.tokens, want.tokens)
+        np.testing.assert_array_equal(state.rows, want.rows)
+        np.testing.assert_array_equal(state.codes, want.codes)
+        assert targets == want_targets
+        assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of ``DecoderState.from_sequence`` calls and of ``DaySequence`` and ``Activity`` builds.
+
+    ``dataclasses.replace`` builds through ``__init__``, so it is counted too.
+    """
+    counts = Counter()
+    encode = DecoderState.from_sequence
+
+    def counting_encode(seq):
+        counts["from_sequence"] += 1
+        return encode(seq)
+
+    monkeypatch.setattr(DecoderState, "from_sequence", staticmethod(counting_encode))
+    for cls in (DaySequence, Activity):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+class TestEncodeOnce:
+    def test_train_encodes_each_sample_once_and_builds_no_day(self, builds):
+        samples = small_dataset(n_days=12, seed=5)
+        builds.clear()
+        _, report = train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=3, seed=2))
+        assert report.steps == 9
+        assert builds == {"from_sequence": len(samples)}
+
+    def test_recover_batch_encodes_each_input_once_and_builds_only_its_outputs(self, builds):
+        days = [random_sequence(np.random.default_rng(k)) for k in range(12)]
+        builds.clear()
+        outcomes = InsertionModel(tiny_config(max_len=12), seed=7).recover_batch(days)
+        assert max(o.rounds for o in outcomes) >= 2  # rows went through several rounds
+        insertions = sum(len(o.sequence) - len(day) for o, day in zip(outcomes, days))
+        assert builds == {"from_sequence": len(days), "DaySequence": len(days), "Activity": insertions}
 
 
 class TestTrainLoop:
@@ -226,7 +310,7 @@ class TestFloat32:
         adam = Adam(model.parameters(), TrainConfig())
         for step in range(2):
             rng = np.random.default_rng(step)
-            states, targets = zip(*(_batch_item(s, rng, 0.7) for s in samples))
+            states, targets = zip(*(_item(s, rng, 0.7) for s in samples))
             model.zero_grads()
             loss = model.batch_loss(states, targets, rng=rng)
             loss.backward()
