@@ -86,7 +86,7 @@ __all__ = [
 CHECKPOINT_FORMAT = 4  # the manifest ``format`` that checkpoints and ``.state`` files carry
 PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
-RECOVER_ROWS = 1024  # rows per forward in recover_batch; bounds its memory on large inputs
+RECOVER_ROWS = 2048  # packed rows per forward in recover_batch, n + 2 per state of n tokens
 # The covariate row of an unobserved activity and of a sentinel: timing, mode and distance
 # are never read, so decoder insertions stay free of leaked covariates.
 UNOBSERVED_ROW = (MISSING_CODE, MISSING_CODE, MISSING_CODE, 0.0)
@@ -418,8 +418,9 @@ class InsertionModel(Block):
 
         Each input is checked and encoded once, even when no round runs.
         Every round groups the still-active states by current length and
-        scores each group with one gradient-free forward of at most
-        ``RECOVER_ROWS`` rows. Equal lengths need no padding, so every row
+        scores each group with gradient-free forwards of at most
+        ``RECOVER_ROWS`` packed rows, n + 2 per state of n tokens (at least
+        one state per forward). Equal lengths need no padding, so every row
         sees the arithmetic of a batch-1 forward. Per sequence, a round
         inserts the argmax of every non-stop slot; a sequence leaves when all
         its slots stop, when it runs out of rounds, or when an insertion
@@ -439,8 +440,9 @@ class InsertionModel(Block):
                 groups.setdefault(len(states[i].tokens), []).append(i)
             still_active = []
             for length, members in sorted(groups.items()):
-                for start in range(0, len(members), RECOVER_ROWS):
-                    rows = members[start : start + RECOVER_ROWS]
+                per_forward = max(1, RECOVER_ROWS // (length + 2))
+                for start in range(0, len(members), per_forward):
+                    rows = members[start : start + per_forward]
                     with T.no_grad(), np.errstate(all="ignore"):  # the logits are checked just below
                         logits, _ = self.forward([states[i] for i in rows])
                         probs = T.softmax(logits, axis=-1).data.reshape(len(rows), length + 1, -1)

@@ -11,9 +11,13 @@ its tape, while layers built from float64 draws stay float64.
 Every operation records its inputs and a backward closure; calling
 :meth:`Tensor.backward` on a scalar walks the recorded graph in reverse
 topological order and accumulates gradients into every node that requires
-them. The operation set is deliberately small: exactly what gated residual
-blocks, variable selection, multi-head attention and the slot insertion
-head need.
+them. The walk consumes the graph: an operation node drops its inputs, its
+closure and its gradient once it has passed that gradient on, so a training
+step frees its tape as backward runs, and a second backward through a
+released node raises. Leaves keep their gradients (every :class:`Parameter`
+and any tensor built with ``requires_grad=True``), and so does the scalar.
+The operation set is deliberately small: exactly what gated residual blocks,
+variable selection, multi-head attention and the slot insertion head need.
 
 Gradient buffers on :class:`Parameter` persist across graphs and accumulate;
 callers zero them between optimization steps. Inside a :class:`no_grad`
@@ -101,7 +105,14 @@ class Tensor:
         return self.data.size
 
     def backward(self) -> None:
-        """Run reverse-mode differentiation from this scalar."""
+        """Run reverse-mode differentiation from this scalar, consuming its graph.
+
+        Nodes are visited children first. Once an operation node has passed
+        its gradient on, it drops its parents, its closure and its gradient,
+        and its closure becomes one that raises, so a second backward through
+        it fails instead of counting twice. This scalar keeps its gradient,
+        and so do the leaves.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -120,9 +131,15 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents, node._backward = (), _released
+            if node is not self:
+                node.grad = None
 
     def __getitem__(self, key):
         src = self
@@ -148,6 +165,10 @@ class Parameter(Tensor):
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
+
+
+def _released(g) -> None:
+    raise RuntimeError("backward through a graph that an earlier backward released")
 
 
 def _as_tensor(x) -> Tensor:

@@ -2,10 +2,10 @@
 plus frozen references the optimized paths are checked against: the serial
 decode loop and its activity-level insertion, the training item built from
 ``Activity`` objects, the per-stream variable selection network, the
-hand-kept parameter lists, the two-branch sigmoid, the padded forward and
-loss (with the ``concat`` op only it uses), and the ``rng.choice`` day
-sampler; and ``at_float64``, which promotes a model to run parity checks at
-64-bit."""
+hand-kept parameter lists, the two-branch sigmoid, the backward that kept
+its graph, the padded forward and loss (with the ``concat`` op only it
+uses), and the ``rng.choice`` day sampler; and ``at_float64``, which
+promotes a model to run parity checks at 64-bit."""
 
 from collections import Counter
 
@@ -247,6 +247,32 @@ def two_branch_sigmoid(d: np.ndarray) -> np.ndarray:
     """Reference sigmoid: a frozen copy of the form that divided once per branch."""
     e = np.exp(-np.abs(d))
     return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def keep_graph_backward(root: T.Tensor) -> None:
+    """Reference backward: a frozen copy of the loop that kept the graph it walked.
+
+    It visits the same nodes in the same order and calls the same closures,
+    but releases nothing; ``Tensor.backward`` must give every leaf the same
+    gradient bytes.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:

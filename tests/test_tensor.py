@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -274,6 +275,50 @@ class TestNoGrad:
         with T.no_grad():
             self._recorded(x)
         assert grad_check(lambda: self._recorded(x), [x]).max_rel_error < 1e-6
+
+
+class TestBackwardReleasesGraph:
+    """Backward consumes the graph it walks; leaves and the scalar keep their gradients."""
+
+    @staticmethod
+    def graph(rng):
+        w = Parameter("w", rng.normal(size=(4, 3)))
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        hidden = T.sigmoid(T.matmul(x, w))
+        return w, x, hidden
+
+    def test_a_large_intermediate_is_freed(self):
+        x = Parameter("x", np.random.default_rng(0).normal(size=(256, 256)))
+        hidden = T.elu(T.matmul(x, x))
+        data = weakref.ref(hidden.data)
+        loss = T.tsum(T.mul(hidden, 2.0))
+        del hidden
+        loss.backward()
+        assert data() is None
+        assert x.grad.shape == (256, 256)
+
+    def test_interior_nodes_drop_their_gradients_and_leaves_keep_theirs(self):
+        w, x, hidden = self.graph(np.random.default_rng(1))
+        product = hidden._parents[0]
+        loss = T.tsum(hidden)
+        loss.backward()
+        assert hidden.grad is None and product.grad is None
+        assert hidden._parents == () and product._parents == ()
+        assert w.grad.shape == w.shape and x.grad.shape == x.shape
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
+    def test_a_second_backward_on_the_same_loss_raises(self):
+        _, _, hidden = self.graph(np.random.default_rng(2))
+        loss = T.tsum(hidden)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+
+    def test_a_loss_on_released_nodes_raises(self):
+        _, _, hidden = self.graph(np.random.default_rng(3))
+        T.tsum(hidden).backward()
+        with pytest.raises(RuntimeError, match="released"):
+            T.tsum(T.mul(hidden, 2.0)).backward()
 
 
 class TestMatmulAlgebra:

@@ -1,5 +1,6 @@
 """Adam, clipping, the batch loop, determinism, and resumable state."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actrecover import tensor as T
 from actrecover.activities import ACTIVITY_CATEGORIES, MISSING_CODE
 from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
@@ -33,7 +35,7 @@ from actrecover.training import (
     train,
 )
 
-from helpers import activity_batch_item, random_sequence, tiny_config
+from helpers import activity_batch_item, keep_graph_backward, random_sequence, random_targets, tiny_config
 
 
 def small_dataset(n_days=16, seed=3):
@@ -290,7 +292,10 @@ class TestTrainLoop:
 
 
 def _tape(loss):
-    """Every node the loss's graph reaches, the raw operands that became tensors included."""
+    """Every node the loss's graph reaches, the raw operands that became tensors included.
+
+    Backward consumes the graph, so this walks it before ``loss.backward()``.
+    """
     seen, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -304,25 +309,33 @@ class TestFloat32:
     """The model trains and decodes in float32, the dtype its checkpoints store."""
 
     @pytest.mark.parametrize("use_vsn", [True, False], ids=["fused", "token"])
-    def test_two_steps_leave_every_array_float32(self, use_vsn):
+    def test_two_steps_leave_every_array_float32(self, use_vsn, monkeypatch):
         samples = small_dataset(n_days=8, seed=11)
         model = InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=3)
         adam = Adam(model.parameters(), TrainConfig())
+        accumulate, grad_dtypes = T._accumulate, []
+
+        def recording(node, g):  # every node gradient as it accumulates, before backward frees it
+            accumulate(node, g)
+            if node.grad is not None:
+                grad_dtypes.append(node.grad.dtype)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
         for step in range(2):
             rng = np.random.default_rng(step)
             states, targets = zip(*(_item(s, rng, 0.7) for s in samples))
             model.zero_grads()
             loss = model.batch_loss(states, targets, rng=rng)
+            tape = _tape(loss)
             loss.backward()
             clip_gradients(adam.params, 1.0)
             assert adam.step()
         params = model.parameters()
         arrays = [p.data for p in params] + [p.grad for p in params] + adam.m + adam.v
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        tape = _tape(loss)
         assert len(tape) > len(params)
         assert {node.data.dtype for node in tape} == {np.dtype(np.float32)}
-        assert {node.grad.dtype for node in tape if node.grad is not None} == {np.dtype(np.float32)}
+        assert set(grad_dtypes) | {loss.grad.dtype} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("use_vsn", [True, False], ids=["fused", "token"])
     def test_recovery_scores_in_float32(self, use_vsn, monkeypatch):
@@ -350,6 +363,45 @@ class TestFloat32:
             state = DecoderState.from_sequence(day)
             assert (trained.decoder_forward(state).probs.tobytes()
                     == loaded.decoder_forward(state).probs.tobytes())
+
+
+class TestBackwardFreesTheTape:
+    """A step's tape is gone once its backward returns, and the gradients are those of the kept tape."""
+
+    def test_three_steps_peak_as_high_as_one(self):
+        samples = small_dataset(n_days=64, seed=3)
+        cfg = tiny_config(d_m=16, dropout=0.1)
+
+        def traced_peak(epochs: int) -> int:  # one step per epoch: the batch is the whole dataset
+            tracemalloc.start()
+            try:
+                train(samples, cfg, TrainConfig(batch_size=len(samples), epochs=epochs, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1)  # first-call allocations stay out of both measurements
+        one, three = traced_peak(1), traced_peak(3)
+        assert three <= 1.05 * one, f"3 steps peaked at {three / one:.2f}x one step"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        use_vsn=st.booleans(),
+        lengths=st.lists(st.integers(0, 10), min_size=1, max_size=6),
+    )
+    def test_gradients_equal_the_kept_tape_bytes(self, seed, use_vsn, lengths):
+        rng = np.random.default_rng(seed)
+        cfg = tiny_config(use_vsn=use_vsn, dropout=0.2, max_len=10)
+        states = [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in lengths]
+        targets = [random_targets(rng, state) for state in states]
+        models = [InsertionModel(cfg, seed=seed) for _ in range(2)]
+        losses = [m.batch_loss(states, targets, rng=np.random.default_rng([seed, 1])) for m in models]
+        losses[0].backward()
+        keep_graph_backward(losses[1])
+        assert losses[0].data.tobytes() == losses[1].data.tobytes()
+        for p, q in zip(*(m.parameters() for m in models)):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
 
 class TestCheckpointingAndResume:
