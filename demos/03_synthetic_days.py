@@ -9,12 +9,19 @@ Run: python demos/03_synthetic_days.py
 import numpy as np
 
 from actrecover.activities import ACTIVITY_CATEGORIES
-from actrecover.generator import (
-    default_config,
-    empirical_transitions,
-    generate_population,
-    make_samples,
-)
+from actrecover.generator import REGIMES, default_config, generate_population, make_samples, regime_of
+
+
+def shares_after_home(sequences) -> dict[str, np.ndarray]:
+    """Per regime, the share of each activity among those that directly follow Home."""
+    counts = {regime: np.zeros(len(ACTIVITY_CATEGORIES)) for regime in REGIMES}
+    for seq in sequences:
+        labels = seq.labels()
+        for a, b in zip(labels, labels[1:]):
+            if a == "HomeActivity":
+                counts[regime_of(seq.weekday, seq.holiday)][ACTIVITY_CATEGORIES.index(b)] += 1
+    return {regime: row / row.sum() for regime, row in counts.items()}
+
 
 cfg = default_config()
 cfg.n_days = 4000
@@ -22,8 +29,7 @@ sequences = generate_population(cfg, seed=7)
 
 print("== a few raw days ==")
 for seq in sequences[:3]:
-    kind = "holiday" if seq.holiday else ("weekend" if seq.weekday >= 6 else "weekday")
-    print(f"person {seq.person_id} ({kind}, weekday {seq.weekday}):")
+    print(f"person {seq.person_id} ({regime_of(seq.weekday, seq.holiday)}, weekday {seq.weekday}):")
     for act in seq.activities:
         print(f"   bins {act.arr:2d}-{act.dep:2d}  mode {act.mode}  {act.label}")
 
@@ -34,12 +40,11 @@ print(f"mean daily activities over {cfg.n_days} days: {np.mean(counts):.3f} "
 
 print()
 print("== regime contrast Home -> next activity ==")
-home = ACTIVITY_CATEGORIES.index("HomeActivity")
-emp = empirical_transitions(sequences)
+shares = shares_after_home(sequences)
 header = f"{'next activity':18s} weekday weekend holiday"
 print(header)
 for j, label in enumerate(ACTIVITY_CATEGORIES):
-    row = " ".join(f"{emp[r][home, j]:7.3f}" for r in ("weekday", "weekend", "holiday"))
+    row = " ".join(f"{shares[r][j]:7.3f}" for r in ("weekday", "weekend", "holiday"))
     print(f"{label:18s} {row}")
 
 print()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,14 +230,15 @@ def _write_lines(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def _read_lines(path) -> list[tuple[int, dict]]:
-    out = []
+def _read_lines(path) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line's number and JSON value, one line at a time."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if line.strip():
-                    out.append((lineno, json.loads(line)))
+                if not line.strip():
+                    continue
+                record = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
             except json.JSONDecodeError as exc:
@@ -246,7 +247,7 @@ def _read_lines(path) -> list[tuple[int, dict]]:
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
             except RecursionError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: nested too deeply") from exc
-    return out
+            yield lineno, record  # outside the try, whose handlers cover the parse alone
 
 
 def write_sequences(path, sequences: Sequence[DaySequence]) -> None:

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, MODE_UNKNOWN, N_ACTIVITIES, N_TIME_BINS
+from .activities import ACTIVITY_CATEGORIES, MODE_UNKNOWN, N_ACTIVITIES, N_TIME_BINS
 from .data import Activity, DaySequence, RecoverySample, mask_sequence
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "generate_population",
     "make_samples",
     "regime_of",
-    "empirical_transitions",
 ]
 
 REGIMES = ("weekday", "weekend", "holiday")
@@ -305,17 +304,3 @@ def make_samples(
         for i, seq in enumerate(sequences)
     ]
 
-
-def empirical_transitions(sequences: list[DaySequence]) -> dict[str, np.ndarray]:
-    """Row-normalized observed transition frequencies per regime."""
-    counts = {r: np.zeros((N_ACTIVITIES, N_ACTIVITIES)) for r in REGIMES}
-    for seq in sequences:
-        table = counts[regime_of(seq.weekday, seq.holiday)]
-        ids = [LABEL_TO_ID[a.label] for a in seq.activities]
-        for a, b in zip(ids, ids[1:]):
-            table[a, b] += 1
-    out = {}
-    for regime, table in counts.items():
-        rowsum = table.sum(axis=1, keepdims=True)
-        out[regime] = np.divide(table, rowsum, out=np.zeros_like(table), where=rowsum > 0)
-    return out

@@ -83,7 +83,7 @@ __all__ = [
     "parameter_checksum",
 ]
 
-CHECKPOINT_FORMAT = 4  # the manifest ``format`` that checkpoints and ``.state`` files carry
+CHECKPOINT_FORMAT = 5  # the manifest ``format`` every checkpoint carries
 PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 2048  # packed rows per forward in recover_batch, n + 2 per state of n tokens
@@ -474,29 +474,14 @@ class InsertionModel(Block):
         ]
 
 
-# -- containers ---------------------------------------------------------------
-# Checkpoints and ``.state`` files are one container: magic bytes, a length-prefixed
-# JSON manifest, then a little-endian blob of whole passes over the parameters.
+# -- checkpoints --------------------------------------------------------------
+# A checkpoint is one container: magic bytes, a length-prefixed JSON manifest, then a
+# little-endian blob of whole passes over the parameters. A model checkpoint's blob is
+# the parameters; a training checkpoint's manifest adds ``TRAIN_KEYS`` and its blob
+# adds Adam's first and second moments, so it alone resumes training.
 
 _MAGIC = b"ARCK"
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """How one container kind is stored, and how its refusals read."""
-
-    label: str  # names the file in messages
-    blob: str  # names the blob in messages
-    error: type
-    passes: int  # parameters, then optimizer moments
-    keys: tuple[str, ...] = ()  # the kind's own required manifest keys
-
-
-_KINDS = {
-    "model": _Kind("checkpoint", "parameter", CompatibilityError, 1),
-    "train_state": _Kind("training-state", "training-state", ConfigError, 3,
-                         ("train", "step", "adam_t", "adam_skipped")),
-}
+TRAIN_KEYS = ("train", "step", "adam_skipped")  # the manifest keys a training checkpoint adds
 
 
 def _write_container(path, manifest: dict, blob: bytes) -> None:
@@ -543,45 +528,42 @@ def _blob(model: InsertionModel, moments: Sequence[list] = ()) -> bytes:
     return b"".join(np.asarray(value, PARAM_DTYPE).tobytes() for values in passes for value in values)
 
 
-def write_record(
-    path, kind: str, model: InsertionModel, fields: dict, moments: Sequence[list] = ()
+def save_checkpoint(
+    model: InsertionModel, path, training: dict | None = None, moments: Sequence[list] = ()
 ) -> None:
-    """Write ``model``, the kind's own manifest ``fields`` and ``moments`` (arrays in parameter order)."""
+    """Write a model checkpoint or, given ``training`` (the ``TRAIN_KEYS`` values) and Adam's two
+    ``moments`` (each a list of arrays in parameter order), a training checkpoint."""
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "kind": kind,
         "config": model.config.to_dict(),
         "params": _param_entries(model.parameters()),
-        **fields,
+        **(training or {}),
     }
     _write_container(path, manifest, _blob(model, moments))
 
 
-def read_record(path, kind: str, config: ModelConfig | None = None):
-    """Check a container of ``kind``; returns (model, manifest, passes).
+def read_checkpoint(path, config: ModelConfig | None = None):
+    """Check a checkpoint of either form; returns (model, manifest, passes).
 
     The model is built from the manifest's config, which must equal
     ``config`` when one is given. ``passes[k]`` lists pass ``k``'s arrays in
-    parameter order; pass 0 is already loaded into the model.
-    Every refusal raises the kind's error class and names the file.
+    parameter order: the parameters, already loaded into the model, then, in
+    a training checkpoint, Adam's two moments. Every refusal raises
+    ``CompatibilityError`` and names the file.
     """
-    spec = _KINDS[kind]
 
     def refusal(problem: str) -> Exception:
-        return spec.error(f"{path}: {problem}")
+        return CompatibilityError(f"{path}: {problem}")
 
-    try:
-        manifest, blob = _read_container(path)
-    except CompatibilityError as exc:
-        raise spec.error(str(exc)) from exc
-    if manifest.get("kind") != kind:
-        raise refusal(f"container holds {manifest.get('kind')!r}, not a {spec.label}")
+    manifest, blob = _read_container(path)
     if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise refusal(f"{spec.label} format {manifest.get('format')!r} is not supported "
+        raise refusal(f"checkpoint format {manifest.get('format')!r} is not supported "
                       f"(this version reads format {CHECKPOINT_FORMAT} only)")
-    missing = ", ".join(k for k in ("config", "params", *spec.keys) if k not in manifest)
+    trained = any(key in manifest for key in TRAIN_KEYS)  # then every one of them is required
+    required = ("config", "params", *(TRAIN_KEYS if trained else ()))
+    missing = ", ".join(key for key in required if key not in manifest)
     if missing:
-        raise refusal(f"{spec.label} manifest lacks {missing}")
+        raise refusal(f"checkpoint manifest lacks {missing}")
     try:
         values = config_values(manifest["config"], ModelConfig)
         missing = ", ".join(key for key in ModelConfig().to_dict() if key not in values)
@@ -589,24 +571,23 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
             raise ConfigError(f"config lacks {missing}")
         saved = ModelConfig(**values)
     except ConfigError as exc:
-        raise refusal(f"invalid {spec.label} config: {exc}") from exc
+        raise refusal(f"invalid checkpoint config: {exc}") from exc
     if config is not None and saved != config:
-        raise refusal(f"{spec.label} config mismatch: "
-                      + config_diffs(manifest["config"], config.to_dict()))
+        raise refusal("checkpoint config mismatch: " + config_diffs(manifest["config"], config.to_dict()))
     if not isinstance(manifest["params"], list):
-        raise refusal(f"{spec.label} manifest params must be a list, not {manifest['params']!r}")
+        raise refusal(f"checkpoint manifest params must be a list, not {manifest['params']!r}")
     model = InsertionModel(saved, seed=0)
     params = model.parameters()
     for i, (listed, needed) in enumerate(zip_longest(manifest["params"], _param_entries(params))):
         if listed != needed:
             raise refusal(f"parameter entry {i} is {listed!r}, the model needs {needed!r}")
     sizes = [p.size for p in params]
-    expected = spec.passes * PARAM_DTYPE.itemsize * sum(sizes)
+    expected = (3 if trained else 1) * PARAM_DTYPE.itemsize * sum(sizes)
     if expected != len(blob):
-        raise refusal(f"{spec.blob} blob holds {len(blob)} bytes, the manifest needs {expected}")
-    rows = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(spec.passes, -1).copy()
+        raise refusal(f"checkpoint blob holds {len(blob)} bytes, the manifest needs {expected}")
+    rows = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(-1, sum(sizes)).copy()
     if not np.isfinite(rows).all():
-        raise refusal(f"{spec.blob} blob holds non-finite values")
+        raise refusal("checkpoint blob holds non-finite values")
     cuts = np.cumsum(sizes)[:-1]
     passes = [[v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))] for row in rows]
     for p, value in zip(params, passes[0]):
@@ -614,15 +595,9 @@ def read_record(path, kind: str, config: ModelConfig | None = None):
     return model, manifest, passes
 
 
-def save_checkpoint(model: InsertionModel, path, extra: dict | None = None) -> None:
-    """Write the model as a JSON manifest plus a little-endian float32 blob."""
-    write_record(path, "model", model, {"extra": extra or {}})
-
-
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Rebuild a model from a checkpoint; returns (model, manifest)."""
-    model, manifest, _ = read_record(path, "model", expected_config)
-    return model, manifest
+    """Rebuild a model from a checkpoint of either form; returns (model, manifest)."""
+    return read_checkpoint(path, expected_config)[:2]
 
 
 def parameter_checksum(model: InsertionModel) -> str:

@@ -141,17 +141,6 @@ class Tensor:
             if node is not self:
                 node.grad = None
 
-    def __getitem__(self, key):
-        src = self
-        data = src.data[key]
-
-        def backward(g):
-            gx = np.zeros_like(src.data)
-            gx[key] = g  # basic indexing selects disjoint elements
-            _accumulate(src, gx)
-
-        return _node(data, (src,), backward)
-
 
 class Parameter(Tensor):
     """Named leaf tensor with a persistent, same-shape gradient buffer."""

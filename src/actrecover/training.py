@@ -2,11 +2,11 @@
 
 Adam with bias correction behind global-norm gradient clipping; per-epoch
 shuffles and per-step dropout masks are derived from the training seed, so a
-run is fully reproducible and resuming from saved state continues the exact
-same trajectory. A batch runs packed: the valid positions of its states back
-to back, with padding only inside each attention (see
-:mod:`actrecover.model`), so padding costs work only there and never enters
-the loss.
+run is fully reproducible, and resuming from the one-file training
+checkpoint continues the exact same trajectory. A batch runs packed: the
+valid positions of its states back to back, with padding only inside each
+attention (see :mod:`actrecover.model`), so padding costs work only there
+and never enters the loss.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ import numpy as np
 from .data import RecoverySample
 from .generator import ConfigError, config_values
 from .model import (
+    CompatibilityError,
     DecoderState,
     InsertionModel,
     ModelConfig,
     config_diffs,
     insertion_targets,
     parameter_checksum,
-    read_record,
+    read_checkpoint,
     save_checkpoint,
-    write_record,
 )
 from .tensor import NumericError, Parameter
 
@@ -38,7 +38,6 @@ __all__ = [
     "Adam",
     "clip_gradients",
     "train",
-    "save_train_state",
     "load_train_state",
 ]
 
@@ -166,50 +165,34 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
 RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
 
 
-def save_train_state(
-    path, model: InsertionModel, adam: Adam, step: int, train_config: TrainConfig
-) -> None:
-    """Training state: parameters plus Adam moments, as the model holds them, and the run's config."""
-    fields = {
-        "train": train_config.to_dict(), "step": step,
-        "adam_t": adam.t, "adam_skipped": adam.skipped,
-    }
-    write_record(path, "train_state", model, fields, (adam.m, adam.v))
+def load_train_state(path, model: InsertionModel, adam: Adam, train_config: TrainConfig) -> int:
+    """Restore parameters and Adam's state in place from a training checkpoint; returns the step count.
 
-
-def load_train_state(
-    path, model: InsertionModel, adam: Adam, train_config: TrainConfig | None = None
-) -> int:
-    """Restore parameters and Adam moments in place; returns the step count.
-
-    The saved model config must equal ``model.config``. With
-    ``train_config``, the saved run's config must match it in every field
-    but those in ``RESUMABLE_CHANGES``, so a resume continues the same
-    trajectory or does not start.
+    The saved model config must equal ``model.config``, and the saved run's
+    config must match ``train_config`` in every field but those in
+    ``RESUMABLE_CHANGES``, so a resume continues the same trajectory or
+    does not start. Adam's update count is the steps it did not skip.
     """
-    _, manifest, (values, m, v) = read_record(path, "train_state", model.config)
-    for key in ("step", "adam_t", "adam_skipped"):
-        if type(manifest[key]) is not int or manifest[key] < 0:
-            raise ConfigError(f"{path}: training-state {key} must be an integer >= 0, not {manifest[key]!r}")
-    if manifest["adam_t"] + manifest["adam_skipped"] != manifest["step"]:  # each step updates or skips once
-        raise ConfigError(f"{path}: training-state adam_t {manifest['adam_t']} plus adam_skipped "
-                          f"{manifest['adam_skipped']} must equal step {manifest['step']}")
-    if train_config is not None:
-        try:
-            saved = config_values(manifest["train"], TrainConfig)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: invalid saved training config: {exc}") from exc
-        diffs = config_diffs(saved, train_config.to_dict(), RESUMABLE_CHANGES)
-        if diffs:
-            raise ConfigError(
-                f"{path}: cannot resume with a different training config: {diffs}"
-                f"; only {' and '.join(RESUMABLE_CHANGES)} may change"
-            )
+    _, manifest, passes = read_checkpoint(path, model.config)
+    if len(passes) == 1:
+        raise CompatibilityError(f"{path}: checkpoint holds no training state, only a model")
+    step, skipped = manifest["step"], manifest["adam_skipped"]
+    if not (type(step) is int and type(skipped) is int and 0 <= skipped <= step):  # a step updates or skips
+        raise CompatibilityError(f"{path}: checkpoint step {step!r} and adam_skipped {skipped!r} "
+                                 "must be integers with 0 <= adam_skipped <= step")
+    try:
+        saved = config_values(manifest["train"], TrainConfig)
+    except ConfigError as exc:
+        raise CompatibilityError(f"{path}: invalid saved training config: {exc}") from exc
+    diffs = config_diffs(saved, train_config.to_dict(), RESUMABLE_CHANGES)
+    if diffs:
+        raise CompatibilityError(f"{path}: cannot resume with a different training config: {diffs}"
+                                 f"; only {' and '.join(RESUMABLE_CHANGES)} may change")
+    values, adam.m, adam.v = passes
     for p, value in zip(model.parameters(), values):
         p.data = value
-    adam.m, adam.v = m, v
-    adam.t, adam.skipped = manifest["adam_t"], manifest["adam_skipped"]
-    return manifest["step"]
+    adam.t, adam.skipped = step - skipped, skipped
+    return step
 
 
 def train(
@@ -222,15 +205,16 @@ def train(
     """Fit an insertion model on recovery samples; returns (model, report).
 
     The checkpoint, when requested, is written every
-    ``checkpoint_interval`` steps and at the end, with a same-named
-    ``.state`` sidecar carrying the exact resume state; ``resume``
-    continues from that sidecar. A step whose loss or updated parameters
-    leave float32's range raises ``NumericError``.
+    ``checkpoint_interval`` steps and at the end. It holds the parameters,
+    Adam's moments, the step counters and the training config, so
+    ``resume`` continues from it on the exact same trajectory. A step whose
+    loss or updated parameters leave float32's range raises
+    ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
     if resume and checkpoint_path is None:
-        raise ConfigError("resuming needs the checkpoint path whose .state file it reads")
+        raise ConfigError("resuming needs the checkpoint path it continues from")
     max_len = model_config.max_len
     for i, s in enumerate(samples):  # refuse bad input before the first step
         if len(s.complete) > max_len:
@@ -240,7 +224,7 @@ def train(
     adam = Adam(model.parameters(), train_config)
     start_step = 0
     if resume:
-        start_step = load_train_state(str(checkpoint_path) + ".state", model, adam, train_config)
+        start_step = load_train_state(checkpoint_path, model, adam, train_config)
 
     n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
@@ -251,8 +235,8 @@ def train(
     def write_checkpoint(step: int) -> None:
         if checkpoint_path is None:
             return
-        save_checkpoint(model, checkpoint_path, extra={"step": step, "train": train_config.to_dict()})
-        save_train_state(str(checkpoint_path) + ".state", model, adam, step, train_config)
+        training = {"train": train_config.to_dict(), "step": step, "adam_skipped": adam.skipped}
+        save_checkpoint(model, checkpoint_path, training, (adam.m, adam.v))
 
     step = start_step
     while step < total_steps:

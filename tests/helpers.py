@@ -3,8 +3,8 @@ plus frozen references the optimized paths are checked against: the serial
 decode loop and its activity-level insertion, the training item built from
 ``Activity`` objects, the per-stream variable selection network, the
 hand-kept parameter lists, the two-branch sigmoid, the backward that kept
-its graph, the padded forward and loss (with the ``concat`` op only it
-uses), and the ``rng.choice`` day sampler; and ``at_float64``, which
+its graph, the padded forward and loss (with the ``index`` and ``concat``
+ops only it and a few tensor tests use), and the ``rng.choice`` day sampler; and ``at_float64``, which
 promotes a model to run parity checks at 64-bit."""
 
 from collections import Counter
@@ -191,7 +191,7 @@ class PerStreamVSN:
         flat = T.reshape(streams, (b, t, m * d))
         weights = T.softmax(self.selector(flat, context, rng), axis=-1)
         processed = T.stack(
-            [blk(streams[:, :, j, :], None, rng) for j, blk in enumerate(self.stream_blocks)],
+            [blk(index(streams, np.s_[:, :, j, :]), None, rng) for j, blk in enumerate(self.stream_blocks)],
             axis=2,
         )
         fused = T.tsum(T.mul(processed, T.reshape(weights, (b, t, m, 1))), axis=2)
@@ -273,6 +273,18 @@ def keep_graph_backward(root: T.Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def index(x, key) -> T.Tensor:
+    """``x.data[key]`` by basic indexing, as a tape node; gradients land at the selected elements."""
+    data = x.data[key]
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[key] = g  # basic indexing selects disjoint elements
+        T._accumulate(x, gx)
+
+    return T._node(data, (x,), backward)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:
@@ -367,7 +379,7 @@ def padded_forward(model, days, rng=None):
         attended = apply_dropout(layer.attn(x, arrs["valid"]), cfg.dropout, rng)
         x = T.layer_norm(T.add(x, attended), layer.norm_gain, layer.norm_bias)
         x = layer.ff(x, None, rng)
-    rep = model.slot_proj(concat([x[:, :-1, :], x[:, 1:, :]], axis=-1))
+    rep = model.slot_proj(concat([index(x, np.s_[:, :-1, :]), index(x, np.s_[:, 1:, :])], axis=-1))
     return model.out_proj(rep), selection
 
 

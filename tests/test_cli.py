@@ -21,6 +21,7 @@ from actrecover.model import (
     _read_container,
     _write_container,
     load_checkpoint,
+    save_checkpoint,
 )
 from actrecover.tensor import NumericError, ShapeError
 
@@ -311,7 +312,7 @@ class TestTrain:
         argv = ["train", *common, "--seed", 99, "--batch-size", 4, "--epochs", 2, "--resume"]
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"train: {ckpt}.state: cannot resume with a different training config")
+        assert err.startswith(f"train: {ckpt}: cannot resume with a different training config")
         assert "batch_size=8 (now 4)" in err and "seed=3 (now 99)" in err
         assert "Traceback" not in err
 
@@ -320,13 +321,12 @@ class TestTrain:
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
         assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
-        _write_container(state, manifest, blob[:-100])
+        manifest, blob = _read_container(ckpt)
+        _write_container(ckpt, manifest, blob[:-100])
         capsys.readouterr()
         assert run("train", *common, "--epochs", 2, "--resume") == 2
         err = capsys.readouterr().err
-        assert f"{state}: training-state blob holds {len(blob) - 100} bytes" in err
+        assert f"{ckpt}: checkpoint blob holds {len(blob) - 100} bytes" in err
         assert "Traceback" not in err
 
     def test_retired_config_key_exits_2(self, small_run, tmp_path, capsys):
@@ -416,14 +416,13 @@ class TestTrain:
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
         assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
+        manifest, blob = _read_container(ckpt)
         manifest["params"] = params
-        _write_container(state, manifest, blob)
+        _write_container(ckpt, manifest, blob)
         capsys.readouterr()
         assert run("train", *common, "--epochs", 2, "--resume") == 2
         err = capsys.readouterr().err
-        assert err == f"train: {state}: training-state manifest params must be a list, not {params!r}\n"
+        assert err == f"train: {ckpt}: checkpoint manifest params must be a list, not {params!r}\n"
 
     @pytest.mark.parametrize("flags", [[], ["--d-m", 8]])
     def test_out_of_range_config_value_exits_2_naming_the_file(self, small_run, tmp_path, capsys, flags):
@@ -435,39 +434,23 @@ class TestTrain:
         assert capsys.readouterr().err.strip() == f"train: {cfg_path}: model dimensions must all be >= 1"
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("key, value", [("step", "abc"), ("adam_t", None), ("step", 0.5), ("adam_skipped", -1)])
-    def test_wrong_state_counter_exits_2_naming_the_file(self, small_run, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize(
+        "step, skipped", [("abc", 0), (2, None), (0.5, 0), (2, -1), (True, 0), (2, 3), (0, 1), (2, 10**400)],
+        ids=["step-str", "skipped-null", "step-float", "skipped-negative", "step-bool", "skipped-over-step",
+             "skipped-at-step-0", "skipped-beyond-float"])
+    def test_wrong_state_counter_exits_2_naming_the_file(self, small_run, tmp_path, capsys, step, skipped):
         ckpt = tmp_path / "c.ckpt"
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
         assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
-        manifest[key] = value
-        _write_container(state, manifest, blob)
+        manifest, blob = _read_container(ckpt)
+        assert (manifest["step"], manifest["adam_skipped"]) == (2, 0) and "adam_t" not in manifest
+        manifest["step"], manifest["adam_skipped"] = step, skipped
+        _write_container(ckpt, manifest, blob)
         capsys.readouterr()
         assert run("train", *common, "--epochs", 2, "--resume") == 2
-        err = capsys.readouterr().err
-        assert err.strip() == f"train: {state}: training-state {key} must be an integer >= 0, not {value!r}"
-
-    @pytest.mark.parametrize("key, value", [("adam_t", 10**400), ("adam_skipped", 1), ("step", 0)],
-                             ids=["adam_t-beyond-float", "adam_skipped", "step"])
-    def test_state_counters_no_run_could_write_exit_2_naming_the_file(self, small_run, tmp_path, capsys,
-                                                                     key, value):
-        ckpt = tmp_path / "c.ckpt"
-        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
-                  "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
-        assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
-        assert (manifest["step"], manifest["adam_t"], manifest["adam_skipped"]) == (2, 2, 0)
-        manifest[key] = value
-        _write_container(state, manifest, blob)
-        capsys.readouterr()
-        assert run("train", *common, "--epochs", 2, "--resume") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"train: {state}: training-state adam_t ") and err.count("\n") == 1
-        assert err.strip().endswith(f" must equal step {manifest['step']}") and "Traceback" not in err
+        assert capsys.readouterr().err == (f"train: {ckpt}: checkpoint step {step!r} and adam_skipped {skipped!r} "
+                                           "must be integers with 0 <= adam_skipped <= step\n")
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda train: [1], "config must be a JSON object"),
@@ -478,14 +461,13 @@ class TestTrain:
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
         assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
+        manifest, blob = _read_container(ckpt)
         manifest["train"] = edit(manifest["train"])
-        _write_container(state, manifest, blob)
+        _write_container(ckpt, manifest, blob)
         capsys.readouterr()
         assert run("train", *common, "--epochs", 2, "--resume") == 2
         err = capsys.readouterr().err
-        assert err.strip() == f"train: {state}: invalid saved training config: {problem}"
+        assert err.strip() == f"train: {ckpt}: invalid saved training config: {problem}"
 
     def test_diverged_training_exits_1_and_writes_no_checkpoint(self, small_run, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -499,7 +481,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == ("train: internal error: training diverged at step 1: "
                        "a parameter is not finite or lies beyond float32's range\n")
-        assert not ckpt.exists() and not (tmp_path / "m.ckpt.state").exists()
+        assert not any(tmp_path.glob("m.ckpt*"))
 
     def test_a_loss_beyond_float32_exits_1_and_writes_no_checkpoint(self, small_run, tmp_path, capsys):
         # lr 1e10 moves step 1's parameters to about 1e10; step 2's forward then overflows float32
@@ -513,31 +495,49 @@ class TestTrain:
             assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err == "train: internal error: training diverged at step 2: the loss is not finite\n"
-        assert not ckpt.exists() and not (tmp_path / "m.ckpt.state").exists()
+        assert not any(tmp_path.glob("m.ckpt*"))
 
     def test_state_of_non_finite_values_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "nan.ckpt"
         common = ["--data", small_run["data"], "--out", ckpt, "--seed", 2, "--batch-size", 8,
                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0]
         assert run("train", *common, "--epochs", 1) == 0
-        state = f"{ckpt}.state"
-        manifest, blob = _read_container(state)
+        manifest, blob = _read_container(ckpt)
         values = np.frombuffer(blob, dtype="<f4").copy()
         values[-1] = np.nan  # the last Adam second moment
-        _write_container(state, manifest, values.tobytes())
+        _write_container(ckpt, manifest, values.tobytes())
         capsys.readouterr()
         assert run("train", *common, "--epochs", 2, "--resume") == 2
-        assert capsys.readouterr().err == f"train: {state}: training-state blob holds non-finite values\n"
+        assert capsys.readouterr().err == f"train: {ckpt}: checkpoint blob holds non-finite values\n"
 
-    def test_resume_from_a_model_container_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
+    def test_resume_from_a_model_only_checkpoint_exits_2_naming_the_file(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
-        (tmp_path / "m.ckpt.state").write_bytes(small_run["ckpt"].read_bytes())
+        save_checkpoint(load_checkpoint(small_run["ckpt"])[0], ckpt)
+        lean = ckpt.read_bytes()
         argv = ["train", "--data", small_run["data"], "--out", ckpt, "--seed", 1, "--epochs", 3,
                 "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0, "--resume"]
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err == f"train: {ckpt}.state: container holds 'model', not a training-state\n"
-        assert not ckpt.exists()
+        assert err == f"train: {ckpt}: checkpoint holds no training state, only a model\n"
+        assert ckpt.read_bytes() == lean and not (tmp_path / "m.ckpt.report.json").exists()
+
+    def test_resume_from_a_copy_writes_a_straight_run_s_checkpoint(self, small_run, tmp_path, capsys):
+        common = ["--data", small_run["data"], "--seed", 1, "--batch-size", 8, "--d-m", 8, "--heads", 2,
+                  "--n-layers", 1, "--dropout", 0.0]
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes(small_run["ckpt"].read_bytes())  # two epochs, and no other file next to it
+        assert run("train", *common, "--out", copy, "--epochs", 3, "--resume") == 0
+        straight = tmp_path / "straight.ckpt"
+        assert run("train", *common, "--out", straight, "--epochs", 3) == 0
+        assert copy.read_bytes() == straight.read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "copy.ckpt", "copy.ckpt.report.json", "straight.ckpt", "straight.ckpt.report.json"]
+
+    def test_training_writes_one_checkpoint_file(self, small_run):
+        assert sorted(f.name for f in small_run["root"].iterdir()) == [
+            "data.jsonl", "data.jsonl.summary.json", "model.ckpt", "model.ckpt.report.json"]
+        manifest, _ = _read_container(small_run["ckpt"])
+        assert sorted(manifest) == ["adam_skipped", "config", "format", "params", "step", "train"]
 
     def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -763,7 +763,7 @@ class TestRecover:
         assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
         err = capsys.readouterr().err
         assert err.strip() == (
-            f"recover: {ckpt}: parameter blob holds {len(blob) - 100} bytes, "
+            f"recover: {ckpt}: checkpoint blob holds {len(blob) - 100} bytes, "
             f"the manifest needs {len(blob)}"
         )
         assert "Traceback" not in err and not hyp.exists()
@@ -777,18 +777,18 @@ class TestRecover:
         hyp = tmp_path / "hyp.jsonl"
         assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", hyp) == 2
         err = capsys.readouterr().err
-        assert err == f"recover: {ckpt}: parameter blob holds non-finite values\n"
+        assert err == f"recover: {ckpt}: checkpoint blob holds non-finite values\n"
         assert not hyp.exists()
 
     @pytest.mark.parametrize(
         "make, problem",
         [
             (lambda run_: run_["data"].read_bytes(), "not a checkpoint container"),
-            (lambda run_: run_["ckpt"].with_suffix(".ckpt.state").read_bytes(),
-             "container holds 'train_state', not a checkpoint"),
+            (lambda run_: b"ARCK" + (12).to_bytes(4, "little") + b'{"format":4}',
+             "checkpoint format 4 is not supported (this version reads format 5 only)"),
             (lambda run_: b"ARCK" + (2).to_bytes(4, "little") + b"[]", "container manifest is not an object"),
         ],
-        ids=["data file", "state file", "list manifest"],
+        ids=["data file", "format 4 file", "list manifest"],
     )
     def test_file_that_is_no_checkpoint_exits_2_naming_it(self, small_run, tmp_path, capsys, make, problem):
         ckpt = tmp_path / "other.ckpt"

@@ -1,5 +1,7 @@
 """Masking, alignment, and the JSONL dataset format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from actrecover.data import (
     write_samples,
     write_sequences,
 )
+from actrecover.generator import default_config, generate_population, make_samples
 
 
 def make_sequence(labels, person_id=0, weekday=3, holiday=0):
@@ -178,6 +181,30 @@ class TestDatasetIO:
         )
         with pytest.raises(ParseError, match="line 1"):
             read_sequences(path)
+
+    def test_earlier_of_a_bad_record_and_an_unparsable_line_is_reported(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = make_sequence(["HomeActivity"])
+        write_sequences(path, [good])
+        path.write_text('{"person_id": 0}\n' + path.read_text() + "{not json\n")
+        with pytest.raises(ParseError, match=r"bad\.jsonl: invalid record at line 1"):
+            read_sequences(path)
+
+    def test_reading_samples_holds_one_line_at_a_time(self, tmp_path):
+        cfg = default_config()
+        cfg.n_days = 300
+        path = tmp_path / "d.jsonl"
+        write_samples(path, make_samples(generate_population(cfg, seed=2), 0.3, seed=2))
+        read_samples(path)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            samples = read_samples(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 300
+        # building the whole list of parsed lines first peaked at about 2.5x what is returned
+        assert peak <= 1.5 * held, f"reading peaked at {peak / held:.2f}x the samples it returned"
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"

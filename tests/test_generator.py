@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actrecover.activities import ACTIVITY_CATEGORIES, N_ACTIVITIES, N_TIME_BINS
+from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES, N_TIME_BINS
 from actrecover.data import sequence_to_record
 from actrecover.generator import (
     POISSON_LAM_MAX,
@@ -14,7 +14,6 @@ from actrecover.generator import (
     GeneratorConfig,
     _row,
     default_config,
-    empirical_transitions,
     generate_population,
     make_samples,
     regime_of,
@@ -25,6 +24,21 @@ from helpers import choice_sample_day
 HOME = ACTIVITY_CATEGORIES.index("HomeActivity")
 WORK = ACTIVITY_CATEGORIES.index("WorkForPay")
 REC = ACTIVITY_CATEGORIES.index("Recreation")
+
+
+def empirical_transitions(sequences) -> dict[str, np.ndarray]:
+    """Row-normalized observed transition frequencies per regime."""
+    counts = {r: np.zeros((N_ACTIVITIES, N_ACTIVITIES)) for r in REGIMES}
+    for seq in sequences:
+        table = counts[regime_of(seq.weekday, seq.holiday)]
+        ids = [LABEL_TO_ID[a.label] for a in seq.activities]
+        for a, b in zip(ids, ids[1:]):
+            table[a, b] += 1
+    out = {}
+    for regime, table in counts.items():
+        rowsum = table.sum(axis=1, keepdims=True)
+        out[regime] = np.divide(table, rowsum, out=np.zeros_like(table), where=rowsum > 0)
+    return out
 
 
 def test_default_config_is_valid():

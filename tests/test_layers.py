@@ -23,7 +23,7 @@ from actrecover.layers import (
 )
 from actrecover.tensor import Parameter, ShapeError, Tensor
 
-from helpers import PerStreamVSN, listed_parameters
+from helpers import PerStreamVSN, index, listed_parameters
 
 
 def _sigmoid(x):
@@ -165,7 +165,7 @@ class TestVariableSelection:
         streams = Tensor(rng.normal(size=(2, 3, 1, 4)))
         fused, weights = vsn(streams)
         np.testing.assert_allclose(weights.data, 1.0, atol=1e-12)
-        only = stream_block(vsn, 0)(streams[:, :, 0, :])
+        only = stream_block(vsn, 0)(index(streams, np.s_[:, :, 0, :]))
         np.testing.assert_allclose(fused.data, only.data, atol=1e-12)
 
     def test_no_streams_refused(self):

@@ -22,12 +22,14 @@ from actrecover.model import (
     ModelConfig,
     N_COVARIATE_STREAMS,
     NO_INSERT_ID,
+    TRAIN_KEYS,
     VocabularyError,
     _read_container,
     _write_container,
     insertion_targets,
     load_checkpoint,
     parameter_checksum,
+    read_checkpoint,
     save_checkpoint,
 )
 from actrecover.activities import BOS_ID, EOS_ID, MISSING_CODE, N_ACTIVITIES, N_CONTENT_CLASSES
@@ -638,11 +640,40 @@ class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = InsertionModel(tiny_config(), seed=24)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(model, p1, extra={"step": 7})
+        save_checkpoint(model, p1)
         loaded, manifest = load_checkpoint(p1)
-        assert manifest["extra"]["step"] == 7
-        save_checkpoint(loaded, p2, extra=manifest["extra"])
+        assert sorted(manifest) == ["config", "format", "params"]
+        save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_training_checkpoint_roundtrip_bit_exact(self, tmp_path):
+        model = InsertionModel(tiny_config(), seed=24)
+        rng = np.random.default_rng(24)
+        moments = [[rng.normal(size=p.shape).astype(np.float32) for p in model.parameters()] for _ in range(2)]
+        training = {"train": {"seed": 3}, "step": 7, "adam_skipped": 1}
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, p1, training, moments)
+        loaded, manifest, passes = read_checkpoint(p1)
+        assert {key: manifest[key] for key in TRAIN_KEYS} == training
+        assert [a.tobytes() for pass_ in passes[1:] for a in pass_] == [a.tobytes() for m in moments for a in m]
+        assert parameter_checksum(loaded) == parameter_checksum(model)
+        save_checkpoint(loaded, p2, training, passes[1:])
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kept", [("train",), ("step", "adam_skipped"), ("adam_skipped",)], ids="+".join)
+    def test_manifest_with_some_training_keys_refused_naming_the_rest(self, tmp_path, kept):
+        model = InsertionModel(tiny_config(), seed=24)
+        path = tmp_path / "m.ckpt"
+        values = [p.data for p in model.parameters()]
+        save_checkpoint(model, path, {"train": {}, "step": 2, "adam_skipped": 0}, [values, values])
+        manifest, blob = _read_container(path)
+        missing = [key for key in TRAIN_KEYS if key not in kept]
+        for key in missing:
+            del manifest[key]
+        _write_container(path, manifest, blob)
+        with pytest.raises(CompatibilityError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: checkpoint manifest lacks {', '.join(missing)}"
 
     def test_loaded_model_reproduces_outputs(self, tmp_path):
         model = InsertionModel(tiny_config(), seed=25)
@@ -666,8 +697,8 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(InsertionModel(tiny_config(), seed=28), path)
         manifest, blob = _read_container(path)
-        assert manifest["format"] == 4
-        for old in (1, 2, 3):
+        assert manifest["format"] == 5
+        for old in (1, 2, 3, 4):
             manifest["format"] = old
             _write_container(path, manifest, blob)
             with pytest.raises(
@@ -695,7 +726,7 @@ class TestCheckpoints:
         assert len(blob) == need
         with pytest.raises(
             CompatibilityError,
-            match=rf"m\.ckpt: parameter blob holds {need - 10} bytes, the manifest needs {need}",
+            match=rf"m\.ckpt: checkpoint blob holds {need - 10} bytes, the manifest needs {need}",
         ):
             load_checkpoint(path)
 

@@ -14,6 +14,7 @@ from actrecover.activities import ACTIVITY_CATEGORIES, MISSING_CODE
 from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
+    CompatibilityError,
     DecoderState,
     InsertionModel,
     ModelConfig,
@@ -22,6 +23,7 @@ from actrecover.model import (
     _write_container,
     insertion_targets,
     load_checkpoint,
+    save_checkpoint,
 )
 from actrecover.tensor import Parameter
 from actrecover.training import (
@@ -31,7 +33,6 @@ from actrecover.training import (
     _batch_item,
     clip_gradients,
     load_train_state,
-    save_train_state,
     train,
 )
 
@@ -410,9 +411,9 @@ class TestCheckpointingAndResume:
         ckpt = tmp_path / "model.ckpt"
         tc = TrainConfig(lr=1e-3, batch_size=8, epochs=4, seed=3, checkpoint_interval=2)
         model, report = train(samples, tiny_config(), tc, checkpoint_path=ckpt)
-        assert ckpt.exists() and (tmp_path / "model.ckpt.state").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]  # no sidecar
         loaded, manifest = load_checkpoint(ckpt)
-        assert manifest["extra"]["step"] == report.steps
+        assert manifest["step"] == report.steps
         from actrecover.model import parameter_checksum
 
         assert parameter_checksum(loaded) == report.checksum
@@ -443,22 +444,21 @@ class TestCheckpointingAndResume:
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         model = InsertionModel(tiny_config(d_m=16, d_attn=8, d_val=8), seed=0)
         adam = Adam(model.parameters(), TrainConfig())
-        with pytest.raises(ConfigError, match="config"):
-            load_train_state(str(ckpt) + ".state", model, adam)
+        with pytest.raises(CompatibilityError, match="config"):
+            load_train_state(ckpt, model, adam, TrainConfig())
 
     def test_resume_rejects_other_format(self, tmp_path):
         samples = small_dataset(n_days=8, seed=7)
         ckpt = tmp_path / "part.ckpt"
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
-        state = str(ckpt) + ".state"
-        manifest, blob = _read_container(state)
-        assert manifest["format"] == 4
+        manifest, blob = _read_container(ckpt)
+        assert manifest["format"] == 5
         model = InsertionModel(tiny_config(), seed=0)
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             manifest["format"] = old
-            _write_container(state, manifest, blob)
-            with pytest.raises(ConfigError, match=f"training-state format {old} is not supported"):
-                load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
+            _write_container(ckpt, manifest, blob)
+            with pytest.raises(CompatibilityError, match=f"checkpoint format {old} is not supported"):
+                load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
 
     @pytest.fixture
     def one_epoch_state(self, tmp_path):
@@ -467,19 +467,20 @@ class TestCheckpointingAndResume:
         train(small_dataset(n_days=8, seed=7), tiny_config(), tc, checkpoint_path=ckpt)
         return ckpt, tc
 
-    def test_state_pins_the_training_config(self, one_epoch_state):
+    def test_checkpoint_pins_the_training_config(self, one_epoch_state):
         ckpt, tc = one_epoch_state
-        manifest, _ = _read_container(str(ckpt) + ".state")
+        manifest, _ = _read_container(ckpt)
         assert manifest["train"] == tc.to_dict()
+        assert (manifest["step"], manifest["adam_skipped"]) == (2, 0) and "adam_t" not in manifest
 
     def test_resume_refuses_a_different_training_config(self, one_epoch_state):
         ckpt, tc = one_epoch_state
         changed = TrainConfig(batch_size=2, epochs=2, seed=99, lr=tc.lr)
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(CompatibilityError) as info:
             train(small_dataset(n_days=8, seed=7), tiny_config(), changed,
                   checkpoint_path=ckpt, resume=True)
         message = str(info.value)
-        assert "part.ckpt.state: cannot resume with a different training config" in message
+        assert "part.ckpt: cannot resume with a different training config" in message
         assert "batch_size=4 (now 2)" in message and "seed=4 (now 99)" in message
         assert "epochs=" not in message
 
@@ -490,49 +491,57 @@ class TestCheckpointingAndResume:
                           checkpoint_path=ckpt, resume=True)
         assert report.steps == 4 and len(report.losses) == 2
 
-    @pytest.mark.parametrize("key", ["config", "train", "step", "adam_t", "adam_skipped"])
-    def test_state_manifest_without_required_key_refused(self, one_epoch_state, key):
+    @pytest.mark.parametrize("key", ["config", "train", "step", "adam_skipped"])
+    def test_checkpoint_manifest_without_required_key_refused(self, one_epoch_state, key):
         ckpt, _ = one_epoch_state
-        state = str(ckpt) + ".state"
-        manifest, blob = _read_container(state)
+        manifest, blob = _read_container(ckpt)
         del manifest[key]
-        _write_container(state, manifest, blob)
+        _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
-        with pytest.raises(ConfigError, match=rf"part\.ckpt\.state: training-state manifest lacks {key}"):
-            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
+        with pytest.raises(CompatibilityError, match=rf"part\.ckpt: checkpoint manifest lacks {key}$"):
+            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
 
-    def test_state_with_a_wrong_parameter_list_refused(self, one_epoch_state):
+    def test_checkpoint_with_a_wrong_parameter_list_refused(self, one_epoch_state):
         ckpt, _ = one_epoch_state
-        state = str(ckpt) + ".state"
-        manifest, blob = _read_container(state)
+        manifest, blob = _read_container(ckpt)
         manifest["params"] = [{"name": "bogus", "shape": [1]}]
-        _write_container(state, manifest, blob)
+        _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
-        with pytest.raises(ConfigError, match=r"part\.ckpt\.state: parameter entry 0 is .*'bogus'"):
-            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
+        with pytest.raises(CompatibilityError, match=r"part\.ckpt: parameter entry 0 is .*'bogus'"):
+            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
 
-    def test_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
+    def test_training_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
         ckpt, tc = one_epoch_state
         model = InsertionModel(tiny_config(), seed=0)
         adam = Adam(model.parameters(), TrainConfig())
-        step = load_train_state(str(ckpt) + ".state", model, adam)
-        again = tmp_path / "again.state"
-        save_train_state(again, model, adam, step, tc)
-        assert again.read_bytes() == (tmp_path / "part.ckpt.state").read_bytes()
+        step = load_train_state(ckpt, model, adam, tc)
+        assert (adam.t, adam.skipped) == (step, 0)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(model, again, {"train": tc.to_dict(), "step": step, "adam_skipped": 0}, (adam.m, adam.v))
+        assert again.read_bytes() == ckpt.read_bytes()
 
-    def test_truncated_state_blob_names_file_and_sizes(self, one_epoch_state):
+    def test_adam_update_count_is_the_steps_not_skipped(self, one_epoch_state):
+        ckpt, tc = one_epoch_state
+        manifest, blob = _read_container(ckpt)
+        manifest["adam_skipped"] = 1
+        _write_container(ckpt, manifest, blob)
+        model = InsertionModel(tiny_config(), seed=0)
+        adam = Adam(model.parameters(), TrainConfig())
+        assert load_train_state(ckpt, model, adam, tc) == 2
+        assert (adam.t, adam.skipped) == (1, 1)
+
+    def test_truncated_checkpoint_blob_names_file_and_sizes(self, one_epoch_state):
         ckpt, _ = one_epoch_state
-        state = str(ckpt) + ".state"
-        manifest, blob = _read_container(state)
-        _write_container(state, manifest, blob[:-8])
+        manifest, blob = _read_container(ckpt)
+        _write_container(ckpt, manifest, blob[:-8])
         model = InsertionModel(tiny_config(), seed=0)
         need = 3 * 4 * sum(p.size for p in model.parameters())
         assert len(blob) == need
         with pytest.raises(
-            ConfigError,
-            match=rf"part\.ckpt\.state: training-state blob holds {need - 8} bytes, the manifest needs {need}",
+            CompatibilityError,
+            match=rf"part\.ckpt: checkpoint blob holds {need - 8} bytes, the manifest needs {need}",
         ):
-            load_train_state(state, model, Adam(model.parameters(), TrainConfig()))
+            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
 
 
 @pytest.mark.parametrize(
