@@ -15,7 +15,7 @@ print("== a small differentiable computation ==")
 x = Parameter("x", rng.normal(size=(2, 3)))
 w = Parameter("w", rng.normal(size=(3, 4)))
 b = Parameter("b", np.zeros(4))
-hidden = T.elu(T.linear(x, w, b))
+hidden = T.elu(T.add(T.matmul(x, w), b))
 probs = T.softmax(hidden, axis=-1)
 loss = T.mul(T.tsum(T.mul(probs, rng.normal(size=(2, 4)))), 1.0 / 8)  # the mean of 8 entries
 print("loss =", float(loss.data))
@@ -42,8 +42,8 @@ print()
 print("== central differences agree with the tape ==")
 first_two = np.eye(4)[:, :2]  # a 0/1 matrix whose product picks columns 0 and 1
 for name, forward, params in [
-    ("linear", lambda: T.tsum(T.linear(x, w, b)), [x, w, b]),
-    ("elu+softmax", lambda: T.tsum(T.matmul(T.softmax(T.elu(T.linear(x, w, b)), axis=-1), first_two)),
+    ("linear", lambda: T.tsum(T.add(T.matmul(x, w), b)), [x, w, b]),
+    ("elu+softmax", lambda: T.tsum(T.matmul(T.softmax(T.elu(T.add(T.matmul(x, w), b)), axis=-1), first_two)),
      [x, w, b]),
 ]:
     report = grad_check(forward, params, name=name)

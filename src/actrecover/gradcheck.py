@@ -49,7 +49,8 @@ def grad_check(
     ``forward`` must rebuild its graph on every call and return a scalar;
     it is evaluated twice per parameter entry. The relative error for one
     entry is ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
-    Each of ``params`` is left holding its value in float64.
+    Each of ``params`` is left holding its value in float64, in arrays of
+    its own: a model's parameter leaves the model's flat buffers.
     """
     for p in params:
         p.data = p.data.astype(np.float64, copy=False)

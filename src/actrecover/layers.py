@@ -119,7 +119,8 @@ class Linear(Block):
         self.b = Parameter(name + ".b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x):
-        return T.linear(x, self.w, self.b)
+        out = T.matmul(x, self.w)
+        return out if self.b is None else T.add(out, self.b)
 
 
 class GatedLinearUnit(Block):

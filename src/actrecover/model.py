@@ -22,9 +22,10 @@ with no padding. Only attention runs on the padded (B, T) grid, and
 dropout draws its masks at the padded shape, so a packed batch computes
 what a padded one would.
 
-The model holds its parameters, gradients and optimizer moments in
-float32, the dtype its checkpoints store, so it trains and decodes at the
-precision it is saved in (see the dtype rule in :mod:`actrecover.tensor`).
+The model holds its parameters and gradients in float32, the dtype its
+checkpoints store, so it trains and decodes at the precision it is saved in
+(see the dtype rule in :mod:`actrecover.tensor`). Each kind is one flat
+buffer laid out as a checkpoint's blob, which the optimizer updates whole.
 """
 
 from __future__ import annotations
@@ -254,13 +255,20 @@ class InsertionModel(Block):
         ]
         self.slot_proj = Linear("slot_proj", 2 * d, d, rng)
         self.out_proj = Linear("out_proj", d, N_CONTENT_CLASSES, rng)
-        for p in self.parameters():  # drawn in float64, held in the checkpoint's dtype
-            p.data = p.data.astype(PARAM_DTYPE)
-        self.zero_grads()
+        self._lay_out(PARAM_DTYPE)  # drawn in float64, held in the checkpoint's dtype
+
+    def _lay_out(self, dtype) -> None:
+        """Hold the parameters in ``dtype`` back to back, in checkpoint order, in one ``values``
+        buffer, and zeroed gradients alike in ``grads``; each ``p.data`` and ``p.grad`` is a view."""
+        params = self.parameters()
+        self.values = np.concatenate([p.data.reshape(-1) for p in params], dtype=dtype)
+        self.grads = np.zeros_like(self.values)
+        cuts = np.cumsum([p.size for p in params])[:-1]
+        for p, value, grad in zip(params, np.split(self.values, cuts), np.split(self.grads, cuts)):
+            p.data, p.grad = value.reshape(p.shape), grad.reshape(p.shape)
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.grads.fill(0)
 
     # -- forward -------------------------------------------------------------
 
@@ -476,9 +484,9 @@ class InsertionModel(Block):
 
 # -- checkpoints --------------------------------------------------------------
 # A checkpoint is one container: magic bytes, a length-prefixed JSON manifest, then a
-# little-endian blob of whole passes over the parameters. A model checkpoint's blob is
-# the parameters; a training checkpoint's manifest adds ``TRAIN_KEYS`` and its blob
-# adds Adam's first and second moments, so it alone resumes training.
+# little-endian blob of whole passes, each laid out like ``InsertionModel.values``. A model
+# checkpoint's blob is the parameters; a training checkpoint's manifest adds ``TRAIN_KEYS``
+# and its blob adds Adam's first and second moments, so it alone resumes training.
 
 _MAGIC = b"ARCK"
 TRAIN_KEYS = ("train", "step", "adam_skipped")  # the manifest keys a training checkpoint adds
@@ -523,33 +531,26 @@ def _param_entries(params: Sequence[Parameter]) -> list[dict]:
     return [{"name": p.name, "shape": list(p.shape)} for p in params]
 
 
-def _blob(model: InsertionModel, moments: Sequence[list] = ()) -> bytes:
-    passes = [[p.data for p in model.parameters()], *moments]
-    return b"".join(np.asarray(value, PARAM_DTYPE).tobytes() for values in passes for value in values)
-
-
-def save_checkpoint(
-    model: InsertionModel, path, training: dict | None = None, moments: Sequence[list] = ()
-) -> None:
+def save_checkpoint(model: InsertionModel, path, training: dict | None = None, moments=()) -> None:
     """Write a model checkpoint or, given ``training`` (the ``TRAIN_KEYS`` values) and Adam's two
-    ``moments`` (each a list of arrays in parameter order), a training checkpoint."""
+    ``moments`` (each laid out like ``model.values``), a training checkpoint."""
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "params": _param_entries(model.parameters()),
         **(training or {}),
     }
-    _write_container(path, manifest, _blob(model, moments))
+    _write_container(path, manifest, b"".join(buf.tobytes() for buf in (model.values, *moments)))
 
 
 def read_checkpoint(path, config: ModelConfig | None = None):
     """Check a checkpoint of either form; returns (model, manifest, passes).
 
     The model is built from the manifest's config, which must equal
-    ``config`` when one is given. ``passes[k]`` lists pass ``k``'s arrays in
-    parameter order: the parameters, already loaded into the model, then, in
-    a training checkpoint, Adam's two moments. Every refusal raises
-    ``CompatibilityError`` and names the file.
+    ``config`` when one is given. ``passes`` is the blob read in place, one
+    row per pass laid out like ``model.values``: the parameters, already
+    copied into the model, then, in a training checkpoint, Adam's two
+    moments. Every refusal raises ``CompatibilityError`` and names the file.
     """
 
     def refusal(problem: str) -> Exception:
@@ -577,21 +578,16 @@ def read_checkpoint(path, config: ModelConfig | None = None):
     if not isinstance(manifest["params"], list):
         raise refusal(f"checkpoint manifest params must be a list, not {manifest['params']!r}")
     model = InsertionModel(saved, seed=0)
-    params = model.parameters()
-    for i, (listed, needed) in enumerate(zip_longest(manifest["params"], _param_entries(params))):
+    for i, (listed, needed) in enumerate(zip_longest(manifest["params"], _param_entries(model.parameters()))):
         if listed != needed:
             raise refusal(f"parameter entry {i} is {listed!r}, the model needs {needed!r}")
-    sizes = [p.size for p in params]
-    expected = (3 if trained else 1) * PARAM_DTYPE.itemsize * sum(sizes)
+    expected = (3 if trained else 1) * model.values.nbytes
     if expected != len(blob):
         raise refusal(f"checkpoint blob holds {len(blob)} bytes, the manifest needs {expected}")
-    rows = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(-1, sum(sizes)).copy()
-    if not np.isfinite(rows).all():
+    passes = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(-1, model.values.size)
+    if not np.isfinite(passes).all():
         raise refusal("checkpoint blob holds non-finite values")
-    cuts = np.cumsum(sizes)[:-1]
-    passes = [[v.reshape(p.shape) for p, v in zip(params, np.split(row, cuts))] for row in rows]
-    for p, value in zip(params, passes[0]):
-        p.data = value
+    model.values[:] = passes[0]
     return model, manifest, passes
 
 
@@ -602,4 +598,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
 
 def parameter_checksum(model: InsertionModel) -> str:
     """SHA-256 of the float32 parameter blob a checkpoint holds."""
-    return hashlib.sha256(_blob(model)).hexdigest()
+    return hashlib.sha256(model.values).hexdigest()

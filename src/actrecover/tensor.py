@@ -19,9 +19,9 @@ and any tensor built with ``requires_grad=True``), and so does the scalar.
 The operation set is deliberately small: exactly what gated residual blocks,
 variable selection, multi-head attention and the slot insertion head need.
 
-Gradient buffers on :class:`Parameter` persist across graphs and accumulate;
-callers zero them between optimization steps. Inside a :class:`no_grad`
-block nothing is recorded, which is how inference runs.
+Gradient buffers on :class:`Parameter` persist across graphs and accumulate
+in place; callers zero them between optimization steps. Inside a
+:class:`no_grad` block nothing is recorded, which is how inference runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "add",
     "mul",
     "matmul",
-    "linear",
     "elu",
     "sigmoid",
     "softmax",
@@ -189,7 +188,10 @@ def _accumulate(node: Tensor, g: np.ndarray) -> None:
     if not node.requires_grad:
         return
     g = g.astype(node.data.dtype, copy=False)
-    node.grad = g if node.grad is None else node.grad + g
+    if isinstance(node, Parameter):  # in place, so a view into a model's grads stays one
+        node.grad += g
+    else:  # into a new array: ``g`` may be a sibling's gradient too
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,16 +263,6 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return _node(data, (a, b), backward)
-
-
-def linear(x, w, b=None) -> Tensor:
-    """``x @ w`` plus an optional bias broadcast over leading axes.
-
-    A stacked ``w`` of shape (m, d_in, d_out) applies one weight per leading
-    index of ``x``.
-    """
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
 
 
 def elu(x) -> Tensor:

@@ -1,12 +1,12 @@
 """Optimization loop for the insertion model.
 
-Adam with bias correction behind global-norm gradient clipping; per-epoch
-shuffles and per-step dropout masks are derived from the training seed, so a
-run is fully reproducible, and resuming from the one-file training
-checkpoint continues the exact same trajectory. A batch runs packed: the
-valid positions of its states back to back, with padding only inside each
-attention (see :mod:`actrecover.model`), so padding costs work only there
-and never enters the loss.
+Adam with bias correction behind global-norm gradient clipping, on the
+model's flat buffers; per-epoch shuffles and per-step dropout masks are
+derived from the training seed, so a run is fully reproducible, and resuming
+from the one-file training checkpoint continues the exact same trajectory.
+A batch runs packed: the valid positions of its states back to back, with
+padding only inside each attention (see :mod:`actrecover.model`), so
+padding costs work only there and never enters the loss.
 """
 
 from __future__ import annotations
@@ -103,38 +103,39 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
     if np.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            p.grad = p.grad * scale
+            p.grad *= scale  # in place: a model's gradients stay in its buffer
     return norm
 
 
 class Adam:
     """Adam with bias correction; skips (and counts) non-finite steps.
 
-    Moments are held, and updates land, in each parameter's dtype.
+    It updates the flat buffer ``values`` in place from ``grads``, laid out
+    alike, such as a model's two buffers; Adam is elementwise, so that is
+    each parameter's own update. The moments ``m`` and ``v`` share that
+    layout and dtype, as a training checkpoint stores them.
     """
 
-    def __init__(self, params: Sequence[Parameter], config: TrainConfig):
-        self.params = list(params)
+    def __init__(self, values: np.ndarray, grads: np.ndarray, config: TrainConfig):
+        self.values, self.grads = values, grads
         self.lr, self.beta1, self.beta2, self.eps = config.lr, config.beta1, config.beta2, config.eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]  # moments in parameter order
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m, self.v = np.zeros_like(values), np.zeros_like(values)
         self.skipped = 0
 
     def step(self) -> bool:
-        """Apply one update from each ``p.grad``; returns False if skipped."""
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                self.skipped += 1
-                return False
+        """Apply one update from ``grads``; returns False if skipped."""
+        if not np.isfinite(self.grads).all():
+            self.skipped += 1
+            return False
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            m = self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
-            v = self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * p.grad**2
-            update = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p.data = update.astype(p.data.dtype, copy=False)  # numpy 1 promotes an lr float32 cannot hold
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * self.grads
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * self.grads**2
+        self.values -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
         return True
 
 
@@ -188,9 +189,7 @@ def load_train_state(path, model: InsertionModel, adam: Adam, train_config: Trai
     if diffs:
         raise CompatibilityError(f"{path}: cannot resume with a different training config: {diffs}"
                                  f"; only {' and '.join(RESUMABLE_CHANGES)} may change")
-    values, adam.m, adam.v = passes
-    for p, value in zip(model.parameters(), values):
-        p.data = value
+    model.values[:], adam.m[:], adam.v[:] = passes
     adam.t, adam.skipped = step - skipped, skipped
     return step
 
@@ -207,9 +206,9 @@ def train(
     The checkpoint, when requested, is written every
     ``checkpoint_interval`` steps and at the end. It holds the parameters,
     Adam's moments, the step counters and the training config, so
-    ``resume`` continues from it on the exact same trajectory. A step whose
-    loss or updated parameters leave float32's range raises
-    ``NumericError``.
+    ``resume`` continues from it on the exact same trajectory; a checkpoint
+    past the run's last step raises ``ConfigError``. A step whose loss or
+    updated parameters leave float32's range raises ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
@@ -220,15 +219,15 @@ def train(
         if len(s.complete) > max_len:
             raise ConfigError(f"sample {i} has {len(s.complete)} activities, above max_len={max_len}")
     completes = [DecoderState.from_sequence(s.complete) for s in samples]  # VocabularyError on an invalid day
-    model = InsertionModel(model_config, seed=train_config.seed)
-    adam = Adam(model.parameters(), train_config)
-    start_step = 0
-    if resume:
-        start_step = load_train_state(checkpoint_path, model, adam, train_config)
-
     n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs
+    model = InsertionModel(model_config, seed=train_config.seed)
+    adam = Adam(model.values, model.grads, train_config)
+    start_step = load_train_state(checkpoint_path, model, adam, train_config) if resume else 0
+    if start_step > total_steps:  # a resume never runs backwards
+        raise ConfigError(f"{checkpoint_path}: checkpoint is at step {start_step}, "
+                          f"past this run's last step, {total_steps}")
     report = TrainReport()
     started = time.perf_counter()
 
@@ -251,11 +250,11 @@ def train(
         with np.errstate(all="ignore"):  # the loss and the parameters are checked just below
             loss = model.batch_loss(batch_states, batch_targets, rng=rng)
             loss.backward()
-            clip_gradients(adam.params, train_config.clip_norm)
+            clip_gradients(model.parameters(), train_config.clip_norm)
             stepped = adam.step()
         if not np.isfinite(loss.data):
             raise NumericError(f"training diverged at step {step + 1}: the loss is not finite")
-        if stepped and not all(np.isfinite(p.data).all() for p in adam.params):
+        if stepped and not np.isfinite(model.values).all():
             raise NumericError(f"training diverged at step {step + 1}: "
                                "a parameter is not finite or lies beyond float32's range")
         report.losses.append(float(loss.data))

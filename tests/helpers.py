@@ -2,9 +2,10 @@
 plus frozen references the optimized paths are checked against: the serial
 decode loop and its activity-level insertion, the training item built from
 ``Activity`` objects, the per-stream variable selection network, the
-hand-kept parameter lists, the two-branch sigmoid, the backward that kept
-its graph, the padded forward and loss (with the ``index`` and ``concat``
-ops only it and a few tensor tests use), and the ``rng.choice`` day sampler; and ``at_float64``, which
+hand-kept parameter lists, the per-parameter Adam and clipping, the
+two-branch sigmoid, the backward that kept its graph, the padded forward
+and loss (with the ``index`` and ``concat`` ops only it and a few tensor
+tests use), and the ``rng.choice`` day sampler; and ``at_float64``, which
 promotes a model to run parity checks at 64-bit."""
 
 from collections import Counter
@@ -61,11 +62,10 @@ def at_float64(model):
 
     Two computations equal in exact arithmetic differ in float32's last
     bits; run at float64, they are held to the tolerances that reveal a
-    real difference.
+    real difference. The model's flat buffers are rebuilt at float64, so
+    its gradients accumulate at float64 too.
     """
-    for p in model.parameters():
-        p.data = p.data.astype(np.float64)
-    model.zero_grads()
+    model._lay_out(np.float64)
     return model
 
 
@@ -241,6 +241,50 @@ def listed_parameters(part) -> list:
             params += listed_parameters(layer)
         return params + listed_parameters(part.slot_proj) + listed_parameters(part.out_proj)
     raise TypeError(f"no reference parameter list for {type(part).__name__}")
+
+
+class ListAdam:
+    """Reference Adam: a frozen copy of the optimizer that kept one moment array per parameter.
+
+    It read each ``p.grad`` and replaced each ``p.data``; the flat ``Adam``
+    must reproduce its parameters and moments bit for bit.
+    """
+
+    def __init__(self, params, config):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = config.lr, config.beta1, config.beta2, config.eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.skipped = 0
+
+    def step(self) -> bool:
+        for p in self.params:
+            if not np.isfinite(p.grad).all():
+                self.skipped += 1
+                return False
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for i, p in enumerate(self.params):
+            m = self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
+            v = self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * p.grad**2
+            update = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p.data = update.astype(p.data.dtype, copy=False)
+        return True
+
+
+def list_clip_gradients(params, max_norm: float) -> float:
+    """Reference clipping: a frozen copy of the form that replaced each ``p.grad`` by a scaled copy."""
+    total = 0.0
+    for p in params:
+        total += float(np.square(p.grad, dtype=np.float64).sum())
+    norm = float(np.sqrt(total))
+    if np.isfinite(norm) and norm > max_norm:
+        scale = max_norm / norm
+        for p in params:
+            p.grad = p.grad * scale
+    return norm
 
 
 def two_branch_sigmoid(d: np.ndarray) -> np.ndarray:

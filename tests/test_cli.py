@@ -521,6 +521,20 @@ class TestTrain:
         assert err == f"train: {ckpt}: checkpoint holds no training state, only a model\n"
         assert ckpt.read_bytes() == lean and not (tmp_path / "m.ckpt.report.json").exists()
 
+    def test_resume_behind_the_checkpoint_exits_2_and_writes_nothing(self, small_run, tmp_path, capsys):
+        ckpt = tmp_path / "ahead.ckpt"
+        ckpt.write_bytes(small_run["ckpt"].read_bytes())  # two epochs of two steps
+        before = ckpt.read_bytes()
+        common = ["--data", small_run["data"], "--out", ckpt, "--seed", 1, "--batch-size", 8, "--d-m", 8,
+                  "--heads", 2, "--n-layers", 1, "--dropout", 0.0, "--resume"]
+        capsys.readouterr()
+        assert run("train", *common, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert err == f"train: {ckpt}: checkpoint is at step 4, past this run's last step, 2\n"
+        assert ckpt.read_bytes() == before and not (tmp_path / "ahead.ckpt.report.json").exists()
+        assert run("train", *common, "--epochs", 2) == 0  # equal epochs run no step
+        assert ckpt.read_bytes() == before
+
     def test_resume_from_a_copy_writes_a_straight_run_s_checkpoint(self, small_run, tmp_path, capsys):
         common = ["--data", small_run["data"], "--seed", 1, "--batch-size", 8, "--d-m", 8, "--heads", 2,
                   "--n-layers", 1, "--dropout", 0.0]

@@ -649,13 +649,13 @@ class TestCheckpoints:
     def test_training_checkpoint_roundtrip_bit_exact(self, tmp_path):
         model = InsertionModel(tiny_config(), seed=24)
         rng = np.random.default_rng(24)
-        moments = [[rng.normal(size=p.shape).astype(np.float32) for p in model.parameters()] for _ in range(2)]
+        moments = [rng.normal(size=model.values.size).astype(np.float32) for _ in range(2)]
         training = {"train": {"seed": 3}, "step": 7, "adam_skipped": 1}
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, p1, training, moments)
         loaded, manifest, passes = read_checkpoint(p1)
         assert {key: manifest[key] for key in TRAIN_KEYS} == training
-        assert [a.tobytes() for pass_ in passes[1:] for a in pass_] == [a.tobytes() for m in moments for a in m]
+        assert [a.tobytes() for a in passes[1:]] == [m.tobytes() for m in moments]
         assert parameter_checksum(loaded) == parameter_checksum(model)
         save_checkpoint(loaded, p2, training, passes[1:])
         assert p1.read_bytes() == p2.read_bytes()
@@ -664,8 +664,7 @@ class TestCheckpoints:
     def test_manifest_with_some_training_keys_refused_naming_the_rest(self, tmp_path, kept):
         model = InsertionModel(tiny_config(), seed=24)
         path = tmp_path / "m.ckpt"
-        values = [p.data for p in model.parameters()]
-        save_checkpoint(model, path, {"train": {}, "step": 2, "adam_skipped": 0}, [values, values])
+        save_checkpoint(model, path, {"train": {}, "step": 2, "adam_skipped": 0}, [model.values, model.values])
         manifest, blob = _read_container(path)
         missing = [key for key in TRAIN_KEYS if key not in kept]
         for key in missing:

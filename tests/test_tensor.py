@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
+from actrecover.layers import Linear
 from actrecover.tensor import NumericError, Parameter, ShapeError, Tensor
 
 from helpers import concat, index, two_branch_sigmoid
@@ -34,35 +35,42 @@ def unchecked_node():
         yield node
 
 
+def linear(x, w, b=None):
+    """``x`` through a ``Linear`` layer that holds the weight ``w`` and the bias ``b``."""
+    layer = Linear("lin", *w.shape, np.random.default_rng(0), bias=b is not None)
+    layer.w, layer.b = w, b
+    return layer(x)
+
+
 class TestLinear:
     def test_zero_input_rows_equal_bias(self):
         x = Tensor(np.zeros((3, 2)))
         w = Parameter("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
         b = Parameter("b", np.array([5.0, -1.0]))
-        out = T.linear(x, w, b)
+        out = linear(x, w, b)
         np.testing.assert_array_equal(out.data, np.tile([5.0, -1.0], (3, 1)))
 
     def test_identity_weight_zero_bias(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
         w = Parameter("w", np.eye(3))
         b = Parameter("b", np.zeros(3))
-        np.testing.assert_array_equal(T.linear(x, w, b).data, x.data)
+        np.testing.assert_array_equal(linear(x, w, b).data, x.data)
 
     def test_hand_matrix_product(self):
         x = Tensor([[1.0, 2.0]])
         w = Parameter("w", np.array([[1.0, 0.0], [0.0, 1.0]]))
         b = Parameter("b", np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(T.linear(x, w, b).data, [[4.0, 6.0]])
+        np.testing.assert_array_equal(linear(x, w, b).data, [[4.0, 6.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-            T.linear(Tensor(np.zeros((2, 3))), Parameter("w", np.zeros((2, 4))))
+            linear(Tensor(np.zeros((2, 3))), Parameter("w", np.zeros((2, 4))))
 
     def test_backward_reaches_input_and_params(self):
         x = Parameter("x", np.array([[1.0, 2.0]]))
         w = Parameter("w", np.array([[1.0, -1.0], [0.5, 2.0]]))
         b = Parameter("b", np.array([0.0, 0.0]))
-        T.tsum(T.linear(x, w, b)).backward()
+        T.tsum(linear(x, w, b)).backward()
         np.testing.assert_allclose(x.grad, [[0.0, 2.5]])
         np.testing.assert_allclose(w.grad, [[1.0, 1.0], [2.0, 2.0]])
         np.testing.assert_allclose(b.grad, [1.0, 1.0])
@@ -319,6 +327,25 @@ class TestBackwardReleasesGraph:
         T.tsum(hidden).backward()
         with pytest.raises(RuntimeError, match="released"):
             T.tsum(T.mul(hidden, 2.0)).backward()
+
+
+class TestGradientAccumulation:
+    """A ``Parameter``'s gradient is added into in place; any other node's becomes a new array."""
+
+    def test_a_parameter_keeps_its_gradient_buffer(self):
+        w = Parameter("w", np.ones(3))
+        buffer = w.grad
+        T.tsum(T.mul(T.add(w, w), 2.0)).backward()
+        assert w.grad is buffer
+        np.testing.assert_array_equal(w.grad, 4.0)
+
+    def test_a_leaf_and_an_intermediate_handed_one_array_by_add_both_get_their_own(self):
+        x = Tensor(np.ones(3), requires_grad=True)  # a leaf that is not a Parameter
+        w = Parameter("w", np.ones(3))
+        inner = T.add(x, T.mul(w, 2.0))
+        T.tsum(T.add(inner, x)).backward()  # the outer add hands inner and x the same array
+        np.testing.assert_array_equal(x.grad, 2.0)
+        np.testing.assert_array_equal(w.grad, 2.0)
 
 
 class TestMatmulAlgebra:

@@ -36,7 +36,16 @@ from actrecover.training import (
     train,
 )
 
-from helpers import activity_batch_item, keep_graph_backward, random_sequence, random_targets, tiny_config
+from helpers import (
+    ListAdam,
+    activity_batch_item,
+    at_float64,
+    keep_graph_backward,
+    list_clip_gradients,
+    random_sequence,
+    random_targets,
+    tiny_config,
+)
 
 
 def small_dataset(n_days=16, seed=3):
@@ -49,7 +58,7 @@ def small_dataset(n_days=16, seed=3):
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter("p", np.array([1.0, -2.0]))
-        adam = Adam([p], TrainConfig(lr=0.1))
+        adam = Adam(p.data, p.grad, TrainConfig(lr=0.1))
         before = p.data.copy()
         assert adam.step()
         np.testing.assert_array_equal(p.data, before)
@@ -57,7 +66,7 @@ class TestAdam:
     def test_first_step_magnitude_close_to_lr(self):
         p = Parameter("p", np.zeros(4))
         p.grad = np.array([3.0, -0.5, 10.0, -7.0])
-        adam = Adam([p], TrainConfig(lr=1e-3))
+        adam = Adam(p.data, p.grad, TrainConfig(lr=1e-3))
         adam.step()
         # bias correction makes the first update lr * g / (|g| + eps) per entry
         np.testing.assert_allclose(np.abs(p.data), 1e-3, rtol=1e-5)
@@ -66,7 +75,7 @@ class TestAdam:
     def test_non_finite_gradient_skipped_and_counted(self):
         p = Parameter("p", np.array([1.0]))
         p.grad = np.array([np.nan])
-        adam = Adam([p], TrainConfig(lr=0.1))
+        adam = Adam(p.data, p.grad, TrainConfig(lr=0.1))
         assert not adam.step()
         assert adam.skipped == 1
         np.testing.assert_array_equal(p.data, [1.0])
@@ -77,12 +86,80 @@ class TestAdam:
         trajectories = []
         for _ in range(2):
             p = Parameter("p", np.ones(3))
-            adam = Adam([p], TrainConfig(lr=0.01))
+            adam = Adam(p.data, p.grad, TrainConfig(lr=0.01))
             for g in grads:
-                p.grad = g.copy()
+                p.grad[:] = g
                 adam.step()
             trajectories.append(p.data.copy())
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        lr=st.sampled_from([1e-3, 0.1]),
+        steps=st.lists(st.tuples(st.integers(-4, 1), st.sampled_from([None, np.nan, np.inf])),
+                       min_size=1, max_size=4),
+    )
+    def test_flat_buffer_equals_the_per_parameter_loop_bits(self, seed, lr, steps):
+        """Over drawn gradients, some clipped and some not finite, both optimizers agree bit for bit."""
+        model = InsertionModel(tiny_config(d_m=4, d_attn=2, d_val=2), seed=seed)
+        ref = [Parameter(p.name, p.data.copy()) for p in model.parameters()]
+        tc = TrainConfig(lr=lr)
+        adam, ref_adam = Adam(model.values, model.grads, tc), ListAdam(ref, tc)
+        rng = np.random.default_rng(seed)
+        for exponent, bad in steps:
+            grads = [(rng.normal(size=q.shape) * 10.0**exponent).astype(np.float32) for q in ref]
+            if bad is not None:
+                grads[int(rng.integers(len(grads)))].flat[0] = bad
+            for p, q, g in zip(model.parameters(), ref, grads):
+                p.grad[...], q.grad = g, g.copy()
+            norms = clip_gradients(model.parameters(), 1.0), list_clip_gradients(ref, 1.0)
+            assert np.array(norms[0]).tobytes() == np.array(norms[1]).tobytes()  # NaN too
+            assert adam.step() == ref_adam.step()
+        assert (adam.t, adam.skipped) == (ref_adam.t, ref_adam.skipped)
+        for flat, listed in ((model.values, [q.data for q in ref]), (model.grads, [q.grad for q in ref]),
+                             (adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+            assert flat.tobytes() == b"".join(a.tobytes() for a in listed)
+
+
+class TestFlatBuffers:
+    """Parameters, gradients and Adam's moments each live in one flat buffer laid out like the checkpoint."""
+
+    def test_two_train_steps_keep_every_view_and_checkpoint_the_buffers(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr("actrecover.training.Adam", Recorded)
+        ckpt = tmp_path / "m.ckpt"
+        model, report = train(small_dataset(n_days=8, seed=5), tiny_config(dropout=0.1),
+                              TrainConfig(batch_size=4, epochs=1, seed=2), checkpoint_path=ckpt)
+        assert report.steps == 2 and len(made) == 1
+        adam = made[0]
+        assert adam.values is model.values and adam.grads is model.grads
+        params = model.parameters()
+        for p in params:
+            assert np.shares_memory(p.data, model.values) and np.shares_memory(p.grad, model.grads), p.name
+        assert model.values.tobytes() == b"".join(p.data.tobytes() for p in params)
+        assert model.grads.tobytes() == b"".join(p.grad.tobytes() for p in params)
+        assert np.any(model.grads != 0)  # the last step's gradients landed in the buffer
+        _, blob = _read_container(ckpt)
+        assert blob == model.values.tobytes() + adam.m.tobytes() + adam.v.tobytes()
+
+    @pytest.mark.parametrize("use_vsn", [True, False], ids=["fused", "token"])
+    def test_a_float64_promotion_accumulates_in_float64_views(self, use_vsn):
+        model = at_float64(InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=4))
+        rng = np.random.default_rng(4)
+        states = [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in (2, 5)]
+        model.batch_loss(states, [random_targets(rng, st) for st in states], rng=rng).backward()
+        assert model.values.dtype == model.grads.dtype == np.float64
+        for p in model.parameters():
+            assert p.data.dtype == p.grad.dtype == np.float64, p.name
+            assert np.shares_memory(p.grad, model.grads) and np.shares_memory(p.data, model.values), p.name
+        assert np.any(model.grads != 0)
 
 
 class TestClipping:
@@ -313,7 +390,7 @@ class TestFloat32:
     def test_two_steps_leave_every_array_float32(self, use_vsn, monkeypatch):
         samples = small_dataset(n_days=8, seed=11)
         model = InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=3)
-        adam = Adam(model.parameters(), TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig())
         accumulate, grad_dtypes = T._accumulate, []
 
         def recording(node, g):  # every node gradient as it accumulates, before backward frees it
@@ -329,10 +406,10 @@ class TestFloat32:
             loss = model.batch_loss(states, targets, rng=rng)
             tape = _tape(loss)
             loss.backward()
-            clip_gradients(adam.params, 1.0)
+            clip_gradients(model.parameters(), 1.0)
             assert adam.step()
         params = model.parameters()
-        arrays = [p.data for p in params] + [p.grad for p in params] + adam.m + adam.v
+        arrays = [p.data for p in params] + [p.grad for p in params] + [adam.m, adam.v]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert len(tape) > len(params)
         assert {node.data.dtype for node in tape} == {np.dtype(np.float32)}
@@ -443,7 +520,7 @@ class TestCheckpointingAndResume:
         ckpt = tmp_path / "part.ckpt"
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         model = InsertionModel(tiny_config(d_m=16, d_attn=8, d_val=8), seed=0)
-        adam = Adam(model.parameters(), TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig())
         with pytest.raises(CompatibilityError, match="config"):
             load_train_state(ckpt, model, adam, TrainConfig())
 
@@ -458,7 +535,7 @@ class TestCheckpointingAndResume:
             manifest["format"] = old
             _write_container(ckpt, manifest, blob)
             with pytest.raises(CompatibilityError, match=f"checkpoint format {old} is not supported"):
-                load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
+                load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
 
     @pytest.fixture
     def one_epoch_state(self, tmp_path):
@@ -499,7 +576,7 @@ class TestCheckpointingAndResume:
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(CompatibilityError, match=rf"part\.ckpt: checkpoint manifest lacks {key}$"):
-            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
 
     def test_checkpoint_with_a_wrong_parameter_list_refused(self, one_epoch_state):
         ckpt, _ = one_epoch_state
@@ -508,12 +585,12 @@ class TestCheckpointingAndResume:
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(CompatibilityError, match=r"part\.ckpt: parameter entry 0 is .*'bogus'"):
-            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
 
     def test_training_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
         ckpt, tc = one_epoch_state
         model = InsertionModel(tiny_config(), seed=0)
-        adam = Adam(model.parameters(), TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig())
         step = load_train_state(ckpt, model, adam, tc)
         assert (adam.t, adam.skipped) == (step, 0)
         again = tmp_path / "again.ckpt"
@@ -526,7 +603,7 @@ class TestCheckpointingAndResume:
         manifest["adam_skipped"] = 1
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
-        adam = Adam(model.parameters(), TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig())
         assert load_train_state(ckpt, model, adam, tc) == 2
         assert (adam.t, adam.skipped) == (1, 1)
 
@@ -541,7 +618,7 @@ class TestCheckpointingAndResume:
             CompatibilityError,
             match=rf"part\.ckpt: checkpoint blob holds {need - 8} bytes, the manifest needs {need}",
         ):
-            load_train_state(ckpt, model, Adam(model.parameters(), TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
 
 
 @pytest.mark.parametrize(
