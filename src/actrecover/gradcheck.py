@@ -54,7 +54,7 @@ def grad_check(
     """
     for p in params:
         p.data = p.data.astype(np.float64, copy=False)
-        p.zero_grad()
+        p.grad = np.zeros_like(p.data)
     _checked(forward()).backward()
     analytic = {p.name: np.array(p.grad, copy=True) for p in params}
 

@@ -83,7 +83,7 @@ def apply_dropout(x, rate: float, rng: np.random.Generator | None, packing=None)
     else:
         b, t = packing.grid
         draw = rng.random(x.shape[:-2] + (b * t, x.shape[-1]))[..., packing.cells, :]
-    return T.mul(x, (draw >= rate) / (1.0 - rate))  # the mask adopts x's dtype
+    return T.mul(x, (draw >= rate) * x.data.dtype.type(1 / (1 - rate)))  # a mask in x's dtype
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
@@ -179,7 +179,7 @@ class GatedResidualBlock(Block):
         members = [cls(name, d, d, d, rng, None, dropout) for _ in range(n_groups)]
         for same in zip(*(m.parameters() for m in members)):
             same[0].data = np.stack([p.data.reshape(-1, d) for p in same])
-            same[0].zero_grad()
+            same[0].grad = np.zeros_like(same[0].data)
         return members[0]
 
     def __call__(self, a, context=None, rng=None, packing=None):

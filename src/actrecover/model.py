@@ -79,6 +79,7 @@ __all__ = [
     "RecoveryOutcome",
     "InsertionModel",
     "insertion_targets",
+    "slot_pairs",
     "save_checkpoint",
     "load_checkpoint",
     "parameter_checksum",
@@ -204,6 +205,36 @@ def insertion_targets(incomplete: Sequence, complete: Sequence) -> list[Counter]
     target is the stop label.
     """
     return [Counter(fill) for fill in slot_fills(complete, align_subsequence(incomplete, complete))]
+
+
+def slot_pairs(targets: Sequence[Counter]) -> tuple[list[int], list[int]]:
+    """``batch_loss``'s (slots, label ids) of per-slot label counters, each label once per count; a
+    counter whose counts total zero owes nothing, and an unknown label raises ``VocabularyError``."""
+    try:
+        pairs = [(s, c) for s, counter in enumerate(targets) if sum(counter.values()) != 0
+                 for label, count in counter.items() for c in [LABEL_TO_ID[label]] * count]
+    except KeyError as exc:
+        raise VocabularyError(f"unknown target label {exc.args[0]!r}") from exc
+    return [s for s, _ in pairs], [c for _, c in pairs]
+
+
+def _target_rows(n_slots: np.ndarray, targets) -> np.ndarray:
+    """``batch_loss``'s packed target rows: one scatter counts what each slot of every state
+    owes, a row that owes nothing gets the stop label, and each row is divided by its total."""
+    if len(targets) != len(n_slots):
+        raise AlignmentError(f"{len(targets)} target lists for {len(n_slots)} states")
+    seq = np.repeat(np.arange(len(n_slots)), [len(slots) for slots, _ in targets])  # each pair's state
+    slots = np.array([s for slots, _ in targets for s in slots], dtype=np.int64)
+    outside = np.flatnonzero((slots < 0) | (slots >= n_slots[seq]))
+    if outside.size:
+        i = seq[outside[0]]
+        raise AlignmentError(f"sample {i}: target slot {slots[outside[0]]} outside its {n_slots[i]} slots")
+    labels = np.array([c for _, owed in targets for c in owed], dtype=np.int64)
+    counts = np.zeros((int(n_slots.sum()), N_CONTENT_CLASSES))
+    np.add.at(counts, ((np.cumsum(n_slots) - n_slots)[seq] + slots, labels), 1.0)
+    total = counts.sum(axis=1, keepdims=True)
+    counts[total[:, 0] == 0, NO_INSERT_ID] = 1.0
+    return counts / np.maximum(total, 1.0)
 
 
 class _EncoderLayer(Block):
@@ -375,39 +406,27 @@ class InsertionModel(Block):
 
     # -- loss ----------------------------------------------------------------
 
-    def _target_arrays(self, n_slots: np.ndarray, targets_list: Sequence[Sequence[Counter]]):
-        """Packed slot targets and loss weights, one row per slot of every state."""
-        b = len(n_slots)
-        if len(targets_list) != b:
-            raise AlignmentError(f"{len(targets_list)} target lists for {b} states")
-        target = np.zeros((int(n_slots.sum()), N_CONTENT_CLASSES))
-        row = 0
-        for i, targets in enumerate(targets_list):
-            if len(targets) != n_slots[i]:
-                raise AlignmentError(f"sample {i}: {len(targets)} targets for {n_slots[i]} slots")
-            for counter in targets:
-                total = sum(counter.values())
-                if total == 0:
-                    target[row, NO_INSERT_ID] = 1.0
-                else:
-                    for label, count in counter.items():
-                        if label not in LABEL_TO_ID:
-                            raise VocabularyError(f"unknown target label {label!r}")
-                        target[row, LABEL_TO_ID[label]] = count / total
-                row += 1
-        weight = np.repeat(1.0 / (n_slots * b), n_slots)[:, None]
-        return target, weight
+    def batch_loss(self, states, targets, rng=None):
+        """Mean-over-slots cross-entropy, averaged over the batch.
 
-    def batch_loss(self, states, targets_list, rng=None):
-        """Mean-over-slots cross-entropy, averaged over the batch."""
+        ``targets`` holds one ``(slots, labels)`` pair of lists per state: slot ``slots[k]`` owes
+        label id ``labels[k]``, once per listing. A slot's target spreads evenly over what it owes,
+        or is the stop label if it owes nothing. A pair count other than the state count, or a
+        slot outside its state's, raises ``AlignmentError``.
+        """
         logits, info = self.forward(states, rng=rng)
-        target, weight = self._target_arrays(info["n_slots"], targets_list)
+        target = _target_rows(info["n_slots"], targets)
+        weight = np.repeat(1.0 / (info["n_slots"] * len(states)), info["n_slots"])[:, None]
         logp = T.log_softmax(logits, axis=-1)
         return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
 
     def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], rng=None):
-        """Cross-entropy of one state's slot distributions against its targets."""
-        return self.batch_loss([state], [targets], rng=rng)
+        """Cross-entropy of one state's slots against one label ``Counter`` per slot, as
+        ``insertion_targets`` builds them, passed through ``slot_pairs``; a wrong slot count
+        raises ``AlignmentError``."""
+        if len(targets) != len(state.tokens) + 1:
+            raise AlignmentError(f"{len(targets)} targets for {len(state.tokens) + 1} slots")
+        return self.batch_loss([state], [slot_pairs(targets)], rng=rng)
 
     # -- decoding ------------------------------------------------------------
 
@@ -585,7 +604,7 @@ def read_checkpoint(path, config: ModelConfig | None = None):
     if expected != len(blob):
         raise refusal(f"checkpoint blob holds {len(blob)} bytes, the manifest needs {expected}")
     passes = np.frombuffer(blob, dtype=PARAM_DTYPE).reshape(-1, model.values.size)
-    if not np.isfinite(passes).all():
+    if not np.isfinite(passes[0]).all():  # the moments are checked where a resume reads them
         raise refusal("checkpoint blob holds non-finite values")
     model.values[:] = passes[0]
     return model, manifest, passes

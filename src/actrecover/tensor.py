@@ -151,9 +151,6 @@ class Parameter(Tensor):
         self.name = name
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
 
 def _released(g) -> None:
     raise RuntimeError("backward through a graph that an earlier backward released")
@@ -269,10 +266,10 @@ def elu(x) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise."""
     x = _as_tensor(x)
     d = x.data
-    data = np.where(d > 0, d, np.expm1(np.minimum(d, 0.0)))  # no overflow on the discarded side
+    data = np.maximum(d, 0.0) + np.expm1(np.minimum(d, 0.0))  # one term is 0 at every x; expm1 sees no x > 0
 
     def backward(g):
-        _accumulate(x, g * np.where(d > 0, 1.0, data + 1.0))
+        _accumulate(x, g * (np.minimum(data, 0.0) + 1.0))
 
     return _node(data, (x,), backward)
 
@@ -280,8 +277,8 @@ def elu(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0, e) / (1.0 + e)  # bit-equal to 1/(1+e) and e/(1+e) per branch
+    neg, e = d < 0, np.exp(-np.abs(d))
+    s = ((~neg) + neg * e) / (1.0 + e)  # bit-equal to 1/(1+e) and e/(1+e) per branch
 
     def backward(g):
         _accumulate(x, g * s * (1.0 - s))

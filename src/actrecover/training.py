@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import RecoverySample
+from .data import RecoverySample, align_subsequence, slot_fills
 from .generator import ConfigError, config_values
 from .model import (
     CompatibilityError,
@@ -25,7 +25,6 @@ from .model import (
     InsertionModel,
     ModelConfig,
     config_diffs,
-    insertion_targets,
     parameter_checksum,
     read_checkpoint,
     save_checkpoint,
@@ -140,7 +139,7 @@ class Adam:
 
 
 def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.Generator, roll_in: float):
-    """One training example of ``sample``: a decode state and its per-slot targets.
+    """One training example of ``sample``: a decode state and the (slots, labels) it owes.
 
     Iterative insertion only ever visits the complete sequence minus a subset
     of the still-missing positions, where already-inserted tokens carry no
@@ -150,16 +149,19 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
     which is what teaches the decoder both intermediate insertions and
     termination. Otherwise nothing is promoted and the state is the raw input.
     It selects rows of ``complete``; a promoted row comes back as an insertion.
+    Its tokens align leftmost-greedy inside the complete day's; an activity no
+    anchor takes is owed by the slot numbered by the anchors before it.
     """
     removed = set(sample.removed_positions)
     promoted = set()
     if removed and rng.random() < roll_in:
         rate = rng.random()
         promoted = {i for i in removed if rng.random() < rate}
-    labels = sample.complete.labels()
-    keep = [j for j in range(len(labels)) if j in promoted or j not in removed]
-    state = complete.select([len(labels) + complete.tokens[j] if j in promoted else j for j in keep])
-    return state, insertion_targets([labels[j] for j in keep], labels)
+    tokens = complete.tokens.tolist()
+    keep = [j for j in range(len(tokens)) if j in promoted or j not in removed]
+    state = complete.select([len(tokens) + tokens[j] if j in promoted else j for j in keep])
+    fills = slot_fills(tokens, align_subsequence([tokens[j] for j in keep], tokens))
+    return state, ([s for s, fill in enumerate(fills) for _ in fill], [t for fill in fills for t in fill])
 
 
 # Training-config fields a resume may change; any other difference is refused.
@@ -177,6 +179,8 @@ def load_train_state(path, model: InsertionModel, adam: Adam, train_config: Trai
     _, manifest, passes = read_checkpoint(path, model.config)
     if len(passes) == 1:
         raise CompatibilityError(f"{path}: checkpoint holds no training state, only a model")
+    if not np.isfinite(passes[1:]).all():  # Adam's moments, which recovery never reads
+        raise CompatibilityError(f"{path}: checkpoint blob holds non-finite values")
     step, skipped = manifest["step"], manifest["adam_skipped"]
     if not (type(step) is int and type(skipped) is int and 0 <= skipped <= step):  # a step updates or skips
         raise CompatibilityError(f"{path}: checkpoint step {step!r} and adam_skipped {skipped!r} "

@@ -5,7 +5,8 @@ decode loop and its activity-level insertion, the training item built from
 hand-kept parameter lists, the per-parameter Adam and clipping, the
 two-branch sigmoid, the backward that kept its graph, the padded forward
 and loss (with the ``index`` and ``concat`` ops only it and a few tensor
-tests use), and the ``rng.choice`` day sampler; and ``at_float64``, which
+tests use), the per-slot ``Counter`` walk that filled the loss's target
+rows, and the ``rng.choice`` day sampler; and ``at_float64``, which
 promotes a model to run parity checks at 64-bit."""
 
 from collections import Counter
@@ -30,7 +31,7 @@ from actrecover.activities import (
     PAD_ID,
 )
 from actrecover import tensor as T
-from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
+from actrecover.data import Activity, AlignmentError, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import regime_of
 from actrecover.layers import (
     GatedLinearUnit,
@@ -46,6 +47,7 @@ from actrecover.model import (
     InsertionModel,
     ModelConfig,
     RecoveryOutcome,
+    VocabularyError,
     _EncoderLayer,
     insertion_targets,
 )
@@ -445,6 +447,31 @@ def padded_batch_loss(model, days, targets_list, rng=None):
         weight[i, :n_slots, 0] = 1.0 / (n_slots * b)
     logp = T.log_softmax(logits, axis=-1)
     return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
+
+
+def target_arrays(n_slots: np.ndarray, targets_list: Sequence[Sequence[Counter]]):
+    """Reference targets: a frozen copy of the walk over per-slot ``Counter``s that filled the
+    packed slot targets and loss weights, one row per slot of every state."""
+    b = len(n_slots)
+    if len(targets_list) != b:
+        raise AlignmentError(f"{len(targets_list)} target lists for {b} states")
+    target = np.zeros((int(n_slots.sum()), N_CONTENT_CLASSES))
+    row = 0
+    for i, targets in enumerate(targets_list):
+        if len(targets) != n_slots[i]:
+            raise AlignmentError(f"sample {i}: {len(targets)} targets for {n_slots[i]} slots")
+        for counter in targets:
+            total = sum(counter.values())
+            if total == 0:
+                target[row, NO_INSERT_ID] = 1.0
+            else:
+                for label, count in counter.items():
+                    if label not in LABEL_TO_ID:
+                        raise VocabularyError(f"unknown target label {label!r}")
+                    target[row, LABEL_TO_ID[label]] = count / total
+            row += 1
+    weight = np.repeat(1.0 / (n_slots * b), n_slots)[:, None]
+    return target, weight
 
 
 def random_targets(rng: np.random.Generator, state) -> list[Counter]:

@@ -794,6 +794,18 @@ class TestRecover:
         assert err == f"recover: {ckpt}: checkpoint blob holds non-finite values\n"
         assert not hyp.exists()
 
+    def test_a_non_finite_adam_moment_is_left_to_resume(self, small_run, tmp_path):
+        manifest, blob = _read_container(small_run["ckpt"])
+        values = np.frombuffer(blob, dtype="<f4").copy()
+        values[-1] = np.nan  # the last Adam second moment, which recovery never reads
+        ckpt = tmp_path / "nan_moment.ckpt"
+        _write_container(ckpt, manifest, values.tobytes())
+        clean, kept = tmp_path / "clean.jsonl", tmp_path / "kept.jsonl"
+        assert run("recover", "--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", clean) == 0
+        assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", kept) == 0
+        assert kept.read_bytes() == clean.read_bytes()
+        assert Path(f"{kept}.summary.json").read_bytes() == Path(f"{clean}.summary.json").read_bytes()
+
     @pytest.mark.parametrize(
         "make, problem",
         [

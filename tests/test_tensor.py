@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
-from actrecover.layers import Linear
+from actrecover.layers import Linear, apply_dropout
 from actrecover.tensor import NumericError, Parameter, ShapeError, Tensor
 
 from helpers import concat, index, two_branch_sigmoid
@@ -108,6 +108,64 @@ class TestSigmoid:
     def test_bit_equal_to_the_two_branch_form(self, values):
         d = np.array(values)
         assert T.sigmoid(Tensor(d)).data.tobytes() == two_branch_sigmoid(d).tobytes()
+
+
+def special_float_arrays(columns: int):
+    """(n, ``columns``) float32 or float64 arrays whose draws include ±0, ±inf, NaN and subnormals.
+
+    A NaN comes back quiet: arithmetic quiets a signalling NaN, which no
+    arithmetic makes, while ``np.where`` passes one through untouched.
+    """
+
+    def drawn(dtype):
+        value = st.floats(width=np.finfo(dtype).bits).map(lambda v: v if v == v else math.copysign(math.nan, v))
+        rows = st.lists(st.tuples(*[value] * columns), min_size=1, max_size=40)
+        return rows.map(lambda r: np.array(r, dtype=dtype))
+
+    return st.sampled_from([np.float32, np.float64]).flatmap(drawn)
+
+
+class TestSelectFreeKernels:
+    """ELU, sigmoid and the dropout mask compute with arithmetic, not ``np.where``.
+
+    Each is held byte-equal, dtype included, to its ``np.where`` form, which
+    this class keeps as the reference.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(dg=special_float_arrays(2))
+    def test_elu_forward_and_backward(self, dg, unchecked_node):
+        d, g = dg[:, 0], dg[:, 1]
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(T, "_node", unchecked_node)
+            x = Tensor(d, requires_grad=True)
+            out = T.elu(x)
+            out._backward(g)
+            want = np.where(d > 0, d, np.expm1(np.minimum(d, 0.0)))
+            want_grad = g * np.where(d > 0, 1.0, want + 1.0)
+        assert out.data.dtype == x.grad.dtype == d.dtype
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=special_float_arrays(1))
+    def test_sigmoid_forward(self, d, unchecked_node):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(T, "_node", unchecked_node)
+            got = T.sigmoid(Tensor(d)).data
+            e = np.exp(-np.abs(d))
+            want = np.where(d >= 0, 1.0, e) / (1.0 + e)
+        assert got.dtype == d.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=special_float_arrays(3), rate=st.floats(0.0, 0.99, exclude_min=True), seed=st.integers(0, 2**16))
+    def test_dropout_mask(self, d, rate, seed, unchecked_node):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(T, "_node", unchecked_node)
+            got = apply_dropout(Tensor(d), rate, np.random.default_rng(seed)).data
+            mask = (np.random.default_rng(seed).random(d.shape) >= rate) / (1.0 - rate)
+            want = d * np.asarray(mask, dtype=d.dtype)  # the float64 quotient, cast to x's dtype
+        assert got.dtype == d.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
