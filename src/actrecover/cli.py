@@ -155,15 +155,8 @@ def _recovery_summary(outcomes, max_rounds: int) -> dict:
 
 
 def cmd_recover(args) -> int:
-    if args.max_rounds is not None and args.max_rounds < 0:
-        raise ConfigError("--max-rounds must be >= 0")
     model, _ = load_checkpoint(args.checkpoint)
     samples = read_samples(args.data)
-    max_len = model.config.max_len
-    for i, sample in enumerate(samples):
-        n = len(sample.incomplete.activities)
-        if n > max_len:
-            raise ConfigError(f"sample {i}: {n} activities exceed max_len={max_len}")
     outcomes = model.recover_batch([s.incomplete for s in samples], max_rounds=args.max_rounds)
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         try:

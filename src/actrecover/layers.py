@@ -47,21 +47,18 @@ class Packing:
 
     def __init__(self, sizes):
         sizes = np.asarray(sizes, dtype=np.int64)
-        b, t = len(sizes), int(sizes.max())
-        self.grid = (b, t)
-        starts = np.cumsum(sizes) - sizes  # each sequence's first row
-        self.seq = np.repeat(np.arange(b), sizes)
-        self.pos = np.arange(len(self.seq)) - starts[self.seq]
-        self.cells = self.seq * t + self.pos
-        cols = np.arange(t)
-        self.valid = cols < sizes[:, None]
-        # a padding cell repeats its sequence's last row: attention masks it as a
-        # key and ``pack`` never reads it back, so its content is never used
-        self._sources = (starts[:, None] + np.minimum(cols, sizes[:, None] - 1)).reshape(-1)
+        t = int(sizes.max())
+        self.grid = (len(sizes), t)
+        self.valid = np.arange(t) < sizes[:, None]
+        self.cells = np.flatnonzero(self.valid)  # row-major: sequence after sequence
+        self.seq, self.pos = np.divmod(self.cells, t)
+        # a cell's source is the count of valid cells up to it, less one: a padding cell repeats its
+        # sequence's last row, which attention masks as a key and ``pack`` never reads back
+        self._sources = np.cumsum(self.valid).reshape(self.grid) - 1
 
     def pad(self, x):
         """Packed (N, d) rows laid out on the (B, T, d) grid."""
-        return T.reshape(T.embed(x, self._sources), self.grid + (x.shape[-1],))
+        return T.embed(x, self._sources)
 
     def pack(self, x):
         """The valid rows of a (B, T, d) grid, packed to (N, d)."""

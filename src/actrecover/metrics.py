@@ -119,17 +119,6 @@ def _input_side(samples: Sequence[RecoverySample] | InputSide, hypotheses: Seque
     return side
 
 
-def _overlap(a: list[str], b: list[str]) -> int:
-    """Size of the multiset intersection of ``a`` and ``b``."""
-    rest = list(b)
-    n = 0
-    for label in a:
-        if label in rest:
-            rest.remove(label)
-            n += 1
-    return n
-
-
 def evaluate(
     samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]
 ) -> MetricsReport:
@@ -158,7 +147,7 @@ def evaluate(
             lost = removed.get(slot)
             if lost:
                 location_correct += min(len(fill), len(lost))
-                report.correct_inserted += _overlap(fill, lost)
+                report.correct_inserted += sum((Counter(fill) & Counter(lost)).values())
         if n_ins == 0:
             pct = 1.0 if n_rem == 0 else 0.0
         else:
@@ -175,9 +164,7 @@ def evaluate(
     report.precision, report.recall, report.f1 = precision_recall_f1(
         report.correct_inserted, report.total_inserted, report.total_removed
     )
-    report.oi_correct = sum(
-        min(count, side.removed_labels.get(label, 0)) for label, count in Counter(inserted_labels).items()
-    )
+    report.oi_correct = sum((Counter(inserted_labels) & side.removed_labels).values())
     report.oi_precision, report.oi_recall, report.oi_f1 = precision_recall_f1(
         report.oi_correct, report.total_inserted, report.total_removed
     )
@@ -233,38 +220,29 @@ def transition_analysis(
 def compare_transitions(table_a: TransitionTable, table_b: TransitionTable) -> dict:
     """Per-cell closer/tie verdicts between two models' insertion tables.
 
-    The 81 directed pairs are judged in both presentation roles (activity as
-    first, activity as second member of the pair), giving 162 cells; a model
-    is closer in a cell when its |inserted - broken| gap is strictly smaller.
+    Each of the 81 directed pairs is judged once and listed in both presentation
+    roles (activity as first, activity as second member of the pair), giving 162
+    cells; a model is closer when its |inserted - broken| gap is strictly smaller.
     """
     if not np.array_equal(table_a.broken, table_b.broken):
         raise ValueError("transition tables were built against different targets")
     broken = table_a.broken
-    cells = []
-    wins_a = wins_b = ties = 0
-    for role in ("as_first", "as_second"):
-        for i, first in enumerate(ACTIVITY_CATEGORIES):
-            for j, second in enumerate(ACTIVITY_CATEGORIES):
-                gap_a = abs(int(table_a.inserted[i, j]) - int(broken[i, j]))
-                gap_b = abs(int(table_b.inserted[i, j]) - int(broken[i, j]))
-                if gap_a < gap_b:
-                    verdict = "a"
-                    wins_a += 1
-                elif gap_b < gap_a:
-                    verdict = "b"
-                    wins_b += 1
-                else:
-                    verdict = "tie"
-                    ties += 1
-                cells.append(
-                    {
-                        "role": role,
-                        "from": first,
-                        "to": second,
-                        "broken": int(broken[i, j]),
-                        "inserted_a": int(table_a.inserted[i, j]),
-                        "inserted_b": int(table_b.inserted[i, j]),
-                        "verdict": verdict,
-                    }
-                )
-    return {"wins_a": wins_a, "wins_b": wins_b, "ties": ties, "cells": cells}
+    gap_a = np.abs(table_a.inserted - broken)
+    gap_b = np.abs(table_b.inserted - broken)
+    verdicts = np.where(gap_a < gap_b, "a", np.where(gap_b < gap_a, "b", "tie"))
+    cells = [
+        {
+            "role": role,
+            "from": first,
+            "to": second,
+            "broken": int(broken[i, j]),
+            "inserted_a": int(table_a.inserted[i, j]),
+            "inserted_b": int(table_b.inserted[i, j]),
+            "verdict": str(verdicts[i, j]),
+        }
+        for role in ("as_first", "as_second")
+        for i, first in enumerate(ACTIVITY_CATEGORIES)
+        for j, second in enumerate(ACTIVITY_CATEGORIES)
+    ]
+    counts = Counter(cell["verdict"] for cell in cells)
+    return {"wins_a": counts["a"], "wins_b": counts["b"], "ties": counts["tie"], "cells": cells}

@@ -418,7 +418,7 @@ class InsertionModel(Block):
         target = _target_rows(info["n_slots"], targets)
         weight = np.repeat(1.0 / (info["n_slots"] * len(states)), info["n_slots"])[:, None]
         logp = T.log_softmax(logits, axis=-1)
-        return T.mul(T.tsum(T.mul(logp, target * weight)), -1.0)
+        return T.tsum(T.mul(logp, -(target * weight)))  # negating the constant is exact
 
     def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], rng=None):
         """Cross-entropy of one state's slots against one label ``Counter`` per slot, as
@@ -453,10 +453,16 @@ class InsertionModel(Block):
         its slots stop, when it runs out of rounds, or when an insertion
         would pass ``max_len`` (it is then truncated to the leftmost picks
         that fit). Slot scores that leave float32's range raise
-        ``NumericError``.
+        ``NumericError``. A negative ``max_rounds``, or an input longer than
+        ``max_len``, raises ``ConfigError`` before any input is encoded.
         """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds
+        if limit < 0:
+            raise ConfigError(f"max_rounds must be >= 0, not {limit}")
+        for i, seq in enumerate(incompletes):
+            if len(seq) > cfg.max_len:
+                raise ConfigError(f"sample {i}: {len(seq)} activities exceed max_len={cfg.max_len}")
         states = [DecoderState.from_sequence(seq) for seq in incompletes]
         truncated = [False] * len(states)
         inserted: list[list[int]] = [[] for _ in states]  # one count per round taken

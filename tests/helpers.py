@@ -6,8 +6,10 @@ hand-kept parameter lists, the per-parameter Adam and clipping, the
 two-branch sigmoid, the backward that kept its graph, the padded forward
 and loss (with the ``index`` and ``concat`` ops only it and a few tensor
 tests use), the per-slot ``Counter`` walk that filled the loss's target
-rows, and the ``rng.choice`` day sampler; and ``at_float64``, which
-promotes a model to run parity checks at 64-bit."""
+rows, the ``rng.choice`` day sampler, the ``Packing`` index arrays built
+from ``sizes``, the per-cell ``compare_transitions`` loop and the list walk
+that counted a slot's label overlap; and ``at_float64``, which promotes a
+model to run parity checks at 64-bit."""
 
 from collections import Counter
 
@@ -518,3 +520,70 @@ def choice_sample_day(cfg, rng: np.random.Generator, idx: int) -> DaySequence:
 
     return DaySequence(person_id=idx, date=idx, weekday=weekday, holiday=holiday, static=static,
                        activities=activities)
+
+
+def packing_arrays(sizes) -> dict:
+    """Reference ``Packing`` arrays: a frozen copy of the derivation that built each one from
+    ``sizes``, with the padded grid's flat source rows under ``sources``."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    b, t = len(sizes), int(sizes.max())
+    starts = np.cumsum(sizes) - sizes  # each sequence's first row
+    seq = np.repeat(np.arange(b), sizes)
+    pos = np.arange(len(seq)) - starts[seq]
+    cols = np.arange(t)
+    return {
+        "grid": (b, t),
+        "seq": seq,
+        "pos": pos,
+        "cells": seq * t + pos,
+        "valid": cols < sizes[:, None],
+        "sources": (starts[:, None] + np.minimum(cols, sizes[:, None] - 1)).reshape(-1),
+    }
+
+
+def loop_compare_transitions(table_a, table_b) -> dict:
+    """Reference verdicts: a frozen copy of the ``compare_transitions`` loop that judged each of
+    the 81 directed pairs once per role and counted as it went."""
+    if not np.array_equal(table_a.broken, table_b.broken):
+        raise ValueError("transition tables were built against different targets")
+    broken = table_a.broken
+    cells = []
+    wins_a = wins_b = ties = 0
+    for role in ("as_first", "as_second"):
+        for i, first in enumerate(ACTIVITY_CATEGORIES):
+            for j, second in enumerate(ACTIVITY_CATEGORIES):
+                gap_a = abs(int(table_a.inserted[i, j]) - int(broken[i, j]))
+                gap_b = abs(int(table_b.inserted[i, j]) - int(broken[i, j]))
+                if gap_a < gap_b:
+                    verdict = "a"
+                    wins_a += 1
+                elif gap_b < gap_a:
+                    verdict = "b"
+                    wins_b += 1
+                else:
+                    verdict = "tie"
+                    ties += 1
+                cells.append(
+                    {
+                        "role": role,
+                        "from": first,
+                        "to": second,
+                        "broken": int(broken[i, j]),
+                        "inserted_a": int(table_a.inserted[i, j]),
+                        "inserted_b": int(table_b.inserted[i, j]),
+                        "verdict": verdict,
+                    }
+                )
+    return {"wins_a": wins_a, "wins_b": wins_b, "ties": ties, "cells": cells}
+
+
+def list_overlap(a: list[str], b: list[str]) -> int:
+    """Reference overlap: a frozen copy of the list walk that sized the multiset intersection
+    of ``a`` and ``b``."""
+    rest = list(b)
+    n = 0
+    for label in a:
+        if label in rest:
+            rest.remove(label)
+            n += 1
+    return n

@@ -652,7 +652,7 @@ class TestRecover:
         hyp = tmp_path / "hyp.jsonl"
         argv = ["--checkpoint", small_run["ckpt"], "--data", small_run["data"], "--out", hyp]
         assert run("recover", *argv, "--max-rounds", -3) == 2
-        assert capsys.readouterr().err.strip() == "recover: --max-rounds must be >= 0"
+        assert capsys.readouterr().err.strip() == "recover: max_rounds must be >= 0, not -3"
         assert not hyp.exists()
 
     @pytest.mark.parametrize("error", [ShapeError, CapacityError, NumericError])

@@ -8,6 +8,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actrecover import tensor as T
 from actrecover.gradcheck import grad_check
@@ -17,13 +19,14 @@ from actrecover.layers import (
     GatedResidualBlock,
     Linear,
     MultiHeadSelfAttention,
+    Packing,
     VariableSelection,
     apply_dropout,
     sinusoidal_positions,
 )
 from actrecover.tensor import Parameter, ShapeError, Tensor
 
-from helpers import PerStreamVSN, index, listed_parameters
+from helpers import PerStreamVSN, index, listed_parameters, packing_arrays
 
 
 def _sigmoid(x):
@@ -338,6 +341,28 @@ class TestDropoutAndPositions:
         assert enc.shape == (10, 8)
         assert np.abs(enc).max() <= 1.0
         assert not np.allclose(enc[0], enc[1])
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    def test_arrays_equal_the_derivation_from_sizes(self, sizes):
+        packing, want = Packing(sizes), packing_arrays(sizes)
+        assert packing.grid == want["grid"]
+        got = {name: getattr(packing, name) for name in ("seq", "pos", "cells", "valid")}
+        got["sources"] = packing._sources.reshape(-1)
+        for name, array in got.items():
+            assert array.dtype == want[name].dtype and np.array_equal(array, want[name]), name
+
+    def test_pad_lays_rows_on_the_grid_and_pack_reads_them_back(self):
+        rows = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        packing = Packing([2, 4])
+        grid = packing.pad(rows)
+        np.testing.assert_array_equal(grid.data[:, :, 0], [[0, 2, 2, 2], [4, 6, 8, 10]])
+        packed = packing.pack(grid)
+        np.testing.assert_array_equal(packed.data, rows.data)
+        T.tsum(packed).backward()
+        np.testing.assert_array_equal(rows.grad, np.ones((6, 2)))
 
 
 LAYERS = {

@@ -17,8 +17,17 @@ from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID
 from actrecover.cli import main
-from actrecover.data import Activity, DaySequence, RecoverySample, write_samples, write_sequences
+from actrecover.data import (
+    Activity,
+    DaySequence,
+    RecoverySample,
+    align_subsequence,
+    slot_fills,
+    write_samples,
+    write_sequences,
+)
 from actrecover.metrics import (
+    TransitionTable,
     activity_distribution,
     compare_transitions,
     evaluate,
@@ -28,6 +37,8 @@ from actrecover.metrics import (
     precision_recall_f1,
     transition_analysis,
 )
+
+from helpers import list_overlap, loop_compare_transitions
 
 H, W, E, S = "HomeActivity", "WorkForPay", "EatOut", "GoShopping"
 
@@ -203,9 +214,11 @@ class TestOrderIndependentMetrics:
 
 
 @st.composite
-def drawn_triples(draw, n_hypotheses=1):
-    """A drawn day and removal, and ``n_hypotheses`` hypotheses of drawn insertions: (sample, *hypotheses)."""
-    labels = st.sampled_from(ACTIVITY_CATEGORIES[:4])
+def drawn_triples(draw, n_hypotheses=1, n_labels=4):
+    """A drawn day and removal, and ``n_hypotheses`` hypotheses of drawn insertions: (sample, *hypotheses).
+
+    Labels come from the first ``n_labels`` categories; fewer labels make more repeats."""
+    labels = st.sampled_from(ACTIVITY_CATEGORIES[:n_labels])
     comp = draw(st.lists(labels, min_size=1, max_size=8))
     smp = sample_of(comp, draw(st.sets(st.integers(0, len(comp) - 1))))
     hyps = []
@@ -245,6 +258,35 @@ class TestOracleEquivalence:
             report = evaluate([t[0] for t in triples], [t[1] for t in triples])
             assert report.correct_inserted <= report.oi_correct
             assert report.oi_correct <= min(report.total_inserted, report.total_removed)
+
+
+class TestFrozenReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(triples=st.lists(drawn_triples(n_labels=2), min_size=1, max_size=10))
+    def test_overlap_counts_equal_the_list_walk(self, triples):
+        samples, hyps = [t[0] for t in triples], [t[1] for t in triples]
+        correct, inserted, removed = 0, [], []
+        for smp, hyp in zip(samples, hyps):
+            source = smp.incomplete.labels()
+            lost, fills = (slot_fills(full, align_subsequence(source, full))
+                           for full in (smp.complete.labels(), hyp.labels()))
+            correct += sum(list_overlap(fill, owed) for fill, owed in zip(fills, lost))
+            inserted += [label for fill in fills for label in fill]
+            removed += [label for owed in lost for label in owed]
+        report = evaluate(samples, hyps)
+        assert report.correct_inserted == correct
+        assert report.oi_correct == list_overlap(inserted, removed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=st.lists(st.lists(st.integers(0, 3), min_size=81, max_size=81), min_size=3, max_size=3))
+    def test_compare_equals_the_per_cell_loop(self, tables):
+        broken, inserted_a, inserted_b = (np.array(t, dtype=int).reshape(9, 9) for t in tables)
+        table_a = TransitionTable(broken=broken, inserted=inserted_a)
+        table_b = TransitionTable(broken=broken.copy(), inserted=inserted_b)
+        got = compare_transitions(table_a, table_b)
+        assert got == loop_compare_transitions(table_a, table_b)
+        assert {type(v) for v in (got["wins_a"], got["wins_b"], got["ties"])} == {int}
+        assert {type(v) for cell in got["cells"] for v in cell.values()} == {str, int}
 
 
 class TestCompareParity:

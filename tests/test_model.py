@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from actrecover import tensor as T
 from actrecover.data import Activity, AlignmentError, DaySequence, align_subsequence
+from actrecover.generator import ConfigError
 from actrecover.gradcheck import grad_check
 from actrecover.layers import sinusoidal_positions
 from actrecover.model import (
@@ -459,6 +460,23 @@ class TestRecover:
         seq.weekday = 9
         with pytest.raises(VocabularyError, match="weekday out of 1..7: 9"):
             model.recover_batch([seq], max_rounds=0)
+
+    @pytest.mark.parametrize("max_rounds", [0, 2])
+    def test_a_day_above_max_len_is_refused_before_any_day_is_encoded(self, max_rounds):
+        model = InsertionModel(tiny_config(max_len=8), seed=18)
+        rng = np.random.default_rng(18)
+        days = [random_sequence(rng, n=3), random_sequence(rng, n=12)]
+        with mock.patch.object(DecoderState, "from_sequence", wraps=DecoderState.from_sequence) as encode:
+            with pytest.raises(ConfigError, match=r"^sample 1: 12 activities exceed max_len=8$"):
+                model.recover_batch(days, max_rounds=max_rounds)
+        encode.assert_not_called()
+
+    @pytest.mark.parametrize("max_rounds", [-1, -2])
+    def test_negative_max_rounds_is_refused(self, max_rounds):
+        model = InsertionModel(tiny_config(), seed=18)
+        seq = random_sequence(np.random.default_rng(18), n=3)
+        with pytest.raises(ConfigError, match=f"^max_rounds must be >= 0, not {max_rounds}$"):
+            model.recover_batch([seq], max_rounds=max_rounds)
 
     @settings(max_examples=100, deadline=None)
     @given(
