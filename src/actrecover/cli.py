@@ -157,7 +157,8 @@ def _recovery_summary(outcomes, max_rounds: int) -> dict:
 def cmd_recover(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     samples = read_samples(args.data)
-    outcomes = model.recover_batch([s.incomplete for s in samples], max_rounds=args.max_rounds)
+    max_rounds = model.config.max_rounds if args.max_rounds is None else args.max_rounds
+    outcomes = model.recover_batch([s.incomplete for s in samples], max_rounds=max_rounds)
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         try:
             align_subsequence(sample.incomplete.labels(), outcome.sequence.labels())
@@ -170,7 +171,6 @@ def cmd_recover(args) -> int:
             return 1
     hypotheses = [o.sequence for o in outcomes]
     write_sequences(args.out, hypotheses)
-    max_rounds = model.config.max_rounds if args.max_rounds is None else args.max_rounds
     _write_json(str(args.out) + ".summary.json", _recovery_summary(outcomes, max_rounds))
     print(f"recover: wrote {len(hypotheses)} hypotheses to {args.out}")
     return 0

@@ -79,7 +79,7 @@ __all__ = [
     "RecoveryOutcome",
     "InsertionModel",
     "insertion_targets",
-    "slot_pairs",
+    "slot_labels",
     "save_checkpoint",
     "load_checkpoint",
     "parameter_checksum",
@@ -165,6 +165,14 @@ class DecoderState:
             np.arange(len(acts)),
         )
 
+    @classmethod
+    def from_days(cls, days: Sequence[DaySequence], max_len: int) -> list["DecoderState"]:
+        """``from_sequence`` of each day, once none is longer than ``max_len`` (else ``ConfigError``)."""
+        for i, day in enumerate(days):
+            if len(day) > max_len:
+                raise ConfigError(f"sample {i}: {len(day)} activities exceed max_len={max_len}")
+        return [cls.from_sequence(day) for day in days]
+
     def select(self, take: Sequence[int]) -> "DecoderState":
         """The state of rows ``take``, by one gather; ``n + c``, past the n rows, inserts label id ``c``."""
         take = np.asarray(take, dtype=np.int64)  # once, not once per array
@@ -207,15 +215,13 @@ def insertion_targets(incomplete: Sequence, complete: Sequence) -> list[Counter]
     return [Counter(fill) for fill in slot_fills(complete, align_subsequence(incomplete, complete))]
 
 
-def slot_pairs(targets: Sequence[Counter]) -> tuple[list[int], list[int]]:
-    """``batch_loss``'s (slots, label ids) of per-slot label counters, each label once per count; a
-    counter whose counts total zero owes nothing, and an unknown label raises ``VocabularyError``."""
+def slot_labels(targets: Sequence[Counter]) -> list[list[int]]:
+    """``batch_loss``'s label ids of per-slot label counters, each label once per count; a counter
+    whose counts total zero owes nothing, and an unknown label raises ``VocabularyError``."""
     try:
-        pairs = [(s, c) for s, counter in enumerate(targets) if sum(counter.values()) != 0
-                 for label, count in counter.items() for c in [LABEL_TO_ID[label]] * count]
+        return [[LABEL_TO_ID[label] for label in c.elements()] if sum(c.values()) else [] for c in targets]
     except KeyError as exc:
         raise VocabularyError(f"unknown target label {exc.args[0]!r}") from exc
-    return [s for s, _ in pairs], [c for _, c in pairs]
 
 
 def _target_rows(n_slots: np.ndarray, targets) -> np.ndarray:
@@ -223,15 +229,13 @@ def _target_rows(n_slots: np.ndarray, targets) -> np.ndarray:
     owes, a row that owes nothing gets the stop label, and each row is divided by its total."""
     if len(targets) != len(n_slots):
         raise AlignmentError(f"{len(targets)} target lists for {len(n_slots)} states")
-    seq = np.repeat(np.arange(len(n_slots)), [len(slots) for slots, _ in targets])  # each pair's state
-    slots = np.array([s for slots, _ in targets for s in slots], dtype=np.int64)
-    outside = np.flatnonzero((slots < 0) | (slots >= n_slots[seq]))
-    if outside.size:
-        i = seq[outside[0]]
-        raise AlignmentError(f"sample {i}: target slot {slots[outside[0]]} outside its {n_slots[i]} slots")
-    labels = np.array([c for _, owed in targets for c in owed], dtype=np.int64)
-    counts = np.zeros((int(n_slots.sum()), N_CONTENT_CLASSES))
-    np.add.at(counts, ((np.cumsum(n_slots) - n_slots)[seq] + slots, labels), 1.0)
+    for i, (owed, n) in enumerate(zip(targets, n_slots)):
+        if len(owed) != n:
+            raise AlignmentError(f"sample {i}: {len(owed)} targets for {n} slots")
+    fills = [fill for state in targets for fill in state]
+    labels = np.array([c for fill in fills for c in fill], dtype=np.int64)
+    counts = np.zeros((len(fills), N_CONTENT_CLASSES))
+    np.add.at(counts, (np.repeat(np.arange(len(fills)), [len(fill) for fill in fills]), labels), 1.0)
     total = counts.sum(axis=1, keepdims=True)
     counts[total[:, 0] == 0, NO_INSERT_ID] = 1.0
     return counts / np.maximum(total, 1.0)
@@ -409,10 +413,10 @@ class InsertionModel(Block):
     def batch_loss(self, states, targets, rng=None):
         """Mean-over-slots cross-entropy, averaged over the batch.
 
-        ``targets`` holds one ``(slots, labels)`` pair of lists per state: slot ``slots[k]`` owes
-        label id ``labels[k]``, once per listing. A slot's target spreads evenly over what it owes,
-        or is the stop label if it owes nothing. A pair count other than the state count, or a
-        slot outside its state's, raises ``AlignmentError``.
+        ``targets`` holds one list per state of what each of its slots owes, a list of label
+        ids as ``slot_fills`` makes it. A slot's target spreads evenly over what it owes, or is
+        the stop label if it owes nothing. A list count other than the state count, or a slot
+        count other than the state's, raises ``AlignmentError``.
         """
         logits, info = self.forward(states, rng=rng)
         target = _target_rows(info["n_slots"], targets)
@@ -422,11 +426,9 @@ class InsertionModel(Block):
 
     def insertion_loss(self, state: DecoderState, targets: Sequence[Counter], rng=None):
         """Cross-entropy of one state's slots against one label ``Counter`` per slot, as
-        ``insertion_targets`` builds them, passed through ``slot_pairs``; a wrong slot count
+        ``insertion_targets`` builds them, passed through ``slot_labels``; a wrong slot count
         raises ``AlignmentError``."""
-        if len(targets) != len(state.tokens) + 1:
-            raise AlignmentError(f"{len(targets)} targets for {len(state.tokens) + 1} slots")
-        return self.batch_loss([state], [slot_pairs(targets)], rng=rng)
+        return self.batch_loss([state], [slot_labels(targets)], rng=rng)
 
     # -- decoding ------------------------------------------------------------
 
@@ -460,10 +462,7 @@ class InsertionModel(Block):
         limit = cfg.max_rounds if max_rounds is None else max_rounds
         if limit < 0:
             raise ConfigError(f"max_rounds must be >= 0, not {limit}")
-        for i, seq in enumerate(incompletes):
-            if len(seq) > cfg.max_len:
-                raise ConfigError(f"sample {i}: {len(seq)} activities exceed max_len={cfg.max_len}")
-        states = [DecoderState.from_sequence(seq) for seq in incompletes]
+        states = DecoderState.from_days(incompletes, cfg.max_len)
         truncated = [False] * len(states)
         inserted: list[list[int]] = [[] for _ in states]  # one count per round taken
         active = list(range(len(states))) if limit > 0 else []

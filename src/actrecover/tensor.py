@@ -368,8 +368,11 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
+    """``x`` in ``shape``; ``x`` itself, with no node recorded, when it has that shape already."""
     x = _as_tensor(x)
     data = x.data.reshape(shape)
+    if data.shape == x.data.shape:
+        return x
 
     def backward(g):
         _accumulate(x, g.reshape(x.data.shape))

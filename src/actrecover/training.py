@@ -139,7 +139,7 @@ class Adam:
 
 
 def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.Generator, roll_in: float):
-    """One training example of ``sample``: a decode state and the (slots, labels) it owes.
+    """One training example of ``sample``: a decode state and the label ids each of its slots owes.
 
     Iterative insertion only ever visits the complete sequence minus a subset
     of the still-missing positions, where already-inserted tokens carry no
@@ -160,8 +160,7 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
     tokens = complete.tokens.tolist()
     keep = [j for j in range(len(tokens)) if j in promoted or j not in removed]
     state = complete.select([len(tokens) + tokens[j] if j in promoted else j for j in keep])
-    fills = slot_fills(tokens, align_subsequence([tokens[j] for j in keep], tokens))
-    return state, ([s for s, fill in enumerate(fills) for _ in fill], [t for fill in fills for t in fill])
+    return state, slot_fills(tokens, align_subsequence([tokens[j] for j in keep], tokens))
 
 
 # Training-config fields a resume may change; any other difference is refused.
@@ -218,11 +217,7 @@ def train(
         raise ConfigError("training dataset is empty")
     if resume and checkpoint_path is None:
         raise ConfigError("resuming needs the checkpoint path it continues from")
-    max_len = model_config.max_len
-    for i, s in enumerate(samples):  # refuse bad input before the first step
-        if len(s.complete) > max_len:
-            raise ConfigError(f"sample {i} has {len(s.complete)} activities, above max_len={max_len}")
-    completes = [DecoderState.from_sequence(s.complete) for s in samples]  # VocabularyError on an invalid day
+    completes = DecoderState.from_days([s.complete for s in samples], model_config.max_len)
     n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs

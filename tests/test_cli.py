@@ -566,7 +566,7 @@ class TestTrain:
         ckpt = tmp_path / "m.ckpt"
         assert run("train", "--data", data, "--out", ckpt, "--max-len", 3) == 2
         err = capsys.readouterr().err
-        assert err == "train: sample 1 has 4 activities, above max_len=3\n"
+        assert err == "train: sample 1: 4 activities exceed max_len=3\n"
         assert not ckpt.exists()
 
     def test_empty_dataset_exits_2(self, tmp_path):

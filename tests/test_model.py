@@ -33,7 +33,7 @@ from actrecover.model import (
     parameter_checksum,
     read_checkpoint,
     save_checkpoint,
-    slot_pairs,
+    slot_labels,
 )
 from actrecover.activities import BOS_ID, EOS_ID, ID_TO_LABEL, MISSING_CODE, N_ACTIVITIES, N_CONTENT_CLASSES
 from actrecover.data import RecoverySample
@@ -374,7 +374,7 @@ class TestInsertionLoss:
             complete_labels = seq.labels() + ["EatOut"]
             states.append(DecoderState.from_sequence(seq))
             targets.append(insertion_targets(seq.labels(), complete_labels))
-        batched = float(model.batch_loss(states, [slot_pairs(t) for t in targets]).data)
+        batched = float(model.batch_loss(states, [slot_labels(t) for t in targets]).data)
         singles = [float(model.insertion_loss(s, t).data) for s, t in zip(states, targets)]
         assert batched == pytest.approx(np.mean(singles), abs=1e-9)
 
@@ -382,10 +382,10 @@ class TestInsertionLoss:
         model = InsertionModel(tiny_config(), seed=16)
         states = [DecoderState.from_sequence(random_sequence(np.random.default_rng(16), n=2))] * 2
         with pytest.raises(AlignmentError, match="1 target lists for 2 states"):
-            model.batch_loss(states, [slot_pairs([Counter()] * 3)])
-        with pytest.raises(AlignmentError, match="sample 1: target slot 3 outside its 3 slots"):
-            model.batch_loss(states, [([2], [0]), ([0, 3], [1, 1])])
-        with pytest.raises(AlignmentError, match="2 targets for 3 slots"):
+            model.batch_loss(states, [slot_labels([Counter()] * 3)])
+        with pytest.raises(AlignmentError, match="^sample 1: 4 targets for 3 slots$"):
+            model.batch_loss(states, [[[], [], [0]], [[], [1, 1], [], [2]]])
+        with pytest.raises(AlignmentError, match="^sample 0: 2 targets for 3 slots$"):
             model.insertion_loss(states[0], [Counter()] * 2)
 
     def test_a_counter_totalling_zero_targets_stop_whatever_it_holds(self):
@@ -395,7 +395,7 @@ class TestInsertionLoss:
         stop = model.insertion_loss(state, [Counter(), Counter()])
         assert model.insertion_loss(state, odd).data.tobytes() == stop.data.tobytes()
         want, _ = target_arrays(np.array([2]), [odd])
-        assert _target_rows(np.array([2]), [slot_pairs(odd)]).tobytes() == want.tobytes()
+        assert _target_rows(np.array([2]), [slot_labels(odd)]).tobytes() == want.tobytes()
 
     def test_gradients_on_full_loss(self):
         cfg = ModelConfig(
@@ -432,18 +432,18 @@ class TestTargetRows:
     @example(days=[(["HomeActivity", "WorkForPay"], [], 0.0)], seed=0)  # a state that owes nothing
     def test_rows_equal_the_frozen_counter_walk(self, days, seed):
         rng = np.random.default_rng(seed)
-        states, pairs, counters = [], [], []
+        states, fills, counters = [], [], []
         for labels, removed, roll_in in days:
             complete = random_sequence(rng, labels=labels)
             sample = RecoverySample(complete, [j for j, gone in enumerate(removed[: len(labels)]) if gone])
             state, owed = _batch_item(sample, DecoderState.from_sequence(complete), rng, roll_in)
             states.append(state)
-            pairs.append(owed)
+            fills.append(owed)
             counters.append(insertion_targets([ID_TO_LABEL[t] for t in state.tokens.tolist()], labels))
         n_slots = np.array([len(s.tokens) + 1 for s in states])
         want, _ = target_arrays(n_slots, counters)
-        assert _target_rows(n_slots, pairs).tobytes() == want.tobytes()
-        assert _target_rows(n_slots, [slot_pairs(c) for c in counters]).tobytes() == want.tobytes()
+        assert _target_rows(n_slots, fills).tobytes() == want.tobytes()
+        assert _target_rows(n_slots, [slot_labels(c) for c in counters]).tobytes() == want.tobytes()
 
 
 class TestRecover:
@@ -620,7 +620,7 @@ class TestGroupedVSN:
         model = at_float64(InsertionModel(cfg, seed=43))
         ref = at_float64(self.reference_model(monkeypatch, cfg, 43))
         losses = [
-            model.batch_loss(states, [slot_pairs(t) for t in targets], rng=np.random.default_rng(44)),
+            model.batch_loss(states, [slot_labels(t) for t in targets], rng=np.random.default_rng(44)),
             padded_batch_loss(ref, seqs, targets, rng=np.random.default_rng(44)),
         ]
         for loss in losses:
@@ -654,7 +654,7 @@ class TestPackedForward:
         targets = [random_targets(np.random.default_rng([seed, i]), st) for i, st in enumerate(states)]
         packed, padded = (at_float64(InsertionModel(cfg, seed=seed)) for _ in range(2))
         rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
-        loss = packed.batch_loss(states, [slot_pairs(t) for t in targets], rng=rngs[0])
+        loss = packed.batch_loss(states, [slot_labels(t) for t in targets], rng=rngs[0])
         want = padded_batch_loss(padded, days, targets, rng=rngs[1])
         loss.backward()
         want.backward()

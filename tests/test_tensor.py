@@ -492,6 +492,16 @@ class TestReductionsAndShapes:
         report = grad_check(lambda: T.tsum(T.mul(T.add(x, c), r)), [x, c])
         assert report.max_rel_error < 1e-6
 
+    def test_a_reshape_to_the_operand_shape_is_the_operand(self):
+        rng = np.random.default_rng(53)
+        x = Parameter("x", rng.normal(size=(3, 4)))
+        y = Parameter("y", x.data.copy())
+        r = rng.normal(size=(3, 4))
+        assert T.reshape(x, (3, 4)) is x and T.reshape(x, (-1, 4)) is x  # no node recorded
+        T.tsum(T.mul(T.mul(T.reshape(x, (3, 4)), x), r)).backward()
+        T.tsum(T.mul(T.mul(T.reshape(T.reshape(y, (12,)), (3, 4)), y), r)).backward()
+        assert x.grad.tobytes() == y.grad.tobytes()
+
 
 class TestGradCheckContract:
     def test_non_finite_loss_raises(self, unchecked_node, monkeypatch):

@@ -24,7 +24,7 @@ from actrecover.model import (
     insertion_targets,
     load_checkpoint,
     save_checkpoint,
-    slot_pairs,
+    slot_labels,
 )
 from actrecover.tensor import Parameter
 from actrecover.training import (
@@ -155,7 +155,7 @@ class TestFlatBuffers:
         model = at_float64(InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=4))
         rng = np.random.default_rng(4)
         states = [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in (2, 5)]
-        model.batch_loss(states, [slot_pairs(random_targets(rng, st)) for st in states], rng=rng).backward()
+        model.batch_loss(states, [slot_labels(random_targets(rng, st)) for st in states], rng=rng).backward()
         assert model.values.dtype == model.grads.dtype == np.float64
         for p in model.parameters():
             assert p.data.dtype == p.grad.dtype == np.float64, p.name
@@ -186,9 +186,9 @@ def _item(sample, rng, roll_in):
     return _batch_item(sample, DecoderState.from_sequence(sample.complete), rng, roll_in)
 
 
-def _owed(pairs):
-    """The (slot, label id) pairs of ``batch_loss`` targets as a sorted list, so orders may differ."""
-    return sorted(zip(*pairs))
+def _owed(fills):
+    """``batch_loss`` targets with each slot's label ids sorted, so orders inside a slot may differ."""
+    return [sorted(fill) for fill in fills]
 
 
 class TestBatchItem:
@@ -202,7 +202,7 @@ class TestBatchItem:
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
             np.testing.assert_array_equal(state.source, kept)  # each row's place in the complete day
             want = insertion_targets(sample.incomplete.labels(), sample.complete.labels())
-            assert _owed(targets) == _owed(slot_pairs(want))
+            assert _owed(targets) == _owed(slot_labels(want))
 
     def test_a_sample_without_removals_draws_nothing(self):
         cfg = default_config()
@@ -211,7 +211,7 @@ class TestBatchItem:
         rng = np.random.default_rng(5)
         state, targets = _item(sample, rng, 1.0)
         assert rng.random() == np.random.default_rng(5).random()
-        assert targets == ([], []) and len(state.tokens) == len(sample.complete)
+        assert targets == [[]] * (len(sample.complete) + 1) and len(state.tokens) == len(sample.complete)
 
     def test_rolled_in_states_lie_on_the_decode_lattice(self):
         rng = np.random.default_rng(11)
@@ -220,14 +220,23 @@ class TestBatchItem:
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
             observed = state.rows[:, 0] != MISSING_CODE  # every day of the dataset is observed throughout
             np.testing.assert_array_equal(state.source[observed], kept)  # every kept row, and no promoted one
-            assert len(targets[0]) == len(targets[1]) == len(sample.complete) - len(state.tokens)
+            assert len(targets) == len(state.tokens) + 1
+            assert sum(map(len, targets)) == len(sample.complete) - len(state.tokens)
 
     def test_targets_follow_the_alignment_when_labels_repeat(self):
         home = Activity("HomeActivity", 1, 30, 6, 0.0, True)
         day = DaySequence(0, 0, 2, 0, (1, 2, 3, 4), [home, replace(home, arr=40, dep=96, mode=1)])
         state, targets = _item(RecoverySample(day, [0]), np.random.default_rng(0), 0.0)
         np.testing.assert_array_equal(state.source, [1])
-        assert targets == ([1], [LABEL_TO_ID["HomeActivity"]])  # the alignment's slot, not the removed one
+        assert targets == [[], [LABEL_TO_ID["HomeActivity"]]]  # the alignment's slot, not the removed one
+
+    def test_promotion_draws_follow_the_set_order_of_the_removed_positions(self):
+        # after the rate, list({2, 9}) == [9, 2] takes the draws 0.814 and 0.092 against a rate of
+        # 0.298; drawing in position order would promote 9 and drop 2 instead
+        day = random_sequence(np.random.default_rng(2), n=10)
+        state, targets = _item(RecoverySample(day, [2, 9]), np.random.default_rng(2), 1.0)
+        np.testing.assert_array_equal(state.source, [0, 1, -1, 3, 4, 5, 6, 7, 8])  # 2 an insertion
+        assert targets == [[]] * 9 + [[LABEL_TO_ID[day.activities[9].label]]]  # 9 dropped, so owed
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -251,7 +260,7 @@ class TestBatchItem:
         np.testing.assert_array_equal(state.tokens, want.tokens)
         np.testing.assert_array_equal(state.rows, want.rows)
         np.testing.assert_array_equal(state.codes, want.codes)
-        assert _owed(targets) == _owed(slot_pairs(want_targets))
+        assert _owed(targets) == _owed(slot_labels(want_targets))
         assert rngs[0].random() == rngs[1].random()
 
 
@@ -371,7 +380,7 @@ class TestTrainLoop:
         longest = lengths.index(max(lengths))
         alone = [float(model.insertion_loss(states[i], targets[i]).data) for i in (short, longest)]
         padded = model.batch_loss(
-            [states[short], states[longest]], [slot_pairs(targets[short]), slot_pairs(targets[longest])]
+            [states[short], states[longest]], [slot_labels(targets[short]), slot_labels(targets[longest])]
         )
         assert float(padded.data) == pytest.approx(np.mean(alone), abs=1e-6)
 
@@ -479,7 +488,7 @@ class TestBackwardFreesTheTape:
         rng = np.random.default_rng(seed)
         cfg = tiny_config(use_vsn=use_vsn, dropout=0.2, max_len=10)
         states = [DecoderState.from_sequence(random_sequence(rng, n=n)) for n in lengths]
-        targets = [slot_pairs(random_targets(rng, state)) for state in states]
+        targets = [slot_labels(random_targets(rng, state)) for state in states]
         models = [InsertionModel(cfg, seed=seed) for _ in range(2)]
         losses = [m.batch_loss(states, targets, rng=np.random.default_rng([seed, 1])) for m in models]
         losses[0].backward()
