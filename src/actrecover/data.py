@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class ParseError(ValueError):
     """A dataset line could not be decoded; the message names the line."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Activity:
     """One activity: label plus its per-activity covariates.
 
@@ -81,7 +81,7 @@ class Activity:
             raise ValueError(f"trip distance must be a finite number >= 0: {self.dist}")
 
 
-@dataclass
+@dataclass(slots=True)
 class DaySequence:
     """All activities of one person on one day, with day/person covariates."""
 
@@ -109,7 +109,7 @@ class DaySequence:
             act.validate()
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoverySample:
     """A masking outcome: the complete day and the positions that left it.
 
@@ -122,10 +122,9 @@ class RecoverySample:
     incomplete: DaySequence = field(init=False)
 
     def __post_init__(self) -> None:
-        gone = set(self.removed_positions)
-        self.incomplete = replace(
-            self.complete, activities=[a for j, a in enumerate(self.complete.activities) if j not in gone]
-        )
+        gone, day = set(self.removed_positions), self.complete
+        self.incomplete = DaySequence(day.person_id, day.date, day.weekday, day.holiday, day.static,
+                                      [a for j, a in enumerate(day.activities) if j not in gone])
 
 
 def mask_sequence(
@@ -198,22 +197,28 @@ def sequence_to_record(seq: DaySequence) -> dict:
     }
 
 
+# A known label read from a file becomes the vocabulary's own string, so read days hold no copy of a label.
+_LABELS = {label: label for label in LABEL_TO_ID}
+
+
 def sequence_from_record(rec: dict) -> DaySequence:
     """The day a record holds; a field of the wrong JSON type or out of range is a ``ValueError``."""
     acts = []
     for a in rec["activities"]:
-        act = Activity(a["label"], a["arr"], a["dep"], a["mode"], a["dist"], a["observed"])
-        if type(act.dist) is int:
+        label, arr, dep, mode = a["label"], a["arr"], a["dep"], a["mode"]
+        dist, observed = a["dist"], a["observed"]
+        if type(dist) is int:
             try:
-                act.dist = float(act.dist)
+                dist = float(dist)
             except OverflowError as exc:
                 raise ValueError(f"activity {len(acts)}: trip distance is an integer too large "
                                  "for a float") from exc
-        if not (type(act.arr) is type(act.dep) is type(act.mode) is int
-                and type(act.dist) is float and type(act.observed) is bool):
+        if not (type(arr) is type(dep) is type(mode) is int and type(dist) is float and type(observed) is bool):
             raise ValueError(f"activity {len(acts)}: arr, dep and mode must be integers, "
                              f"dist a number and observed a boolean: {a}")
-        acts.append(act)
+        if type(label) is str:  # any other label, even an unhashable one, is refused later by ``validate``
+            label = _LABELS.get(label, label)
+        acts.append(Activity(label, arr, dep, mode, dist, observed))
     seq = DaySequence(
         rec["person_id"], rec["date"], rec["weekday"], rec["holiday"], tuple(rec["static"]), acts)
     if not (type(seq.person_id) is type(seq.date) is type(seq.weekday) is type(seq.holiday) is int
@@ -223,10 +228,14 @@ def sequence_from_record(rec: dict) -> DaySequence:
     return seq
 
 
+# ``json.dumps(rec, separators=(",", ":"))``'s bytes, without building an encoder per record
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _write_lines(path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")))
+            fh.write(_ENCODER.encode(rec))
             fh.write("\n")
 
 

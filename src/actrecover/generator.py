@@ -30,6 +30,7 @@ __all__ = [
     "generate_population",
     "make_samples",
     "regime_of",
+    "substreams",
 ]
 
 REGIMES = ("weekday", "weekend", "holiday")
@@ -284,23 +285,104 @@ def _sample_day(cfg: GeneratorConfig, cdfs: dict, rng: np.random.Generator, idx:
     )
 
 
+# numpy's SeedSequence hash (``mix_entropy``, then ``generate_state``) and PCG64's
+# ``pcg64_set_seed``, run over columns of days; numpy/random/bit_generator.pyx has the algorithm.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's pool size, in 32-bit words
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_CHUNK = 4096  # days hashed per pass, so a huge n_days never allocates up front
+
+
+def _seed_words(key) -> list[int]:
+    """The little-endian 32-bit words ``SeedSequence`` splits a key of ints into (0 is one word)."""
+    words = []
+    for k in key:
+        if k < 0:  # a negative int never reaches 0 under >>=
+            raise ValueError(f"seed must be >= 0, not {k}")
+        words.append(k & _MASK32)
+        while k > _MASK32:
+            k >>= 32
+            words.append(k & _MASK32)
+    return words
+
+
+def _pcg64_states(words: list[int], index: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after seeding from ``SeedSequence([*words, i])``, for each ``i`` in ``index``.
+
+    ``index`` is uint32: ``SeedSequence`` makes one entropy word of any ``i`` below 2**32.
+    """
+    entropy = [np.full_like(index, w) for w in words] + [index]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as numpy's C code does
+        pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(index)) for j in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const = _INIT_B
+        state = []
+        for j in range(2 * _POOL):  # generate_state(4, uint64): eight words, cycling over the pool
+            value = pool[j % _POOL] ^ const
+            const = const * _MULT_B & _MASK32
+            value = value * const
+            state.append(value ^ value >> 16)
+    seeds = np.stack(state, axis=1).astype("<u4").view("<u8").tolist()
+    out = []
+    for s0, s1, i0, i1 in seeds:
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        out.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def substreams(key, n: int):
+    """For each ``i`` in ``range(n)``, a generator in the state ``np.random.default_rng([*key, i])`` has.
+
+    Every day is seeded by one hashing pass instead of one ``SeedSequence``
+    each. Each yield is the same ``Generator``, set to the next day's state,
+    so draw from it before taking the next. A negative key is a ``ValueError``.
+    """
+    words = _seed_words(key)
+    bits = np.random.PCG64(0)  # a fixed seed, so no OS entropy is read; every state is set below
+    rng = np.random.Generator(bits)
+    for start in range(0, n, _SEED_CHUNK):
+        for state, inc in _pcg64_states(words, np.arange(start, min(n, start + _SEED_CHUNK), dtype=np.uint32)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 def generate_population(cfg: GeneratorConfig, seed: int | None = None) -> list[DaySequence]:
     """Sample ``cfg.n_days`` person-days, one independent substream each (``cfg`` is checked when built).
 
-    The sampling CDFs come from ``cfg`` as it is at the call, since a config can change after it is built.
+    Day ``i`` draws from ``default_rng([seed, i])``. The sampling CDFs come
+    from ``cfg`` as it is at the call, since a config can change after it is built.
     """
     base = cfg.seed if seed is None else seed
     cdfs = {name: (_cdf(dyn.initial), [_cdf(row) for row in dyn.transition])
             for name, dyn in cfg.regimes.items()}
-    return [_sample_day(cfg, cdfs, np.random.default_rng([base, i]), i) for i in range(cfg.n_days)]
+    return [_sample_day(cfg, cdfs, rng, i) for i, rng in enumerate(substreams([base], cfg.n_days))]
 
 
 def make_samples(
     sequences: list[DaySequence], p_remove: float, seed: int
 ) -> list[RecoverySample]:
-    """Mask every sequence with its own substream of ``seed``."""
-    return [
-        mask_sequence(seq, p_remove, np.random.default_rng([seed, 1, i]))
-        for i, seq in enumerate(sequences)
-    ]
-
+    """Mask every sequence with its own substream of ``seed``: day ``i`` with ``default_rng([seed, 1, i])``."""
+    return [mask_sequence(seq, p_remove, rng)
+            for seq, rng in zip(sequences, substreams([seed, 1], len(sequences)))]

@@ -76,39 +76,43 @@ def _added(i: int, source: list[str], full: list[str]) -> list[tuple[int, list[s
     return [(slot, fill) for slot, fill in enumerate(fills) if fill]
 
 
-def _pair_counts(labels: list[str]) -> Counter:
-    return Counter(zip(labels, labels[1:]))
+def _pair_keys(days: Sequence[list[str]]) -> np.ndarray:
+    """One int64 key ``81*day + 9*a + b`` per adjacent label pair ``(a, b)`` of each day."""
+    ids = np.array([LABEL_TO_ID[label] for labels in days for label in labels], dtype=np.int64)
+    day = np.repeat(np.arange(len(days), dtype=np.int64), [len(labels) for labels in days])
+    same = day[1:] == day[:-1]
+    return (N_ACTIVITIES * N_ACTIVITIES * day[1:] + N_ACTIVITIES * ids[:-1] + ids[1:])[same]
 
 
-def _pair_table(differences) -> np.ndarray:
-    """The 9x9 count table of a stream of pair multisets, summed in plain ints."""
-    cells = [0] * (N_ACTIVITIES * N_ACTIVITIES)
-    for pairs in differences:
-        for (a, b), count in pairs.items():
-            cells[LABEL_TO_ID[a] * N_ACTIVITIES + LABEL_TO_ID[b]] += count
-    return np.array(cells, dtype=int).reshape(N_ACTIVITIES, N_ACTIVITIES)
+def _excess_table(keys: np.ndarray, input_keys: np.ndarray) -> np.ndarray:
+    """The 9x9 table of each day's pair counts in ``keys`` beyond its counts in ``input_keys``, clipped at 0."""
+    unique, inverse = np.unique(np.concatenate([keys, input_keys]), return_inverse=True)
+    excess = (np.bincount(inverse[:len(keys)], minlength=len(unique))
+              - np.bincount(inverse[len(keys):], minlength=len(unique)))
+    cells = np.repeat(unique % (N_ACTIVITIES * N_ACTIVITIES), np.maximum(excess, 0))
+    return np.bincount(cells, minlength=N_ACTIVITIES * N_ACTIVITIES).reshape(N_ACTIVITIES, N_ACTIVITIES)
 
 
 class InputSide:
     """What scoring needs of the samples alone, worked out once and shared by every hypothesis set.
 
-    Per sample: the input labels, the removed activities' labels by input slot
-    (from aligning the input to the complete day), and the input's adjacent
-    pairs; over the dataset, the removed label counts and the broken
-    transition table. Each metric function takes this or the samples it is
-    built from.
+    Per sample: the input labels and the removed activities' labels by input
+    slot (from aligning the input to the complete day); over the dataset, the
+    input's adjacent pairs as ``_pair_keys``, the removed label counts and the
+    broken transition table. Each metric function takes this or the samples it
+    is built from.
     """
 
     def __init__(self, samples: Sequence[RecoverySample]):
         self.samples = samples
         self.labels = [s.incomplete.labels() for s in samples]
-        self.removed = [dict(_added(i, source, s.complete.labels()))
-                        for i, (s, source) in enumerate(zip(samples, self.labels))]
+        complete = [s.complete.labels() for s in samples]
+        self.removed = [dict(_added(i, source, full))
+                        for i, (source, full) in enumerate(zip(self.labels, complete))]
         self.removed_labels = Counter(label for removed in self.removed
                                       for fill in removed.values() for label in fill)
-        self.input_pairs = [_pair_counts(source) for source in self.labels]
-        self.broken = _pair_table(_pair_counts(s.complete.labels()) - pairs
-                                  for s, pairs in zip(samples, self.input_pairs))
+        self.input_keys = _pair_keys(self.labels)
+        self.broken = _excess_table(_pair_keys(complete), self.input_keys)
 
 
 def _input_side(samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]) -> InputSide:
@@ -147,7 +151,7 @@ def evaluate(
             lost = removed.get(slot)
             if lost:
                 location_correct += min(len(fill), len(lost))
-                report.correct_inserted += sum((Counter(fill) & Counter(lost)).values())
+                report.correct_inserted += sum(min(fill.count(l), lost.count(l)) for l in set(fill))
         if n_ins == 0:
             pct = 1.0 if n_rem == 0 else 0.0
         else:
@@ -212,8 +216,7 @@ def transition_analysis(
 ) -> TransitionTable:
     """Per-sample pair differences against the input, accumulated over the dataset."""
     side = _input_side(samples, hypotheses)
-    inserted = _pair_table(_pair_counts(hyp.labels()) - pairs
-                           for hyp, pairs in zip(hypotheses, side.input_pairs))
+    inserted = _excess_table(_pair_keys([hyp.labels() for hyp in hypotheses]), side.input_keys)
     return TransitionTable(broken=side.broken.copy(), inserted=inserted)
 
 

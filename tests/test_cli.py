@@ -886,6 +886,23 @@ class TestEvalAndCompare:
         assert report["total_inserted"] == 0
         assert report["oi_recall"] == 0.0
 
+    def test_empty_dataset_scores_to_all_zero_tables(self, tmp_path):
+        empty, out, cmp = tmp_path / "empty.jsonl", tmp_path / "m", tmp_path / "cmp.json"
+        empty.write_text("")
+        assert run("eval", "--data", empty, "--hyp", empty, "--out", out) == 0
+        assert run("compare", "--data", empty, "--hyp-a", empty, "--hyp-b", empty, "--out", cmp) == 0
+        assert set(json.loads((tmp_path / "m.metrics.json").read_text()).values()) == {0}
+        transitions = json.loads((tmp_path / "m.transitions.json").read_text())
+        assert transitions["broken"] == transitions["inserted"] == [[0] * 9] * 9
+        for table, zeros in (("distribution", ",0,0"), ("transitions_broken", ",0"), ("transitions_inserted", ",0")):
+            rows = (tmp_path / f"m.{table}.csv").read_text().splitlines()[1:]
+            assert len(rows) in (9, 81) and all(row.endswith(zeros) for row in rows)
+        assert (tmp_path / "m.patterns.csv").read_text().splitlines() == ["pattern,count"]
+        payload = json.loads(cmp.read_text())
+        assert set(payload["metrics_a"].values()) == set(payload["metrics_b"].values()) == {0}
+        assert (payload["transition_wins_a"], payload["transition_wins_b"], payload["transition_ties"]) == (0, 0, 162)
+        assert {(c["broken"], c["inserted_a"], c["inserted_b"]) for c in payload["cells"]} == {(0, 0, 0)}
+
     def test_length_mismatch_exits_2(self, small_run, tmp_path):
         from actrecover.data import write_sequences
 

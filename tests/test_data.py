@@ -1,5 +1,6 @@
 """Masking, alignment, and the JSONL dataset format."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from actrecover.data import (
     mask_sequence,
     read_samples,
     read_sequences,
+    sequence_to_record,
     slot_fills,
     write_samples,
     write_sequences,
@@ -181,6 +183,32 @@ class TestDatasetIO:
         )
         with pytest.raises(ParseError, match="line 1"):
             read_sequences(path)
+
+    @pytest.mark.parametrize(
+        "label, fault, problem",
+        [  # a label is checked last: an unhashable one must not raise before the other checks
+            (["x"], {"arr": 1.5}, "activity 0: arr, dep and mode must be integers"),
+            (["x"], {"weekday": 9}, "weekday out of 1..7: 9"),
+            (["x"], {}, "unhashable type: 'list'"),
+            (7, {}, "unknown activity label 7"),
+            ("Nap", {}, "unknown activity label 'Nap'"),
+        ],
+    )
+    def test_a_label_is_checked_after_the_other_fields(self, tmp_path, label, fault, problem):
+        rec = sequence_to_record(make_sequence(["HomeActivity"]))
+        rec["activities"][0]["label"] = label
+        (rec["activities"][0] if "arr" in fault else rec).update(fault)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_sequences(path)
+        assert str(exc.value).startswith(f"{path}: invalid record at line 1: {problem}")
+
+    def test_labels_read_are_the_vocabulary_s_own_strings(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_sequences(path, [make_sequence(list(ACTIVITY_CATEGORIES)) for _ in range(2)])
+        read = [a.label for seq in read_sequences(path) for a in seq.activities]
+        assert all(label is vocab for label, vocab in zip(read, 2 * ACTIVITY_CATEGORIES))
 
     def test_earlier_of_a_bad_record_and_an_unparsable_line_is_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"

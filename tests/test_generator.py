@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES, N_TIME_BINS
-from actrecover.data import sequence_to_record
+from actrecover.data import mask_sequence, sequence_to_record
 from actrecover.generator import (
     POISSON_LAM_MAX,
     REGIMES,
@@ -17,6 +17,7 @@ from actrecover.generator import (
     generate_population,
     make_samples,
     regime_of,
+    substreams,
 )
 
 from helpers import choice_sample_day
@@ -194,3 +195,55 @@ def test_a_row_changed_after_the_config_is_built_is_sampled():
     after = generate_population(cfg)
     assert [sequence_to_record(s) for s in after] != [sequence_to_record(s) for s in before]
     assert empirical_transitions(after)["weekday"][HOME, WORK] == 0.0
+
+
+# seed words: one 32-bit word, several (2**32 and above, whose low word may be zero), and zero itself
+seed_ints = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100), st.sampled_from([0, 2**32, 2**64]))
+seed_keys = st.one_of(st.lists(seed_ints, min_size=1, max_size=5), seed_ints.map(lambda s: [s, 1]))
+
+
+def assert_default_rng_states(key, n):
+    """``substreams(key, n)`` yields ``default_rng([*key, i])``'s state and draws for ``i`` from 0 to ``n - 1``."""
+    days = 0
+    for i, rng in enumerate(substreams(key, n)):  # one reused generator: check each before the next
+        ref = np.random.default_rng([*key, i])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2**63, size=3).tolist() == ref.integers(0, 2**63, size=3).tolist()
+        assert (rng.random(), rng.poisson(4.0)) == (ref.random(), ref.poisson(4.0))
+        days += 1
+    assert days == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=seed_keys, n=st.integers(0, 12))
+def test_substreams_equal_default_rng(key, n):
+    assert_default_rng_states(key, n)
+
+
+def test_substreams_equal_default_rng_across_hashing_passes():
+    # 4,096 days are hashed per pass; the days on both sides of the first boundary
+    assert_default_rng_states([2**32 + 5], 4099)
+
+
+@pytest.fixture(scope="module")
+def population():
+    cfg = default_config()
+    cfg.n_days = 8
+    return generate_population(cfg, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seed_ints, p_remove=st.floats(0.0, 1.0))
+def test_make_samples_masks_day_i_from_its_own_stream(population, seed, p_remove):
+    expected = [mask_sequence(seq, p_remove, np.random.default_rng([seed, 1, i]))
+                for i, seq in enumerate(population)]
+    assert make_samples(population, p_remove, seed) == expected
+
+
+def test_a_negative_seed_is_refused_before_any_day_is_drawn(population):
+    cfg = default_config()
+    cfg.n_days = 3
+    with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+        generate_population(cfg, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+        make_samples(population, 0.3, seed=-1)

@@ -27,6 +27,7 @@ from actrecover.data import (
     write_sequences,
 )
 from actrecover.metrics import (
+    InputSide,
     TransitionTable,
     activity_distribution,
     compare_transitions,
@@ -412,3 +413,47 @@ class TestTransitions:
                 transition_analysis([smp_a], [replace(smp_a.incomplete)]),
                 transition_analysis([smp_b], [replace(smp_b.incomplete)]),
             )
+
+
+@st.composite
+def transition_triples(draw):
+    """(sample, hypothesis): a day of 1 to 40 activities (often one), a removal that may take all of it,
+    and a hypothesis that may run past 32 activities, over a drawn subset of the labels."""
+    subset = draw(st.lists(st.sampled_from(ACTIVITY_CATEGORIES), min_size=1, max_size=9, unique=True))
+    labels = st.sampled_from(subset)
+    comp = draw(st.lists(labels, min_size=1, max_size=draw(st.sampled_from([1, 40]))))
+    removed = set(range(len(comp))) if draw(st.booleans()) else draw(st.sets(st.integers(0, len(comp) - 1)))
+    smp = sample_of(comp, removed)
+    hyp = smp.incomplete.labels()
+    for _ in range(draw(st.sampled_from([0, 3, 40]))):
+        hyp.insert(draw(st.integers(0, len(hyp))), draw(labels))
+    return smp, seq_of(hyp)
+
+
+def oracle_excess_table(fulls, inputs):
+    """Sum over days of each pair's count in the full day beyond its count in the input, clipped at 0."""
+    table = np.zeros((len(ACTIVITY_CATEGORIES),) * 2, dtype=int)
+    for full, source in zip(fulls, inputs):
+        inp = oracle_pairs(source)
+        for (a, b), count in oracle_pairs(full).items():
+            table[LABEL_TO_ID[a], LABEL_TO_ID[b]] += max(0, count - inp.get((a, b), 0))
+    return table
+
+
+class TestTransitionTablesAgainstTheOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(triples=st.lists(transition_triples(), min_size=1, max_size=12))
+    def test_many_days_cell_for_cell(self, triples):
+        samples, hyps = [t[0] for t in triples], [t[1] for t in triples]
+        inputs, fulls = [s.incomplete.labels() for s in samples], [s.complete.labels() for s in samples]
+        side = InputSide(samples)
+        np.testing.assert_array_equal(side.broken, oracle_excess_table(fulls, inputs))
+        np.testing.assert_array_equal(transition_analysis(side, hyps).inserted,
+                                      oracle_excess_table([h.labels() for h in hyps], inputs))
+
+    def test_a_pair_one_day_creates_does_not_cancel_a_pair_another_day_breaks(self):
+        # day 0's removal creates (H, W); day 1's removal breaks (H, W)
+        samples = [sample_of([H, E, W], [1]), sample_of([H, W, E], [0, 1])]
+        table = transition_analysis(samples, [s.incomplete for s in samples])
+        assert table.broken[LABEL_TO_ID[H], LABEL_TO_ID[W]] == 1
+        assert table.broken.sum() == 4
