@@ -56,8 +56,8 @@ class Activity:
     """One activity: label plus its per-activity covariates.
 
     ``observed`` is false for activities whose covariates are unavailable
-    (deleted with a removed token, or attached to a decoder insertion);
-    categorical codes then carry the missing sentinel and distance is 0.
+    (deleted with a removed token, or attached to a decoder insertion); the
+    model's encoder then ignores whatever codes and distance it stores.
     """
 
     label: str

@@ -13,9 +13,9 @@ so the observed tokens always survive in order.
 
 A partial day reaches the network as a ``DecoderState``: the day checked
 once and encoded as arrays, which training selects rows from and decoding
-inserts rows into. With ``use_vsn`` off the model degrades to the token-only
-flavor: positions are encoded from token embeddings alone and covariates are
-never read.
+inserts rows into, each row reading its covariates by its source activity.
+With ``use_vsn`` off the model degrades to the token-only flavor: positions
+are encoded from token embeddings alone and covariates are never read.
 
 A batch runs packed: the valid positions of all its states back to back,
 with no padding. Only attention runs on the padded (B, T) grid, and
@@ -89,11 +89,8 @@ CHECKPOINT_FORMAT = 5  # the manifest ``format`` every checkpoint carries
 PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 2048  # packed rows per forward in recover_batch, n + 2 per state of n tokens
-# The covariate row of an unobserved activity and of a sentinel: timing, mode and distance
-# are never read, so decoder insertions stay free of leaked covariates.
-UNOBSERVED_ROW = (MISSING_CODE, MISSING_CODE, MISSING_CODE, 0.0)
-# Row c of each is an insertion of label id c: its token, an unobserved row and no source activity.
-_INSERTIONS = (np.arange(N_ACTIVITIES), np.full((N_ACTIVITIES, 4), UNOBSERVED_ROW), np.full(N_ACTIVITIES, -1))
+# Row c of each is an insertion of label id c: its token, and source -1, which reads the unobserved last row.
+_INSERTIONS = (np.arange(N_ACTIVITIES), np.full(N_ACTIVITIES, -1))
 
 
 class CapacityError(RuntimeError):
@@ -138,14 +135,15 @@ class ModelConfig:
 class DecoderState:
     """One partial day ready for the network; sentinels are implied at the ends.
 
-    ``tokens`` holds the activity ids, which both flavors read. The
-    covariate flavor also reads ``rows``, one per activity, and the day's
-    ``codes``. ``source`` maps each row to its activity in the day the state
-    was built from; a decoder insertion has none.
+    ``tokens`` holds the activity ids, which both flavors read. ``source``
+    maps each row to its activity in the day the state was built from, -1
+    for an insertion. The covariate flavor also reads ``cov[source]``,
+    ``dist[source]`` and the day's ``codes``; -1 reads the unobserved last row.
     """
 
     tokens: np.ndarray  # (n,) activity ids
-    rows: np.ndarray  # (n, 4) arrival, departure and mode codes, then distance; UNOBSERVED_ROW if unobserved
+    cov: np.ndarray  # (m + 1, 3) arrival, departure and mode codes per source activity, then one unobserved row
+    dist: np.ndarray  # (m + 1,) distances alike; an unobserved row holds MISSING_CODE codes and distance 0
     codes: np.ndarray  # (6,) weekday - 1, holiday, then the four static codes - 1
     source: np.ndarray  # (n,) each row's index in the source day, -1 for an insertion
 
@@ -157,10 +155,13 @@ class DecoderState:
         except ValueError as exc:
             raise VocabularyError(str(exc)) from exc
         acts = seq.activities
+        none = (MISSING_CODE,) * 3  # an unobserved activity's stored codes and distance are never read
+        cov = np.array([(a.arr, a.dep, a.mode) if a.observed else none for a in acts] + [none], dtype=np.int64)
+        dist = np.array([a.dist if a.observed else 0.0 for a in acts] + [0.0], dtype=np.float64)
         return cls(
             np.array([LABEL_TO_ID[a.label] for a in acts], dtype=np.int64),
-            np.array([(a.arr, a.dep, a.mode, a.dist) if a.observed else UNOBSERVED_ROW for a in acts],
-                     dtype=np.float64).reshape(-1, 4),
+            cov,
+            dist,
             np.array([seq.weekday - 1, seq.holiday, *(c - 1 for c in seq.static)], dtype=np.int64),
             np.arange(len(acts)),
         )
@@ -176,9 +177,9 @@ class DecoderState:
     def select(self, take: Sequence[int]) -> "DecoderState":
         """The state of rows ``take``, by one gather; ``n + c``, past the n rows, inserts label id ``c``."""
         take = np.asarray(take, dtype=np.int64)  # once, not once per array
-        tokens, rows, source = (np.concatenate([own, inserted])[take]
-                                for own, inserted in zip((self.tokens, self.rows, self.source), _INSERTIONS))
-        return DecoderState(tokens, rows, self.codes, source)
+        tokens, source = (np.concatenate([own, inserted])[take]
+                          for own, inserted in zip((self.tokens, self.source), _INSERTIONS))
+        return DecoderState(tokens, self.cov, self.dist, self.codes, source)
 
 
 @dataclass
@@ -310,8 +311,8 @@ class InsertionModel(Block):
     def _batch_arrays(self, states: Sequence[DecoderState]) -> dict:
         """Collate states into packed rows: each state's BOS, activities and EOS.
 
-        The covariate flavor also joins the states' covariate rows and spreads
-        each day's codes over its rows.
+        The covariate flavor also reads each row's covariates through its
+        ``source`` and spreads each day's codes over its rows.
         """
         lengths = np.array([len(st.tokens) for st in states])
         longest = int(lengths.max())
@@ -329,14 +330,13 @@ class InsertionModel(Block):
             "n_slots": lengths + 1,
         }
         if self.config.use_vsn:
-            cov = np.full((len(tok), 4), UNOBSERVED_ROW)  # arrival, departure and mode codes, then distance
-            cov[inner] = np.concatenate([st.rows for st in states])
-            codes = cov[:, :3].astype(np.int64)
+            cov, dist = np.full((len(tok), 3), MISSING_CODE, dtype=np.int64), np.zeros(len(tok), np.float64)
+            cov[inner] = np.concatenate([st.cov[st.source] for st in states])
+            dist[inner] = np.concatenate([st.dist[st.source] for st in states])
             day = np.array([st.codes for st in states])
             arrays.update(
-                arr=codes[:, 0], dep=codes[:, 1], mode=codes[:, 2],
-                dist=cov[:, 3].copy(),  # contiguous: on a strided column dist_lin's gradient sums differently
-                dist_missing=codes[:, 0] == MISSING_CODE,
+                arr=cov[:, 0], dep=cov[:, 1], mode=cov[:, 2], dist=dist,
+                dist_missing=cov[:, 0] == MISSING_CODE,
                 weekday=day[packing.seq, 0], holiday=day[packing.seq, 1], static=day[:, 2:],
             )
         return arrays

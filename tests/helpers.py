@@ -8,8 +8,9 @@ and loss (with the ``index`` and ``concat`` ops only it and a few tensor
 tests use), the per-slot ``Counter`` walk that filled the loss's target
 rows, the ``rng.choice`` day sampler, the ``Packing`` index arrays built
 from ``sizes``, the per-cell ``compare_transitions`` loop and the list walk
-that counted a slot's label overlap; and ``at_float64``, which promotes a
-model to run parity checks at 64-bit."""
+that counted a slot's label overlap; ``at_float64``, which promotes a
+model to run parity checks at 64-bit; and ``assert_same_network_inputs``,
+which compares a state with a day through the network's packed inputs."""
 
 from collections import Counter
 
@@ -71,6 +72,15 @@ def at_float64(model):
     """
     model._lay_out(np.float64)
     return model
+
+
+def assert_same_network_inputs(model, state, day: DaySequence) -> None:
+    """``state`` reaches the covariate-fused ``model`` as ``day``, freshly encoded, does: every
+    per-position input ``_batch_arrays`` makes is equal, dtype and values, key for key."""
+    got, want = model._batch_arrays([state]), model._batch_arrays([DecoderState.from_sequence(day)])
+    for key in ("tok", "arr", "dep", "mode", "dist", "dist_missing", "weekday", "holiday", "static"):
+        assert got[key].dtype == want[key].dtype, key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def random_sequence(rng: np.random.Generator, n: int | None = None, labels=None) -> DaySequence:

@@ -41,6 +41,7 @@ from actrecover.training import _batch_item
 
 from helpers import (
     PerStreamVSN,
+    assert_same_network_inputs,
     at_float64,
     insert_activities,
     listed_parameters,
@@ -158,6 +159,10 @@ class TestCollate:
         np.testing.assert_array_equal(a["static"], [[2, 0, 3, 1], [4, 4, 0, 0]])
         np.testing.assert_array_equal(a["slot_rows"], [[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [6, 7]])
         np.testing.assert_array_equal(a["n_slots"], [2, 4])
+        assert a["dist"].dtype == np.float64 and a["dist"].flags.c_contiguous  # a strided one sums differently
+        hidden = replace(long, activities=[Activity("WorkForPay", arr=5, dep=9, mode=2, dist=3.5)])
+        h = model._batch_arrays([DecoderState.from_sequence(hidden)])  # stored codes of an unobserved activity
+        assert [h[key][1] for key in ("arr", "dep", "mode", "dist")] == [M, M, M, 0.0]
 
     def test_token_only_flavor_encodes_no_covariates(self):
         model = InsertionModel(tiny_config(use_vsn=False), seed=0)
@@ -518,10 +523,7 @@ class TestRecover:
         assert len(made) == (1 if insert_at else 0)
         if made:
             (state,) = made
-            encoded = DecoderState.from_sequence(replace(seq, activities=want))
-            np.testing.assert_array_equal(state.tokens, encoded.tokens)
-            np.testing.assert_array_equal(state.rows, encoded.rows)
-            np.testing.assert_array_equal(state.codes, encoded.codes)
+            assert_same_network_inputs(model, state, replace(seq, activities=want))
             kept = state.source >= 0
             np.testing.assert_array_equal(state.source[kept], np.arange(n))  # the input's rows, in order
             assert (~kept).sum() == len(fitted)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover import tensor as T
-from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, MISSING_CODE
+from actrecover.activities import ACTIVITY_CATEGORIES, ID_TO_LABEL, LABEL_TO_ID
 from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
@@ -40,6 +40,7 @@ from actrecover.training import (
 from helpers import (
     ListAdam,
     activity_batch_item,
+    assert_same_network_inputs,
     at_float64,
     keep_graph_backward,
     list_clip_gradients,
@@ -186,6 +187,9 @@ def _item(sample, rng, roll_in):
     return _batch_item(sample, DecoderState.from_sequence(sample.complete), rng, roll_in)
 
 
+_FUSED = InsertionModel(tiny_config(max_len=32), seed=0)  # its packed inputs depend on its config alone
+
+
 def _owed(fills):
     """``batch_loss`` targets with each slot's label ids sorted, so orders inside a slot may differ."""
     return [sorted(fill) for fill in fills]
@@ -195,10 +199,7 @@ class TestBatchItem:
     def test_without_roll_in_the_item_is_the_raw_input(self):
         for sample in small_dataset(n_days=8, seed=9):
             state, targets = _item(sample, np.random.default_rng(0), 0.0)
-            raw = DecoderState.from_sequence(sample.incomplete)
-            np.testing.assert_array_equal(state.tokens, raw.tokens)
-            np.testing.assert_array_equal(state.rows, raw.rows)
-            np.testing.assert_array_equal(state.codes, raw.codes)
+            assert_same_network_inputs(_FUSED, state, sample.incomplete)
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
             np.testing.assert_array_equal(state.source, kept)  # each row's place in the complete day
             want = insertion_targets(sample.incomplete.labels(), sample.complete.labels())
@@ -218,8 +219,12 @@ class TestBatchItem:
         for sample in small_dataset(n_days=16, seed=11):
             state, targets = _item(sample, rng, 1.0)
             kept = [j for j in range(len(sample.complete)) if j not in sample.removed_positions]
-            observed = state.rows[:, 0] != MISSING_CODE  # every day of the dataset is observed throughout
-            np.testing.assert_array_equal(state.source[observed], kept)  # every kept row, and no promoted one
+            own = state.source >= 0  # a promoted row comes back as an insertion, of no source activity
+            np.testing.assert_array_equal(state.source[own], kept)  # every kept row, and no promoted one
+            acts = sample.complete.activities  # the day it stands for: promoted activities unobserved
+            day = [acts[j] if j >= 0 else Activity(ID_TO_LABEL[t])
+                   for j, t in zip(state.source.tolist(), state.tokens.tolist())]
+            assert_same_network_inputs(_FUSED, state, replace(sample.complete, activities=day))
             assert len(targets) == len(state.tokens) + 1
             assert sum(map(len, targets)) == len(sample.complete) - len(state.tokens)
 
@@ -256,10 +261,7 @@ class TestBatchItem:
         rngs = [np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])]
         state, targets = _item(sample, rngs[0], roll_in)
         partial, want_targets = activity_batch_item(sample, rngs[1], roll_in)
-        want = DecoderState.from_sequence(partial)
-        np.testing.assert_array_equal(state.tokens, want.tokens)
-        np.testing.assert_array_equal(state.rows, want.rows)
-        np.testing.assert_array_equal(state.codes, want.codes)
+        assert_same_network_inputs(_FUSED, state, partial)
         assert _owed(targets) == _owed(slot_labels(want_targets))
         assert rngs[0].random() == rngs[1].random()
 
