@@ -57,7 +57,8 @@ class Activity:
 
     ``observed`` is false for activities whose covariates are unavailable
     (deleted with a removed token, or attached to a decoder insertion); the
-    model's encoder then ignores whatever codes and distance it stores.
+    model's encoder then ignores its codes and distance, which need only lie
+    in range, ``MISSING_CODE`` included.
     """
 
     label: str
@@ -70,13 +71,13 @@ class Activity:
     def validate(self) -> None:
         if self.label not in LABEL_TO_ID:
             raise ValueError(f"unknown activity label {self.label!r}")
-        if self.observed:
-            if not (1 <= self.arr <= N_TIME_BINS and 1 <= self.dep <= N_TIME_BINS):
-                raise ValueError(f"time bins out of 1..{N_TIME_BINS}: {self.arr}, {self.dep}")
-            if self.arr > self.dep:
-                raise ValueError(f"arrival bin {self.arr} after departure bin {self.dep}")
-            if not 1 <= self.mode <= N_MODES:
-                raise ValueError(f"mode code out of 1..{N_MODES}: {self.mode}")
+        low = 1 if self.observed else MISSING_CODE
+        if not (low <= self.arr <= N_TIME_BINS and low <= self.dep <= N_TIME_BINS):
+            raise ValueError(f"time bins out of {low}..{N_TIME_BINS}: {self.arr}, {self.dep}")
+        if self.observed and self.arr > self.dep:
+            raise ValueError(f"arrival bin {self.arr} after departure bin {self.dep}")
+        if not low <= self.mode <= N_MODES:
+            raise ValueError(f"mode code out of {low}..{N_MODES}: {self.mode}")
         if not (math.isfinite(self.dist) and self.dist >= 0):
             raise ValueError(f"trip distance must be a finite number >= 0: {self.dist}")
 

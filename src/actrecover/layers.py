@@ -247,8 +247,7 @@ class VariableSelection(Block):
 class MultiHeadSelfAttention(Block):
     """Scaled dot-product self-attention with full bidirectional visibility.
 
-    Invalid (padding) keys are pushed to -1e9 before the softmax; a query row
-    with no valid key at all yields a zero output row.
+    Invalid (padding) keys are pushed to -1e9 before the softmax.
     """
 
     def __init__(self, name: str, d_m: int, n_heads: int, d_attn: int, d_val: int, rng):
@@ -273,8 +272,6 @@ class MultiHeadSelfAttention(Block):
         v = split_heads(T.matmul(x, self.w_v), dv)
         scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), 1.0 / np.sqrt(da))
         scores = T.add(scores, np.where(key_valid, 0.0, -1e9)[:, None, None, :])
-        # rows with no valid key at all are defined to produce zeros
-        any_valid = key_valid.any(axis=-1)[:, None, None, None]
-        attn = T.mul(T.softmax(scores, axis=-1), any_valid)
+        attn = T.softmax(scores, axis=-1)
         mixed = T.reshape(T.swap_axes(T.matmul(attn, v), 1, 2), (b, t, h * dv))
         return T.matmul(mixed, self.w_out)

@@ -8,14 +8,19 @@ dtype, and a gradient is accumulated in the dtype of its node. So a model
 whose parameters are float32 trains and infers without a float64 array on
 its tape, while layers built from float64 draws stay float64.
 
-Every operation records its inputs and a backward closure; calling
-:meth:`Tensor.backward` on a scalar walks the recorded graph in reverse
-topological order and accumulates gradients into every node that requires
-them. The walk consumes the graph: an operation node drops its inputs, its
-closure and its gradient once it has passed that gradient on, so a training
-step frees its tape as backward runs, and a second backward through a
-released node raises. Leaves keep their gradients (every :class:`Parameter`
-and any tensor built with ``requires_grad=True``), and so does the scalar.
+Every operation records its inputs and a backward closure. A closure maps
+its node's gradient to its inputs' gradients: one entry per input, in the
+order the inputs were recorded, or ``None`` for an input that needs none;
+it lands nothing itself. Calling :meth:`Tensor.backward` on a scalar walks
+the recorded graph in reverse topological order and hands every entry to
+``_accumulate``, the one place that lands a gradient: it skips an input that
+requires none, sums the axes the forward broadcast, casts to the input's
+dtype and adds. The walk consumes the graph: an operation node drops its
+inputs, its closure and its gradient once it has passed that gradient on,
+so a training step frees its tape as backward runs, and a second backward
+through a released node raises. Leaves keep their gradients (every
+:class:`Parameter` and any tensor built with ``requires_grad=True``), and
+so does the scalar.
 The operation set is deliberately small: exactly what gated residual blocks,
 variable selection, multi-head attention and the slot insertion head need.
 
@@ -135,7 +140,8 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    _accumulate(parent, g)
             node._parents, node._backward = (), _released
             if node is not self:
                 node.grad = None
@@ -181,9 +187,16 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accumulate(node: Tensor, g: np.ndarray) -> None:
-    if not node.requires_grad:
+def _accumulate(node: Tensor, g: np.ndarray | None) -> None:
+    """Add ``g``, summed over broadcast axes and cast, to ``node``'s gradient; skip ``None`` and constants."""
+    if g is None or not node.requires_grad:
         return
+    shape = node.data.shape
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
     g = g.astype(node.data.dtype, copy=False)
     if isinstance(node, Parameter):  # in place, so a view into a model's grads stays one
         node.grad += g
@@ -191,24 +204,12 @@ def _accumulate(node: Tensor, g: np.ndarray) -> None:
         node.grad = g if node.grad is None else node.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` over broadcast axes so it matches ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        return g, g
 
     return _node(data, (a, b), backward)
 
@@ -218,9 +219,8 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
     data = a.data * b.data
 
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+    def backward(g):  # a raw mask or constant gets no product
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
     return _node(data, (a, b), backward)
 
@@ -242,22 +242,16 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, a2.T @ g2)
+            ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+            return ga, (a2.T @ g2 if b.requires_grad else None)
 
         return _node(data, (a, b), backward)
 
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        return ga, (np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
 
     return _node(data, (a, b), backward)
 
@@ -269,7 +263,7 @@ def elu(x) -> Tensor:
     data = np.maximum(d, 0.0) + np.expm1(np.minimum(d, 0.0))  # one term is 0 at every x; expm1 sees no x > 0
 
     def backward(g):
-        _accumulate(x, g * (np.minimum(data, 0.0) + 1.0))
+        return (g * (np.minimum(data, 0.0) + 1.0),)
 
     return _node(data, (x,), backward)
 
@@ -281,7 +275,7 @@ def sigmoid(x) -> Tensor:
     s = ((~neg) + neg * e) / (1.0 + e)  # bit-equal to 1/(1+e) and e/(1+e) per branch
 
     def backward(g):
-        _accumulate(x, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return _node(s, (x,), backward)
 
@@ -294,7 +288,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
     return _node(s, (x,), backward)
 
@@ -305,7 +299,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
     def backward(g):
-        _accumulate(x, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _node(out, (x,), backward)
 
@@ -313,26 +307,15 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Standardize over the last axis (population variance), then affine."""
     x, gain, bias = _as_tensors(x, gain, bias)
-    d = x.data
-    mu = d.mean(axis=-1, keepdims=True)
-    var = ((d - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mu) * inv
+    d = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat = d * inv
     data = xhat * gain.data + bias.data
 
     def backward(g):
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accumulate(bias, _unbroadcast(g, bias.data.shape))
         gx = g * gain.data
-        _accumulate(
-            x,
-            inv
-            * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            ),
-        )
+        gx = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * gx, g * xhat, g
 
     return _node(data, (x, gain, bias), backward)
 
@@ -351,7 +334,7 @@ def embed(table, indices) -> Tensor:
         # it sums in float64, and _accumulate casts the result to the table's dtype
         cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=n_rows * width)
-        _accumulate(table, gt.reshape(n_rows, width))
+        return (gt.reshape(n_rows, width),)
 
     return _node(data, (table,), backward)
 
@@ -361,8 +344,7 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in ts], axis=axis)
 
     def backward(g):
-        for i, t in enumerate(ts):
-            _accumulate(t, np.take(g, i, axis=axis))
+        return [np.take(g, i, axis=axis) for i in range(len(ts))]
 
     return _node(data, tuple(ts), backward)
 
@@ -375,7 +357,7 @@ def reshape(x, shape) -> Tensor:
         return x
 
     def backward(g):
-        _accumulate(x, g.reshape(x.data.shape))
+        return (g.reshape(x.data.shape),)
 
     return _node(data, (x,), backward)
 
@@ -385,7 +367,7 @@ def swap_axes(x, axis1: int, axis2: int) -> Tensor:
     data = np.swapaxes(x.data, axis1, axis2)
 
     def backward(g):
-        _accumulate(x, np.swapaxes(g, axis1, axis2))
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _node(data, (x,), backward)
 
@@ -396,6 +378,6 @@ def tsum(x, axis=None) -> Tensor:
 
     def backward(g):
         ge = g if axis is None else np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(ge, x.data.shape).copy())
+        return (np.broadcast_to(ge, x.data.shape).copy(),)
 
     return _node(data, (x,), backward)

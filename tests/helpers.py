@@ -310,9 +310,9 @@ def two_branch_sigmoid(d: np.ndarray) -> np.ndarray:
 def keep_graph_backward(root: T.Tensor) -> None:
     """Reference backward: a frozen copy of the loop that kept the graph it walked.
 
-    It visits the same nodes in the same order and calls the same closures,
-    but releases nothing; ``Tensor.backward`` must give every leaf the same
-    gradient bytes.
+    It visits the same nodes in the same order, calls the same closures and
+    lands each gradient they return with ``_accumulate``, but releases
+    nothing; ``Tensor.backward`` must give every leaf the same gradient bytes.
     """
     order, seen, stack = [], set(), [(root, False)]
     while stack:
@@ -330,7 +330,8 @@ def keep_graph_backward(root: T.Tensor) -> None:
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                T._accumulate(parent, g)
 
 
 def index(x, key) -> T.Tensor:
@@ -340,7 +341,7 @@ def index(x, key) -> T.Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[key] = g  # basic indexing selects disjoint elements
-        T._accumulate(x, gx)
+        return (gx,)
 
     return T._node(data, (x,), backward)
 
@@ -351,9 +352,7 @@ def concat(tensors: Sequence, axis: int = -1) -> T.Tensor:
     sizes = [t.data.shape[axis] for t in ts]
 
     def backward(g):
-        pieces = np.split(g, np.cumsum(sizes[:-1]), axis=axis)
-        for t, piece in zip(ts, pieces):
-            T._accumulate(t, piece)
+        return np.split(g, np.cumsum(sizes[:-1]), axis=axis)
 
     return T._node(data, tuple(ts), backward)
 

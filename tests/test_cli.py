@@ -1037,6 +1037,10 @@ class TestEvalAndCompare:
         (lambda rec: rec["activities"][0].update(mode=0), "mode code out of 1..6: 0"),
         (lambda rec: rec["activities"][0].update(dist=-1.5), "trip distance must be a finite number >= 0: -1.5"),
         (lambda rec: rec["activities"][0].update(dist=-2), "trip distance must be a finite number >= 0: -2.0"),
+        (lambda rec: rec["activities"][0].update(observed=False, arr=10**30),
+         f"time bins out of 0..96: {10**30}, "),
+        (lambda rec: rec["activities"][0].update(observed=False, dep=-5), "time bins out of 0..96: "),
+        (lambda rec: rec["activities"][0].update(observed=False, mode=99), "mode code out of 0..6: 99"),
         (lambda rec: rec.update(weekday=8), "weekday out of 1..7: 8"),
         (lambda rec: rec.update(weekday=0), "weekday out of 1..7: 0"),
         (lambda rec: rec.update(holiday=2), "holiday flag must be 0/1: 2"),
@@ -1047,6 +1051,7 @@ class TestEvalAndCompare:
         (lambda rec: rec.update(static=[1, 2, 3, 4.0]),
          "person_id, date, weekday, holiday and static codes must be integers"),
     ], ids=["arr-0", "dep-97", "arr-after-dep", "mode-7", "mode-0", "dist-negative", "dist-int-as-float",
+            "unobserved-arr-huge", "unobserved-dep-negative", "unobserved-mode-99",
             "weekday-8", "weekday-0", "holiday-2", "static-three", "static-6", "id-string", "static-float"])
     def test_out_of_range_record_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys, edit, problem):
         data = tmp_path / "bad.jsonl"

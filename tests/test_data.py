@@ -166,6 +166,13 @@ class TestDatasetIO:
         write_sequences(path, [seq])
         assert read_sequences(path) == [seq]
 
+    def test_unobserved_codes_need_only_lie_in_range(self, tmp_path):
+        seq = make_sequence(["HomeActivity"])
+        seq.activities.append(Activity("WorkForPay", arr=N_TIME_BINS, dep=0, mode=N_MODES, dist=2.0))
+        path = tmp_path / "hyp.jsonl"
+        write_sequences(path, [seq])
+        assert read_sequences(path) == [seq]
+
     def test_truncated_line_names_line_number(self, tmp_path):
         seq = make_sequence(["HomeActivity"])
         path = tmp_path / "bad.jsonl"

@@ -35,7 +35,9 @@ from actrecover.model import (
     save_checkpoint,
     slot_labels,
 )
-from actrecover.activities import BOS_ID, EOS_ID, ID_TO_LABEL, MISSING_CODE, N_ACTIVITIES, N_CONTENT_CLASSES
+from actrecover.activities import (
+    BOS_ID, EOS_ID, ID_TO_LABEL, MISSING_CODE, N_ACTIVITIES, N_CONTENT_CLASSES, N_MODES, N_TIME_BINS,
+)
 from actrecover.data import RecoverySample
 from actrecover.training import _batch_item
 
@@ -216,7 +218,7 @@ class TestCovariateEncoding:
         model = InsertionModel(tiny_config(), seed=seed)
         seq = random_sequence(rng)
         hidden = data.draw(st.lists(st.booleans(), min_size=len(seq), max_size=len(seq)))
-        code = st.integers(-10, 200)
+        bins = st.integers(MISSING_CODE, N_TIME_BINS)  # any code an unobserved activity may store, in any order
         clean, noisy = [], []
         for act, hide in zip(seq.activities, hidden):
             if not hide:
@@ -226,8 +228,8 @@ class TestCovariateEncoding:
             clean.append(Activity(label=act.label))
             noisy.append(
                 Activity(
-                    label=act.label, arr=data.draw(code), dep=data.draw(code),
-                    mode=data.draw(code), dist=data.draw(st.floats(0.0, 1e6)),
+                    label=act.label, arr=data.draw(bins), dep=data.draw(bins),
+                    mode=data.draw(st.integers(MISSING_CODE, N_MODES)), dist=data.draw(st.floats(0.0, 1e6)),
                 )
             )
         logits_clean, _ = model.forward([DecoderState.from_sequence(replace(seq, activities=clean))])

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from actrecover import tensor as T
@@ -140,7 +140,8 @@ class TestSelectFreeKernels:
             patch.setattr(T, "_node", unchecked_node)
             x = Tensor(d, requires_grad=True)
             out = T.elu(x)
-            out._backward(g)
+            (gx,) = out._backward(g)
+            T._accumulate(x, gx)
             want = np.where(d > 0, d, np.expm1(np.minimum(d, 0.0)))
             want_grad = g * np.where(d > 0, 1.0, want + 1.0)
         assert out.data.dtype == x.grad.dtype == d.dtype
@@ -404,6 +405,89 @@ class TestGradientAccumulation:
         T.tsum(T.add(inner, x)).backward()  # the outer add hands inner and x the same array
         np.testing.assert_array_equal(x.grad, 2.0)
         np.testing.assert_array_equal(w.grad, 2.0)
+
+
+@st.composite
+def taped_op(draw):
+    """A public op applied to drawn operands, each a tensor that may require a gradient or a raw array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+    def operand(shape, drawn=True):  # not drawn: a tensor that requires a gradient, so the op records a node
+        value = rng.normal(size=shape)
+        if drawn and draw(st.booleans()):
+            return value
+        return Tensor(value, requires_grad=not drawn or draw(st.booleans()))
+
+    def broadcast_pair():
+        big = draw(dims)
+        small = [n if draw(st.booleans()) else 1 for n in big[draw(st.integers(0, len(big) - 1)):]]
+        pair = [operand(big), operand(small)]
+        return pair[::-1] if draw(st.booleans()) else pair
+
+    name = draw(st.sampled_from([n for n in T.__all__ if not isinstance(getattr(T, n), type)]))
+    shape = draw(dims)
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    if name in ("add", "mul"):
+        return getattr(T, name)(*broadcast_pair())
+    if name == "matmul":
+        lead = draw(st.lists(st.integers(1, 3), max_size=2))
+        m, k, n = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        b_lead = lead[draw(st.integers(0, len(lead))):]  # a 2-D b too, shared by every leading index
+        return T.matmul(operand([*lead, m, k]), operand([*b_lead, k, n]))
+    if name == "layer_norm":
+        return T.layer_norm(operand(shape, False), operand(shape[-1:]), operand(shape[-1:]))
+    if name == "embed":
+        rows, width = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        return T.embed(operand((rows, width), False), rng.integers(0, rows, size=shape))
+    if name == "stack":
+        parts = [operand(shape) for _ in range(draw(st.integers(1, 3)))]
+        return T.stack(parts, axis=draw(st.integers(0, len(shape))))
+    x = operand(shape, False)
+    if name == "reshape":
+        return T.reshape(x, (-1, 1))
+    if name == "swap_axes":
+        return T.swap_axes(x, 0, -1)
+    if name == "tsum":
+        return T.tsum(x, axis=draw(st.sampled_from([None, axis])))
+    if name in ("softmax", "log_softmax"):
+        return getattr(T, name)(x, axis=axis)
+    return getattr(T, name)(x)
+
+
+class TestClosureContract:
+    """A closure returns its inputs' gradients, ``None`` where none is needed; ``_accumulate`` lands them."""
+
+    def test_mul_by_a_raw_mask_returns_no_gradient_for_the_mask(self):
+        rng = np.random.default_rng(0)
+        w, mask, g = Parameter("w", rng.normal(size=(3, 4))), rng.random((3, 4)) < 0.5, rng.normal(size=(3, 4))
+        gw, gmask = T.mul(w, mask)._backward(g)
+        assert gmask is None
+        assert gw.tobytes() == (g * mask.astype(np.float64)).tobytes()
+
+    def test_add_of_a_raw_bias_lands_nothing_in_the_constant(self):
+        rng = np.random.default_rng(1)
+        x, g = Parameter("x", rng.normal(size=(3, 4))), rng.normal(size=(3, 4))
+        out = T.add(x, rng.normal(size=(1, 4)))
+        for parent, grad in zip(out._parents, out._backward(g)):
+            T._accumulate(parent, grad)
+        assert out._parents[1].grad is None
+        assert x.grad.tobytes() == g.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(out=taped_op())
+    def test_a_closure_returns_one_gradient_per_input_shaped_for_it(self, out):
+        assume(out._backward is not None)
+        grads = out._backward(np.random.default_rng(2).normal(size=out.shape))
+        assert len(grads) == len(out._parents)
+        for parent, grad in zip(out._parents, grads):
+            if grad is None:
+                assert not parent.requires_grad
+                continue
+            assert np.broadcast_shapes(grad.shape, parent.shape) == grad.shape
+            T._accumulate(parent, grad)
+            assert (parent.grad is not None) == parent.requires_grad
+            assert parent.grad is None or parent.grad.shape == parent.shape
 
 
 class TestMatmulAlgebra:

@@ -401,6 +401,26 @@ def _tape(loss):
     return list(seen.values())
 
 
+class TestTapeSize:
+    """How many nodes a default-size training step records, so a change to the count shows in a diff."""
+
+    @pytest.mark.parametrize("use_vsn, nodes", [(True, 157), (False, 87)], ids=["fused", "token"])
+    def test_a_default_size_step_records_a_fixed_number_of_nodes(self, use_vsn, nodes, monkeypatch):
+        model = InsertionModel(ModelConfig(use_vsn=use_vsn), seed=0)
+        rng = np.random.default_rng(0)
+        states, targets = zip(*(_item(s, rng, 0.7) for s in small_dataset(n_days=TrainConfig().batch_size)))
+        recorded, node = [], T._node
+
+        def counting_node(*args):
+            out = node(*args)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(T, "_node", counting_node)
+        model.batch_loss(states, targets, rng=rng).backward()
+        assert sum(recorded) == nodes
+
+
 class TestFloat32:
     """The model trains and decodes in float32, the dtype its checkpoints store."""
 
