@@ -12,8 +12,9 @@ simultaneously and repeats until all slots stop or a round cap is reached,
 so the observed tokens always survive in order.
 
 A partial day reaches the network as a ``DecoderState``: the day checked
-once and encoded as arrays, which training selects rows from and decoding
-inserts rows into, each row reading its covariates by its source activity.
+once and encoded as arrays. Its rows are a token and a source each; training
+keeps some of a complete day's rows and decoding inserts rows, both as plain
+edits of those two lists, and each row reads its covariates by its source.
 With ``use_vsn`` off the model degrades to the token-only flavor: positions
 are encoded from token embeddings alone and covariates are never read.
 
@@ -46,7 +47,6 @@ from .activities import (
     ID_TO_LABEL,
     LABEL_TO_ID,
     MISSING_CODE,
-    N_ACTIVITIES,
     N_CONTENT_CLASSES,
     N_MODES,
     N_STATIC_LEVELS,
@@ -89,8 +89,6 @@ CHECKPOINT_FORMAT = 5  # the manifest ``format`` every checkpoint carries
 PARAM_DTYPE = np.dtype("<f4")  # the parameters' dtype, and every value a container stores
 N_COVARIATE_STREAMS = 7  # token + arrival + departure + mode + distance + weekday + holiday
 RECOVER_ROWS = 2048  # packed rows per forward in recover_batch, n + 2 per state of n tokens
-# Row c of each is an insertion of label id c: its token, and source -1, which reads the unobserved last row.
-_INSERTIONS = (np.arange(N_ACTIVITIES), np.full(N_ACTIVITIES, -1))
 
 
 class CapacityError(RuntimeError):
@@ -173,13 +171,6 @@ class DecoderState:
             if len(day) > max_len:
                 raise ConfigError(f"sample {i}: {len(day)} activities exceed max_len={max_len}")
         return [cls.from_sequence(day) for day in days]
-
-    def select(self, take: Sequence[int]) -> "DecoderState":
-        """The state of rows ``take``, by one gather; ``n + c``, past the n rows, inserts label id ``c``."""
-        take = np.asarray(take, dtype=np.int64)  # once, not once per array
-        tokens, source = (np.concatenate([own, inserted])[take]
-                          for own, inserted in zip((self.tokens, self.source), _INSERTIONS))
-        return DecoderState(tokens, self.cov, self.dist, self.codes, source)
 
 
 @dataclass
@@ -487,9 +478,11 @@ class InsertionModel(Block):
                             continue
                         truncated[i] = len(picks) > cfg.max_len - length
                         picks = picks[: cfg.max_len - length]  # the leftmost picks that fit
-                        # slot s sits before row s: row j sorts by 2j + 1, an insertion into slot s by 2s
-                        order = {2 * j + 1: j for j in range(length)} | {2 * s: length + c for s, c in picks}
-                        states[i] = states[i].select([order[key] for key in sorted(order)])
+                        tokens, source = states[i].tokens.tolist(), states[i].source.tolist()
+                        for s, c in reversed(picks):  # right to left, so slot s still sits before row s
+                            tokens.insert(s, c)
+                            source.insert(s, -1)
+                        states[i] = replace(states[i], tokens=np.array(tokens), source=np.array(source))
                         inserted[i].append(len(picks))
                         if not truncated[i] and len(inserted[i]) < limit:
                             still_active.append(i)

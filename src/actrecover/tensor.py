@@ -378,6 +378,6 @@ def tsum(x, axis=None) -> Tensor:
 
     def backward(g):
         ge = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, x.data.shape).copy(),)
+        return (np.broadcast_to(ge, x.data.shape),)  # a read-only view: no consumer writes into it
 
     return _node(data, (x,), backward)

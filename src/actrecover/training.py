@@ -12,7 +12,7 @@ padding costs work only there and never enters the loss.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -148,7 +148,7 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
     covers it from the raw input (nothing promoted) to the finished state,
     which is what teaches the decoder both intermediate insertions and
     termination. Otherwise nothing is promoted and the state is the raw input.
-    It selects rows of ``complete``; a promoted row comes back as an insertion.
+    It keeps rows of ``complete``, and a promoted row becomes an insertion (source -1).
     Its tokens align leftmost-greedy inside the complete day's; an activity no
     anchor takes is owed by the slot numbered by the anchors before it.
     """
@@ -159,7 +159,8 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
         promoted = {i for i in removed if rng.random() < rate}
     tokens = complete.tokens.tolist()
     keep = [j for j in range(len(tokens)) if j in promoted or j not in removed]
-    state = complete.select([len(tokens) + tokens[j] if j in promoted else j for j in keep])
+    source = np.array([-1 if j in promoted else j for j in keep], dtype=np.int64)  # keep may be empty
+    state = replace(complete, tokens=complete.tokens[keep], source=source)
     return state, slot_fills(tokens, align_subsequence([tokens[j] for j in keep], tokens))
 
 

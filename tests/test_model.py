@@ -510,21 +510,21 @@ class TestRecover:
             return T.Tensor(logits), {}
 
         model.forward = forward
-        made, select = [], DecoderState.select
+        made, init = [], DecoderState.__init__
 
-        def recording(state, take):
-            made.append(select(state, take))
-            return made[-1]
+        def recording(state, *args, **kwargs):  # every state built: the input's, then each round's edit
+            init(state, *args, **kwargs)
+            made.append(state)
 
-        with mock.patch.object(DecoderState, "select", recording):
+        with mock.patch.object(DecoderState, "__init__", recording):
             (out,) = model.recover_batch([seq], max_rounds=1)
         fitted = dict(sorted(insert_at.items())[: 6 - n])  # the leftmost picks that fit
         want = insert_activities(seq.activities, fitted)
         assert out.sequence.activities == want and out.truncated == (len(fitted) < len(insert_at))
         assert all(any(a is b for b in out.sequence.activities) for a in seq.activities)  # not copies
-        assert len(made) == (1 if insert_at else 0)
-        if made:
-            (state,) = made
+        assert len(made) == (2 if insert_at else 1)
+        if insert_at:
+            state = made[1]
             assert_same_network_inputs(model, state, replace(seq, activities=want))
             kept = state.source >= 0
             np.testing.assert_array_equal(state.source[kept], np.arange(n))  # the input's rows, in order

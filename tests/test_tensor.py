@@ -474,6 +474,15 @@ class TestClosureContract:
         assert out._parents[1].grad is None
         assert x.grad.tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_tsum_hands_back_a_view_of_its_gradient_not_a_copy(self, axis):
+        x = Tensor(np.ones((3, 4, 5)), requires_grad=True)
+        out = T.tsum(x, axis=axis)
+        g = np.random.default_rng(3).normal(size=out.shape)
+        (gx,) = out._backward(g)
+        assert gx.shape == x.shape and np.shares_memory(gx, g)
+        np.testing.assert_array_equal(gx, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape))
+
     @settings(max_examples=200, deadline=None)
     @given(out=taped_op())
     def test_a_closure_returns_one_gradient_per_input_shaped_for_it(self, out):

@@ -228,6 +228,16 @@ class TestBatchItem:
             assert len(targets) == len(state.tokens) + 1
             assert sum(map(len, targets)) == len(sample.complete) - len(state.tokens)
 
+    def test_an_all_removed_item_is_an_empty_state_a_mixed_batch_accepts(self):
+        day = random_sequence(np.random.default_rng(4), n=4)
+        state, targets = _item(RecoverySample(day, [0, 1, 2, 3]), np.random.default_rng(4), 0.0)
+        assert state.tokens.shape == state.source.shape == (0,)
+        assert state.tokens.dtype == state.source.dtype == np.int64  # an empty source that is float cannot index
+        assert _owed(targets) == [sorted(LABEL_TO_ID[a.label] for a in day.activities)]
+        other, owed = _item(RecoverySample(day, [2]), np.random.default_rng(4), 0.0)
+        for model in (_FUSED, InsertionModel(tiny_config(use_vsn=False), seed=0)):
+            assert np.isfinite(model.batch_loss([state, other], [targets, owed]).data)
+
     def test_targets_follow_the_alignment_when_labels_repeat(self):
         home = Activity("HomeActivity", 1, 30, 6, 0.0, True)
         day = DaySequence(0, 0, 2, 0, (1, 2, 3, 4), [home, replace(home, arr=40, dep=96, mode=1)])
