@@ -1,8 +1,12 @@
 """Subcommand contracts: files written, exit codes, determinism."""
 
+import builtins
+import errno
+import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +17,14 @@ import numpy as np
 import pytest
 
 from actrecover.cli import main
-from actrecover.data import RecoverySample, align_subsequence, read_samples, read_sequences, write_samples
+from actrecover.data import (
+    RecoverySample,
+    align_subsequence,
+    read_samples,
+    read_sequences,
+    write_samples,
+    write_sequences,
+)
 from actrecover.generator import GeneratorConfig, default_config, generate_population, make_samples
 from actrecover.model import (
     CapacityError,
@@ -1098,3 +1109,163 @@ class TestEvalAndCompare:
         data.write_text("\n".join([lines[0], "[" * DEEP + "]" * DEEP, *lines[1:]]) + "\n")
         assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
         assert capsys.readouterr().err == f"eval: {data}: parse error at line 2: nested too deeply\n"
+
+
+# A path argument for each command, with flags that make the command run in a moment.
+PATH_FLAGS = [
+    ("gen", "--out"), ("gen", "--config"),
+    ("train", "--data"), ("train", "--out"), ("train", "--config"),
+    ("recover", "--checkpoint"), ("recover", "--data"), ("recover", "--out"),
+    ("eval", "--data"), ("eval", "--hyp"), ("eval", "--out"),
+    ("compare", "--data"), ("compare", "--hyp-a"), ("compare", "--hyp-b"), ("compare", "--out"),
+]
+TINY_TRAIN = ("--epochs", 1, "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1)
+
+
+def command_paths(command, small_run, tmp_path) -> tuple[dict, tuple]:
+    """Valid path flags for ``command`` (each file in place), and its other flags."""
+    data = small_run["data"]
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    hyp = tmp_path / "hyp.jsonl"
+    write_sequences(hyp, [s.complete for s in read_samples(data)])
+    return {
+        "gen": ({"--out": tmp_path / "g.jsonl", "--config": config}, ("--n-days", 4)),
+        "train": ({"--data": data, "--out": tmp_path / "m.ckpt", "--config": config}, TINY_TRAIN),
+        "recover": ({"--checkpoint": small_run["ckpt"], "--data": data, "--out": tmp_path / "h.jsonl"}, ()),
+        "eval": ({"--data": data, "--hyp": hyp, "--out": tmp_path / "ev"}, ()),
+        "compare": ({"--data": data, "--hyp-a": hyp, "--hyp-b": hyp, "--out": tmp_path / "c.json"}, ()),
+    }[command]
+
+
+def assert_refused_naming(capsys, command, path) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and err.count("\n") == 1, err
+    assert str(path) in err and "Traceback" not in err
+
+
+class TestPathFaults:
+    @pytest.mark.parametrize("command, flag", PATH_FLAGS)
+    def test_a_path_through_a_regular_file_exits_2_naming_it(self, small_run, tmp_path, capsys, command, flag):
+        paths, extra = command_paths(command, small_run, tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file\n")
+        paths[flag] = blocker / "x"
+        assert run(command, *[a for pair in paths.items() for a in pair], *extra) == 2
+        assert_refused_naming(capsys, command, blocker / "x")
+
+    @pytest.mark.parametrize("command, flag", PATH_FLAGS)
+    def test_a_path_without_permission_exits_2_naming_it(
+        self, small_run, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        from actrecover import cli, data, model
+
+        paths, extra = command_paths(command, small_run, tmp_path)
+        denied = str(paths[flag])
+
+        def guarded_open(path, *args, **kwargs):
+            """``open``, as a user without access to ``denied`` (``chmod`` does not stop root)."""
+            if str(path).startswith(denied):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        for module in (cli, data, model):
+            monkeypatch.setattr(module, "open", guarded_open, raising=False)
+        assert run(command, *[a for pair in paths.items() for a in pair], *extra) == 2
+        assert_refused_naming(capsys, command, denied)
+
+
+@pytest.fixture
+def collector_on():
+    """Runs a test with the cyclic collector on, and turns it back on whatever the test left."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.fixture(scope="module")
+def two_sizes(tmp_path_factory):
+    """Data, both flavors' checkpoints and hypotheses at 16 and 64 days (4 and 16 training steps)."""
+    root = tmp_path_factory.mktemp("sizes")
+    sizes = {}
+    for n in (16, 64):
+        f = {k: root / f"{k}{n}" for k in ("data", "fused", "token", "hyp", "hyp_b")}
+        assert run("gen", "--out", f["data"], "--seed", 5, "--n-days", n) == 0
+        for flavor, ckpt in (("vsnit", f["fused"]), ("baseline", f["token"])):
+            assert run("train", "--data", f["data"], "--out", ckpt, "--flavor", flavor, "--epochs", 1,
+                       "--batch-size", 4, "--d-m", 8, "--heads", 2, "--n-layers", 1) == 0
+        assert run("recover", "--checkpoint", f["fused"], "--data", f["data"], "--out", f["hyp"]) == 0
+        assert run("recover", "--checkpoint", f["token"], "--data", f["data"], "--out", f["hyp_b"]) == 0
+        sizes[n] = f
+    return sizes
+
+
+def _command_at(name, f, out):
+    train = ("--data", f["data"], "--batch-size", 4, "--d-m", 8, "--heads", 2, "--n-layers", 1)
+    if name == "train --resume":
+        shutil.copyfile(f["fused"], out)
+        return ("train", *train, "--out", out, "--epochs", 2, "--resume")
+    return {
+        "gen": ("gen", "--out", out, "--seed", 5, "--n-days", len(read_samples(f["data"]))),
+        "train fused": ("train", *train, "--out", out, "--epochs", 1, "--checkpoint-interval", 2),
+        "train token-only": ("train", *train, "--out", out, "--epochs", 1, "--flavor", "baseline"),
+        "recover fused": ("recover", "--checkpoint", f["fused"], "--data", f["data"], "--out", out),
+        "recover token-only": ("recover", "--checkpoint", f["token"], "--data", f["data"], "--out", out),
+        "eval": ("eval", "--data", f["data"], "--hyp", f["hyp"], "--out", out),
+        "compare": ("compare", "--data", f["data"], "--hyp-a", f["hyp"], "--hyp-b", f["hyp_b"], "--out", out),
+    }[name]
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector, because a command makes no garbage cycles."""
+
+    @pytest.mark.parametrize("name", [
+        "gen", "train fused", "train --resume", "train token-only",
+        "recover fused", "recover token-only", "eval", "compare",
+    ])
+    def test_a_command_leaves_as_many_cycles_at_either_size(self, two_sizes, tmp_path, collector_on, name):
+        cycles = []
+        for n in (16, 64):
+            argv = _command_at(name, two_sizes[n], tmp_path / f"out{n}")
+            gc.collect()
+            gc.disable()
+            assert run(*argv) == 0
+            cycles.append(gc.collect())
+            gc.enable()
+        # what is left is the argument parser's own cycles, however many days or steps ran
+        assert cycles[0] == cycles[1], cycles
+
+    def _spied_gen(self, monkeypatch, outcome):
+        from actrecover import cli
+
+        seen = []
+
+        def cmd_gen(args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "cmd_gen", cmd_gen)
+        return seen
+
+    @pytest.mark.parametrize("outcome, code", [
+        (0, 0),
+        (FileNotFoundError(2, "No such file or directory", "d.jsonl"), 2),
+        (ShapeError("planted breach"), 1),
+    ])
+    def test_the_collector_is_back_on_after_each_exit(self, tmp_path, monkeypatch, collector_on, outcome, code):
+        seen = self._spied_gen(monkeypatch, outcome)
+        assert run("gen", "--out", tmp_path / "d.jsonl") == code
+        assert seen == [False] and gc.isenabled()
+
+    def test_the_collector_is_back_on_after_an_escaping_exception(self, tmp_path, monkeypatch, collector_on):
+        seen = self._spied_gen(monkeypatch, ValueError("planted breach"))
+        with pytest.raises(ValueError, match="planted breach"):
+            run("gen", "--out", tmp_path / "d.jsonl")
+        assert seen == [False] and gc.isenabled()
+
+    def test_a_caller_that_paused_the_collector_keeps_it_paused(self, tmp_path, collector_on):
+        gc.disable()
+        assert run("gen", "--out", tmp_path / "d.jsonl", "--n-days", 4) == 0
+        assert not gc.isenabled()
