@@ -105,10 +105,12 @@ class RegimeDynamics:
         try:
             init = np.asarray(self.initial, dtype=np.float64)
             trans = np.asarray(self.transition, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond a float
             raise ConfigError(f"dynamics are not arrays of numbers: {exc}") from exc
         if init.shape != (N_ACTIVITIES,) or trans.shape != (N_ACTIVITIES, N_ACTIVITIES):
             raise ConfigError(f"dynamics shapes {init.shape}, {trans.shape} are not (9,), (9, 9)")
+        if not all(type(p) in (int, float) for p in [*self.initial, *(x for row in self.transition for x in row)]):
+            raise ConfigError("dynamics hold a value that is not a number")  # such as "0.1" or true
         if not ((init >= 0).all() and (trans >= 0).all()):
             raise ConfigError("dynamics hold negative or missing probabilities")
         if abs(init.sum() - 1.0) > 1e-9:
@@ -209,10 +211,11 @@ class GeneratorConfig:
         if self.gap_mean_bins > POISSON_LAM_MAX:
             raise ConfigError(f"gap_mean_bins above the Poisson limit {POISSON_LAM_MAX}: {self.gap_mean_bins}")
         missing = [l for l in ACTIVITY_CATEGORIES if l not in self.duration_mean_bins]
-        if missing:
-            raise ConfigError(f"duration_mean_bins missing labels: {missing}")
+        unknown = [l for l in self.duration_mean_bins if l not in ACTIVITY_CATEGORIES]
+        if missing or unknown:
+            raise ConfigError(f"duration_mean_bins missing labels: {missing}, unknown labels: {unknown}")
         means = self.duration_mean_bins.values()
-        if not all(isinstance(m, (int, float)) and 1.0 <= m <= POISSON_LAM_MAX for m in means):
+        if not all(type(m) in (int, float) and 1.0 <= m <= POISSON_LAM_MAX for m in means):
             raise ConfigError(f"duration means must be numbers in [1, {POISSON_LAM_MAX}] bins")
         if set(self.regimes) != set(REGIMES):
             raise ConfigError(f"regimes must be exactly {REGIMES}")

@@ -41,37 +41,30 @@ __all__ = [
 ]
 
 
+# Fixed by the method, not by a run: Adam's published defaults (Kingma & Ba, 2015), the global
+# gradient norm a step is clipped to, and the share of batch states ``_batch_item`` rolls in.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+CLIP_NORM, ROLL_IN = 1.0, 0.7
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
     epochs: int = 10
-    clip_norm: float = 1.0
     seed: int = 0
     checkpoint_interval: int = 0  # steps between checkpoints; 0 = final only
-    roll_in: float = 0.7  # fraction of batch states resampled from the decode lattice
 
     def __post_init__(self) -> None:
         if not self.lr > 0:  # also refuses NaN
             raise ConfigError(f"learning rate must be positive: {self.lr}")
         if not np.isfinite(self.lr):
             raise ConfigError(f"learning rate must be finite: {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"Adam betas must be in [0, 1): beta1={self.beta1}, beta2={self.beta2}")
-        if not 0.0 < self.eps < np.inf:
-            raise ConfigError(f"Adam eps must be finite and positive: {self.eps}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.seed < 0 or self.checkpoint_interval < 0:
             raise ConfigError("seed and checkpoint_interval must be >= 0: "
                               f"seed={self.seed}, checkpoint_interval={self.checkpoint_interval}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip norm must be positive: {self.clip_norm}")
-        if not 0.0 <= self.roll_in <= 1.0:
-            raise ConfigError(f"roll_in out of [0, 1]: {self.roll_in}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -80,6 +73,7 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     losses: list[float] = field(default_factory=list)
+    grad_norms: list[float | None] = field(default_factory=list)  # before clipping; None if not finite
     checksum: str = ""
     wall_clock: float = 0.0
     steps: int = 0
@@ -115,9 +109,8 @@ class Adam:
     layout and dtype, as a training checkpoint stores them.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, config: TrainConfig):
-        self.values, self.grads = values, grads
-        self.lr, self.beta1, self.beta2, self.eps = config.lr, config.beta1, config.beta2, config.eps
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float):
+        self.values, self.grads, self.lr = values, grads, lr
         self.t = 0
         self.m, self.v = np.zeros_like(values), np.zeros_like(values)
         self.skipped = 0
@@ -128,13 +121,13 @@ class Adam:
             self.skipped += 1
             return False
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
-        self.m *= self.beta1
-        self.m += (1 - self.beta1) * self.grads
-        self.v *= self.beta2
-        self.v += (1 - self.beta2) * self.grads**2
-        self.values -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + self.eps)
+        correct1 = 1.0 - BETA1**self.t
+        correct2 = 1.0 - BETA2**self.t
+        self.m *= BETA1
+        self.m += (1 - BETA1) * self.grads
+        self.v *= BETA2
+        self.v += (1 - BETA2) * self.grads**2
+        self.values -= self.lr * (self.m / correct1) / (np.sqrt(self.v / correct2) + EPS)
         return True
 
 
@@ -223,7 +216,7 @@ def train(
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs
     model = InsertionModel(model_config, seed=train_config.seed)
-    adam = Adam(model.values, model.grads, train_config)
+    adam = Adam(model.values, model.grads, train_config.lr)
     start_step = load_train_state(checkpoint_path, model, adam, train_config) if resume else 0
     if start_step > total_steps:  # a resume never runs backwards
         raise ConfigError(f"{checkpoint_path}: checkpoint is at step {start_step}, "
@@ -243,14 +236,14 @@ def train(
         order = np.random.default_rng([train_config.seed, 1, epoch]).permutation(n)
         idx = order[pos * train_config.batch_size : (pos + 1) * train_config.batch_size]
         roll_rng = np.random.default_rng([train_config.seed, 3, step])
-        items = [_batch_item(samples[i], completes[i], roll_rng, train_config.roll_in) for i in idx]
+        items = [_batch_item(samples[i], completes[i], roll_rng, ROLL_IN) for i in idx]
         batch_states, batch_targets = zip(*items)
         model.zero_grads()
         rng = np.random.default_rng([train_config.seed, 2, step])
         with np.errstate(all="ignore"):  # the loss and the parameters are checked just below
             loss = model.batch_loss(batch_states, batch_targets, rng=rng)
             loss.backward()
-            clip_gradients(model.parameters(), train_config.clip_norm)
+            norm = clip_gradients(model.parameters(), CLIP_NORM)
             stepped = adam.step()
         if not np.isfinite(loss.data):
             raise NumericError(f"training diverged at step {step + 1}: the loss is not finite")
@@ -258,6 +251,7 @@ def train(
             raise NumericError(f"training diverged at step {step + 1}: "
                                "a parameter is not finite or lies beyond float32's range")
         report.losses.append(float(loss.data))
+        report.grad_norms.append(norm if np.isfinite(norm) else None)  # JSON has no NaN or Infinity
         step += 1
         if train_config.checkpoint_interval and step % train_config.checkpoint_interval == 0:
             write_checkpoint(step)

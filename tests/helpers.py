@@ -264,9 +264,9 @@ class ListAdam:
     must reproduce its parameters and moments bit for bit.
     """
 
-    def __init__(self, params, config):
+    def __init__(self, params, lr: float):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = config.lr, config.beta1, config.beta2, config.eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

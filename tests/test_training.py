@@ -60,7 +60,7 @@ def small_dataset(n_days=16, seed=3):
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter("p", np.array([1.0, -2.0]))
-        adam = Adam(p.data, p.grad, TrainConfig(lr=0.1))
+        adam = Adam(p.data, p.grad, 0.1)
         before = p.data.copy()
         assert adam.step()
         np.testing.assert_array_equal(p.data, before)
@@ -68,7 +68,7 @@ class TestAdam:
     def test_first_step_magnitude_close_to_lr(self):
         p = Parameter("p", np.zeros(4))
         p.grad = np.array([3.0, -0.5, 10.0, -7.0])
-        adam = Adam(p.data, p.grad, TrainConfig(lr=1e-3))
+        adam = Adam(p.data, p.grad, 1e-3)
         adam.step()
         # bias correction makes the first update lr * g / (|g| + eps) per entry
         np.testing.assert_allclose(np.abs(p.data), 1e-3, rtol=1e-5)
@@ -77,7 +77,7 @@ class TestAdam:
     def test_non_finite_gradient_skipped_and_counted(self):
         p = Parameter("p", np.array([1.0]))
         p.grad = np.array([np.nan])
-        adam = Adam(p.data, p.grad, TrainConfig(lr=0.1))
+        adam = Adam(p.data, p.grad, 0.1)
         assert not adam.step()
         assert adam.skipped == 1
         np.testing.assert_array_equal(p.data, [1.0])
@@ -88,7 +88,7 @@ class TestAdam:
         trajectories = []
         for _ in range(2):
             p = Parameter("p", np.ones(3))
-            adam = Adam(p.data, p.grad, TrainConfig(lr=0.01))
+            adam = Adam(p.data, p.grad, 0.01)
             for g in grads:
                 p.grad[:] = g
                 adam.step()
@@ -106,8 +106,7 @@ class TestAdam:
         """Over drawn gradients, some clipped and some not finite, both optimizers agree bit for bit."""
         model = InsertionModel(tiny_config(d_m=4, d_attn=2, d_val=2), seed=seed)
         ref = [Parameter(p.name, p.data.copy()) for p in model.parameters()]
-        tc = TrainConfig(lr=lr)
-        adam, ref_adam = Adam(model.values, model.grads, tc), ListAdam(ref, tc)
+        adam, ref_adam = Adam(model.values, model.grads, lr), ListAdam(ref, lr)
         rng = np.random.default_rng(seed)
         for exponent, bad in steps:
             grads = [(rng.normal(size=q.shape) * 10.0**exponent).astype(np.float32) for q in ref]
@@ -438,7 +437,7 @@ class TestFloat32:
     def test_two_steps_leave_every_array_float32(self, use_vsn, monkeypatch):
         samples = small_dataset(n_days=8, seed=11)
         model = InsertionModel(tiny_config(use_vsn=use_vsn, dropout=0.1), seed=3)
-        adam = Adam(model.values, model.grads, TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig().lr)
         accumulate, grad_dtypes = T._accumulate, []
 
         def recording(node, g):  # every node gradient as it accumulates, before backward frees it
@@ -568,7 +567,7 @@ class TestCheckpointingAndResume:
         ckpt = tmp_path / "part.ckpt"
         train(samples, tiny_config(), TrainConfig(batch_size=4, epochs=1, seed=4), checkpoint_path=ckpt)
         model = InsertionModel(tiny_config(d_m=16, d_attn=8, d_val=8), seed=0)
-        adam = Adam(model.values, model.grads, TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig().lr)
         with pytest.raises(CompatibilityError, match="config"):
             load_train_state(ckpt, model, adam, TrainConfig())
 
@@ -583,7 +582,7 @@ class TestCheckpointingAndResume:
             manifest["format"] = old
             _write_container(ckpt, manifest, blob)
             with pytest.raises(CompatibilityError, match=f"checkpoint format {old} is not supported"):
-                load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
+                load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig().lr), TrainConfig())
 
     @pytest.fixture
     def one_epoch_state(self, tmp_path):
@@ -624,7 +623,7 @@ class TestCheckpointingAndResume:
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(CompatibilityError, match=rf"part\.ckpt: checkpoint manifest lacks {key}$"):
-            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig().lr), TrainConfig())
 
     def test_checkpoint_with_a_wrong_parameter_list_refused(self, one_epoch_state):
         ckpt, _ = one_epoch_state
@@ -633,12 +632,12 @@ class TestCheckpointingAndResume:
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
         with pytest.raises(CompatibilityError, match=r"part\.ckpt: parameter entry 0 is .*'bogus'"):
-            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig().lr), TrainConfig())
 
     def test_training_state_roundtrip_bit_exact(self, one_epoch_state, tmp_path):
         ckpt, tc = one_epoch_state
         model = InsertionModel(tiny_config(), seed=0)
-        adam = Adam(model.values, model.grads, TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig().lr)
         step = load_train_state(ckpt, model, adam, tc)
         assert (adam.t, adam.skipped) == (step, 0)
         again = tmp_path / "again.ckpt"
@@ -651,7 +650,7 @@ class TestCheckpointingAndResume:
         manifest["adam_skipped"] = 1
         _write_container(ckpt, manifest, blob)
         model = InsertionModel(tiny_config(), seed=0)
-        adam = Adam(model.values, model.grads, TrainConfig())
+        adam = Adam(model.values, model.grads, TrainConfig().lr)
         assert load_train_state(ckpt, model, adam, tc) == 2
         assert (adam.t, adam.skipped) == (1, 1)
 
@@ -666,7 +665,7 @@ class TestCheckpointingAndResume:
             CompatibilityError,
             match=rf"part\.ckpt: checkpoint blob holds {need - 8} bytes, the manifest needs {need}",
         ):
-            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig()), TrainConfig())
+            load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig().lr), TrainConfig())
 
 
 @pytest.mark.parametrize(
