@@ -41,7 +41,7 @@ from .metrics import (
     insertion_pattern_topk,
     transition_analysis,
 )
-from .model import CapacityError, CompatibilityError, ModelConfig, VocabularyError, load_checkpoint
+from .model import CapacityError, CompatibilityError, LengthError, ModelConfig, VocabularyError, load_checkpoint
 from .tensor import NumericError, ShapeError
 from .training import TrainConfig, train
 
@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     gc.disable()  # a command makes no reference cycles (module docstring)
     try:
         return args.func(args)
+    except LengthError as exc:  # a day of the --data file; train and recover raise it
+        print(f"{args.command}: {args.data}: {exc}", file=sys.stderr)
+        return 2
     except _USAGE_ERRORS as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ master seed, so generation is order-independent and reproducible.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -23,8 +23,11 @@ from .data import Activity, DaySequence, RecoverySample, mask_sequence
 __all__ = [
     "ConfigError",
     "config_values",
+    "DURATION_MEAN_BINS",
+    "GAP_MEAN_BINS",
     "GeneratorConfig",
-    "RegimeDynamics",
+    "HOLIDAY_RATE",
+    "REGIME_DYNAMICS",
     "REGIMES",
     "default_config",
     "generate_population",
@@ -34,9 +37,6 @@ __all__ = [
 ]
 
 REGIMES = ("weekday", "weekend", "holiday")
-
-# The largest mean ``Generator.poisson`` draws from (numpy's own limit); any larger one raises.
-POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 _SHORT = {
     "shop": "GoShopping",
@@ -59,13 +59,12 @@ def config_values(raw, *classes) -> dict:
     """``raw``, a JSON object of config values, typed by the fields of the dataclasses ``classes``.
 
     The one rule for config JSON: a key must be a field; a bool field takes only a bool, an int
-    field an int but not a bool, a float field an int or a float (stored as a float), and a dict
-    field an object. Any other value is a ``ConfigError`` naming the key.
+    field an int but not a bool, and a float field an int or a float (stored as a float). Any
+    other value is a ``ConfigError`` naming the key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    kinds = {f.name: type(f.default if f.default_factory is MISSING else f.default_factory())
-             for c in classes for f in fields(c)}
+    kinds = {f.name: type(f.default) for c in classes for f in fields(c)}
     values = {}
     for key, value in raw.items():
         if key not in kinds:
@@ -94,133 +93,70 @@ def _row(**named: float) -> list[float]:
     return probs.tolist()
 
 
-@dataclass
-class RegimeDynamics:
-    """Initial label distribution and 9x9 transition matrix for one regime."""
+# The calibration: mean daily activity count near 4.49. A day is a holiday with probability
+# HOLIDAY_RATE; between activities lie 1 + Poisson(GAP_MEAN_BINS) bins, and an activity lasts
+# 1 + Poisson(m - 1) bins, m its label's DURATION_MEAN_BINS entry.
+HOLIDAY_RATE = 0.05
+GAP_MEAN_BINS = 1.0
+DURATION_MEAN_BINS = {"GoShopping": 7.0, "Other": 8.0, "PersonalBusiness": 7.0, "GoToSchool": 30.0,
+                      "Healthcare": 8.0, "Recreation": 12.0, "EatOut": 6.0, "HomeActivity": 32.0,
+                      "WorkForPay": 36.0}
 
-    initial: list[float]
-    transition: list[list[float]]
-
-    def validate(self) -> None:
-        try:
-            init = np.asarray(self.initial, dtype=np.float64)
-            trans = np.asarray(self.transition, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond a float
-            raise ConfigError(f"dynamics are not arrays of numbers: {exc}") from exc
-        if init.shape != (N_ACTIVITIES,) or trans.shape != (N_ACTIVITIES, N_ACTIVITIES):
-            raise ConfigError(f"dynamics shapes {init.shape}, {trans.shape} are not (9,), (9, 9)")
-        if not all(type(p) in (int, float) for p in [*self.initial, *(x for row in self.transition for x in row)]):
-            raise ConfigError("dynamics hold a value that is not a number")  # such as "0.1" or true
-        if not ((init >= 0).all() and (trans >= 0).all()):
-            raise ConfigError("dynamics hold negative or missing probabilities")
-        if abs(init.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"initial distribution sums to {float(init.sum())!r}, not 1")
-        rowsums = trans.sum(axis=1)
-        bad = np.where(np.abs(rowsums - 1.0) > 1e-9)[0]
-        if bad.size:
-            raise ConfigError(f"transition rows {bad.tolist()} do not sum to 1")
-
-
-def _calibrated_regimes() -> dict[str, RegimeDynamics]:
-    """Calibrated dynamics: mean daily activity count near 4.49.
-
-    Weekdays push HomeActivity -> WorkForPay hard; weekends push
-    HomeActivity -> Recreation/GoShopping; holidays lean further into
-    recreation and eating out. The contrast is the covariate-dependent
-    structure a token-only model cannot pick up.
-    """
-    weekday = RegimeDynamics(
-        initial=_row(home=0.88, work=0.04),
-        transition=[
-            _row(home=0.46, eat=0.14, personal=0.10, shop=0.10),  # from GoShopping
-            _row(home=0.50, personal=0.10, eat=0.10),  # from Other
-            _row(home=0.46, eat=0.12, shop=0.12, work=0.06),  # from PersonalBusiness
-            _row(home=0.56, rec=0.10, eat=0.10, work=0.04),  # from GoToSchool
-            _row(home=0.56, personal=0.12, eat=0.08),  # from Healthcare
-            _row(home=0.56, eat=0.14, shop=0.06),  # from Recreation
-            _row(home=0.50, work=0.16, shop=0.08, personal=0.08),  # from EatOut
-            _row(work=0.58, home=0.06, school=0.08, shop=0.07, personal=0.06, eat=0.05),  # from HomeActivity
-            _row(home=0.48, eat=0.18, shop=0.08, personal=0.08, work=0.06),  # from WorkForPay
-        ],
-    )
-    weekend = RegimeDynamics(
-        initial=_row(home=0.90, rec=0.02),
-        transition=[
-            _row(home=0.40, eat=0.18, rec=0.14, shop=0.12),  # from GoShopping
-            _row(home=0.46, rec=0.12, eat=0.12),  # from Other
-            _row(home=0.44, shop=0.14, eat=0.12),  # from PersonalBusiness
-            _row(home=0.56, rec=0.14, eat=0.10),  # from GoToSchool
-            _row(home=0.56, eat=0.10, shop=0.10),  # from Healthcare
-            _row(home=0.42, eat=0.20, shop=0.12, rec=0.10),  # from Recreation
-            _row(home=0.46, rec=0.16, shop=0.12),  # from EatOut
-            _row(rec=0.34, shop=0.22, eat=0.12, home=0.10, work=0.03, personal=0.07),  # from HomeActivity
-            _row(home=0.52, eat=0.14, rec=0.10),  # from WorkForPay
-        ],
-    )
-    holiday = RegimeDynamics(
-        initial=_row(home=0.92),
-        transition=[
-            _row(home=0.40, eat=0.20, rec=0.16, shop=0.08),  # from GoShopping
-            _row(home=0.46, rec=0.14, eat=0.12),  # from Other
-            _row(home=0.44, rec=0.14, eat=0.12),  # from PersonalBusiness
-            _row(home=0.56, rec=0.16, eat=0.10),  # from GoToSchool
-            _row(home=0.58, rec=0.10, eat=0.08),  # from Healthcare
-            _row(home=0.40, eat=0.22, rec=0.14, shop=0.06),  # from Recreation
-            _row(home=0.44, rec=0.20, shop=0.08),  # from EatOut
-            _row(rec=0.40, eat=0.16, shop=0.10, home=0.12, work=0.02, personal=0.04),  # from HomeActivity
-            _row(home=0.56, rec=0.12, eat=0.10),  # from WorkForPay
-        ],
-    )
-    return {"weekday": weekday, "weekend": weekend, "holiday": holiday}
-
-
-def _calibrated_durations() -> dict[str, float]:
-    return {"GoShopping": 7.0, "Other": 8.0, "PersonalBusiness": 7.0, "GoToSchool": 30.0, "Healthcare": 8.0,
-            "Recreation": 12.0, "EatOut": 6.0, "HomeActivity": 32.0, "WorkForPay": 36.0}
+# Each regime's initial label distribution and 9x9 transition matrix (row: from, column: to),
+# read once, at import, into the sampling CDFs. Weekdays push HomeActivity -> WorkForPay hard;
+# weekends push HomeActivity -> Recreation/GoShopping; holidays lean further into recreation
+# and eating out. The contrast is the covariate-dependent structure a token-only model cannot
+# pick up.
+REGIME_DYNAMICS = {
+    "weekday": (_row(home=0.88, work=0.04), [
+        _row(home=0.46, eat=0.14, personal=0.10, shop=0.10),  # from GoShopping
+        _row(home=0.50, personal=0.10, eat=0.10),  # from Other
+        _row(home=0.46, eat=0.12, shop=0.12, work=0.06),  # from PersonalBusiness
+        _row(home=0.56, rec=0.10, eat=0.10, work=0.04),  # from GoToSchool
+        _row(home=0.56, personal=0.12, eat=0.08),  # from Healthcare
+        _row(home=0.56, eat=0.14, shop=0.06),  # from Recreation
+        _row(home=0.50, work=0.16, shop=0.08, personal=0.08),  # from EatOut
+        _row(work=0.58, home=0.06, school=0.08, shop=0.07, personal=0.06, eat=0.05),  # from HomeActivity
+        _row(home=0.48, eat=0.18, shop=0.08, personal=0.08, work=0.06),  # from WorkForPay
+    ]),
+    "weekend": (_row(home=0.90, rec=0.02), [
+        _row(home=0.40, eat=0.18, rec=0.14, shop=0.12),  # from GoShopping
+        _row(home=0.46, rec=0.12, eat=0.12),  # from Other
+        _row(home=0.44, shop=0.14, eat=0.12),  # from PersonalBusiness
+        _row(home=0.56, rec=0.14, eat=0.10),  # from GoToSchool
+        _row(home=0.56, eat=0.10, shop=0.10),  # from Healthcare
+        _row(home=0.42, eat=0.20, shop=0.12, rec=0.10),  # from Recreation
+        _row(home=0.46, rec=0.16, shop=0.12),  # from EatOut
+        _row(rec=0.34, shop=0.22, eat=0.12, home=0.10, work=0.03, personal=0.07),  # from HomeActivity
+        _row(home=0.52, eat=0.14, rec=0.10),  # from WorkForPay
+    ]),
+    "holiday": (_row(home=0.92), [
+        _row(home=0.40, eat=0.20, rec=0.16, shop=0.08),  # from GoShopping
+        _row(home=0.46, rec=0.14, eat=0.12),  # from Other
+        _row(home=0.44, rec=0.14, eat=0.12),  # from PersonalBusiness
+        _row(home=0.56, rec=0.16, eat=0.10),  # from GoToSchool
+        _row(home=0.58, rec=0.10, eat=0.08),  # from Healthcare
+        _row(home=0.40, eat=0.22, rec=0.14, shop=0.06),  # from Recreation
+        _row(home=0.44, rec=0.20, shop=0.08),  # from EatOut
+        _row(rec=0.40, eat=0.16, shop=0.10, home=0.12, work=0.02, personal=0.04),  # from HomeActivity
+        _row(home=0.56, rec=0.12, eat=0.10),  # from WorkForPay
+    ]),
+}
 
 
 @dataclass
 class GeneratorConfig:
-    """Calibrated generator settings, checked when built; plain regime objects become ``RegimeDynamics``."""
+    """What a run chooses, checked when built; the calibration is the module's constants."""
 
     seed: int = 0
     n_days: int = 10_000
     p_remove: float = 0.3
-    holiday_rate: float = 0.05
-    gap_mean_bins: float = 1.0
-    duration_mean_bins: dict[str, float] = field(default_factory=_calibrated_durations)
-    regimes: dict[str, RegimeDynamics] = field(default_factory=_calibrated_regimes)
 
     def __post_init__(self) -> None:
-        for name, dyn in self.regimes.items():
-            try:
-                self.regimes[name] = dyn if isinstance(dyn, RegimeDynamics) else RegimeDynamics(**dyn)
-            except TypeError as exc:
-                raise ConfigError(f"regime {name!r} is malformed: {exc}") from exc
-        self.validate()
-
-    def validate(self) -> None:
         if self.seed < 0 or self.n_days < 1:
             raise ConfigError("seed must be >= 0 and n_days >= 1")
         if not 0.0 <= self.p_remove <= 1.0:
             raise ConfigError(f"p_remove out of [0, 1]: {self.p_remove}")
-        if not 0.0 <= self.holiday_rate <= 1.0:
-            raise ConfigError(f"holiday_rate out of [0, 1]: {self.holiday_rate}")
-        if not self.gap_mean_bins >= 0:  # also refuses NaN
-            raise ConfigError("gap_mean_bins must be >= 0")
-        if self.gap_mean_bins > POISSON_LAM_MAX:
-            raise ConfigError(f"gap_mean_bins above the Poisson limit {POISSON_LAM_MAX}: {self.gap_mean_bins}")
-        missing = [l for l in ACTIVITY_CATEGORIES if l not in self.duration_mean_bins]
-        unknown = [l for l in self.duration_mean_bins if l not in ACTIVITY_CATEGORIES]
-        if missing or unknown:
-            raise ConfigError(f"duration_mean_bins missing labels: {missing}, unknown labels: {unknown}")
-        means = self.duration_mean_bins.values()
-        if not all(type(m) in (int, float) and 1.0 <= m <= POISSON_LAM_MAX for m in means):
-            raise ConfigError(f"duration means must be numbers in [1, {POISSON_LAM_MAX}] bins")
-        if set(self.regimes) != set(REGIMES):
-            raise ConfigError(f"regimes must be exactly {REGIMES}")
-        for dyn in self.regimes.values():
-            dyn.validate()
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -248,14 +184,21 @@ def _cdf(probs) -> list[float]:
     return [c / cdf[-1] for c in cdf]
 
 
+def _regime_cdfs(dynamics: dict) -> dict:
+    """Each regime of ``dynamics`` mapped to its initial CDF and its transition rows' CDFs."""
+    return {name: (_cdf(initial), [_cdf(row) for row in transition])
+            for name, (initial, transition) in dynamics.items()}
+
+
+_REGIME_CDFS = _regime_cdfs(REGIME_DYNAMICS)
 _MODE_CDF = _cdf((0.52, 0.16, 0.14, 0.06, 0.12))  # codes 1..5; arrival trips only
 
 
-def _sample_day(cfg: GeneratorConfig, cdfs: dict, rng: np.random.Generator, idx: int) -> DaySequence:
-    """One day; ``cdfs`` maps each regime to its initial CDF and its transition rows' CDFs."""
+def _sample_day(rng: np.random.Generator, idx: int) -> DaySequence:
+    """One day, drawn with the calibration constants."""
     weekday = int(rng.integers(1, 8))
-    holiday = int(rng.random() < cfg.holiday_rate)
-    initial, transition = cdfs[regime_of(weekday, holiday)]
+    holiday = int(rng.random() < HOLIDAY_RATE)
+    initial, transition = _REGIME_CDFS[regime_of(weekday, holiday)]
     static = tuple(int(c) for c in rng.integers(1, 6, size=4))
 
     activities: list[Activity] = []
@@ -263,7 +206,7 @@ def _sample_day(cfg: GeneratorConfig, cdfs: dict, rng: np.random.Generator, idx:
     t = 1
     while True:
         label = ACTIVITY_CATEGORIES[label_idx]
-        dur = 1 + int(rng.poisson(cfg.duration_mean_bins[label] - 1.0))
+        dur = 1 + int(rng.poisson(DURATION_MEAN_BINS[label] - 1.0))
         dep = min(t + dur - 1, N_TIME_BINS)
         if activities:
             mode = bisect_right(_MODE_CDF, rng.random()) + 1
@@ -272,7 +215,7 @@ def _sample_day(cfg: GeneratorConfig, cdfs: dict, rng: np.random.Generator, idx:
             mode = MODE_UNKNOWN  # the day's first activity has no arrival trip
             dist = 0.0
         activities.append(Activity(label=label, arr=t, dep=dep, mode=mode, dist=dist, observed=True))
-        gap = 1 + int(rng.poisson(cfg.gap_mean_bins))
+        gap = 1 + int(rng.poisson(GAP_MEAN_BINS))
         t = dep + gap
         if dep >= N_TIME_BINS or t > N_TIME_BINS or len(activities) >= N_TIME_BINS:
             break
@@ -372,15 +315,9 @@ def substreams(key, n: int):
 
 
 def generate_population(cfg: GeneratorConfig, seed: int | None = None) -> list[DaySequence]:
-    """Sample ``cfg.n_days`` person-days, one independent substream each (``cfg`` is checked when built).
-
-    Day ``i`` draws from ``default_rng([seed, i])``. The sampling CDFs come
-    from ``cfg`` as it is at the call, since a config can change after it is built.
-    """
+    """Sample ``cfg.n_days`` person-days, one independent substream each: day ``i`` from ``default_rng([seed, i])``."""
     base = cfg.seed if seed is None else seed
-    cdfs = {name: (_cdf(dyn.initial), [_cdf(row) for row in dyn.transition])
-            for name, dyn in cfg.regimes.items()}
-    return [_sample_day(cfg, cdfs, rng, i) for i, rng in enumerate(substreams([base], cfg.n_days))]
+    return [_sample_day(rng, i) for i, rng in enumerate(substreams([base], cfg.n_days))]
 
 
 def make_samples(

@@ -72,6 +72,7 @@ __all__ = [
     "CapacityError",
     "VocabularyError",
     "CompatibilityError",
+    "LengthError",
     "ModelConfig",
     "DecoderState",
     "SlotDistribution",
@@ -101,6 +102,10 @@ class VocabularyError(ValueError):
 
 class CompatibilityError(ValueError):
     """A checkpoint does not match the expected configuration."""
+
+
+class LengthError(ConfigError):
+    """A day holds more activities than the model's ``max_len``."""
 
 
 @dataclass
@@ -166,10 +171,10 @@ class DecoderState:
 
     @classmethod
     def from_days(cls, days: Sequence[DaySequence], max_len: int) -> list["DecoderState"]:
-        """``from_sequence`` of each day, once none is longer than ``max_len`` (else ``ConfigError``)."""
+        """``from_sequence`` of each day, once none is longer than ``max_len`` (else ``LengthError``)."""
         for i, day in enumerate(days):
             if len(day) > max_len:
-                raise ConfigError(f"sample {i}: {len(day)} activities exceed max_len={max_len}")
+                raise LengthError(f"sample {i}: {len(day)} activities exceed max_len={max_len}")
         return [cls.from_sequence(day) for day in days]
 
 
@@ -446,8 +451,8 @@ class InsertionModel(Block):
         its slots stop, when it runs out of rounds, or when an insertion
         would pass ``max_len`` (it is then truncated to the leftmost picks
         that fit). Slot scores that leave float32's range raise
-        ``NumericError``. A negative ``max_rounds``, or an input longer than
-        ``max_len``, raises ``ConfigError`` before any input is encoded.
+        ``NumericError``. A negative ``max_rounds`` raises ``ConfigError``, and an
+        input longer than ``max_len`` ``LengthError``, before any input is encoded.
         """
         cfg = self.config
         limit = cfg.max_rounds if max_rounds is None else max_rounds

@@ -35,6 +35,7 @@ from actrecover.activities import (
 )
 from actrecover import tensor as T
 from actrecover.data import Activity, AlignmentError, DaySequence, RecoverySample, mask_sequence
+from actrecover import generator
 from actrecover.generator import regime_of
 from actrecover.layers import (
     GatedLinearUnit,
@@ -494,17 +495,16 @@ def random_targets(rng: np.random.Generator, state) -> list[Counter]:
     return out
 
 
-def choice_sample_day(cfg, rng: np.random.Generator, idx: int) -> DaySequence:
+def choice_sample_day(rng: np.random.Generator, idx: int) -> DaySequence:
     """Reference day sampler: a frozen copy of the one that drew with ``rng.choice(n, p=p)``.
 
-    It reads ``cfg`` for every day; ``generate_population`` must reproduce
-    its days exactly, draw for draw.
+    It reads the generator module's calibration tables for every day, so a
+    test may patch them; ``generate_population`` must reproduce its days
+    exactly, draw for draw.
     """
     weekday = int(rng.integers(1, 8))
-    holiday = int(rng.random() < cfg.holiday_rate)
-    dyn = cfg.regimes[regime_of(weekday, holiday)]
-    initial = np.asarray(dyn.initial)
-    transition = np.asarray(dyn.transition)
+    holiday = int(rng.random() < generator.HOLIDAY_RATE)
+    initial, transition = map(np.asarray, generator.REGIME_DYNAMICS[regime_of(weekday, holiday)])
     static = tuple(int(c) for c in rng.integers(1, 6, size=4))
 
     activities: list[Activity] = []
@@ -512,7 +512,7 @@ def choice_sample_day(cfg, rng: np.random.Generator, idx: int) -> DaySequence:
     t = 1
     while True:
         label = ACTIVITY_CATEGORIES[label_idx]
-        dur = 1 + int(rng.poisson(cfg.duration_mean_bins[label] - 1.0))
+        dur = 1 + int(rng.poisson(generator.DURATION_MEAN_BINS[label] - 1.0))
         dep = min(t + dur - 1, N_TIME_BINS)
         if activities:
             mode = int(rng.choice(5, p=(0.52, 0.16, 0.14, 0.06, 0.12))) + 1
@@ -521,7 +521,7 @@ def choice_sample_day(cfg, rng: np.random.Generator, idx: int) -> DaySequence:
             mode = MODE_UNKNOWN
             dist = 0.0
         activities.append(Activity(label=label, arr=t, dep=dep, mode=mode, dist=dist, observed=True))
-        gap = 1 + int(rng.poisson(cfg.gap_mean_bins))
+        gap = 1 + int(rng.poisson(generator.GAP_MEAN_BINS))
         t = dep + gap
         if dep >= N_TIME_BINS or t > N_TIME_BINS or len(activities) >= N_TIME_BINS:
             break

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actrecover import training
@@ -65,17 +65,6 @@ def rewrite_line(src, dst, lineno: int, edit) -> None:
     dst.write_text("\n".join(lines) + "\n")
 
 
-def default_regimes_with(path, value) -> dict:
-    """A ``gen`` config of the default regimes with the entry at ``path`` (keys, then indices) set to ``value``."""
-    regimes = default_config().to_json_dict()["regimes"]
-    *walk, last = path
-    target = regimes
-    for key in walk:
-        target = target[key]
-    target[last] = value
-    return {"regimes": regimes}
-
-
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One tiny gen + train, shared by the read-only CLI tests."""
@@ -117,12 +106,12 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_0_bytes_are_pinned(self, tmp_path):
-        """The data and summary the ``rng.choice`` sampler wrote for ``gen --seed 0 --n-days 300``."""
+        """The data the ``rng.choice`` sampler wrote for ``gen --seed 0 --n-days 300``, and its summary."""
         out = tmp_path / "g.jsonl"
         assert run("gen", "--out", out, "--seed", 0, "--n-days", 300) == 0
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "g.jsonl.summary.json")] == [
             "4a3a91a473aba19a0a37c21831b1990af041614eeee9c8ae95a534e4f1dab0de",
-            "86654beeaa98f9ea80c84ff360ba6c3be8635af62bcbfb24a60506d4a7735efb",
+            "b85a44da1f114c33d212066b57ff008686aa896308227622b309aa5f9416cd8a",  # config echoes three keys
         ]
 
     def test_missing_config_path_exits_2(self, tmp_path):
@@ -165,12 +154,12 @@ class TestGen:
 
     def test_partial_config_echoes_defaults_and_coerced_values(self, tmp_path):
         cfg_path = tmp_path / "partial.json"
-        cfg_path.write_text(json.dumps({"p_remove": 1, "holiday_rate": 0, "n_days": 5}))
+        cfg_path.write_text(json.dumps({"p_remove": 1, "n_days": 5}))
         out = tmp_path / "d.jsonl"
         assert run("gen", "--out", out, "--config", cfg_path) == 0
         echoed = json.loads((tmp_path / "d.jsonl.summary.json").read_text())["config"]
         expected = default_config().to_json_dict()
-        expected.update(p_remove=1.0, holiday_rate=0.0, n_days=5)
+        expected.update(p_remove=1.0, n_days=5)
         assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     @pytest.mark.parametrize(
@@ -202,23 +191,19 @@ class TestGen:
 
     def test_nan_config_value_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"gap_mean_bins": NaN}')
+        cfg_path.write_text('{"p_remove": NaN}')
         assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
-        assert capsys.readouterr().err.strip() == f"gen: {cfg_path}: gap_mean_bins must be >= 0"
+        assert capsys.readouterr().err.strip() == f"gen: {cfg_path}: p_remove out of [0, 1]: nan"
 
-    @pytest.mark.parametrize("value", [float("inf"), 1e300])  # json writes the first as Infinity
-    @pytest.mark.parametrize("key, problem", [("gap_mean_bins", "gap_mean_bins above the Poisson limit"),
-                                              ("duration_mean_bins", "duration means must be numbers")])
-    def test_poisson_mean_numpy_cannot_draw_exits_2(self, tmp_path, capsys, key, problem, value):
-        if key == "duration_mean_bins":
-            value = {**default_config().duration_mean_bins, "HomeActivity": value}
+    @pytest.mark.parametrize("key, value", [("holiday_rate", 0.05), ("gap_mean_bins", 1.0),
+                                            ("duration_mean_bins", {"HomeActivity": 32.0}), ("regimes", {})])
+    def test_calibration_constant_key_exits_2(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
         out = tmp_path / "d.jsonl"
-        assert run("gen", "--out", out, "--n-days", 2, "--config", cfg_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"gen: {cfg_path}: {problem}") and err.count("\n") == 1
-        assert "Traceback" not in err and not out.exists()
+        assert run("gen", "--out", out, "--config", cfg_path) == 2
+        assert capsys.readouterr().err == f"gen: {cfg_path}: unknown config key {key!r}\n"
+        assert not out.exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "latin1.json"
@@ -239,42 +224,11 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "regimes, problem",
-        [({"weekday": [1]}, "regime 'weekday' is malformed"), ({"weekday": {"initial": [1]}}, "transition")],
-    )
-    def test_malformed_regime_exits_2_naming_the_file(self, tmp_path, capsys, regimes, problem):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"regimes": regimes}))
-        assert run("gen", "--out", tmp_path / "d.jsonl", "--config", cfg_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"gen: {cfg_path}: ") and problem in err and "Traceback" not in err
-
-    @pytest.mark.parametrize(
         "raw, problem",
         [
-            ({"holiday_rate": 1.5}, "holiday_rate out of [0, 1]: 1.5"),
+            ({"seed": -1}, "seed must be >= 0 and n_days >= 1"),
             ({"n_days": 0}, "seed must be >= 0 and n_days >= 1"),
             ({"p_remove": 2.0}, "p_remove out of [0, 1]: 2.0"),
-            ({"duration_mean_bins": {"HomeActivity": 32.0}}, "duration_mean_bins missing labels: ['GoShopping'"),
-            ({"regimes": {k: v for k, v in default_config().to_json_dict()["regimes"].items() if k != "holiday"}},
-             "regimes must be exactly ('weekday', 'weekend', 'holiday')"),
-            (default_regimes_with(("weekday", "initial"), [0.125] * 8),
-             "dynamics shapes (8,), (9, 9) are not (9,), (9, 9)"),
-            (default_regimes_with(("weekday", "initial", 0), "HomeActivity"), "dynamics are not arrays of numbers"),
-            (default_regimes_with(("weekday", "transition", 2, 0), -0.1),
-             "dynamics hold negative or missing probabilities"),
-            (default_regimes_with(("weekday", "initial"), [2.0] + [0.0] * 8), "initial distribution sums to 2.0, not 1"),
-            (default_regimes_with(("weekday", "transition", 4), [0.5] + [0.0] * 8),
-             "transition rows [4] do not sum to 1"),
-            (default_regimes_with(("weekday", "initial", 0), str(default_config().regimes["weekday"].initial[0])),
-             "dynamics hold a value that is not a number"),
-            (default_regimes_with(("holiday", "initial"), [True] + [False] * 8),
-             "dynamics hold a value that is not a number"),
-            (default_regimes_with(("weekend", "transition", 0, 0), 10**400), "dynamics are not arrays of numbers"),
-            ({"duration_mean_bins": {**default_config().duration_mean_bins, "EatOut": True}},
-             "duration means must be numbers"),
-            ({"duration_mean_bins": {**default_config().duration_mean_bins, "Extra": 5.0}},
-             "duration_mean_bins missing labels: [], unknown labels: ['Extra']"),
         ],
     )
     def test_config_value_generation_cannot_use_exits_2(self, tmp_path, capsys, raw, problem):
@@ -288,8 +242,8 @@ class TestGen:
 
     def test_each_config_layer_is_validated_once(self, tmp_path, monkeypatch):
         calls = []
-        validate = GeneratorConfig.validate
-        monkeypatch.setattr(GeneratorConfig, "validate", lambda cfg: calls.append(1) or validate(cfg))
+        validate = GeneratorConfig.__post_init__
+        monkeypatch.setattr(GeneratorConfig, "__post_init__", lambda cfg: calls.append(1) or validate(cfg))
         assert run("gen", "--out", tmp_path / "a.jsonl", "--n-days", 5) == 0
         assert len(calls) == 1
         cfg_path = tmp_path / "cfg.json"
@@ -652,7 +606,7 @@ class TestTrain:
         ckpt = tmp_path / "m.ckpt"
         assert run("train", "--data", data, "--out", ckpt, "--max-len", 3) == 2
         err = capsys.readouterr().err
-        assert err == "train: sample 1: 4 activities exceed max_len=3\n"
+        assert err == f"train: {data}: sample 1: 4 activities exceed max_len=3\n"
         assert not ckpt.exists()
 
     def test_empty_dataset_exits_2(self, tmp_path):
@@ -731,7 +685,7 @@ class TestRecover:
         hyp = tmp_path / "hyp.jsonl"
         assert run("recover", "--checkpoint", small_run["ckpt"], "--data", data, "--out", hyp) == 2
         err = capsys.readouterr().err
-        assert err.strip() == "recover: sample 1: 40 activities exceed max_len=32"
+        assert err == f"recover: {data}: sample 1: 40 activities exceed max_len=32\n"
         assert "Traceback" not in err and not hyp.exists()
 
     def test_negative_max_rounds_exits_2(self, small_run, tmp_path, capsys):
@@ -1393,15 +1347,31 @@ def _at(doc, path):
     return doc
 
 
+# Values of a key's own type but out of its range: each is refused by the config, or (a max_len
+# below the longest day) by the data.
+GEN_OUT_OF_RANGE = {"seed": st.integers(-3, -1), "n_days": st.integers(-3, 0),
+                    "p_remove": st.floats(1.0, 2.0, exclude_min=True) | st.floats(-1.0, 0.0, exclude_max=True)}
+TRAIN_OUT_OF_RANGE = {
+    "max_len": st.integers(1, 3), "d_m": st.integers(-2, 0), "n_heads": st.integers(-2, 0),
+    "d_attn": st.integers(-2, 0), "n_layers": st.integers(-2, 0), "dropout": st.floats(1.0, 2.0),
+    "max_rounds": st.integers(-3, -1), "lr": st.floats(-1.0, 0.0), "batch_size": st.integers(-2, 0),
+    "epochs": st.integers(-3, -1), "seed": st.integers(-3, -1), "checkpoint_interval": st.integers(-3, -1),
+}
+
+
 @st.composite
-def corrupted_config_texts(draw, base: dict) -> str:
-    """``base`` as JSON text after one to three drawn corruptions, and sometimes cut short.
+def corrupted_config_texts(draw, base: dict, out_of_range: dict) -> tuple[str, bool]:
+    """``base`` as JSON text after one to three drawn corruptions, and sometimes cut short, and
+    whether the text must be refused.
 
     A corruption swaps a value (the whole object included) for one of another type or a
-    non-finite float, deletes a key or a list item, or adds an unknown key to an object.
+    non-finite float, deletes a key or a list item, or adds an unknown key to an object. Or, after
+    up to three corruptions, a key of ``out_of_range`` is set to a value its strategy there draws;
+    the text must then be refused.
     """
     doc = copy.deepcopy(base)
-    for _ in range(draw(st.integers(1, 3))):
+    refused = draw(st.booleans())
+    for _ in range(draw(st.integers(0 if refused else 1, 3))):
         paths = list(_paths(doc))
         kind = draw(st.sampled_from(("swap", "delete", "unknown")))
         if kind == "unknown":
@@ -1419,8 +1389,12 @@ def corrupted_config_texts(draw, base: dict) -> str:
                 doc = new
         elif path:
             del _at(doc, path[:-1])[path[-1]]
+    refused = refused and isinstance(doc, dict)
+    if refused:
+        key = draw(st.sampled_from(sorted(out_of_range)))
+        doc[key] = draw(out_of_range[key])
     text = json.dumps(doc)  # writes NaN, Infinity and -Infinity as Python's json module reads them
-    return text[: draw(st.integers(0, len(text) - 1))] if draw(st.integers(0, 4)) == 0 else text
+    return (text[: draw(st.integers(0, len(text) - 1))] if draw(st.integers(0, 4)) == 0 else text), refused
 
 
 @pytest.fixture(scope="module")
@@ -1428,14 +1402,17 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def assert_runs_or_refuses_naming(argv, cfg_path):
-    """``main(argv)`` exits 0 quietly, or 2 with one stderr line naming ``cfg_path``; nothing escapes it."""
+def assert_runs_or_refuses_naming(argv, refused, *prefixes):
+    """``main(argv)`` exits 0 quietly (unless ``refused``), or 2 with one stderr line that starts
+    with one of ``prefixes``; nothing escapes it."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(*argv)
     err = err.getvalue()
-    assert (code, err) == (0, "") or (code == 2 and err.count("\n") == 1 and str(cfg_path) in err
-                                       and "Traceback" not in err), (code, err)
+    if code == 0 and not refused:
+        assert err == ""
+    else:
+        assert code == 2 and err.count("\n") == 1 and err.startswith(prefixes) and "Traceback" not in err, (code, err)
 
 
 class TestCorruptedConfigs:
@@ -1445,19 +1422,27 @@ class TestCorruptedConfigs:
     """
 
     @settings(max_examples=300, deadline=None)
-    @given(text=corrupted_config_texts({**default_config().to_json_dict(), "n_days": 4}))
-    def test_gen(self, fuzz_dir, text):
+    @given(drawn=corrupted_config_texts({**default_config().to_json_dict(), "n_days": 4}, GEN_OUT_OF_RANGE))
+    def test_gen(self, fuzz_dir, drawn):
+        text, refused = drawn
         cfg_path = fuzz_dir / "gen.json"
         cfg_path.write_text(text)
         assert_runs_or_refuses_naming(["gen", "--out", fuzz_dir / "d.jsonl", "--config", cfg_path, "--n-days", 4],
-                                      cfg_path)
+                                      refused, f"gen: {cfg_path}: ")
+
+    TRAIN_BASE = {**ModelConfig(d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1).to_dict(),
+                  **TrainConfig(batch_size=16, epochs=1).to_dict()}
 
     @settings(max_examples=150, deadline=None)
-    @given(text=corrupted_config_texts({**ModelConfig(d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1).to_dict(),
-                                        **TrainConfig(batch_size=16, epochs=1).to_dict()}))
-    def test_train(self, small_run, fuzz_dir, text):
+    @given(drawn=corrupted_config_texts(TRAIN_BASE, TRAIN_OUT_OF_RANGE))
+    @example(drawn=(json.dumps({**TRAIN_BASE, "max_len": 3}), True))  # the data's first day holds 4 activities
+    def test_train(self, small_run, fuzz_dir, drawn):
+        """A file value is refused naming the file, even one a flag overrides; a max_len the data's
+        days exceed, naming the data file."""
+        text, refused = drawn
         cfg_path = fuzz_dir / "train.json"
         cfg_path.write_text(text)
         assert_runs_or_refuses_naming(["train", "--data", small_run["data"], "--out", fuzz_dir / "m.ckpt",
                                        "--config", cfg_path, "--epochs", 1, "--batch-size", 16, "--d-m", 8,
-                                       "--n-layers", 1], cfg_path)
+                                       "--n-layers", 1], refused, f"train: {cfg_path}: ",
+                                      f"train: {small_run['data']}: sample ")

@@ -1,5 +1,8 @@
 """Synthetic generator: determinism, calibration, regime structure."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,16 @@ from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES, N_TIME_BINS
 from actrecover.data import mask_sequence, sequence_to_record
+from actrecover import generator
 from actrecover.generator import (
-    POISSON_LAM_MAX,
+    DURATION_MEAN_BINS,
+    GAP_MEAN_BINS,
+    HOLIDAY_RATE,
+    REGIME_DYNAMICS,
     REGIMES,
     ConfigError,
     GeneratorConfig,
+    _regime_cdfs,
     _row,
     default_config,
     generate_population,
@@ -42,38 +50,33 @@ def empirical_transitions(sequences) -> dict[str, np.ndarray]:
     return out
 
 
-def test_default_config_is_valid():
-    default_config().validate()
+@contextmanager
+def calibration(holiday_rate, dynamics):
+    """The generator's holiday rate and regime dynamics patched, its sampling CDFs rebuilt from them."""
+    with mock.patch.multiple(generator, HOLIDAY_RATE=holiday_rate, REGIME_DYNAMICS=dynamics,
+                             _REGIME_CDFS=_regime_cdfs(dynamics)):
+        yield
 
 
-def test_invalid_transition_matrix_rejected():
-    cfg = default_config()
-    cfg.regimes["weekday"].transition[0][0] += 0.5
-    with pytest.raises(ConfigError, match="rows"):
-        cfg.validate()
+def test_calibration_tables_are_valid():
+    assert tuple(REGIME_DYNAMICS) == REGIMES
+    for initial, transition in REGIME_DYNAMICS.values():
+        init, trans = np.asarray(initial), np.asarray(transition)
+        assert init.shape == (N_ACTIVITIES,) and trans.shape == (N_ACTIVITIES, N_ACTIVITIES)
+        assert (init >= 0).all() and (trans >= 0).all()
+        assert abs(init.sum() - 1.0) <= 1e-9 and np.abs(trans.sum(axis=1) - 1.0).max() <= 1e-9
+    assert sorted(DURATION_MEAN_BINS) == sorted(ACTIVITY_CATEGORIES)
+    assert min(DURATION_MEAN_BINS.values()) >= 1.0 and GAP_MEAN_BINS >= 0.0
+    assert 0.0 <= HOLIDAY_RATE <= 1.0
+
+
+def test_config_holds_only_what_a_run_chooses():
+    assert default_config().to_json_dict() == {"seed": 0, "n_days": 10_000, "p_remove": 0.3}
 
 
 def test_named_masses_above_one_rejected():
     with pytest.raises(ConfigError, match="named masses exceed 1"):
         _row(home=0.7, work=0.4)
-
-
-def test_poisson_limit_is_numpys_own():
-    rng = np.random.default_rng(0)
-    rng.poisson(POISSON_LAM_MAX)
-    with pytest.raises(ValueError, match="lam value too large"):
-        rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
-
-
-def test_means_at_the_poisson_limit_generate_and_above_it_are_refused():
-    durations = dict.fromkeys(ACTIVITY_CATEGORIES, POISSON_LAM_MAX)
-    cfg = GeneratorConfig(n_days=3, gap_mean_bins=POISSON_LAM_MAX, duration_mean_bins=durations)
-    assert [len(day) for day in generate_population(cfg)] == [1, 1, 1]  # each draw fills the day
-    above = float(np.nextafter(POISSON_LAM_MAX, np.inf))
-    with pytest.raises(ConfigError, match="gap_mean_bins above the Poisson limit"):
-        GeneratorConfig(gap_mean_bins=above)
-    with pytest.raises(ConfigError, match="duration means"):
-        GeneratorConfig(duration_mean_bins={**durations, "EatOut": above})
 
 
 def test_config_json_roundtrip():
@@ -118,11 +121,11 @@ def test_mean_daily_activities_calibration():
 def test_regime_transition_frequencies_converge():
     cfg = default_config()
     cfg.n_days = 30_000  # roughly 10k person-days per regime bucket at this rate
-    cfg.holiday_rate = 0.34
-    seqs = generate_population(cfg, seed=2)
+    with calibration(0.34, REGIME_DYNAMICS):
+        seqs = generate_population(cfg, seed=2)
     emp = empirical_transitions(seqs)
     for regime in ("weekday", "weekend", "holiday"):
-        configured = np.asarray(cfg.regimes[regime].transition)
+        configured = np.asarray(REGIME_DYNAMICS[regime][1])
         observed = emp[regime]
         rows_seen = observed.sum(axis=1) > 0
         gap = np.abs(observed[rows_seen] - configured[rows_seen]).max()
@@ -133,8 +136,8 @@ def test_weekday_work_vs_weekend_recreation_margin():
     cfg = default_config()
     cfg.n_days = 10_000
     emp = empirical_transitions(generate_population(cfg, seed=3))
-    conf_wd = np.asarray(cfg.regimes["weekday"].transition)
-    conf_we = np.asarray(cfg.regimes["weekend"].transition)
+    conf_wd = np.asarray(REGIME_DYNAMICS["weekday"][1])
+    conf_we = np.asarray(REGIME_DYNAMICS["weekend"][1])
     assert emp["weekday"][HOME, WORK] == pytest.approx(conf_wd[HOME, WORK], abs=0.05)
     assert emp["weekend"][HOME, WORK] == pytest.approx(conf_we[HOME, WORK], abs=0.05)
     assert emp["weekday"][HOME, WORK] - emp["weekend"][HOME, WORK] > 0.3
@@ -164,37 +167,18 @@ def distributions(draw):
     return probs
 
 
-@st.composite
-def drawn_configs(draw):
-    """A valid config: drawn seed, days and holiday rate, and the calibrated or drawn regime dynamics."""
-    regimes = {
-        name: {"initial": draw(distributions()), "transition": [draw(distributions()) for _ in range(N_ACTIVITIES)]}
-        for name in REGIMES
-    } if draw(st.booleans()) else default_config().regimes
-    return GeneratorConfig(seed=draw(st.integers(0, 2**32 - 1)), n_days=draw(st.integers(1, 20)),
-                           holiday_rate=draw(st.floats(0.0, 1.0)), regimes=regimes)
-
-
-def assert_equals_choice_reference(cfg):
-    expected = [choice_sample_day(cfg, np.random.default_rng([cfg.seed, i]), i) for i in range(cfg.n_days)]
-    assert [sequence_to_record(s) for s in generate_population(cfg)] == [sequence_to_record(s) for s in expected]
+drawn_dynamics = st.tuples(distributions(), st.lists(distributions(), min_size=N_ACTIVITIES, max_size=N_ACTIVITIES))
 
 
 @settings(max_examples=150, deadline=None)
-@given(cfg=drawn_configs())
-def test_population_equals_the_choice_reference(cfg):
-    assert_equals_choice_reference(cfg)
-
-
-def test_a_row_changed_after_the_config_is_built_is_sampled():
-    cfg = default_config()
-    cfg.n_days = 300
-    before = generate_population(cfg)
-    cfg.regimes["weekday"].transition[HOME] = [1.0 if j == REC else 0.0 for j in range(N_ACTIVITIES)]
-    assert_equals_choice_reference(cfg)
-    after = generate_population(cfg)
-    assert [sequence_to_record(s) for s in after] != [sequence_to_record(s) for s in before]
-    assert empirical_transitions(after)["weekday"][HOME, WORK] == 0.0
+@given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(1, 20), holiday_rate=st.floats(0.0, 1.0),
+       dynamics=st.one_of(st.just(REGIME_DYNAMICS), st.fixed_dictionaries(dict.fromkeys(REGIMES, drawn_dynamics))))
+def test_population_equals_the_choice_reference(seed, n_days, holiday_rate, dynamics):
+    """Drawn seed, days and holiday rate, and the calibrated or drawn regime dynamics."""
+    with calibration(holiday_rate, dynamics):
+        expected = [choice_sample_day(np.random.default_rng([seed, i]), i) for i in range(n_days)]
+        drawn = generate_population(GeneratorConfig(seed=seed, n_days=n_days))
+    assert [sequence_to_record(s) for s in drawn] == [sequence_to_record(s) for s in expected]
 
 
 # seed words: one 32-bit word, several (2**32 and above, whose low word may be zero), and zero itself
