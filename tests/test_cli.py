@@ -114,6 +114,17 @@ class TestGen:
             "b85a44da1f114c33d212066b57ff008686aa896308227622b309aa5f9416cd8a",  # config echoes three keys
         ]
 
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "00790eb3636d1d9bcb3bcc10d4e428a366690b480da4f255e29089abdabee4dc"),
+        (17, "1c9e32830bd402c5ef27903ff519de9142642f558e8e8cba4760a65f265b68e6"),
+        (4001, "11c37f7b4e86e7e6854628c075b96844ddb436e3fb53245eb154ec97fc7ced0f"),
+    ])
+    def test_data_bytes_are_pinned_when_the_calibration_was_config(self, tmp_path, seed, digest):
+        """The data ``gen --n-days 400`` wrote while the calibration was a config of its own."""
+        out = tmp_path / "g.jsonl"
+        assert run("gen", "--out", out, "--seed", seed, "--n-days", 400) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_missing_config_path_exits_2(self, tmp_path):
         assert run("gen", "--out", tmp_path / "x.jsonl", "--config", tmp_path / "nope.json") == 2
 

@@ -1,5 +1,6 @@
 """Synthetic generator: determinism, calibration, regime structure."""
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from unittest import mock
 
@@ -19,8 +20,10 @@ from actrecover.generator import (
     REGIMES,
     ConfigError,
     GeneratorConfig,
+    _cdf,
     _regime_cdfs,
     _row,
+    config_values,
     default_config,
     generate_population,
     make_samples,
@@ -72,6 +75,43 @@ def test_calibration_tables_are_valid():
 
 def test_config_holds_only_what_a_run_chooses():
     assert default_config().to_json_dict() == {"seed": 0, "n_days": 10_000, "p_remove": 0.3}
+
+
+@pytest.mark.parametrize("values, problem", [
+    ({"seed": -1}, "seed must be >= 0 and n_days >= 1"),
+    ({"n_days": 0}, "seed must be >= 0 and n_days >= 1"),
+    ({"n_days": -5}, "seed must be >= 0 and n_days >= 1"),
+    ({"p_remove": -0.1}, "p_remove out of [0, 1]: -0.1"),
+    ({"p_remove": 1.5}, "p_remove out of [0, 1]: 1.5"),
+    ({"p_remove": float("nan")}, "p_remove out of [0, 1]: nan"),
+])
+def test_config_refuses_what_a_run_cannot_use(values, problem):
+    with pytest.raises(ConfigError) as info:
+        GeneratorConfig(**values)
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("values", [{"seed": 0}, {"n_days": 1}, {"p_remove": 0.0}, {"p_remove": 1.0}])
+def test_config_accepts_its_bounds(values):
+    assert GeneratorConfig(**values).to_json_dict() == {**default_config().to_json_dict(), **values}
+
+
+def test_config_values_types_each_key_by_its_field():
+    values = config_values({"seed": 3, "p_remove": 1}, GeneratorConfig)
+    assert values == {"seed": 3, "p_remove": 1.0} and type(values["p_remove"]) is float
+
+
+@pytest.mark.parametrize("raw, problem", [
+    ([], "config must be a JSON object"),
+    ({"holiday_rate": 0.05}, "unknown config key 'holiday_rate'"),
+    ({"seed": True}, "config key 'seed' must be int, not True"),
+    ({"p_remove": "0.3"}, "config key 'p_remove' must be float, not '0.3'"),
+    ({"p_remove": 10**400}, "config key 'p_remove' is too large for a float: 1" + "0" * 400),
+])
+def test_config_values_refuses(raw, problem):
+    with pytest.raises(ConfigError) as info:
+        config_values(raw, GeneratorConfig)
+    assert str(info.value) == problem
 
 
 def test_named_masses_above_one_rejected():
@@ -179,6 +219,21 @@ def test_population_equals_the_choice_reference(seed, n_days, holiday_rate, dyna
         expected = [choice_sample_day(np.random.default_rng([seed, i]), i) for i in range(n_days)]
         drawn = generate_population(GeneratorConfig(seed=seed, n_days=n_days))
     assert [sequence_to_record(s) for s in drawn] == [sequence_to_record(s) for s in expected]
+
+
+def test_sampling_cdfs_are_built_once_at_import():
+    cfg = GeneratorConfig(seed=8, n_days=50)
+    expected = [sequence_to_record(s) for s in generate_population(cfg)]
+    with mock.patch.object(generator, "_cdf", side_effect=AssertionError("a CDF was built per call")):
+        assert [sequence_to_record(s) for s in generate_population(cfg)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(probs=distributions(), seed=st.integers(0, 2**32 - 1))
+def test_cdf_draws_the_index_choice_draws(probs, seed):
+    """``bisect_right`` over ``_cdf(p)`` picks from one uniform what ``choice(n, p=p)`` picks from it."""
+    drawn = bisect_right(_cdf(probs), np.random.default_rng(seed).random())
+    assert drawn == np.random.default_rng(seed).choice(N_ACTIVITIES, p=probs)
 
 
 # seed words: one 32-bit word, several (2**32 and above, whose low word may be zero), and zero itself
