@@ -18,7 +18,8 @@ import csv
 import gc
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def cmd_gen(args) -> int:
     write_samples(args.out, samples)
     counts = [len(s.complete) for s in samples]
     summary = {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "n_days": len(samples),
         "mean_daily_activities": float(np.mean(counts)),
         "total_activities": int(np.sum(counts)),
@@ -132,10 +133,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{args.data}: dataset is empty")
     model_config, train_config = _layered_configs(args, ModelConfig, TrainConfig)
     model, report = train(samples, model_config, train_config, checkpoint_path=args.out, resume=args.resume)
-    payload = report.to_json_dict()
-    payload["flavor"] = "vsnit" if model_config.use_vsn else "baseline"
-    payload["model_config"] = model_config.to_dict()
-    payload["train_config"] = train_config.to_dict()
+    payload = {**asdict(report), "flavor": "vsnit" if model_config.use_vsn else "baseline",
+               "model_config": asdict(model_config), "train_config": asdict(train_config)}
     _write_json(str(args.out) + ".report.json", payload)
     print(f"train: {report.steps} steps, final loss "
           f"{report.losses[-1] if report.losses else float('nan'):.4f}, "
@@ -145,20 +144,12 @@ def cmd_train(args) -> int:
 
 def _recovery_summary(outcomes, max_rounds: int) -> dict:
     """Deterministic decode statistics: no timings, so reruns compare byte for byte."""
-    rounds_histogram = [0] * (max((o.rounds for o in outcomes), default=0) + 1)
-    insertions_per_round: list[int] = []
-    for outcome in outcomes:
-        rounds_histogram[outcome.rounds] += 1
-        for r, count in enumerate(outcome.inserted):
-            if r == len(insertions_per_round):
-                insertions_per_round.append(0)
-            insertions_per_round[r] += count
     return {
         "n_sequences": len(outcomes),
         "max_rounds": max_rounds,
-        "rounds_histogram": rounds_histogram,
+        "rounds_histogram": np.bincount([o.rounds for o in outcomes], minlength=1).tolist(),
         "truncated": sum(o.truncated for o in outcomes),
-        "insertions_per_round": insertions_per_round,
+        "insertions_per_round": [sum(n) for n in zip_longest(*(o.inserted for o in outcomes), fillvalue=0)],
     }
 
 
@@ -224,11 +215,7 @@ def cmd_eval(args) -> int:
         _write_csv(
             str(args.out) + f".transitions_{kind}.csv",
             ["from", "to", "count"],
-            [
-                [a, b, int(grid[i, j])]
-                for i, a in enumerate(ACTIVITY_CATEGORIES)
-                for j, b in enumerate(ACTIVITY_CATEGORIES)
-            ],
+            [[a, b, n] for (a, b), n in zip(product(ACTIVITY_CATEGORIES, repeat=2), grid.ravel().tolist())],
         )
     print(f"eval: wrote metrics and tables with prefix {args.out}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,8 +240,9 @@ def _write_lines(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def _read_lines(path) -> Iterator[tuple[int, dict]]:
-    """Each non-blank line's number and JSON value, one line at a time."""
+def _read_records(path, decode) -> list:
+    """``decode`` of each non-blank line's JSON value, one line at a time; a fault names the line."""
+    records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -257,7 +258,11 @@ def _read_lines(path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
             except RecursionError as exc:
                 raise ParseError(f"{path}: parse error at line {lineno}: nested too deeply") from exc
-            yield lineno, record  # outside the try, whose handlers cover the parse alone
+            try:
+                records.append(decode(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
+    return records
 
 
 def write_sequences(path, sequences: Sequence[DaySequence]) -> None:
@@ -265,13 +270,7 @@ def write_sequences(path, sequences: Sequence[DaySequence]) -> None:
 
 
 def read_sequences(path) -> list[DaySequence]:
-    sequences = []
-    for lineno, rec in _read_lines(path):
-        try:
-            sequences.append(sequence_from_record(rec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
-    return sequences
+    return _read_records(path, sequence_from_record)
 
 
 def write_samples(path, samples: Sequence[RecoverySample]) -> None:
@@ -280,15 +279,13 @@ def write_samples(path, samples: Sequence[RecoverySample]) -> None:
                         for s in samples))
 
 
+def _sample_from_record(rec: dict) -> RecoverySample:
+    complete = sequence_from_record(rec)
+    removed, n = sorted(rec["removed_positions"]), len(complete.activities)
+    if not all(type(i) is int and 0 <= i < n for i in removed) or len(set(removed)) < len(removed):
+        raise ValueError(f"removed positions must be distinct integers in [0, {n}): {removed}")
+    return RecoverySample(complete, removed)
+
+
 def read_samples(path) -> list[RecoverySample]:
-    samples = []
-    for lineno, rec in _read_lines(path):
-        try:
-            complete = sequence_from_record(rec)
-            removed, n = sorted(rec["removed_positions"]), len(complete.activities)
-            if not all(type(i) is int and 0 <= i < n for i in removed) or len(set(removed)) < len(removed):
-                raise ValueError(f"removed positions must be distinct integers in [0, {n}): {removed}")
-            samples.append(RecoverySample(complete, removed))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
-    return samples
+    return _read_records(path, _sample_from_record)

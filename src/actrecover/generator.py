@@ -12,7 +12,7 @@ master seed, so generation is order-independent and reproducible.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -157,9 +157,6 @@ class GeneratorConfig:
             raise ConfigError("seed must be >= 0 and n_days >= 1")
         if not 0.0 <= self.p_remove <= 1.0:
             raise ConfigError(f"p_remove out of [0, 1]: {self.p_remove}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def default_config() -> GeneratorConfig:

@@ -152,10 +152,7 @@ def evaluate(
             if lost:
                 location_correct += min(len(fill), len(lost))
                 report.correct_inserted += sum(min(fill.count(l), lost.count(l)) for l in set(fill))
-        if n_ins == 0:
-            pct = 1.0 if n_rem == 0 else 0.0
-        else:
-            pct = location_correct / n_ins
+        pct = location_correct / n_ins if n_ins else float(n_rem == 0)
         location_pcts.append(pct)
         if n_rem > 0:
             missing_only_pcts.append(pct)

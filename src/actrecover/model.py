@@ -130,9 +130,6 @@ class ModelConfig:
         if self.max_rounds < 0 or self.max_len < 1:
             raise ConfigError("max_rounds must be >= 0 and max_len >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class DecoderState:
@@ -507,8 +504,8 @@ class InsertionModel(Block):
 # -- checkpoints --------------------------------------------------------------
 # A checkpoint is one container: magic bytes, a length-prefixed JSON manifest, then a
 # little-endian blob of whole passes, each laid out like ``InsertionModel.values``. A model
-# checkpoint's blob is the parameters; a training checkpoint's manifest adds ``TRAIN_KEYS``
-# and its blob adds Adam's first and second moments, so it alone resumes training.
+# checkpoint's blob is the parameters; a training checkpoint's manifest adds ``TRAIN_KEYS`` and
+# ``data_digest`` (read by a resume alone), its blob Adam's two moments, so it alone resumes training.
 
 _MAGIC = b"ARCK"
 TRAIN_KEYS = ("train", "step", "adam_skipped")  # the manifest keys a training checkpoint adds
@@ -554,11 +551,11 @@ def _param_entries(params: Sequence[Parameter]) -> list[dict]:
 
 
 def save_checkpoint(model: InsertionModel, path, training: dict | None = None, moments=()) -> None:
-    """Write a model checkpoint or, given ``training`` (the ``TRAIN_KEYS`` values) and Adam's two
-    ``moments`` (each laid out like ``model.values``), a training checkpoint."""
+    """Write a model checkpoint or, given ``training`` (the ``TRAIN_KEYS`` and ``data_digest`` values)
+    and Adam's two ``moments`` (each laid out like ``model.values``), a training checkpoint."""
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "params": _param_entries(model.parameters()),
         **(training or {}),
     }
@@ -589,14 +586,14 @@ def read_checkpoint(path, config: ModelConfig | None = None):
         raise refusal(f"checkpoint manifest lacks {missing}")
     try:
         values = config_values(manifest["config"], ModelConfig)
-        missing = ", ".join(key for key in ModelConfig().to_dict() if key not in values)
+        missing = ", ".join(key for key in asdict(ModelConfig()) if key not in values)
         if missing:
             raise ConfigError(f"config lacks {missing}")
         saved = ModelConfig(**values)
     except ConfigError as exc:
         raise refusal(f"invalid checkpoint config: {exc}") from exc
     if config is not None and saved != config:
-        raise refusal("checkpoint config mismatch: " + config_diffs(manifest["config"], config.to_dict()))
+        raise refusal("checkpoint config mismatch: " + config_diffs(manifest["config"], asdict(config)))
     if not isinstance(manifest["params"], list):
         raise refusal(f"checkpoint manifest params must be a list, not {manifest['params']!r}")
     model = InsertionModel(saved, seed=0)

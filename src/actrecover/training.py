@@ -11,6 +11,7 @@ padding costs work only there and never enters the loss.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -66,9 +67,6 @@ class TrainConfig:
             raise ConfigError("seed and checkpoint_interval must be >= 0: "
                               f"seed={self.seed}, checkpoint_interval={self.checkpoint_interval}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
@@ -78,9 +76,6 @@ class TrainReport:
     wall_clock: float = 0.0
     steps: int = 0
     skipped_steps: int = 0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def clip_gradients(params: Sequence[Parameter], max_norm: float) -> float:
@@ -161,13 +156,23 @@ def _batch_item(sample: RecoverySample, complete: DecoderState, rng: np.random.G
 RESUMABLE_CHANGES = ("epochs", "checkpoint_interval")
 
 
-def load_train_state(path, model: InsertionModel, adam: Adam, train_config: TrainConfig) -> int:
+def _data_digest(samples: Sequence[RecoverySample], completes: Sequence[DecoderState]) -> str:
+    """SHA-256 of all that training reads of ``samples``, in order: each complete day's arrays and removed positions."""
+    ints = [n for s in samples for n in (len(s.complete), len(s.removed_positions), *s.removed_positions)]
+    h = hashlib.sha256(np.array(ints, dtype=np.int64))
+    for name in ("tokens", "cov", "dist", "codes"):
+        h.update(np.concatenate([getattr(c, name) for c in completes]))
+    return h.hexdigest()
+
+
+def load_train_state(path, model: InsertionModel, adam: Adam, train_config: TrainConfig, data_digest=None) -> int:
     """Restore parameters and Adam's state in place from a training checkpoint; returns the step count.
 
     The saved model config must equal ``model.config``, and the saved run's
     config must match ``train_config`` in every field but those in
-    ``RESUMABLE_CHANGES``, so a resume continues the same trajectory or
-    does not start. Adam's update count is the steps it did not skip.
+    ``RESUMABLE_CHANGES``, and its ``data_digest`` the one given, so a resume
+    continues the same trajectory or does not start. Adam's update count is
+    the steps it did not skip.
     """
     _, manifest, passes = read_checkpoint(path, model.config)
     if len(passes) == 1:
@@ -182,10 +187,13 @@ def load_train_state(path, model: InsertionModel, adam: Adam, train_config: Trai
         saved = config_values(manifest["train"], TrainConfig)
     except ConfigError as exc:
         raise CompatibilityError(f"{path}: invalid saved training config: {exc}") from exc
-    diffs = config_diffs(saved, train_config.to_dict(), RESUMABLE_CHANGES)
+    diffs = config_diffs(saved, asdict(train_config), RESUMABLE_CHANGES)
     if diffs:
         raise CompatibilityError(f"{path}: cannot resume with a different training config: {diffs}"
                                  f"; only {' and '.join(RESUMABLE_CHANGES)} may change")
+    if data_digest is not None and manifest.get("data_digest") != data_digest:
+        raise CompatibilityError(f"{path}: cannot resume on other training data: the checkpoint's data_digest "
+                                 + ("is missing" if "data_digest" not in manifest else "differs"))
     model.values[:], adam.m[:], adam.v[:] = passes
     adam.t, adam.skipped = step - skipped, skipped
     return step
@@ -202,22 +210,24 @@ def train(
 
     The checkpoint, when requested, is written every
     ``checkpoint_interval`` steps and at the end. It holds the parameters,
-    Adam's moments, the step counters and the training config, so
-    ``resume`` continues from it on the exact same trajectory; a checkpoint
-    past the run's last step raises ``ConfigError``. A step whose loss or
-    updated parameters leave float32's range raises ``NumericError``.
+    Adam's moments, the step counters, the training config and a digest of
+    the samples, so ``resume`` continues from it on the exact same
+    trajectory, or refuses other samples; a checkpoint past the run's last
+    step raises ``ConfigError``. A step whose loss or updated parameters
+    leave float32's range raises ``NumericError``.
     """
     if not samples:
         raise ConfigError("training dataset is empty")
     if resume and checkpoint_path is None:
         raise ConfigError("resuming needs the checkpoint path it continues from")
     completes = DecoderState.from_days([s.complete for s in samples], model_config.max_len)
+    digest = _data_digest(samples, completes)
     n = len(samples)
     per_epoch = (n + train_config.batch_size - 1) // train_config.batch_size
     total_steps = per_epoch * train_config.epochs
     model = InsertionModel(model_config, seed=train_config.seed)
     adam = Adam(model.values, model.grads, train_config.lr)
-    start_step = load_train_state(checkpoint_path, model, adam, train_config) if resume else 0
+    start_step = load_train_state(checkpoint_path, model, adam, train_config, digest) if resume else 0
     if start_step > total_steps:  # a resume never runs backwards
         raise ConfigError(f"{checkpoint_path}: checkpoint is at step {start_step}, "
                           f"past this run's last step, {total_steps}")
@@ -225,10 +235,10 @@ def train(
     started = time.perf_counter()
 
     def write_checkpoint(step: int) -> None:
-        if checkpoint_path is None:
-            return
-        training = {"train": train_config.to_dict(), "step": step, "adam_skipped": adam.skipped}
-        save_checkpoint(model, checkpoint_path, training, (adam.m, adam.v))
+        if checkpoint_path is not None:
+            training = {"train": asdict(train_config), "step": step, "adam_skipped": adam.skipped,
+                        "data_digest": digest}
+            save_checkpoint(model, checkpoint_path, training, (adam.m, adam.v))
 
     step = start_step
     while step < total_steps:

@@ -586,6 +586,26 @@ def loop_compare_transitions(table_a, table_b) -> dict:
     return {"wins_a": wins_a, "wins_b": wins_b, "ties": ties, "cells": cells}
 
 
+def loop_recovery_summary(outcomes, max_rounds: int) -> dict:
+    """Reference summary: a frozen copy of the ``cli._recovery_summary`` loop that grew the histogram
+    and the per-round sums as it counted."""
+    rounds_histogram = [0] * (max((o.rounds for o in outcomes), default=0) + 1)
+    insertions_per_round: list[int] = []
+    for outcome in outcomes:
+        rounds_histogram[outcome.rounds] += 1
+        for r, count in enumerate(outcome.inserted):
+            if r == len(insertions_per_round):
+                insertions_per_round.append(0)
+            insertions_per_round[r] += count
+    return {
+        "n_sequences": len(outcomes),
+        "max_rounds": max_rounds,
+        "rounds_histogram": rounds_histogram,
+        "truncated": sum(o.truncated for o in outcomes),
+        "insertions_per_round": insertions_per_round,
+    }
+
+
 def list_overlap(a: list[str], b: list[str]) -> int:
     """Reference overlap: a frozen copy of the list walk that sized the multiset intersection
     of ``a`` and ``b``."""

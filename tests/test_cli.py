@@ -10,11 +10,12 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actrecover import training
-from actrecover.cli import main
+from actrecover.activities import N_MODES, N_STATIC_LEVELS, N_TIME_BINS
+from actrecover.cli import _recovery_summary, main
 from actrecover.data import (
     RecoverySample,
     align_subsequence,
@@ -37,6 +39,7 @@ from actrecover.model import (
     CapacityError,
     InsertionModel,
     ModelConfig,
+    RecoveryOutcome,
     _read_container,
     _write_container,
     load_checkpoint,
@@ -45,7 +48,7 @@ from actrecover.model import (
 from actrecover.tensor import NumericError, ShapeError
 from actrecover.training import TrainConfig
 
-from helpers import random_sample, random_sequence
+from helpers import loop_recovery_summary, random_sample, random_sequence
 
 
 DEEP = 100_000  # JSON nesting far past Python's recursion limit
@@ -130,14 +133,14 @@ class TestGen:
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
-        raw = default_config().to_json_dict()
+        raw = asdict(default_config())
         raw["p_remove"] = 1.7
         cfg_path.write_text(json.dumps(raw))
         assert run("gen", "--out", tmp_path / "x.jsonl", "--config", cfg_path) == 2
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        raw = default_config().to_json_dict()
+        raw = asdict(default_config())
         raw["n_days"] = 5
         raw["seed"] = 1
         cfg_path.write_text(json.dumps(raw))
@@ -169,7 +172,7 @@ class TestGen:
         out = tmp_path / "d.jsonl"
         assert run("gen", "--out", out, "--config", cfg_path) == 0
         echoed = json.loads((tmp_path / "d.jsonl.summary.json").read_text())["config"]
-        expected = default_config().to_json_dict()
+        expected = asdict(default_config())
         expected.update(p_remove=1.0, n_days=5)
         assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
@@ -419,6 +422,42 @@ class TestTrain:
         assert capsys.readouterr().err == f"train: {old}: invalid saved training config: unknown config key 'beta1'\n"
         assert old.read_bytes() == before
 
+    def test_resume_on_other_data_exits_2_and_leaves_the_checkpoint(self, tmp_path, capsys):
+        """Other days, or the same days in another order, would not continue the checkpoint's trajectory."""
+        a, b, ckpt = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "m.ckpt"
+        for path, seed in ((a, 1), (b, 2)):
+            assert run("gen", "--out", path, "--seed", seed, "--n-days", 40) == 0
+        rolled = tmp_path / "rolled.jsonl"
+        lines = a.read_text().splitlines(keepends=True)
+        rolled.write_text("".join(lines[1:] + lines[:1]))
+        common = ["--out", ckpt, "--seed", 1, "--batch-size", 8, "--d-m", 8, "--heads", 2, "--n-layers", 1]
+        assert run("train", "--data", a, *common, "--epochs", 1) == 0
+        before = ckpt.read_bytes()
+        for other in (b, rolled):
+            capsys.readouterr()
+            assert run("train", "--data", other, *common, "--epochs", 2, "--resume") == 2
+            assert capsys.readouterr().err == (f"train: {ckpt}: cannot resume on other training data: "
+                                               "the checkpoint's data_digest differs\n")
+            assert ckpt.read_bytes() == before
+        assert run("train", "--data", a, *common, "--epochs", 2, "--resume") == 0
+
+    def test_a_checkpoint_without_a_data_digest_recovers_but_does_not_resume(self, small_run, tmp_path, capsys):
+        """A training checkpoint written before the digest was kept."""
+        old = tmp_path / "old.ckpt"
+        manifest, blob = _read_container(small_run["ckpt"])
+        del manifest["data_digest"]
+        _write_container(old, manifest, blob)
+        for ckpt, out in ((small_run["ckpt"], tmp_path / "h.jsonl"), (old, tmp_path / "old.jsonl")):
+            assert run("recover", "--checkpoint", ckpt, "--data", small_run["data"], "--out", out) == 0
+        assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "h.jsonl").read_bytes()
+        before = old.read_bytes()
+        capsys.readouterr()
+        assert run("train", "--data", small_run["data"], "--out", old, "--seed", 1, "--epochs", 3, "--batch-size", 8,
+                   "--d-m", 8, "--heads", 2, "--n-layers", 1, "--dropout", 0.0, "--resume") == 2
+        assert capsys.readouterr().err == (f"train: {old}: cannot resume on other training data: "
+                                           "the checkpoint's data_digest is missing\n")
+        assert old.read_bytes() == before
+
     def test_a_diverging_run_reports_each_step_s_gradient_norm_and_reruns_alike(self, small_run, tmp_path):
         # lr 10 drives the loss up by orders of magnitude, yet every value stays in range and the run exits 0
         cfg_path = tmp_path / "cfg.json"
@@ -602,7 +641,7 @@ class TestTrain:
         assert sorted(f.name for f in small_run["root"].iterdir()) == [
             "data.jsonl", "data.jsonl.summary.json", "model.ckpt", "model.ckpt.report.json"]
         manifest, _ = _read_container(small_run["ckpt"])
-        assert sorted(manifest) == ["adam_skipped", "config", "format", "params", "step", "train"]
+        assert sorted(manifest) == ["adam_skipped", "config", "data_digest", "format", "params", "step", "train"]
 
     def test_zero_model_dimension_exits_2(self, small_run, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -901,6 +940,19 @@ class TestRecover:
         summary = json.loads((tmp_path / "hyp.jsonl.summary.json").read_text())
         assert summary["rounds_histogram"] == [len(read_samples(small_run["data"]))]
         assert summary["insertions_per_round"] == [] and summary["truncated"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.lists(st.integers(0, 6), max_size=4)),
+                          max_size=8),
+           max_rounds=st.integers(0, 8))
+    @example(drawn=[], max_rounds=8)  # the empty dataset: histogram [0], no round
+    @example(drawn=[(0, False, [])] * 3, max_rounds=0)  # every day took zero rounds
+    def test_summary_equals_the_counting_loop(self, drawn, max_rounds):
+        outcomes = [RecoveryOutcome(None, rounds, truncated, tuple(inserted)) for rounds, truncated, inserted in drawn]
+        expected = loop_recovery_summary(outcomes, max_rounds)
+        assert json.dumps(_recovery_summary(outcomes, max_rounds)) == json.dumps(expected)
+        if not outcomes:
+            assert expected["rounds_histogram"] == [0] and expected["insertions_per_round"] == []
 
 
 class TestEvalAndCompare:
@@ -1370,36 +1422,41 @@ TRAIN_OUT_OF_RANGE = {
 }
 
 
+def _corrupt(draw, doc):
+    """``doc`` after one drawn corruption: a value (the whole document included) swapped for one of
+    another type or a non-finite float, a key or a list item deleted, or an unknown key added to an
+    object."""
+    paths = list(_paths(doc))
+    kind = draw(st.sampled_from(("swap", "delete", "unknown")))
+    if kind == "unknown":
+        objects = [p for p in paths if isinstance(_at(doc, p), dict)]
+        if objects:
+            _at(doc, draw(st.sampled_from(objects)))["bogus"] = 1
+        return doc
+    path = draw(st.sampled_from(paths))
+    if kind == "swap":
+        old = _at(doc, path)
+        new = copy.deepcopy(draw(st.sampled_from([v for v in SWAPS if _kind(v) != _kind(old)])))
+        if not path:
+            return new
+        _at(doc, path[:-1])[path[-1]] = new
+    elif path:
+        del _at(doc, path[:-1])[path[-1]]
+    return doc
+
+
 @st.composite
 def corrupted_config_texts(draw, base: dict, out_of_range: dict) -> tuple[str, bool]:
-    """``base`` as JSON text after one to three drawn corruptions, and sometimes cut short, and
-    whether the text must be refused.
+    """``base`` as JSON text after one to three drawn corruptions (``_corrupt``), and sometimes cut
+    short, and whether the text must be refused.
 
-    A corruption swaps a value (the whole object included) for one of another type or a
-    non-finite float, deletes a key or a list item, or adds an unknown key to an object. Or, after
-    up to three corruptions, a key of ``out_of_range`` is set to a value its strategy there draws;
-    the text must then be refused.
+    Or, after up to three corruptions, a key of ``out_of_range`` is set to a value its strategy
+    there draws; the text must then be refused.
     """
     doc = copy.deepcopy(base)
     refused = draw(st.booleans())
     for _ in range(draw(st.integers(0 if refused else 1, 3))):
-        paths = list(_paths(doc))
-        kind = draw(st.sampled_from(("swap", "delete", "unknown")))
-        if kind == "unknown":
-            objects = [p for p in paths if isinstance(_at(doc, p), dict)]
-            if objects:
-                _at(doc, draw(st.sampled_from(objects)))["bogus"] = 1
-            continue
-        path = draw(st.sampled_from(paths))
-        if kind == "swap":
-            old = _at(doc, path)
-            new = copy.deepcopy(draw(st.sampled_from([v for v in SWAPS if _kind(v) != _kind(old)])))
-            if path:
-                _at(doc, path[:-1])[path[-1]] = new
-            else:
-                doc = new
-        elif path:
-            del _at(doc, path[:-1])[path[-1]]
+        doc = _corrupt(draw, doc)
     refused = refused and isinstance(doc, dict)
     if refused:
         key = draw(st.sampled_from(sorted(out_of_range)))
@@ -1413,9 +1470,9 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def assert_runs_or_refuses_naming(argv, refused, *prefixes):
+def assert_runs_or_refuses_naming(argv, refused, *prefixes) -> str:
     """``main(argv)`` exits 0 quietly (unless ``refused``), or 2 with one stderr line that starts
-    with one of ``prefixes``; nothing escapes it."""
+    with one of ``prefixes``; nothing escapes it. Returns what it wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(*argv)
@@ -1424,6 +1481,7 @@ def assert_runs_or_refuses_naming(argv, refused, *prefixes):
         assert err == ""
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith(prefixes) and "Traceback" not in err, (code, err)
+    return err
 
 
 class TestCorruptedConfigs:
@@ -1433,7 +1491,7 @@ class TestCorruptedConfigs:
     """
 
     @settings(max_examples=300, deadline=None)
-    @given(drawn=corrupted_config_texts({**default_config().to_json_dict(), "n_days": 4}, GEN_OUT_OF_RANGE))
+    @given(drawn=corrupted_config_texts({**asdict(default_config()), "n_days": 4}, GEN_OUT_OF_RANGE))
     def test_gen(self, fuzz_dir, drawn):
         text, refused = drawn
         cfg_path = fuzz_dir / "gen.json"
@@ -1441,8 +1499,8 @@ class TestCorruptedConfigs:
         assert_runs_or_refuses_naming(["gen", "--out", fuzz_dir / "d.jsonl", "--config", cfg_path, "--n-days", 4],
                                       refused, f"gen: {cfg_path}: ")
 
-    TRAIN_BASE = {**ModelConfig(d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1).to_dict(),
-                  **TrainConfig(batch_size=16, epochs=1).to_dict()}
+    TRAIN_BASE = {**asdict(ModelConfig(d_m=8, n_heads=2, d_attn=4, d_val=4, n_layers=1)),
+                  **asdict(TrainConfig(batch_size=16, epochs=1))}
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=corrupted_config_texts(TRAIN_BASE, TRAIN_OUT_OF_RANGE))
@@ -1457,3 +1515,67 @@ class TestCorruptedConfigs:
                                        "--config", cfg_path, "--epochs", 1, "--batch-size", 16, "--d-m", 8,
                                        "--n-layers", 1], refused, f"train: {cfg_path}: ",
                                       f"train: {small_run['data']}: sample ")
+
+
+# Values of a data record's codes out of their range, for an observed and an unobserved activity
+# alike, and of its removed positions out of every day's.
+CODE_OUT_OF_RANGE = {
+    "weekday": st.integers(-2, 0) | st.integers(8, 10),
+    "holiday": st.integers(-2, -1) | st.integers(2, 4),
+    "static": st.integers(-2, 0) | st.integers(N_STATIC_LEVELS + 1, N_STATIC_LEVELS + 3),
+    "removed_positions": st.integers(-3, -1) | st.integers(100, 103),
+    "arr": st.integers(-3, -1) | st.integers(N_TIME_BINS + 1, N_TIME_BINS + 3),
+    "dep": st.integers(-3, -1) | st.integers(N_TIME_BINS + 1, N_TIME_BINS + 3),
+    "mode": st.integers(-3, -1) | st.integers(N_MODES + 1, N_MODES + 3),
+}
+
+
+def _code_paths(doc) -> list:
+    """(path, ``CODE_OUT_OF_RANGE`` key) of each code and removed position a data record holds."""
+    return [(p, p[-1] if len(p) != 2 else p[0]) for p in _paths(doc)
+            if (len(p) == 1 and p[0] in ("weekday", "holiday"))
+            or (len(p) == 2 and p[0] in ("static", "removed_positions") and type(p[1]) is int)
+            or (len(p) == 3 and p[0] == "activities" and p[2] in ("arr", "dep", "mode"))]
+
+
+@st.composite
+def corrupted_data_lines(draw, base: dict) -> tuple[str, bool]:
+    """The data record ``base`` as a JSON line after up to three drawn corruptions (``_corrupt``),
+    or after at most one and then a code or a removed position set out of its range, and sometimes
+    cut short; and whether the line must be refused. A cut keeps one character at least, as a blank
+    line is skipped."""
+    doc = copy.deepcopy(base)
+    refused = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 1 if refused else 3))):
+        doc = _corrupt(draw, doc)
+    codes = _code_paths(doc)
+    refused = refused and bool(codes)
+    if refused:
+        path, key = draw(st.sampled_from(codes))
+        _at(doc, path[:-1])[path[-1]] = draw(CODE_OUT_OF_RANGE[key])
+    text = json.dumps(doc)  # writes NaN, Infinity and -Infinity as Python's json module reads them
+    if len(text) > 1 and draw(st.integers(0, 4)) == 0:
+        return text[: draw(st.integers(1, len(text) - 1))], True
+    return text, refused
+
+
+class TestCorruptedDataLines:
+    """A data file whose line 2 is corrupted either still runs or is refused in one line naming the
+    file and line 2, by ``eval``, which reads it as samples and as hypotheses, and by ``recover``."""
+
+    @pytest.fixture(scope="class")
+    def three_lines(self, fuzz_dir):
+        data = fuzz_dir / "three.jsonl"
+        assert run("gen", "--out", data, "--seed", 3, "--n-days", 3) == 0
+        return data.read_text().splitlines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_eval_and_recover(self, small_run, fuzz_dir, three_lines, data):
+        text, refused = data.draw(corrupted_data_lines(json.loads(three_lines[1])), label="line 2")
+        path = fuzz_dir / "line2.jsonl"
+        path.write_text("\n".join([three_lines[0], text, three_lines[2]]) + "\n")
+        for argv in (["eval", "--data", path, "--hyp", path, "--out", fuzz_dir / "ev"],
+                     ["recover", "--checkpoint", small_run["ckpt"], "--data", path, "--out", fuzz_dir / "h.jsonl"]):
+            err = assert_runs_or_refuses_naming(argv, refused, f"{argv[0]}: {path}: ")
+            assert err == "" or re.search(r"\bline 2\b", err), err

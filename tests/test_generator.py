@@ -2,6 +2,7 @@
 
 from bisect import bisect_right
 from contextlib import contextmanager
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_calibration_tables_are_valid():
 
 
 def test_config_holds_only_what_a_run_chooses():
-    assert default_config().to_json_dict() == {"seed": 0, "n_days": 10_000, "p_remove": 0.3}
+    assert asdict(default_config()) == {"seed": 0, "n_days": 10_000, "p_remove": 0.3}
 
 
 @pytest.mark.parametrize("values, problem", [
@@ -93,7 +94,7 @@ def test_config_refuses_what_a_run_cannot_use(values, problem):
 
 @pytest.mark.parametrize("values", [{"seed": 0}, {"n_days": 1}, {"p_remove": 0.0}, {"p_remove": 1.0}])
 def test_config_accepts_its_bounds(values):
-    assert GeneratorConfig(**values).to_json_dict() == {**default_config().to_json_dict(), **values}
+    assert asdict(GeneratorConfig(**values)) == {**asdict(default_config()), **values}
 
 
 def test_config_values_types_each_key_by_its_field():
@@ -123,7 +124,7 @@ def test_config_json_roundtrip():
     cfg = default_config()
     cfg.seed = 9
     cfg.n_days = 123
-    again = GeneratorConfig(**cfg.to_json_dict())
+    again = GeneratorConfig(**asdict(cfg))
     assert again == cfg
 
 

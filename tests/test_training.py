@@ -2,7 +2,7 @@
 
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover import tensor as T
-from actrecover.activities import ACTIVITY_CATEGORIES, ID_TO_LABEL, LABEL_TO_ID
+from actrecover.activities import ACTIVITY_CATEGORIES, ID_TO_LABEL, LABEL_TO_ID, N_MODES
 from actrecover.data import Activity, DaySequence, RecoverySample, mask_sequence
 from actrecover.generator import ConfigError, default_config, generate_population, make_samples
 from actrecover.model import (
@@ -30,8 +30,8 @@ from actrecover.tensor import Parameter
 from actrecover.training import (
     Adam,
     TrainConfig,
-    TrainReport,
     _batch_item,
+    _data_digest,
     clip_gradients,
     load_train_state,
     train,
@@ -594,7 +594,7 @@ class TestCheckpointingAndResume:
     def test_checkpoint_pins_the_training_config(self, one_epoch_state):
         ckpt, tc = one_epoch_state
         manifest, _ = _read_container(ckpt)
-        assert manifest["train"] == tc.to_dict()
+        assert manifest["train"] == asdict(tc)
         assert (manifest["step"], manifest["adam_skipped"]) == (2, 0) and "adam_t" not in manifest
 
     def test_resume_refuses_a_different_training_config(self, one_epoch_state):
@@ -641,7 +641,10 @@ class TestCheckpointingAndResume:
         step = load_train_state(ckpt, model, adam, tc)
         assert (adam.t, adam.skipped) == (step, 0)
         again = tmp_path / "again.ckpt"
-        save_checkpoint(model, again, {"train": tc.to_dict(), "step": step, "adam_skipped": 0}, (adam.m, adam.v))
+        samples = small_dataset(n_days=8, seed=7)
+        digest = _data_digest(samples, DecoderState.from_days([s.complete for s in samples], tiny_config().max_len))
+        training = {"train": asdict(tc), "step": step, "adam_skipped": 0, "data_digest": digest}
+        save_checkpoint(model, again, training, (adam.m, adam.v))
         assert again.read_bytes() == ckpt.read_bytes()
 
     def test_adam_update_count_is_the_steps_not_skipped(self, one_epoch_state):
@@ -668,11 +671,39 @@ class TestCheckpointingAndResume:
             load_train_state(ckpt, model, Adam(model.values, model.grads, TrainConfig().lr), TrainConfig())
 
 
-@pytest.mark.parametrize(
-    "record",
-    [ModelConfig(), TrainConfig(), TrainReport(losses=[0.5], steps=1), default_config()],
-    ids=lambda record: type(record).__name__,
-)
-def test_records_serialize_exactly_their_dataclass_fields(record):
-    to_dict = record.to_dict if hasattr(record, "to_dict") else record.to_json_dict
-    assert list(to_dict()) == [f.name for f in fields(record)]
+def _with_first_activity(sample: RecoverySample, **changes) -> RecoverySample:
+    day = sample.complete
+    acts = [replace(day.activities[0], **changes), *day.activities[1:]]
+    return RecoverySample(replace(day, activities=acts), sample.removed_positions)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ss: ss[::-1],
+    lambda ss: [RecoverySample(ss[0].complete, sorted(set(ss[0].removed_positions) ^ {0})), *ss[1:]],
+    lambda ss: [RecoverySample(replace(ss[0].complete, weekday=ss[0].complete.weekday % 7 + 1),
+                               ss[0].removed_positions), *ss[1:]],
+    lambda ss: [RecoverySample(replace(ss[0].complete, static=(5, 5, 5, 5)), ss[0].removed_positions), *ss[1:]],
+    lambda ss: [_with_first_activity(ss[0], label="Other"), *ss[1:]],
+    lambda ss: [_with_first_activity(ss[0], dep=ss[0].complete.activities[0].dep + 1), *ss[1:]],
+    lambda ss: [_with_first_activity(ss[0], mode=1 + ss[0].complete.activities[0].mode % N_MODES), *ss[1:]],
+    lambda ss: [_with_first_activity(ss[0], dist=ss[0].complete.activities[0].dist + 0.5), *ss[1:]],
+    lambda ss: ss[:-1],
+], ids=["order", "removed", "weekday", "static", "label", "dep", "mode", "dist", "one_day_fewer"])
+def test_data_digest_changes_with_what_training_reads(edit):
+    """The digest a resume checks moves with each part of a sample that training reads."""
+    samples = small_dataset(n_days=8, seed=7)
+    assert samples[0].complete.activities[0].label != "Other" and samples[0].complete.static != (5, 5, 5, 5)
+
+    def digest(samples):
+        return _data_digest(samples, DecoderState.from_days([s.complete for s in samples], 32))
+
+    assert digest(edit(samples)) != digest(samples)
+
+
+def test_data_digest_ignores_person_ids_and_dates():
+    """Training never reads them, so a renumbered copy continues the same trajectory."""
+    samples = small_dataset(n_days=8, seed=7)
+    renumbered = [RecoverySample(replace(s.complete, person_id=100 + i, date=7), s.removed_positions)
+                  for i, s in enumerate(samples)]
+    completes = [DecoderState.from_days([s.complete for s in ss], 32) for ss in (samples, renumbered)]
+    assert _data_digest(samples, completes[0]) == _data_digest(renumbered, completes[1])
