@@ -241,10 +241,27 @@ def _write_lines(path, records: Iterable[dict]) -> None:
 
 
 def _read_records(path, decode) -> list:
-    """``decode`` of each non-blank line's JSON value, one line at a time; a fault names the line."""
+    """``decode`` of each non-blank line's JSON value, one line at a time; a fault names the line.
+
+    orjson parses a line first. A line that orjson refuses, whose value ``decode`` refuses, or that
+    may nest deeply is read again by json, whose reading alone gives the record or the refusal. Where
+    the parsers differ, orjson refuses (blank lines, NaN, a BOM, lone surrogates, bad UTF-8) or reads
+    an integer beyond 64 bits as a float, which ``decode`` refuses or makes the distance json's
+    integer makes. So every record read is json's, and so is every refusal.
+    """
+    import orjson  # not at module level: importing the package stays as cheap as without it
+
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            # json refuses nesting past the recursion limit and orjson does not (3.8 even crashes on
+            # objects nested 50,000 deep): a line of 256 brackets or more goes to json alone
+            if raw.count(b"[") + raw.count(b"{") < 256:
+                try:
+                    records.append(decode(orjson.loads(raw)))
+                    continue
+                except (KeyError, TypeError, ValueError):
+                    pass
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
@@ -252,8 +269,9 @@ def _read_records(path, decode) -> list:
                 record = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: parse error at line {lineno}: {exc.msg}") from exc
+            except json.JSONDecodeError as exc:  # not ``exc.colno``, which restarts past the line's newline
+                raise ParseError(f"{path}: parse error at line {lineno}, column {exc.pos + 1}: "
+                                 f"{exc.msg.removesuffix(' at')}") from exc
             except ValueError as exc:  # an integer of more digits than Python converts
                 raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
             except RecursionError as exc:

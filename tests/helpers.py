@@ -9,9 +9,11 @@ tests use), the per-slot ``Counter`` walk that filled the loss's target
 rows, the ``rng.choice`` day sampler, the ``Packing`` index arrays built
 from ``sizes``, the per-cell ``compare_transitions`` loop and the list walk
 that counted a slot's label overlap; ``at_float64``, which promotes a
-model to run parity checks at 64-bit; and ``assert_same_network_inputs``,
-which compares a state with a day through the network's packed inputs."""
+model to run parity checks at 64-bit; ``assert_same_network_inputs``,
+which compares a state with a day through the network's packed inputs; and
+``json_read_records``, the JSONL reader that parsed every line with json."""
 
+import json
 from collections import Counter
 
 from dataclasses import replace
@@ -34,7 +36,7 @@ from actrecover.activities import (
     PAD_ID,
 )
 from actrecover import tensor as T
-from actrecover.data import Activity, AlignmentError, DaySequence, RecoverySample, mask_sequence
+from actrecover.data import Activity, AlignmentError, DaySequence, ParseError, RecoverySample, mask_sequence
 from actrecover import generator
 from actrecover.generator import regime_of
 from actrecover.layers import (
@@ -616,3 +618,29 @@ def list_overlap(a: list[str], b: list[str]) -> int:
             rest.remove(label)
             n += 1
     return n
+
+
+def json_read_records(path, decode) -> list:
+    """``data._read_records`` as it was before orjson: json parses every line, and a JSON syntax
+    error is refused without its column."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno} is not UTF-8 text") from exc
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: parse error at line {lineno}: {exc.msg}") from exc
+            except ValueError as exc:  # an integer of more digits than Python converts
+                raise ParseError(f"{path}: parse error at line {lineno}: {exc}") from exc
+            except RecursionError as exc:
+                raise ParseError(f"{path}: parse error at line {lineno}: nested too deeply") from exc
+            try:
+                records.append(decode(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
+    return records

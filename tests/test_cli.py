@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actrecover import data as data_module
 from actrecover import training
 from actrecover.activities import N_MODES, N_STATIC_LEVELS, N_TIME_BINS
 from actrecover.cli import _recovery_summary, main
@@ -48,7 +49,7 @@ from actrecover.model import (
 from actrecover.tensor import NumericError, ShapeError
 from actrecover.training import TrainConfig
 
-from helpers import loop_recovery_summary, random_sample, random_sequence
+from helpers import json_read_records, loop_recovery_summary, random_sample, random_sequence
 
 
 DEEP = 100_000  # JSON nesting far past Python's recursion limit
@@ -1202,6 +1203,22 @@ class TestEvalAndCompare:
         assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
         assert capsys.readouterr().err == f"eval: {data}: parse error at line 2: nested too deeply\n"
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda line: line[:40], "column 41: Invalid control character"),
+        (lambda line: line.replace('"weekday":7', '"weekday":', 1), "column 35: Expecting value"),
+        (lambda line: line[:34], "column 36: Expecting value"),
+    ], ids=["cut-in-a-string", "value-left-out", "cut-after-a-colon"])
+    def test_json_syntax_error_exits_2_naming_file_line_and_column(self, small_run, tmp_path, capsys, edit, problem):
+        """The column counts the line's characters from 1; one past its newline is where json found
+        the line's end."""
+        lines = small_run["data"].read_text().splitlines()
+        assert lines[1].startswith('{"person_id":1,"date":1,"weekday":7,"hol')
+        data = tmp_path / "cut.jsonl"
+        data.write_text("\n".join([lines[0], edit(lines[1]), *lines[2:]]) + "\n")
+        assert run("eval", "--data", data, "--hyp", small_run["data"], "--out", tmp_path / "m") == 2
+        assert capsys.readouterr().err == f"eval: {data}: parse error at line 2, {problem}\n"
+        assert not list(tmp_path.glob("m*"))
+
 
 # A path argument for each command, with flags that make the command run in a moment.
 PATH_FLAGS = [
@@ -1386,6 +1403,55 @@ class TestBlasThreads:
             files = {name: (cwd / name).read_bytes() for name in ("m.ckpt", "h.jsonl", "h.jsonl.summary.json")}
             outputs.append({"report": [line for line in report if '"wall_clock"' not in line], **files})
         assert [name for name in outputs[0] if outputs[0][name] != outputs[1][name]] == []
+
+
+class TestTwoParsers:
+    """orjson parses each data line first; json reads the lines orjson or the record check refuses."""
+
+    def test_commands_write_what_they_write_with_json_alone(self, small_run, tmp_path, monkeypatch):
+        """train, recover, eval and compare on a file of valid edge values, read by the reader and by
+        json alone: every output is the same bytes (the report but for its wall clock)."""
+        lines = [json.loads(line) for line in small_run["data"].read_text().splitlines()]
+        lines[0]["person_id"] = 2**63 + 7
+        lines[1].update(person_id=2**64 + 3, bogus=10**40)  # beyond 64 bits: orjson reads a float
+        kept = next(i for i in range(len(lines[2]["activities"])) if i not in lines[2]["removed_positions"])
+        lines[2]["activities"][kept].update(observed=False, arr=0, dep=0, mode=0, dist=int("7" * 300))
+        lines[3]["activities"][0]["extra"] = -(2**70)
+        lines[3]["big"] = 10**400  # beyond floats: orjson refuses the line
+        text = "\r\n".join(json.dumps(rec) for rec in lines).replace("\r\n", "\r\n\r\n \x0c\r\n", 2) + "\r\n"
+        data = tmp_path / "edge.jsonl"
+        data.write_bytes(text.encode())
+        outputs = []
+        for name in ("json", "reader"):
+            out = tmp_path / name
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if name == "json":
+                    patch.setattr(data_module, "_read_records", json_read_records)
+                for argv in (["train", "--data", data, "--out", out / "m.ckpt", *TINY_TRAIN],
+                             ["recover", "--checkpoint", out / "m.ckpt", "--data", data, "--out", out / "h.jsonl"],
+                             ["eval", "--data", data, "--hyp", out / "h.jsonl", "--out", out / "ev"],
+                             ["compare", "--data", data, "--hyp-a", out / "h.jsonl", "--hyp-b", data,
+                              "--out", out / "cmp.json"]):
+                    assert run(*argv) == 0, argv
+            outputs.append({f.name: re.sub(rb'"wall_clock": [^\n]*', b"", f.read_bytes()) for f in out.iterdir()})
+        assert len(outputs[0]) == 11 and outputs[0] == outputs[1]
+
+    def test_importing_the_cli_or_running_gen_leaves_orjson_unloaded(self, tmp_path):
+        """Reading a data file imports orjson; the package's import and gen, which reads none, do not."""
+        script = (
+            "import sys\n"
+            "from actrecover.cli import main\n"
+            "assert 'orjson' not in sys.modules\n"
+            "assert main(['gen', '--out', 'd.jsonl', '--n-days', '4', '--seed', '1']) == 0\n"
+            "assert 'orjson' not in sys.modules\n"
+            "assert main(['eval', '--data', 'd.jsonl', '--hyp', 'd.jsonl', '--out', 'ev']) == 0\n"
+            "assert 'orjson' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 # Replacements for a config value: one of each JSON type, an integer beyond any float, and the non-finite floats.

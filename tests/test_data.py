@@ -1,5 +1,6 @@
 """Masking, alignment, and the JSONL dataset format."""
 
+import copy
 import json
 import tracemalloc
 
@@ -15,16 +16,21 @@ from actrecover.data import (
     DaySequence,
     ParseError,
     RecoverySample,
+    _read_records,
+    _sample_from_record,
     align_subsequence,
     mask_sequence,
     read_samples,
     read_sequences,
+    sequence_from_record,
     sequence_to_record,
     slot_fills,
     write_samples,
     write_sequences,
 )
 from actrecover.generator import default_config, generate_population, make_samples
+
+from helpers import json_read_records
 
 
 def make_sequence(labels, person_id=0, weekday=3, holiday=0):
@@ -281,3 +287,163 @@ def test_write_then_read_samples_gives_them_back(tmp_path_factory, samples):
     again = path.with_suffix(".again.jsonl")
     write_samples(again, read_samples(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+# -- orjson first, json for the rest: the reader reads every line as json alone did ---------------
+
+def _base_records() -> list[dict]:
+    cfg = default_config()
+    cfg.n_days = 6
+    return [{**sequence_to_record(s.complete), "removed_positions": s.removed_positions}
+            for s in make_samples(generate_population(cfg, seed=5), 0.4, seed=5)]
+
+
+BASE_RECORDS = _base_records()
+GOOD = json.dumps(BASE_RECORDS[1], separators=(",", ":"))
+
+
+@st.composite
+def _digits(draw, low: int, high: int) -> str:
+    """An integer of ``low`` to ``high`` digits, as JSON text; negative at times."""
+    n = draw(st.integers(low, high))
+    return ("-" if draw(st.booleans()) else "") + str(draw(st.integers(10 ** (n - 1), 10**n - 1)))
+
+
+def _nested(depth: int, obj: bool) -> str:
+    return '{"a":' * depth + "0" + "}" * depth if obj else "[" * depth + "]" * depth
+
+
+EDGE_INTS = ["-0", "0", "1", "3", "-1", "1.0", "1e2", "-0.0", "true", "null",
+             *map(str, [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1])]
+EDGE_FLOATS = ["-0", "-0.0", "0", "0e0", "-0e0", "NaN", "Infinity", "-Infinity", "1e400", "1e-400", "5e-324",
+               "2.2250738585072011e-308", "0.1000000000000000055511151231257827", "9007199254740993",
+               "1.7976931348623157e308", "1e16", "1e-05", "1" + "0" * 309, "9" * 309]
+ODD_VALUES = [r'"\ud800"', r'"\udc00x"', r'"\ud83d\ude00"', '"HomeActivity"', '""', "[]", "{}", "[null]",
+              '{"label":"HomeActivity"}', "1" + "0" * 5000]
+# Depths on both sides of json's recursion limit and of the reader's bracket bound
+DEPTHS = [1, 100, 254, 255, 256, 300, 900, 1100, 3000]
+int_tokens = st.sampled_from(EDGE_INTS) | _digits(1, 3) | _digits(18, 21) | _digits(20, 309)
+dist_tokens = (st.sampled_from(EDGE_FLOATS) | _digits(20, 309) | _digits(300, 330)
+               | st.floats(0, 1e300, allow_nan=False).map(repr)
+               | st.builds("{}.{}e{}".format, st.integers(0, 10**25), st.integers(0, 10**25), st.integers(-330, 310)))
+odd_tokens = (int_tokens | dist_tokens | st.sampled_from(ODD_VALUES)
+              | st.builds(_nested, st.sampled_from(DEPTHS), st.booleans()))
+BLANK_LINES = [b"\n", b"\r\n", b"\x0c\n", b"\x1c\n", b" \t \n", b"\x0b\n", "\u3000\n".encode(), "\x85\n".encode(),
+               b"\xef\xbb\xbf\n", b"\r"]
+BYTES = [b"\x80", b"\xff", b"\xed\xa0\x80", b"\xc0\x80", b"\xf4\x90\x80\x80", b"\x00", b"\x0c", b"\x1c", b"\r",
+         b"\t", b" ", b"\xc2\xa0", b"\xe3\x80\x80", b'"', b"{", b"[", b"]", b",", b":", b"\\", b"-", b"e", b"0"]
+
+
+@st.composite
+def data_lines(draw) -> bytes:
+    """A gen record as a JSON line after up to three edits, each a field set to a drawn JSON text
+    (an edge integer, an edge distance, an odd value, a deep nesting) or an unknown or duplicate key
+    holding one; then at times a BOM, a cut or a few inserted bytes; and a line end. Or a blank line."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(BLANK_LINES))
+    rec = copy.deepcopy(draw(st.sampled_from(BASE_RECORDS)))
+    tokens = {}
+
+    def put(obj, key, token: str) -> None:  # json.dumps writes "@i@", which becomes the token's text
+        tokens[f'"@{len(tokens)}@"'] = token
+        obj[key] = f"@{len(tokens) - 1}@"
+
+    for _ in range(draw(st.integers(0, 3))):
+        # an earlier edit may have put a token in place of the activities, or of the lists below
+        acts = [a for a in rec["activities"] if type(a) is dict] if type(rec["activities"]) is list else []
+        act = draw(st.sampled_from(acts)) if acts else rec
+        edit = draw(st.sampled_from(("int", "dist", "odd", "key", "deep")))
+        if edit == "int":
+            lists = [rec[k] for k in ("static", "removed_positions") if type(rec[k]) is list]
+            obj, key = draw(st.sampled_from([(rec, k) for k in ("person_id", "date", "weekday", "holiday")]
+                                            + [(act, k) for k in ("arr", "dep", "mode")]
+                                            + [(items, i) for items in lists for i in range(len(items))]))
+            put(obj, key, draw(int_tokens))
+        elif edit == "dist":
+            put(act, "dist", draw(dist_tokens))
+        elif edit == "odd":
+            obj = draw(st.sampled_from((rec, act)))
+            put(obj, draw(st.sampled_from(sorted(obj))), draw(odd_tokens))
+        elif edit == "deep":
+            depth = draw(st.sampled_from(DEPTHS))
+            put(draw(st.sampled_from((rec, act))), "bogus", _nested(depth, draw(st.booleans())))
+        else:  # an unknown key, or a key again: after the first, its value is the one read
+            obj = draw(st.sampled_from((rec, act)))
+            name = draw(st.sampled_from(("bogus", "")) | st.sampled_from(sorted(obj)))
+            tokens[f'"@key{len(tokens)}@"'] = json.dumps(name)
+            put(obj, f"@key{len(tokens) - 1}@", draw(odd_tokens))
+    text = json.dumps(rec, separators=draw(st.sampled_from(((",", ":"), (", ", ": ")))))
+    for placeholder, token in tokens.items():
+        text = text.replace(placeholder, token, 1)
+    line = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        line = b"\xef\xbb\xbf" + line
+    if draw(st.integers(0, 4)) == 0:
+        line = line[: draw(st.integers(0, len(line)))]
+    for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(BYTES) | st.binary(min_size=1, max_size=2)) + line[at:]
+    return line + draw(st.sampled_from((b"\n", b"\r\n", b"")))
+
+
+def _reading(read, path, decode) -> str:
+    """What ``read`` makes of ``path``: the repr of its records, which tells floats apart bit for bit
+    (``-0.0`` from ``0.0``) and ``1`` from ``1.0`` and ``True``, or its refusal's text."""
+    try:
+        return repr(read(path, decode))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _json_reading(path, decode) -> str:
+    """``_reading`` of json alone, a JSON syntax error's refusal in today's form: with the column,
+    and without json's trailing `` at``."""
+    try:
+        return repr(json_read_records(path, decode))
+    except ParseError as exc:
+        cause = exc.__cause__
+        if type(cause) is json.JSONDecodeError:
+            head = str(exc).removesuffix(f": {cause.msg}")
+            return f"ParseError: {head}, column {cause.pos + 1}: {cause.msg.removesuffix(' at')}"
+        return f"ParseError: {exc}"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTwoParsers:
+    """``_read_records`` reads every line as json alone read it: the same records, or the same
+    refusal but for a syntax error's column."""
+
+    @staticmethod
+    def assert_read_as_json_reads(path) -> None:
+        for decode in (sequence_from_record, _sample_from_record):
+            assert _reading(_read_records, path, decode) == _json_reading(path, decode)
+
+    @pytest.fixture(scope="class")
+    def line_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("parsers") / "lines.jsonl"
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(data_lines(), min_size=1, max_size=3))
+    def test_drawn_lines(self, line_file, lines):
+        line_file.write_bytes(b"".join(lines))
+        self.assert_read_as_json_reads(line_file)
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff" + GOOD, GOOD.replace('"dist":', '"dist":NaN,"x":', 1),
+        GOOD.replace('"dist":', '"dist":Infinity,"x":', 1), GOOD.replace('"dist":', '"dist":-0,"x":', 1),
+        GOOD.replace('"dist":', f'"dist":{"7" * 300},"x":', 1), GOOD.replace('"date":', f'"date":{10**20},"x":', 1),
+        GOOD.replace('"person_id":', f'"person_id":{2**64 - 1},"x":', 1),
+        GOOD.replace('"weekday":', '"weekday":-0,"x":', 1), GOOD[:-1] + r',"bogus":"\ud800"}',
+        GOOD[:-1] + f',"bogus":{"1" * 5000}}}', GOOD[:-1] + ',"bogus":NaN}', GOOD[:-1] + ',"weekday":5}',
+        GOOD[:-1] + f',"bogus":{_nested(950, True)}}}', GOOD[:-1] + f',"bogus":{_nested(950, False)}}}',
+        GOOD[:-1] + f',"bogus":{_nested(100_000, True)}}}',
+    ], ids=["bom", "nan", "infinity", "minus-0-dist", "300-digit-dist", "20-digit-date", "u64-person-id",
+            "minus-0-weekday", "lone-surrogate", "5000-digits", "unknown-nan", "duplicate-key",
+            "950-deep-objects", "950-deep-arrays", "100000-deep-objects"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_edge_lines(self, tmp_path, line, end):
+        """Each edge line as line 2 of three, the others good, with blank lines around them."""
+        path = tmp_path / "edge.jsonl"
+        path.write_bytes(f"{GOOD}{end}\x0c{end}{line}{end} {end}{GOOD}{end}".encode())
+        self.assert_read_as_json_reads(path)
