@@ -28,20 +28,14 @@ from .data import (
     AlignmentError,
     ParseError,
     align_subsequence,
+    read_days,
     read_samples,
     read_sequences,
     write_samples,
     write_sequences,
 )
 from .generator import ConfigError, GeneratorConfig, config_values, generate_population, make_samples
-from .metrics import (
-    InputSide,
-    activity_distribution,
-    compare_transitions,
-    evaluate,
-    insertion_pattern_topk,
-    transition_analysis,
-)
+from .metrics import InputSide, activity_distribution, compare_transitions, score, top_patterns, transition_analysis
 from .model import CapacityError, CompatibilityError, LengthError, ModelConfig, VocabularyError, load_checkpoint
 from .tensor import NumericError, ShapeError
 from .training import TrainConfig, train
@@ -175,32 +169,31 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _evaluate(side, hypotheses, hyp_path):
-    """``evaluate``, naming ``hyp_path`` if its days do not pair with or contain the inputs."""
+def _score(side, hypotheses, hyp_path):
+    """``score``, naming ``hyp_path`` if its days do not pair with or contain the inputs."""
     try:
-        return evaluate(side, hypotheses)
+        return score(side, hypotheses)
     except AlignmentError as exc:
         raise AlignmentError(f"{hyp_path}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
-    samples = read_samples(args.data)
-    hypotheses = read_sequences(args.hyp)
-    side = InputSide(samples)
-    report = _evaluate(side, hypotheses, args.hyp)
+    data = read_days(args.data, samples=True)
+    hypotheses = read_days(args.hyp)
+    side = InputSide(data)
+    report, patterns = _score(side, hypotheses, args.hyp)
     _write_json(str(args.out) + ".metrics.json", report.to_json_dict())
     hyp_counts = activity_distribution(hypotheses)
-    target_counts = activity_distribution([s.complete for s in samples])
+    target_counts = activity_distribution(data)
     _write_csv(
         str(args.out) + ".distribution.csv",
         ["label", "hypothesis", "target"],
         [[label, hyp_counts[label], target_counts[label]] for label in ACTIVITY_CATEGORIES],
     )
-    patterns = insertion_pattern_topk(side, hypotheses, k=20)
     _write_csv(
         str(args.out) + ".patterns.csv",
         ["pattern", "count"],
-        [["|".join(pattern), count] for pattern, count in patterns],
+        [["|".join(pattern), count] for pattern, count in top_patterns(patterns, k=20)],
     )
     table = transition_analysis(side, hypotheses)
     _write_json(
@@ -222,12 +215,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    samples = read_samples(args.data)
-    hyp_a = read_sequences(args.hyp_a)
-    hyp_b = read_sequences(args.hyp_b)
-    side = InputSide(samples)
-    metrics_a = _evaluate(side, hyp_a, args.hyp_a)
-    metrics_b = _evaluate(side, hyp_b, args.hyp_b)
+    data = read_days(args.data, samples=True)
+    hyp_a = read_days(args.hyp_a)
+    hyp_b = read_days(args.hyp_b)
+    side = InputSide(data)
+    metrics_a = _score(side, hyp_a, args.hyp_a)[0]
+    metrics_b = _score(side, hyp_b, args.hyp_b)[0]
     verdicts = compare_transitions(transition_analysis(side, hyp_a), transition_analysis(side, hyp_b))
     payload = {
         "metrics_a": metrics_a.to_json_dict(),

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .activities import (
+    ACTIVITY_CATEGORIES,
     LABEL_TO_ID,
     MISSING_CODE,
     N_MODES,
@@ -154,10 +157,10 @@ def align_subsequence(sub: Sequence, full: Sequence) -> list[int]:
     anchors: list[int] = []
     j = 0
     for i, label in enumerate(sub):
-        while j < len(full) and full[j] != label:
-            j += 1
-        if j == len(full):
-            raise AlignmentError(f"element {i} ({label!r}) has no match left in the full sequence")
+        try:
+            j = full.index(label, j)
+        except ValueError:
+            raise AlignmentError(f"element {i} ({label!r}) has no match left in the full sequence") from None
         anchors.append(j)
         j += 1
     return anchors
@@ -202,6 +205,17 @@ def sequence_to_record(seq: DaySequence) -> dict:
 _LABELS = {label: label for label in LABEL_TO_ID}
 
 
+_JSON_TYPES = {str: "string", int: "integer", float: "float", bool: "boolean", list: "array", dict: "object",
+               type(None): "null"}
+
+
+def _wrong_type(fields) -> str:
+    """The first of ``fields`` (name, value, type, what it must be) whose value is not of its type, named
+    with the JSON type read; not the value, which may nest deeply."""
+    name, value, wanted = next((name, value, wanted) for name, value, kind, wanted in fields if type(value) is not kind)
+    return f"{name} must be {wanted}, not {_JSON_TYPES.get(type(value), type(value).__name__)}"
+
+
 def sequence_from_record(rec: dict) -> DaySequence:
     """The day a record holds; a field of the wrong JSON type or out of range is a ``ValueError``."""
     acts = []
@@ -215,8 +229,9 @@ def sequence_from_record(rec: dict) -> DaySequence:
                 raise ValueError(f"activity {len(acts)}: trip distance is an integer too large "
                                  "for a float") from exc
         if not (type(arr) is type(dep) is type(mode) is int and type(dist) is float and type(observed) is bool):
-            raise ValueError(f"activity {len(acts)}: arr, dep and mode must be integers, "
-                             f"dist a number and observed a boolean: {a}")
+            raise ValueError(f"activity {len(acts)}: " + _wrong_type((
+                ("arr", arr, int, "an integer"), ("dep", dep, int, "an integer"), ("mode", mode, int, "an integer"),
+                ("dist", dist, float, "a number"), ("observed", observed, bool, "a boolean"))))
         if type(label) is str:  # any other label, even an unhashable one, is refused later by ``validate``
             label = _LABELS.get(label, label)
         acts.append(Activity(label, arr, dep, mode, dist, observed))
@@ -224,7 +239,9 @@ def sequence_from_record(rec: dict) -> DaySequence:
         rec["person_id"], rec["date"], rec["weekday"], rec["holiday"], tuple(rec["static"]), acts)
     if not (type(seq.person_id) is type(seq.date) is type(seq.weekday) is type(seq.holiday) is int
             and all(type(c) is int for c in seq.static)):
-        raise ValueError("person_id, date, weekday, holiday and static codes must be integers")
+        raise ValueError(_wrong_type((
+            *((name, getattr(seq, name), int, "an integer") for name in ("person_id", "date", "weekday", "holiday")),
+            *((f"static[{i}]", c, int, "an integer") for i, c in enumerate(seq.static)))))
     seq.validate()
     return seq
 
@@ -238,6 +255,11 @@ def _write_lines(path, records: Iterable[dict]) -> None:
         for rec in records:
             fh.write(_ENCODER.encode(rec))
             fh.write("\n")
+
+
+# json refuses nesting past the recursion limit and orjson does not (3.8 even crashes on objects nested
+# 50,000 deep): a line of this many brackets or more goes to json alone
+_DEEP = 256
 
 
 def _read_records(path, decode) -> list:
@@ -254,9 +276,7 @@ def _read_records(path, decode) -> list:
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            # json refuses nesting past the recursion limit and orjson does not (3.8 even crashes on
-            # objects nested 50,000 deep): a line of 256 brackets or more goes to json alone
-            if raw.count(b"[") + raw.count(b"{") < 256:
+            if raw.count(b"[") + raw.count(b"{") < _DEEP:
                 try:
                     records.append(decode(orjson.loads(raw)))
                     continue
@@ -283,12 +303,151 @@ def _read_records(path, decode) -> list:
     return records
 
 
+@dataclass(slots=True, eq=False)
+class Days:
+    """Days as columns: the form a data file is read into, which scoring reads without day objects.
+
+    Day ``i``'s activities are rows ``offsets[i]:offsets[i + 1]`` of the per-activity columns: label
+    ids, ``arr``, ``dep`` and ``mode`` (int64), ``dist`` (float64) and ``observed`` (bool). The day
+    fields are Python ints, so ids of any size keep; ``static`` is (days, 4) int64. A samples file's
+    days also hold their sorted removed positions, a sequences file's ``removed`` is None.
+    """
+
+    labels: np.ndarray
+    arr: np.ndarray
+    dep: np.ndarray
+    mode: np.ndarray
+    dist: np.ndarray
+    observed: np.ndarray
+    offsets: np.ndarray
+    person_id: list[int]
+    date: list[int]
+    weekday: list[int]
+    holiday: list[int]
+    static: np.ndarray
+    removed: list[list[int]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.person_id)
+
+    @classmethod
+    def of(cls, days: Sequence[DaySequence], removed: list[list[int]] | None = None) -> "Days":
+        """The columns of ``days``, with each sample's sorted ``removed`` positions if they are samples."""
+        acts = [a for day in days for a in day.activities]
+        return cls(
+            np.array([LABEL_TO_ID[a.label] for a in acts], dtype=np.int64),
+            *(np.array([getattr(a, name) for a in acts], dtype=np.int64) for name in ("arr", "dep", "mode")),
+            np.array([a.dist for a in acts], dtype=np.float64),
+            np.array([a.observed for a in acts], dtype=bool),
+            np.cumsum([0, *map(len, days)], dtype=np.int64),
+            *([getattr(day, name) for day in days] for name in ("person_id", "date", "weekday", "holiday")),
+            np.array([day.static for day in days], dtype=np.int64).reshape(-1, 4),
+            removed,
+        )
+
+    def inputs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The label ids and day offsets of a samples file's inputs: each day without its removed positions."""
+        keep = np.ones(len(self.labels), dtype=bool)
+        removed = np.fromiter(chain.from_iterable(self.removed), dtype=np.int64)
+        keep[np.repeat(self.offsets[:-1], list(map(len, self.removed))) + removed] = False
+        return self.labels[keep], np.concatenate([[0], np.cumsum(keep)])[self.offsets]
+
+    def sequences(self) -> list[DaySequence]:
+        acts = list(map(Activity, map(ACTIVITY_CATEGORIES.__getitem__, self.labels.tolist()), self.arr.tolist(),
+                        self.dep.tolist(), self.mode.tolist(), self.dist.tolist(), self.observed.tolist()))
+        bounds = self.offsets.tolist()
+        return list(map(DaySequence, self.person_id, self.date, self.weekday, self.holiday,
+                        map(tuple, self.static.tolist()), map(acts.__getitem__, map(slice, bounds, bounds[1:]))))
+
+    def samples(self) -> list[RecoverySample]:
+        return list(map(RecoverySample, self.sequences(), self.removed))
+
+
+_DAY_KEYS = ("person_id", "date", "weekday", "holiday", "static", "removed_positions")
+_ACTIVITY_KEYS = ("arr", "dep", "mode", "dist", "observed")
+_FIELD = {key: operator.itemgetter(key) for key in ("label", "activities", *_DAY_KEYS, *_ACTIVITY_KEYS)}
+_BLOCK = 1 << 14  # bytes of lines parsed at a time: few parsed records are held at once
+_NOT_BRACKETS = bytes(range(256)).translate(None, b"[{\n")  # the bytes dropped to count each line's brackets
+
+
+def _only(values, kind) -> bool:
+    """Every one of ``values`` is exactly a ``kind``: an int field takes no bool, which numpy would."""
+    return set(map(type, values)) <= {kind}
+
+
+def _read_columns(path, samples: bool) -> Days | None:
+    """``path``'s days as columns, parsed by orjson and checked column by column.
+
+    None if a line is blank or may nest deeply, or if orjson or any check refuses anything, or if a
+    sample's removed positions are out of order: the scalar reader then reads the file, to the
+    refusal or to the days of a valid but unusual line (an integer distance, say, or a value only
+    json parses).
+    """
+    import orjson  # not at module level: importing the package stays as cheap as without it
+
+    day_keys = _DAY_KEYS if samples else _DAY_KEYS[:-1]
+    col = {key: [] for key in ("label", "sizes", *day_keys, *_ACTIVITY_KEYS)}
+    try:
+        with open(path, "rb") as fh:
+            for lines in iter(lambda: fh.readlines(_BLOCK), []):
+                if max(map(len, b"".join(lines).translate(None, _NOT_BRACKETS).split(b"\n"))) >= _DEEP:
+                    return None
+                records = list(map(orjson.loads, lines))
+                acts = list(map(_FIELD["activities"], records))
+                if not _only(acts, list):  # the scalar reader takes, say, an empty object as a day of no activities
+                    return None
+                col["sizes"] += map(len, acts)
+                acts = list(chain.from_iterable(acts))
+                col["label"] += map(LABEL_TO_ID.__getitem__, map(_FIELD["label"], acts))
+                for keys, rows in ((day_keys, records), (_ACTIVITY_KEYS, acts)):
+                    for key in keys:
+                        col[key] += map(_FIELD[key], rows)
+        n, static, removed = len(col["label"]), col["static"], col.get("removed_positions", [])
+        if not (_only(chain(*(col[key] for key in ("arr", "dep", "mode", "person_id", "date", "weekday", "holiday"))),
+                      int)
+                and _only(col["dist"], float) and _only(col["observed"], bool) and _only(static, list)
+                and set(map(len, static)) <= {4} and _only(chain.from_iterable(static), int)
+                and set(col["weekday"]) <= set(range(1, 8)) and set(col["holiday"]) <= {0, 1}
+                and _only(removed, list) and _only(chain.from_iterable(removed), int)):
+            return None
+        days = Days(*(np.fromiter(col[key], np.int64, n) for key in ("label", "arr", "dep", "mode")),
+                    np.fromiter(col["dist"], np.float64, n), np.fromiter(col["observed"], bool, n),
+                    np.cumsum([0, *col["sizes"]], dtype=np.int64),
+                    col["person_id"], col["date"], col["weekday"], col["holiday"],
+                    np.fromiter(chain.from_iterable(static), np.int64, 4 * len(static)).reshape(-1, 4),
+                    removed if samples else None)
+        day = np.repeat(np.arange(len(removed)), list(map(len, removed)))
+        at = np.fromiter(chain.from_iterable(removed), np.int64, len(day))
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        return None
+    low = days.observed.astype(np.int64)  # an unobserved activity's codes may be MISSING_CODE
+    ok = ((low <= days.arr) & (days.arr <= N_TIME_BINS) & (low <= days.dep) & (days.dep <= N_TIME_BINS)
+          & (~days.observed | (days.arr <= days.dep)) & (low <= days.mode) & (days.mode <= N_MODES)
+          & np.isfinite(days.dist) & (days.dist >= 0)).all()
+    ok &= ((1 <= days.static) & (days.static <= N_STATIC_LEVELS)).all()
+    # each day's removed positions inside it and increasing: sorted and distinct, as the scalar reader keeps them
+    ok &= ((0 <= at) & (at < np.diff(days.offsets)[day])).all() and ((at[1:] > at[:-1]) | (day[1:] != day[:-1])).all()
+    return days if ok else None
+
+
+def read_days(path, samples: bool = False) -> Days:
+    """``path``'s days as columns: by ``_read_columns``, or else from the days the scalar reader reads."""
+    days = _read_columns(path, samples)
+    if days is None:
+        if samples:
+            records = _read_records(path, _sample_from_record)
+            days = Days.of([s.complete for s in records], [s.removed_positions for s in records])
+        else:
+            days = Days.of(_read_records(path, sequence_from_record))
+    return days
+
+
 def write_sequences(path, sequences: Sequence[DaySequence]) -> None:
     _write_lines(path, (sequence_to_record(s) for s in sequences))
 
 
 def read_sequences(path) -> list[DaySequence]:
-    return _read_records(path, sequence_from_record)
+    return read_days(path, samples=False).sequences()
 
 
 def write_samples(path, samples: Sequence[RecoverySample]) -> None:
@@ -300,10 +459,12 @@ def write_samples(path, samples: Sequence[RecoverySample]) -> None:
 def _sample_from_record(rec: dict) -> RecoverySample:
     complete = sequence_from_record(rec)
     removed, n = sorted(rec["removed_positions"]), len(complete.activities)
-    if not all(type(i) is int and 0 <= i < n for i in removed) or len(set(removed)) < len(removed):
+    if not all(type(i) is int for i in removed):
+        raise ValueError(_wrong_type(("removed positions", i, int, "integers") for i in removed))
+    if not all(0 <= i < n for i in removed) or len(set(removed)) < len(removed):
         raise ValueError(f"removed positions must be distinct integers in [0, {n}): {removed}")
     return RecoverySample(complete, removed)
 
 
 def read_samples(path) -> list[RecoverySample]:
-    return _read_records(path, _sample_from_record)
+    return read_days(path, samples=True).samples()

@@ -7,6 +7,10 @@ per slot (and per slot-and-label for the strict count); the
 order-independent block pools label counts over the whole dataset and
 ignores positions. Distribution, insertion-pattern, and transition tables
 mirror the same bucketing. All functions are pure.
+
+Scoring runs on label ids. Every function takes days as ``DaySequence``
+objects or as the reader's ``Days`` columns, and gives labels as text
+only in its results.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .activities import ACTIVITY_CATEGORIES, LABEL_TO_ID, N_ACTIVITIES
-from .data import AlignmentError, DaySequence, RecoverySample, align_subsequence, slot_fills
+from .data import AlignmentError, Days, DaySequence, RecoverySample, align_subsequence
 
 __all__ = [
     "MetricsReport",
@@ -28,11 +32,17 @@ __all__ = [
     "position_metrics",
     "order_independent_metrics",
     "evaluate",
+    "score",
+    "top_patterns",
     "activity_distribution",
     "insertion_pattern_topk",
     "transition_analysis",
     "compare_transitions",
 ]
+
+# Days as objects or as the reader's columns
+DaySet = Sequence[DaySequence] | Days
+SampleSet = Sequence[RecoverySample] | Days
 
 
 @dataclass
@@ -64,22 +74,45 @@ def precision_recall_f1(correct: int, inserted: int, removed: int) -> tuple[floa
     return precision, recall, f1
 
 
-def _added(i: int, source: list[str], full: list[str]) -> list[tuple[int, list[str]]]:
-    """(source slot, items) of each slot ``full`` adds items to, in slot order.
+def _columns(days: DaySet) -> tuple[np.ndarray, np.ndarray]:
+    """The label ids of ``days`` and the offsets of each day's ids."""
+    if isinstance(days, Days):
+        return days.labels, days.offsets
+    ids = [LABEL_TO_ID[a.label] for day in days for a in day.activities]
+    return np.array(ids, dtype=np.int64), np.cumsum([0, *map(len, days)], dtype=np.int64)
 
-    An alignment failure names sample ``i``.
+
+def _id_lists(ids: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
+    """Each day's label ids, as an int list cut from the column."""
+    flat, bounds = ids.tolist(), offsets.tolist()
+    return list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+
+
+def _added(i: int, source: list[int], full: list[int]) -> list[tuple[int, list[int]]]:
+    """(source slot, ids) of each slot ``full`` adds ids to, in slot order.
+
+    An alignment failure names sample ``i`` and the label that found no match.
     """
     try:
-        fills = slot_fills(full, align_subsequence(source, full))
-    except AlignmentError as exc:
-        raise AlignmentError(f"sample {i}: {exc}") from exc
-    return [(slot, fill) for slot, fill in enumerate(fills) if fill]
+        anchors = align_subsequence(source, full)
+    except AlignmentError:
+        try:  # the labels fail alike, and their refusal shows the label
+            align_subsequence(*([ACTIVITY_CATEGORIES[x] for x in ids] for ids in (source, full)))
+        except AlignmentError as exc:
+            raise AlignmentError(f"sample {i}: {exc}") from exc
+    added, start = [], 0  # ``start``: where the slot before anchor ``slot`` starts
+    for slot, anchor in enumerate(anchors):
+        if anchor > start:
+            added.append((slot, full[start:anchor]))
+        start = anchor + 1
+    if start < len(full):
+        added.append((len(anchors), full[start:]))
+    return added
 
 
-def _pair_keys(days: Sequence[list[str]]) -> np.ndarray:
+def _pair_keys(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """One int64 key ``81*day + 9*a + b`` per adjacent label pair ``(a, b)`` of each day."""
-    ids = np.array([LABEL_TO_ID[label] for labels in days for label in labels], dtype=np.int64)
-    day = np.repeat(np.arange(len(days), dtype=np.int64), [len(labels) for labels in days])
+    day = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
     same = day[1:] == day[:-1]
     return (N_ACTIVITIES * N_ACTIVITIES * day[1:] + N_ACTIVITIES * ids[:-1] + ids[1:])[same]
 
@@ -96,37 +129,40 @@ def _excess_table(keys: np.ndarray, input_keys: np.ndarray) -> np.ndarray:
 class InputSide:
     """What scoring needs of the samples alone, worked out once and shared by every hypothesis set.
 
-    Per sample: the input labels and the removed activities' labels by input
-    slot (from aligning the input to the complete day); over the dataset, the
-    input's adjacent pairs as ``_pair_keys``, the removed label counts and the
-    broken transition table. Each metric function takes this or the samples it
-    is built from.
+    Per sample: the input's label ids and the removed activities' ids by
+    input slot (from aligning the input to the complete day); over the
+    dataset, the complete days' lengths, the input and removed label counts,
+    the input's adjacent pairs as ``_pair_keys`` and the broken transition
+    table. Each metric function takes this or the samples it is built from.
     """
 
-    def __init__(self, samples: Sequence[RecoverySample]):
-        self.samples = samples
-        self.labels = [s.incomplete.labels() for s in samples]
-        complete = [s.complete.labels() for s in samples]
-        self.removed = [dict(_added(i, source, full))
-                        for i, (source, full) in enumerate(zip(self.labels, complete))]
-        self.removed_labels = Counter(label for removed in self.removed
-                                      for fill in removed.values() for label in fill)
-        self.input_keys = _pair_keys(self.labels)
-        self.broken = _excess_table(_pair_keys(complete), self.input_keys)
+    def __init__(self, samples: SampleSet):
+        if isinstance(samples, Days):
+            complete, source = (samples.labels, samples.offsets), samples.inputs()
+        else:
+            complete, source = _columns([s.complete for s in samples]), _columns([s.incomplete for s in samples])
+        self.target_lengths = np.diff(complete[1])
+        self.sources = _id_lists(*source)
+        self.removed = [dict(_added(i, source_ids, full))
+                        for i, (source_ids, full) in enumerate(zip(self.sources, _id_lists(*complete)))]
+        self.n_removed = (self.target_lengths - np.diff(source[1])).tolist()
+        self.source_counts = np.bincount(source[0], minlength=N_ACTIVITIES)
+        self.removed_counts = np.bincount(complete[0], minlength=N_ACTIVITIES) - self.source_counts
+        self.input_keys = _pair_keys(*source)
+        self.broken = _excess_table(_pair_keys(*complete), self.input_keys)
 
 
-def _input_side(samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]) -> InputSide:
+def _input_side(samples: SampleSet | InputSide, hypotheses: DaySet) -> InputSide:
     """``samples`` as an ``InputSide``, checked to pair one to one with ``hypotheses``."""
     side = samples if isinstance(samples, InputSide) else InputSide(samples)
-    if len(side.samples) != len(hypotheses):
-        raise AlignmentError(f"{len(side.samples)} samples but {len(hypotheses)} hypotheses")
+    if len(side.sources) != len(hypotheses):
+        raise AlignmentError(f"{len(side.sources)} samples but {len(hypotheses)} hypotheses")
     return side
 
 
-def evaluate(
-    samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]
-) -> MetricsReport:
-    """Both metric blocks in one report, from one pass over the pairs.
+def score(samples: SampleSet | InputSide, hypotheses: DaySet) -> tuple[MetricsReport, Counter]:
+    """``evaluate``'s report and the count of each insertion pattern (a tuple of label ids, the empty
+    one counted), from one pass over the pairs.
 
     Position-dependent block: slot-capped matches and count ratios. A sample
     with no insertions scores location percentage 1.0 when nothing was
@@ -135,41 +171,49 @@ def evaluate(
     pooled over the whole dataset, ignoring positions.
     """
     side = _input_side(samples, hypotheses)
+    ids, offsets = _columns(hypotheses)
     report = MetricsReport(
-        avg_daily_hypothesis=float(np.mean([len(h) for h in hypotheses])) if hypotheses else 0.0,
-        avg_daily_target=float(np.mean([len(s.complete) for s in side.samples])) if side.samples else 0.0,
+        avg_daily_hypothesis=float(np.mean(np.diff(offsets))) if len(hypotheses) else 0.0,
+        avg_daily_target=float(np.mean(side.target_lengths)) if len(side.sources) else 0.0,
     )
+    patterns: list[tuple[int, ...]] = []
     location_pcts: list[float] = []
     missing_only_pcts: list[float] = []
-    inserted_labels: list[str] = []
-    for i, (source, removed, hyp) in enumerate(zip(side.labels, side.removed, hypotheses)):
-        n_ins = location_correct = 0
-        n_rem = sum(map(len, removed.values()))
-        for slot, fill in _added(i, source, hyp.labels()):
-            n_ins += len(fill)
-            inserted_labels += fill
+    for i, (source, removed, n_rem, hyp) in enumerate(
+        zip(side.sources, side.removed, side.n_removed, _id_lists(ids, offsets))
+    ):
+        pattern: list[int] = []
+        location_correct = 0
+        for slot, fill in _added(i, source, hyp):
+            pattern += fill
             lost = removed.get(slot)
             if lost:
                 location_correct += min(len(fill), len(lost))
                 report.correct_inserted += sum(min(fill.count(l), lost.count(l)) for l in set(fill))
-        pct = location_correct / n_ins if n_ins else float(n_rem == 0)
+        patterns.append(tuple(pattern))
+        pct = location_correct / len(pattern) if pattern else float(n_rem == 0)
         location_pcts.append(pct)
         if n_rem > 0:
             missing_only_pcts.append(pct)
-        report.total_inserted += n_ins
-        report.total_removed += n_rem
+    report.total_inserted = len(ids) - int(side.source_counts.sum())
+    report.total_removed = sum(side.n_removed)
     report.avg_correct_location_pct = float(np.mean(location_pcts)) if location_pcts else 0.0
-    report.avg_correct_location_pct_missing_only = (
-        float(np.mean(missing_only_pcts)) if missing_only_pcts else 0.0
-    )
+    report.avg_correct_location_pct_missing_only = float(np.mean(missing_only_pcts)) if missing_only_pcts else 0.0
     report.precision, report.recall, report.f1 = precision_recall_f1(
         report.correct_inserted, report.total_inserted, report.total_removed
     )
-    report.oi_correct = sum((Counter(inserted_labels) & side.removed_labels).values())
+    # every input is a subsequence of its hypothesis, so the labels inserted are the hypotheses' less the inputs'
+    inserted = np.bincount(ids, minlength=N_ACTIVITIES) - side.source_counts
+    report.oi_correct = int(np.minimum(inserted, side.removed_counts).sum())
     report.oi_precision, report.oi_recall, report.oi_f1 = precision_recall_f1(
         report.oi_correct, report.total_inserted, report.total_removed
     )
-    return report
+    return report, Counter(patterns)
+
+
+def evaluate(samples: SampleSet | InputSide, hypotheses: DaySet) -> MetricsReport:
+    """Both metric blocks in one report: ``score``'s."""
+    return score(samples, hypotheses)[0]
 
 
 # Each block is a part of the one pass; the names stay for callers that ask for one block.
@@ -177,27 +221,23 @@ position_metrics = evaluate
 order_independent_metrics = evaluate
 
 
-def activity_distribution(sequences: Sequence[DaySequence]) -> dict[str, int]:
+def activity_distribution(sequences: DaySet) -> dict[str, int]:
     """Label histogram over a set of sequences; always all nine keys."""
-    counts = dict.fromkeys(ACTIVITY_CATEGORIES, 0)
-    for seq in sequences:
-        for label in seq.labels():
-            counts[label] += 1
-    return counts
+    counts = np.bincount(_columns(sequences)[0], minlength=N_ACTIVITIES)
+    return dict(zip(ACTIVITY_CATEGORIES, counts.tolist()))
+
+
+def top_patterns(patterns: Counter, k: int = 20) -> list[tuple[tuple[str, ...], int]]:
+    """The ``k`` most common of ``score``'s patterns, as labels; equal counts rank by label text."""
+    labeled = [(tuple(ACTIVITY_CATEGORIES[x] for x in pattern), n) for pattern, n in patterns.items()]
+    return sorted(labeled, key=lambda item: (-item[1], item[0]))[:k]
 
 
 def insertion_pattern_topk(
-    samples: Sequence[RecoverySample] | InputSide,
-    hypotheses: Sequence[DaySequence],
-    k: int = 20,
+    samples: SampleSet | InputSide, hypotheses: DaySet, k: int = 20
 ) -> list[tuple[tuple[str, ...], int]]:
     """The k most common ordered insertion patterns (empty pattern counted)."""
-    side = _input_side(samples, hypotheses)
-    patterns: Counter = Counter()
-    for i, (source, hyp) in enumerate(zip(side.labels, hypotheses)):
-        patterns[tuple(label for _, fill in _added(i, source, hyp.labels()) for label in fill)] += 1
-    ranked = sorted(patterns.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return top_patterns(score(samples, hypotheses)[1], k)
 
 
 @dataclass
@@ -208,12 +248,10 @@ class TransitionTable:
     inserted: np.ndarray = field(default_factory=lambda: np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=int))
 
 
-def transition_analysis(
-    samples: Sequence[RecoverySample] | InputSide, hypotheses: Sequence[DaySequence]
-) -> TransitionTable:
+def transition_analysis(samples: SampleSet | InputSide, hypotheses: DaySet) -> TransitionTable:
     """Per-sample pair differences against the input, accumulated over the dataset."""
     side = _input_side(samples, hypotheses)
-    inserted = _excess_table(_pair_keys([hyp.labels() for hyp in hypotheses]), side.input_keys)
+    inserted = _excess_table(_pair_keys(*_columns(hypotheses)), side.input_keys)
     return TransitionTable(broken=side.broken.copy(), inserted=inserted)
 
 

@@ -7,11 +7,14 @@ two-branch sigmoid, the backward that kept its graph, the padded forward
 and loss (with the ``index`` and ``concat`` ops only it and a few tensor
 tests use), the per-slot ``Counter`` walk that filled the loss's target
 rows, the ``rng.choice`` day sampler, the ``Packing`` index arrays built
-from ``sizes``, the per-cell ``compare_transitions`` loop and the list walk
-that counted a slot's label overlap; ``at_float64``, which promotes a
-model to run parity checks at 64-bit; ``assert_same_network_inputs``,
-which compares a state with a day through the network's packed inputs; and
-``json_read_records``, the JSONL reader that parsed every line with json."""
+from ``sizes``, the per-cell ``compare_transitions`` loop, the list walk
+that counted a slot's label overlap, the alignment loop that walked the
+full sequence item by item, and the metrics that scored label strings
+(``LabelInputSide`` and the ``label_`` functions); ``at_float64``, which
+promotes a model to run parity checks at 64-bit;
+``assert_same_network_inputs``, which compares a state with a day through
+the network's packed inputs; and ``json_read_records``, the JSONL reader
+that parsed every line with json."""
 
 import json
 from collections import Counter
@@ -36,7 +39,15 @@ from actrecover.activities import (
     PAD_ID,
 )
 from actrecover import tensor as T
-from actrecover.data import Activity, AlignmentError, DaySequence, ParseError, RecoverySample, mask_sequence
+from actrecover.data import (
+    Activity,
+    AlignmentError,
+    DaySequence,
+    ParseError,
+    RecoverySample,
+    mask_sequence,
+    slot_fills,
+)
 from actrecover import generator
 from actrecover.generator import regime_of
 from actrecover.layers import (
@@ -48,6 +59,7 @@ from actrecover.layers import (
     apply_dropout,
     sinusoidal_positions,
 )
+from actrecover.metrics import MetricsReport, TransitionTable, precision_recall_f1
 from actrecover.model import (
     DecoderState,
     InsertionModel,
@@ -644,3 +656,131 @@ def json_read_records(path, decode) -> list:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: invalid record at line {lineno}: {exc}") from exc
     return records
+
+
+def loop_align_subsequence(sub, full) -> list[int]:
+    """Reference alignment: a frozen copy of the loop that walked ``full`` one item at a time."""
+    anchors: list[int] = []
+    j = 0
+    for i, label in enumerate(sub):
+        while j < len(full) and full[j] != label:
+            j += 1
+        if j == len(full):
+            raise AlignmentError(f"element {i} ({label!r}) has no match left in the full sequence")
+        anchors.append(j)
+        j += 1
+    return anchors
+
+
+# -- Reference scoring: a frozen copy of the metrics that scored label strings ---------------------
+
+def _label_added(i, source, full):
+    try:
+        fills = slot_fills(full, loop_align_subsequence(source, full))
+    except AlignmentError as exc:
+        raise AlignmentError(f"sample {i}: {exc}") from exc
+    return [(slot, fill) for slot, fill in enumerate(fills) if fill]
+
+
+def _label_pair_keys(days) -> np.ndarray:
+    ids = np.array([LABEL_TO_ID[label] for labels in days for label in labels], dtype=np.int64)
+    day = np.repeat(np.arange(len(days), dtype=np.int64), [len(labels) for labels in days])
+    same = day[1:] == day[:-1]
+    return (N_ACTIVITIES * N_ACTIVITIES * day[1:] + N_ACTIVITIES * ids[:-1] + ids[1:])[same]
+
+
+def _label_excess_table(keys: np.ndarray, input_keys: np.ndarray) -> np.ndarray:
+    unique, inverse = np.unique(np.concatenate([keys, input_keys]), return_inverse=True)
+    excess = (np.bincount(inverse[:len(keys)], minlength=len(unique))
+              - np.bincount(inverse[len(keys):], minlength=len(unique)))
+    cells = np.repeat(unique % (N_ACTIVITIES * N_ACTIVITIES), np.maximum(excess, 0))
+    return np.bincount(cells, minlength=N_ACTIVITIES * N_ACTIVITIES).reshape(N_ACTIVITIES, N_ACTIVITIES)
+
+
+class LabelInputSide:
+    """Reference ``InputSide``: the input labels, the removed labels by input slot, the removed label
+    counts, the input's pair keys and the broken table, all from label strings."""
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.labels = [s.incomplete.labels() for s in samples]
+        complete = [s.complete.labels() for s in samples]
+        self.removed = [dict(_label_added(i, source, full))
+                        for i, (source, full) in enumerate(zip(self.labels, complete))]
+        self.removed_labels = Counter(label for removed in self.removed
+                                      for fill in removed.values() for label in fill)
+        self.input_keys = _label_pair_keys(self.labels)
+        self.broken = _label_excess_table(_label_pair_keys(complete), self.input_keys)
+
+
+def _label_input_side(samples, hypotheses) -> LabelInputSide:
+    side = samples if isinstance(samples, LabelInputSide) else LabelInputSide(samples)
+    if len(side.samples) != len(hypotheses):
+        raise AlignmentError(f"{len(side.samples)} samples but {len(hypotheses)} hypotheses")
+    return side
+
+
+def label_evaluate(samples, hypotheses) -> MetricsReport:
+    """Reference ``evaluate``: one pass over the pairs, scoring the label strings of each slot."""
+    side = _label_input_side(samples, hypotheses)
+    report = MetricsReport(
+        avg_daily_hypothesis=float(np.mean([len(h) for h in hypotheses])) if hypotheses else 0.0,
+        avg_daily_target=float(np.mean([len(s.complete) for s in side.samples])) if side.samples else 0.0,
+    )
+    location_pcts: list[float] = []
+    missing_only_pcts: list[float] = []
+    inserted_labels: list[str] = []
+    for i, (source, removed, hyp) in enumerate(zip(side.labels, side.removed, hypotheses)):
+        n_ins = location_correct = 0
+        n_rem = sum(map(len, removed.values()))
+        for slot, fill in _label_added(i, source, hyp.labels()):
+            n_ins += len(fill)
+            inserted_labels += fill
+            lost = removed.get(slot)
+            if lost:
+                location_correct += min(len(fill), len(lost))
+                report.correct_inserted += sum(min(fill.count(l), lost.count(l)) for l in set(fill))
+        pct = location_correct / n_ins if n_ins else float(n_rem == 0)
+        location_pcts.append(pct)
+        if n_rem > 0:
+            missing_only_pcts.append(pct)
+        report.total_inserted += n_ins
+        report.total_removed += n_rem
+    report.avg_correct_location_pct = float(np.mean(location_pcts)) if location_pcts else 0.0
+    report.avg_correct_location_pct_missing_only = (
+        float(np.mean(missing_only_pcts)) if missing_only_pcts else 0.0
+    )
+    report.precision, report.recall, report.f1 = precision_recall_f1(
+        report.correct_inserted, report.total_inserted, report.total_removed
+    )
+    report.oi_correct = sum((Counter(inserted_labels) & side.removed_labels).values())
+    report.oi_precision, report.oi_recall, report.oi_f1 = precision_recall_f1(
+        report.oi_correct, report.total_inserted, report.total_removed
+    )
+    return report
+
+
+def label_activity_distribution(sequences) -> dict[str, int]:
+    """Reference ``activity_distribution``: the labels counted one by one."""
+    counts = dict.fromkeys(ACTIVITY_CATEGORIES, 0)
+    for seq in sequences:
+        for label in seq.labels():
+            counts[label] += 1
+    return counts
+
+
+def label_insertion_pattern_topk(samples, hypotheses, k: int = 20):
+    """Reference ``insertion_pattern_topk``: patterns of label strings, ranked by count, then text."""
+    side = _label_input_side(samples, hypotheses)
+    patterns: Counter = Counter()
+    for i, (source, hyp) in enumerate(zip(side.labels, hypotheses)):
+        patterns[tuple(label for _, fill in _label_added(i, source, hyp.labels()) for label in fill)] += 1
+    ranked = sorted(patterns.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:k]
+
+
+def label_transition_analysis(samples, hypotheses) -> TransitionTable:
+    """Reference ``transition_analysis``: the pair tables keyed from label strings."""
+    side = _label_input_side(samples, hypotheses)
+    inserted = _label_excess_table(_label_pair_keys([hyp.labels() for hyp in hypotheses]), side.input_keys)
+    return TransitionTable(broken=side.broken.copy(), inserted=inserted)

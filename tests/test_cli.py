@@ -1101,8 +1101,9 @@ class TestEvalAndCompare:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (lambda rec: rec["activities"][0].update(arr=1.9), "arr, dep and mode must be integers"),
-            (lambda rec: rec["activities"][0].update(observed="false"), "observed a boolean"),
+            (lambda rec: rec["activities"][0].update(arr=1.9), "activity 0: arr must be an integer, not float"),
+            (lambda rec: rec["activities"][0].update(observed="false"),
+             "activity 0: observed must be a boolean, not string"),
             (lambda rec: rec.update(removed_positions=[0, 0]), "removed positions must be distinct integers"),
         ],
         ids=["arr-float", "observed-string", "removed-twice"],
@@ -1150,10 +1151,8 @@ class TestEvalAndCompare:
         (lambda rec: rec.update(holiday=2), "holiday flag must be 0/1: 2"),
         (lambda rec: rec.update(static=[1, 2, 3]), "static codes must be four values in 1..5"),
         (lambda rec: rec.update(static=[1, 2, 3, 6]), "static codes must be four values in 1..5"),
-        (lambda rec: rec.update(person_id="7"),
-         "person_id, date, weekday, holiday and static codes must be integers"),
-        (lambda rec: rec.update(static=[1, 2, 3, 4.0]),
-         "person_id, date, weekday, holiday and static codes must be integers"),
+        (lambda rec: rec.update(person_id="7"), "person_id must be an integer, not string"),
+        (lambda rec: rec.update(static=[1, 2, 3, 4.0]), "static[3] must be an integer, not float"),
     ], ids=["arr-0", "dep-97", "arr-after-dep", "mode-7", "mode-0", "dist-negative", "dist-int-as-float",
             "unobserved-arr-huge", "unobserved-dep-negative", "unobserved-mode-99",
             "weekday-8", "weekday-0", "holiday-2", "static-three", "static-6", "id-string", "static-float"])
@@ -1195,6 +1194,20 @@ class TestEvalAndCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: {bad}: {problem}") and err.count("\n") == 1
         assert not list(tmp_path.glob("m*"))
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_a_wrong_type_beside_a_deeply_nested_label_is_refused_in_a_short_line(
+        self, small_run, tmp_path, capsys, command
+    ):
+        """The refusal names the field and the JSON type it holds, not the activity, whose label nests 900 deep."""
+        data = tmp_path / "nested.jsonl"
+        rewrite_line(small_run["data"], data, 2, lambda rec: rec["activities"][0].update(
+            label=json.loads("[" * 900 + "]" * 900), arr="1"))
+        hyp = ["--hyp", data] if command == "eval" else []
+        assert run(command, "--data", data, "--out", tmp_path / "m", *hyp) == 2
+        err = capsys.readouterr().err
+        assert err == f"{command}: {data}: invalid record at line 2: activity 0: arr must be an integer, not string\n"
+        assert len(err) - len(str(data)) < 200
 
     def test_deeply_nested_data_line_exits_2_naming_file_and_line(self, small_run, tmp_path, capsys):
         lines = small_run["data"].read_text().splitlines()
@@ -1627,7 +1640,8 @@ def corrupted_data_lines(draw, base: dict) -> tuple[str, bool]:
 
 class TestCorruptedDataLines:
     """A data file whose line 2 is corrupted either still runs or is refused in one line naming the
-    file and line 2, by ``eval``, which reads it as samples and as hypotheses, and by ``recover``."""
+    file and line 2: by ``eval``, which reads it as samples and as hypotheses, by ``recover``, by
+    ``train`` and by ``compare``, which reads it in turn as its samples and as either hypothesis set."""
 
     @pytest.fixture(scope="class")
     def three_lines(self, fuzz_dir):
@@ -1645,3 +1659,22 @@ class TestCorruptedDataLines:
                      ["recover", "--checkpoint", small_run["ckpt"], "--data", path, "--out", fuzz_dir / "h.jsonl"]):
             err = assert_runs_or_refuses_naming(argv, refused, f"{argv[0]}: {path}: ")
             assert err == "" or re.search(r"\bline 2\b", err), err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_compare_and_train(self, fuzz_dir, three_lines, data):
+        """A corrupted hypothesis line that still parses may no longer hold its input: the refusal
+        then names sample 1, the day on line 2."""
+        text, refused = data.draw(corrupted_data_lines(json.loads(three_lines[1])), label="line 2")
+        good, path = fuzz_dir / "good.jsonl", fuzz_dir / "line2.jsonl"
+        good.write_text("\n".join(three_lines) + "\n")
+        path.write_text("\n".join([three_lines[0], text, three_lines[2]]) + "\n")
+        runs = [(["train", "--data", path, "--out", fuzz_dir / "m.ckpt", *TINY_TRAIN], refused)]
+        for flag in ("--data", "--hyp-a", "--hyp-b"):
+            files = {"--data": good, "--hyp-a": good, "--hyp-b": good, flag: path}
+            # a hypothesis file reads no removed positions, so a line refused as a sample may pass as one
+            runs.append((["compare", *[x for pair in files.items() for x in pair], "--out", fuzz_dir / "cmp.json"],
+                         refused and flag == "--data"))
+        for argv, must_refuse in runs:
+            err = assert_runs_or_refuses_naming(argv, must_refuse, f"{argv[0]}: {path}: ")
+            assert err == "" or re.search(r"\bline 2\b|: sample 1: ", err), err

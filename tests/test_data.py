@@ -1,6 +1,7 @@
 """Masking, alignment, and the JSONL dataset format."""
 
 import copy
+import dataclasses
 import json
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actrecover.activities import ACTIVITY_CATEGORIES, N_MODES, N_STATIC_LEVELS, N_TIME_BINS
+from actrecover import data as data_module
 from actrecover.data import (
     Activity,
     AlignmentError,
+    Days,
     DaySequence,
     ParseError,
     RecoverySample,
@@ -20,6 +23,7 @@ from actrecover.data import (
     _sample_from_record,
     align_subsequence,
     mask_sequence,
+    read_days,
     read_samples,
     read_sequences,
     sequence_from_record,
@@ -200,7 +204,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize(
         "label, fault, problem",
         [  # a label is checked last: an unhashable one must not raise before the other checks
-            (["x"], {"arr": 1.5}, "activity 0: arr, dep and mode must be integers"),
+            (["x"], {"arr": 1.5}, "activity 0: arr must be an integer, not float"),
             (["x"], {"weekday": 9}, "weekday out of 1..7: 9"),
             (["x"], {}, "unhashable type: 'list'"),
             (7, {}, "unknown activity label 7"),
@@ -216,6 +220,33 @@ class TestDatasetIO:
         with pytest.raises(ParseError) as exc:
             read_sequences(path)
         assert str(exc.value).startswith(f"{path}: invalid record at line 1: {problem}")
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rec: rec["activities"][0].update(arr="1"), "activity 0: arr must be an integer, not string"),
+        (lambda rec: rec["activities"][1].update(dep=None), "activity 1: dep must be an integer, not null"),
+        (lambda rec: rec["activities"][0].update(mode=True), "activity 0: mode must be an integer, not boolean"),
+        (lambda rec: rec["activities"][0].update(dist=[1.0]), "activity 0: dist must be a number, not array"),
+        (lambda rec: rec["activities"][0].update(observed=1), "activity 0: observed must be a boolean, not integer"),
+        (lambda rec: rec["activities"][0].update(observed="yes", arr=1.5),
+         "activity 0: arr must be an integer, not float"),
+        (lambda rec: rec["activities"][0].update(label=json.loads("[" * 900 + "]" * 900), dep={}),
+         "activity 0: dep must be an integer, not object"),
+        (lambda rec: rec.update(date=2.0), "date must be an integer, not float"),
+        (lambda rec: rec.update(holiday=False), "holiday must be an integer, not boolean"),
+        (lambda rec: rec.update(static=[1, "2", 3, 4]), "static[1] must be an integer, not string"),
+        (lambda rec: rec.update(removed_positions=[json.loads("[" * 900 + "]" * 900)]),
+         "removed positions must be integers, not array"),
+    ], ids=["arr-string", "dep-null", "mode-boolean", "dist-array", "observed-integer", "first-of-two",
+            "beside-a-900-deep-label", "date-float", "holiday-boolean", "static-string", "900-deep-removed"])
+    def test_a_wrong_type_is_refused_naming_the_first_such_field_and_its_json_type(self, tmp_path, edit, problem):
+        rec = {**sequence_to_record(make_sequence(["HomeActivity", "WorkForPay"])), "removed_positions": [1]}
+        edit(rec)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_samples(path)
+        assert str(exc.value) == f"{path}: invalid record at line 1: {problem}"
+        assert len(str(exc.value)) - len(str(path)) < 200
 
     def test_labels_read_are_the_vocabulary_s_own_strings(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -411,13 +442,17 @@ def _json_reading(path, decode) -> str:
 
 
 class TestTwoParsers:
-    """``_read_records`` reads every line as json alone read it: the same records, or the same
-    refusal but for a syntax error's column."""
+    """``_read_records``, and the columnar reader in front of it, read every line as json alone read
+    it: the same records, or the same refusal but for a syntax error's column."""
 
     @staticmethod
     def assert_read_as_json_reads(path) -> None:
-        for decode in (sequence_from_record, _sample_from_record):
-            assert _reading(_read_records, path, decode) == _json_reading(path, decode)
+        """The scalar reader and the columnar one, whose days ``read_sequences`` and ``read_samples``
+        build, both read ``path`` as json alone does."""
+        for decode, read in ((sequence_from_record, read_sequences), (_sample_from_record, read_samples)):
+            expected = _json_reading(path, decode)
+            assert _reading(_read_records, path, decode) == expected
+            assert _reading(lambda p, _: read(p), path, decode) == expected
 
     @pytest.fixture(scope="class")
     def line_file(self, tmp_path_factory):
@@ -437,13 +472,78 @@ class TestTwoParsers:
         GOOD.replace('"weekday":', '"weekday":-0,"x":', 1), GOOD[:-1] + r',"bogus":"\ud800"}',
         GOOD[:-1] + f',"bogus":{"1" * 5000}}}', GOOD[:-1] + ',"bogus":NaN}', GOOD[:-1] + ',"weekday":5}',
         GOOD[:-1] + f',"bogus":{_nested(950, True)}}}', GOOD[:-1] + f',"bogus":{_nested(950, False)}}}',
-        GOOD[:-1] + f',"bogus":{_nested(100_000, True)}}}',
+        GOOD[:-1] + f',"bogus":{_nested(100_000, True)}}}', GOOD.replace('"observed":true', '"observed":1', 1),
+        GOOD.replace('"arr":1,', '"arr":true,', 1), GOOD.replace('"weekday":1,', '"weekday":true,', 1),
+        GOOD.replace('"mode":1,', '"mode":1.0,', 1),
     ], ids=["bom", "nan", "infinity", "minus-0-dist", "300-digit-dist", "20-digit-date", "u64-person-id",
             "minus-0-weekday", "lone-surrogate", "5000-digits", "unknown-nan", "duplicate-key",
-            "950-deep-objects", "950-deep-arrays", "100000-deep-objects"])
+            "950-deep-objects", "950-deep-arrays", "100000-deep-objects", "observed-one", "arr-true",
+            "weekday-true", "mode-float"])
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_edge_lines(self, tmp_path, line, end):
-        """Each edge line as line 2 of three, the others good, with blank lines around them."""
+    @pytest.mark.parametrize("blank", ["\x0c", ""], ids=["blank-lines", "no-blank-lines"])
+    def test_edge_lines(self, tmp_path, line, end, blank):
+        """Each edge line as line 2 of three, the others good, with blank lines around them or without,
+        which leaves the file to the columnar reader unless the edge line sends it to the scalar one."""
         path = tmp_path / "edge.jsonl"
-        path.write_bytes(f"{GOOD}{end}\x0c{end}{line}{end} {end}{GOOD}{end}".encode())
+        around = f"{blank}{end}" if blank else ""
+        path.write_bytes(f"{GOOD}{end}{around}{line}{end}{around}{GOOD}{end}".encode())
         self.assert_read_as_json_reads(path)
+
+
+def assert_same_columns(got: Days, want: Days) -> None:
+    """Equal columns, of equal dtypes, floats bit for bit; equal day fields, of equal types."""
+    for name in (f.name for f in dataclasses.fields(Days)):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        else:
+            assert repr(a) == repr(b), name
+
+
+# Valid lines that the columnar reader leaves to the scalar one, each reading as the line it edits does
+UNUSUAL_LINES = {
+    "integer-dist": lambda line: line.replace('"dist":0.0', '"dist":0', 1),
+    "blank-line": lambda line: line + "\n \x0c",
+    "300-deep-unknown-key": lambda line: line[:-1] + f',"bogus":{_nested(300, False)}}}',
+    "nan-in-unknown-key": lambda line: line[:-1] + ',"bogus":NaN}',
+    "lone-surrogate-in-unknown-key": lambda line: line[:-1] + r',"bogus":"\ud800"}',
+    "integer-beyond-floats-in-unknown-key": lambda line: line[:-1] + f',"bogus":{10**400}}}',
+    # a samples file's removed positions out of order: the scalar reader sorts them
+    "unsorted-removed-positions": lambda line: line.replace('"removed_positions":[0,3,5,6]',
+                                                            '"removed_positions":[6,0,3,5]'),
+}
+
+
+class TestColumnarReader:
+    @pytest.fixture(scope="class")
+    def good_lines(self):
+        return [json.dumps(rec, separators=(",", ":")) for rec in BASE_RECORDS]
+
+    @pytest.mark.parametrize("kind, samples", [*((kind, True) for kind in sorted(UNUSUAL_LINES)),
+                                               *((kind, False) for kind in sorted(UNUSUAL_LINES) if "removed" not in kind)])
+    def test_an_unusual_line_reads_through_the_scalar_reader_to_the_same_columns(
+        self, tmp_path, monkeypatch, good_lines, kind, samples
+    ):
+        good, unusual = tmp_path / "good.jsonl", tmp_path / "unusual.jsonl"
+        good.write_text("\n".join(good_lines) + "\n")
+        lines = list(good_lines)
+        lines[3] = UNUSUAL_LINES[kind](lines[3])
+        assert lines[3] != good_lines[3]
+        unusual.write_text("\n".join(lines) + "\n")
+        scalar = []
+        monkeypatch.setattr(data_module, "_read_records",
+                            lambda *args: scalar.append(args) or _read_records(*args))
+        want = read_days(good, samples)
+        assert scalar == []
+        got = read_days(unusual, samples)
+        assert len(scalar) == 1
+        assert_same_columns(got, want)
+
+    def test_a_day_read_from_columns_is_the_day_its_record_holds(self, tmp_path, good_lines):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(good_lines) + "\n")
+        assert read_samples(path) == [_sample_from_record(rec) for rec in BASE_RECORDS]
+        assert read_sequences(path) == [sequence_from_record(rec) for rec in BASE_RECORDS]
+        samples = read_samples(path)
+        assert_same_columns(read_days(path, True), Days.of([s.complete for s in samples],
+                                                           [s.removed_positions for s in samples]))

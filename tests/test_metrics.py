@@ -5,6 +5,8 @@ dict counting — including its own subsequence alignment — sharing no code
 with the library implementation.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -19,9 +21,11 @@ from actrecover.activities import ACTIVITY_CATEGORIES, LABEL_TO_ID
 from actrecover.cli import main
 from actrecover.data import (
     Activity,
+    AlignmentError,
     DaySequence,
     RecoverySample,
     align_subsequence,
+    read_days,
     slot_fills,
     write_samples,
     write_sequences,
@@ -36,10 +40,20 @@ from actrecover.metrics import (
     order_independent_metrics,
     position_metrics,
     precision_recall_f1,
+    score,
+    top_patterns,
     transition_analysis,
 )
 
-from helpers import list_overlap, loop_compare_transitions
+from helpers import (
+    label_activity_distribution,
+    label_evaluate,
+    label_insertion_pattern_topk,
+    label_transition_analysis,
+    list_overlap,
+    loop_align_subsequence,
+    loop_compare_transitions,
+)
 
 H, W, E, S = "HomeActivity", "WorkForPay", "EatOut", "GoShopping"
 
@@ -457,3 +471,106 @@ class TestTransitionTablesAgainstTheOracle:
         table = transition_analysis(samples, [s.incomplete for s in samples])
         assert table.broken[LABEL_TO_ID[H], LABEL_TO_ID[W]] == 1
         assert table.broken.sum() == 4
+
+
+# Labels whose ids (1, 3, 6) run against their text order, so equal pattern counts must rank by text
+TEXT_ORDER_LABELS = ("Other", "GoToSchool", "EatOut")
+
+
+@st.composite
+def scoring_sets(draw):
+    """(samples, hypotheses, k): up to eight days, over two or three labels (repeats leave the slot
+    to the leftmost-greedy alignment) or all nine, some empty and some with every position removed;
+    hypotheses that insert up to three labels; and at times a hypothesis that drops an input activity,
+    or one hypothesis more or fewer than the samples, so the sets do not align."""
+    labels = st.sampled_from(draw(st.sampled_from([TEXT_ORDER_LABELS[:2], TEXT_ORDER_LABELS, ACTIVITY_CATEGORIES])))
+    samples = []
+    for _ in range(draw(st.integers(0, 8))):
+        comp = draw(st.lists(labels, max_size=6))
+        every = draw(st.booleans()) and draw(st.booleans())
+        removed = set(range(len(comp))) if every else draw(st.sets(st.integers(0, len(comp) - 1))) if comp else set()
+        samples.append(sample_of(comp, removed))
+    hyps = []
+    for smp in samples:
+        hyp = smp.incomplete.labels()
+        for _ in range(draw(st.integers(0, 3))):
+            hyp.insert(draw(st.integers(0, len(hyp))), draw(labels))
+        hyps.append(seq_of(hyp))
+    fault = draw(st.sampled_from(["none"] * 6 + ["drop", "more", "fewer"]))
+    droppable = [i for i, smp in enumerate(samples) if len(smp.incomplete)]
+    if fault == "drop" and droppable:
+        i = draw(st.sampled_from(droppable))
+        del hyps[i].activities[draw(st.integers(0, len(hyps[i]) - 1))]
+    elif fault == "more":
+        hyps.append(seq_of(draw(st.lists(labels, max_size=3))))
+    elif fault == "fewer" and hyps:
+        hyps.pop(draw(st.integers(0, len(hyps) - 1)))
+    return samples, hyps, draw(st.sampled_from([1, 2, 20]))
+
+
+def scoring(evaluate_fn, patterns_fn, transitions_fn, distribution_fn, samples, hyps, targets):
+    """Everything eval writes, from one set of scoring functions; or the text of their refusal."""
+    try:
+        report = evaluate_fn(samples, hyps)
+    except AlignmentError as exc:
+        return str(exc)
+    table = transitions_fn(samples, hyps)
+    return (report, patterns_fn(samples, hyps), table.broken.tolist(), table.inserted.tolist(),
+            distribution_fn(hyps), distribution_fn(targets))
+
+
+class TestScoringAgainstTheLabelReference:
+    """Scoring label ids, from objects or from the columns read from files, gives what scoring the
+    label strings gave: the same reports, patterns and tables, or the same refusal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=scoring_sets())
+    def test_drawn_sets(self, drawn):
+        samples, hyps, k = drawn
+        expected = scoring(label_evaluate, lambda s, h: label_insertion_pattern_topk(s, h, k),
+                           label_transition_analysis, label_activity_distribution,
+                           samples, hyps, [s.complete for s in samples])
+        assert scoring(evaluate, lambda s, h: insertion_pattern_topk(s, h, k), transition_analysis,
+                       activity_distribution, samples, hyps, [s.complete for s in samples]) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            data, hyp, out = (Path(tmp) / name for name in ("d.jsonl", "h.jsonl", "ev"))
+            write_samples(data, samples)
+            write_sequences(hyp, hyps)
+            days, hyp_days = read_days(data, samples=True), read_days(hyp)
+            side = InputSide(days)
+            assert scoring(lambda _, h: score(side, h)[0], lambda _, h: top_patterns(score(side, h)[1], k),
+                           lambda _, h: transition_analysis(side, h), activity_distribution,
+                           days, hyp_days, days) == expected
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["eval", "--data", str(data), "--hyp", str(hyp), "--out", str(out)])
+            if isinstance(expected, str):
+                assert (code, err.getvalue()) == (2, f"eval: {hyp}: {expected}\n")
+                return
+            assert code == 0
+            assert json.loads(Path(f"{out}.metrics.json").read_text()) == expected[0].to_json_dict()
+            rows = Path(f"{out}.patterns.csv").read_text().splitlines()[1:]
+            assert rows == [f"{'|'.join(p)},{n}" for p, n in label_insertion_pattern_topk(samples, hyps, 20)]
+
+    def test_equal_counts_rank_by_label_text_not_by_id(self):
+        samples = [sample_of([H], []) for _ in range(4)]
+        hyps = [seq_of([H, label]) for label in ("Other", "GoToSchool", "EatOut", "Other")]
+        side = InputSide(samples)
+        assert top_patterns(score(side, hyps)[1], k=3) == [(("Other",), 2), (("EatOut",), 1), (("GoToSchool",), 1)]
+
+    def test_a_misaligned_hypothesis_is_refused_naming_the_label(self):
+        smp = sample_of([H, W, E], [1])
+        with pytest.raises(AlignmentError) as exc:
+            evaluate([smp], [seq_of([E, H])])
+        assert str(exc.value) == "sample 0: element 1 ('EatOut') has no match left in the full sequence"
+
+    @settings(max_examples=200, deadline=None)
+    @given(full=st.lists(st.sampled_from("HWE"), max_size=10), sub=st.lists(st.sampled_from("HWE"), max_size=6))
+    def test_alignment_equals_the_item_walk(self, full, sub):
+        def reading(align):
+            try:
+                return align(sub, full)
+            except AlignmentError as exc:
+                return str(exc)
+
+        assert reading(align_subsequence) == reading(loop_align_subsequence)
