@@ -257,31 +257,11 @@ def _write_lines(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-# json refuses nesting past the recursion limit and orjson does not (3.8 even crashes on objects nested
-# 50,000 deep): a line of this many brackets or more goes to json alone
-_DEEP = 256
-
-
 def _read_records(path, decode) -> list:
-    """``decode`` of each non-blank line's JSON value, one line at a time; a fault names the line.
-
-    orjson parses a line first. A line that orjson refuses, whose value ``decode`` refuses, or that
-    may nest deeply is read again by json, whose reading alone gives the record or the refusal. Where
-    the parsers differ, orjson refuses (blank lines, NaN, a BOM, lone surrogates, bad UTF-8) or reads
-    an integer beyond 64 bits as a float, which ``decode`` refuses or makes the distance json's
-    integer makes. So every record read is json's, and so is every refusal.
-    """
-    import orjson  # not at module level: importing the package stays as cheap as without it
-
+    """``decode`` of each non-blank line's JSON value, parsed by json one line at a time; a fault names the line."""
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if raw.count(b"[") + raw.count(b"{") < _DEEP:
-                try:
-                    records.append(decode(orjson.loads(raw)))
-                    continue
-                except (KeyError, TypeError, ValueError):
-                    pass
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
@@ -367,21 +347,24 @@ _DAY_KEYS = ("person_id", "date", "weekday", "holiday", "static", "removed_posit
 _ACTIVITY_KEYS = ("arr", "dep", "mode", "dist", "observed")
 _FIELD = {key: operator.itemgetter(key) for key in ("label", "activities", *_DAY_KEYS, *_ACTIVITY_KEYS)}
 _BLOCK = 1 << 14  # bytes of lines parsed at a time: few parsed records are held at once
+# json refuses nesting past the recursion limit and orjson does not (3.8 even crashes on objects nested
+# 50,000 deep): a file with a line of this many brackets or more is left to the scalar reader
+_DEEP = 256
 _NOT_BRACKETS = bytes(range(256)).translate(None, b"[{\n")  # the bytes dropped to count each line's brackets
 
 
-def _only(values, kind) -> bool:
-    """Every one of ``values`` is exactly a ``kind``: an int field takes no bool, which numpy would."""
-    return set(map(type, values)) <= {kind}
+def _only(values, *kinds) -> bool:
+    """Every one of ``values`` is exactly one of ``kinds``: an int field takes no bool, which numpy would."""
+    return set(map(type, values)) <= set(kinds)
 
 
 def _read_columns(path, samples: bool) -> Days | None:
     """``path``'s days as columns, parsed by orjson and checked column by column.
 
-    None if a line is blank or may nest deeply, or if orjson or any check refuses anything, or if a
-    sample's removed positions are out of order: the scalar reader then reads the file, to the
-    refusal or to the days of a valid but unusual line (an integer distance, say, or a value only
-    json parses).
+    Lines of ASCII whitespace are skipped, and an integer distance becomes its float. None if a line
+    may nest deeply, or if orjson or any check refuses anything, or if a sample's removed positions
+    are out of order: the scalar reader then reads the file, to the refusal or to the days of a valid
+    but unusual line (a value only json parses, say, or a blank line of other whitespace).
     """
     import orjson  # not at module level: importing the package stays as cheap as without it
 
@@ -390,6 +373,7 @@ def _read_columns(path, samples: bool) -> Days | None:
     try:
         with open(path, "rb") as fh:
             for lines in iter(lambda: fh.readlines(_BLOCK), []):
+                lines = [line for line in lines if not line.isspace()]
                 if max(map(len, b"".join(lines).translate(None, _NOT_BRACKETS).split(b"\n"))) >= _DEEP:
                     return None
                 records = list(map(orjson.loads, lines))
@@ -405,7 +389,7 @@ def _read_columns(path, samples: bool) -> Days | None:
         n, static, removed = len(col["label"]), col["static"], col.get("removed_positions", [])
         if not (_only(chain(*(col[key] for key in ("arr", "dep", "mode", "person_id", "date", "weekday", "holiday"))),
                       int)
-                and _only(col["dist"], float) and _only(col["observed"], bool) and _only(static, list)
+                and _only(col["dist"], float, int) and _only(col["observed"], bool) and _only(static, list)
                 and set(map(len, static)) <= {4} and _only(chain.from_iterable(static), int)
                 and set(col["weekday"]) <= set(range(1, 8)) and set(col["holiday"]) <= {0, 1}
                 and _only(removed, list) and _only(chain.from_iterable(removed), int)):
@@ -431,7 +415,7 @@ def _read_columns(path, samples: bool) -> Days | None:
 
 
 def read_days(path, samples: bool = False) -> Days:
-    """``path``'s days as columns: by ``_read_columns``, or else from the days the scalar reader reads."""
+    """``path``'s days as columns: by ``_read_columns``, or else from the days ``_read_records`` reads with json."""
     days = _read_columns(path, samples)
     if days is None:
         if samples:

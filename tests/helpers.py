@@ -633,8 +633,8 @@ def list_overlap(a: list[str], b: list[str]) -> int:
 
 
 def json_read_records(path, decode) -> list:
-    """``data._read_records`` as it was before orjson: json parses every line, and a JSON syntax
-    error is refused without its column."""
+    """``data._read_records`` but for one refusal: json parses every line, and a JSON syntax error is
+    refused without its column."""
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):

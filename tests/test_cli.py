@@ -1419,7 +1419,8 @@ class TestBlasThreads:
 
 
 class TestTwoParsers:
-    """orjson parses each data line first; json reads the lines orjson or the record check refuses."""
+    """The columnar reader parses data lines with orjson; the per-line reader, which reads any file
+    the columnar one refuses, parses them with json."""
 
     def test_commands_write_what_they_write_with_json_alone(self, small_run, tmp_path, monkeypatch):
         """train, recover, eval and compare on a file of valid edge values, read by the reader and by

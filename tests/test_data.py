@@ -6,6 +6,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -320,7 +321,7 @@ def test_write_then_read_samples_gives_them_back(tmp_path_factory, samples):
     assert again.read_bytes() == path.read_bytes()
 
 
-# -- orjson first, json for the rest: the reader reads every line as json alone did ---------------
+# -- orjson into columns, json line by line for the rest: every line reads as json alone reads it --
 
 def _base_records() -> list[dict]:
     cfg = default_config()
@@ -442,8 +443,9 @@ def _json_reading(path, decode) -> str:
 
 
 class TestTwoParsers:
-    """``_read_records``, and the columnar reader in front of it, read every line as json alone read
-    it: the same records, or the same refusal but for a syntax error's column."""
+    """The columnar reader, which parses with orjson, and ``_read_records`` behind it, which parses with
+    json, read every line as json alone reads it: the same records, or the same refusal but for a syntax
+    error's column, which ``_read_records`` adds."""
 
     @staticmethod
     def assert_read_as_json_reads(path) -> None:
@@ -482,8 +484,9 @@ class TestTwoParsers:
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("blank", ["\x0c", ""], ids=["blank-lines", "no-blank-lines"])
     def test_edge_lines(self, tmp_path, line, end, blank):
-        """Each edge line as line 2 of three, the others good, with blank lines around them or without,
-        which leaves the file to the columnar reader unless the edge line sends it to the scalar one."""
+        """Each edge line as line 2 of three, the others good, with form-feed blank lines around them or
+        without: both readers skip those, so the file is left to the columnar reader unless the edge
+        line sends it to the scalar one."""
         path = tmp_path / "edge.jsonl"
         around = f"{blank}{end}" if blank else ""
         path.write_bytes(f"{GOOD}{end}{around}{line}{end}{around}{GOOD}{end}".encode())
@@ -502,8 +505,9 @@ def assert_same_columns(got: Days, want: Days) -> None:
 
 # Valid lines that the columnar reader leaves to the scalar one, each reading as the line it edits does
 UNUSUAL_LINES = {
-    "integer-dist": lambda line: line.replace('"dist":0.0', '"dist":0', 1),
-    "blank-line": lambda line: line + "\n \x0c",
+    # blank to ``str.strip``, but not ASCII whitespace, which is all the columnar reader skips
+    "ideographic-space-blank-line": lambda line: line + "\n\u3000",
+    "file-separator-blank-line": lambda line: line + "\n\x1c",
     "300-deep-unknown-key": lambda line: line[:-1] + f',"bogus":{_nested(300, False)}}}',
     "nan-in-unknown-key": lambda line: line[:-1] + ',"bogus":NaN}',
     "lone-surrogate-in-unknown-key": lambda line: line[:-1] + r',"bogus":"\ud800"}',
@@ -514,30 +518,74 @@ UNUSUAL_LINES = {
 }
 
 
+# Integer distances beyond 2**53, which numpy must round to the float that ``float`` makes of each
+BIG_DISTANCES = [2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
 class TestColumnarReader:
     @pytest.fixture(scope="class")
     def good_lines(self):
         return [json.dumps(rec, separators=(",", ":")) for rec in BASE_RECORDS]
 
+    @pytest.fixture
+    def scalar_reads(self, monkeypatch):
+        """The arguments of each call ``read_days`` makes to the scalar reader."""
+        reads = []
+        monkeypatch.setattr(data_module, "_read_records", lambda *args: reads.append(args) or _read_records(*args))
+        return reads
+
     @pytest.mark.parametrize("kind, samples", [*((kind, True) for kind in sorted(UNUSUAL_LINES)),
                                                *((kind, False) for kind in sorted(UNUSUAL_LINES) if "removed" not in kind)])
     def test_an_unusual_line_reads_through_the_scalar_reader_to_the_same_columns(
-        self, tmp_path, monkeypatch, good_lines, kind, samples
+        self, tmp_path, scalar_reads, good_lines, kind, samples
     ):
         good, unusual = tmp_path / "good.jsonl", tmp_path / "unusual.jsonl"
         good.write_text("\n".join(good_lines) + "\n")
         lines = list(good_lines)
         lines[3] = UNUSUAL_LINES[kind](lines[3])
         assert lines[3] != good_lines[3]
-        unusual.write_text("\n".join(lines) + "\n")
-        scalar = []
-        monkeypatch.setattr(data_module, "_read_records",
-                            lambda *args: scalar.append(args) or _read_records(*args))
+        unusual.write_text("\n".join(lines) + "\n", encoding="utf-8")
         want = read_days(good, samples)
-        assert scalar == []
+        assert scalar_reads == []
         got = read_days(unusual, samples)
-        assert len(scalar) == 1
+        assert len(scalar_reads) == 1
         assert_same_columns(got, want)
+
+    @pytest.mark.parametrize("samples", [True, False], ids=["samples", "sequences"])
+    def test_ascii_blank_lines_and_integer_distances_read_through_the_columns(self, tmp_path, scalar_reads, samples):
+        """A file whose whole distances are written as integers, with blank lines of ASCII whitespace
+        between its lines and a block of nothing else, reads to the columns of the plain file."""
+        plain = copy.deepcopy(BASE_RECORDS)
+        assert len(plain[2]["activities"]) >= len(BIG_DISTANCES)
+        for act, big in zip(plain[2]["activities"], BIG_DISTANCES):
+            act["dist"] = float(big)
+        odd = copy.deepcopy(plain)
+        for act in (act for rec in odd for act in rec["activities"]):
+            if act["dist"].is_integer():
+                act["dist"] = int(act["dist"])
+        for act, big in zip(odd[2]["activities"], BIG_DISTANCES):
+            act["dist"] = big
+        blanks = ["", " \t", "\x0c", "\r", "\x0b", "\n" * 40_000]  # 40,000 blank lines fill a block or more
+        plain_path, odd_path = tmp_path / "plain.jsonl", tmp_path / "odd.jsonl"
+        plain_path.write_text("".join(json.dumps(rec) + "\n" for rec in plain))
+        odd_path.write_text("".join(f"{blanks[i % len(blanks)]}\n{json.dumps(rec)}\n" for i, rec in enumerate(odd)))
+        assert '"dist": 0,' in odd_path.read_text()
+        assert_same_columns(read_days(odd_path, samples), read_days(plain_path, samples))
+        assert scalar_reads == []
+
+    def test_the_scalar_reader_parses_with_json_alone(self, tmp_path, monkeypatch, good_lines, scalar_reads):
+        """Over a file the columnar reader leaves to it, the scalar reader never calls orjson."""
+        lines = list(good_lines)
+        lines[3] = UNUSUAL_LINES["nan-in-unknown-key"](lines[3])
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        read_days(path, True)
+        assert len(scalar_reads) == 1
+        parsed = []
+        monkeypatch.setattr(orjson, "loads", lambda raw, loads=orjson.loads: parsed.append(raw) or loads(raw))
+        for decode in (sequence_from_record, _sample_from_record):
+            assert repr(_read_records(path, decode)) == repr(json_read_records(path, decode))
+        assert parsed == []
 
     def test_a_day_read_from_columns_is_the_day_its_record_holds(self, tmp_path, good_lines):
         path = tmp_path / "d.jsonl"
